@@ -324,7 +324,7 @@ mod tests {
         let doc = to_json(&[
             sample("convolution", "conv_upto/50", 1234.5),
             sample("rbf", "rbf_by_graph_size/5", 88.0),
-            sample("parallel_structural", "explore_threads/2", 9.0),
+            sample("parallel_structural", "conv_concave/fast/200", 9.0),
         ])
         .render();
         let m = parse_medians(&doc).unwrap();
@@ -339,7 +339,7 @@ mod tests {
             &to_json(&[
                 sample("convolution", "conv_upto/50", 100.0),
                 sample("rbf", "rbf_by_horizon/100", 100.0),
-                sample("parallel_structural", "explore_threads/2", 100.0),
+                sample("parallel_structural", "conv_concave/fast/200", 100.0),
             ])
             .render(),
         )
@@ -348,7 +348,7 @@ mod tests {
             &to_json(&[
                 sample("convolution", "conv_upto/50", 140.0), // within 1.5x
                 sample("rbf", "rbf_by_horizon/100", 200.0),   // regression
-                sample("parallel_structural", "explore_threads/2", 900.0), // ungated
+                sample("parallel_structural", "conv_concave/fast/200", 900.0), // ungated
                 sample("rbf", "brand_new_case", 1e9),         // no baseline
             ])
             .render(),

@@ -43,7 +43,7 @@ use crate::report::{
     BoundQuality, Degradation, DelayAnalysis, Fallback, RtcReport, VertexBound, WitnessPath,
 };
 use srtw_minplus::{Budget, BudgetMeter, Curve, Ext, Q};
-use srtw_workload::{explore_metered_threads, DrtTask, ExploreConfig, Rbf, RbfMemo};
+use srtw_workload::{explore_metered, DrtTask, ExploreConfig, Rbf, RbfMemo};
 use std::time::Instant;
 
 /// Configuration of the structural analysis.
@@ -65,11 +65,6 @@ pub struct AnalysisConfig {
     /// [`BoundQuality::Degraded`] marker plus [`Degradation`] records.
     /// Defaults to [`Budget::UNLIMITED`].
     pub budget: Budget,
-    /// Worker threads for the path-exploration engine. `0` (the default)
-    /// and `1` both run the classic sequential engine; any value produces
-    /// **bit-identical** results — parallelism only changes wall-clock
-    /// time (see `srtw_workload::explore_metered_threads`).
-    pub threads: usize,
 }
 
 /// Structural per-job-type delay analysis of a single stream on a resource
@@ -111,8 +106,8 @@ pub fn structural_delay_with(
     let start = Instant::now();
     let meter = BudgetMeter::new(&cfg.budget);
     let memo = RbfMemo::new(1);
-    let result = busy_window_metered_ext(std::slice::from_ref(task), beta, &meter, cfg.threads, &memo)
-        .and_then(|bw| {
+    let result =
+        busy_window_metered_ext(std::slice::from_ref(task), beta, &meter, &memo).and_then(|bw| {
             let horizon = cfg.horizon_override.unwrap_or(bw.bound);
             analyse_stream(task, 0, beta, &bw, horizon, &[], cfg, &meter, &memo, start)
         });
@@ -191,7 +186,7 @@ pub fn fifo_structural_with_memo(
     memo: &RbfMemo,
 ) -> Result<Vec<DelayAnalysis>, AnalysisError> {
     let meter = BudgetMeter::new(&cfg.budget);
-    let result = busy_window_metered_ext(tasks, beta, &meter, cfg.threads, memo).and_then(|bw| {
+    let result = busy_window_metered_ext(tasks, beta, &meter, memo).and_then(|bw| {
         let horizon = cfg.horizon_override.unwrap_or(bw.bound);
         let mut out = Vec::with_capacity(tasks.len());
         for (i, task) in tasks.iter().enumerate() {
@@ -232,7 +227,7 @@ pub fn fifo_structural_subset(
     indices: &[usize],
 ) -> Result<Vec<DelayAnalysis>, AnalysisError> {
     let meter = BudgetMeter::new(&cfg.budget);
-    let result = busy_window_metered_ext(tasks, beta, &meter, cfg.threads, memo).and_then(|bw| {
+    let result = busy_window_metered_ext(tasks, beta, &meter, memo).and_then(|bw| {
         let horizon = cfg.horizon_override.unwrap_or(bw.bound);
         let mut out = Vec::with_capacity(indices.len());
         for &i in indices {
@@ -386,7 +381,7 @@ fn analyse_stream(
     if cfg.no_prune {
         ecfg = ecfg.without_pruning();
     }
-    let ex = explore_metered_threads(task, &ecfg, meter, cfg.threads);
+    let ex = explore_metered(task, &ecfg, meter);
     if let Some(k) = ex.interrupted {
         degradations.push(Degradation {
             component: format!("exploration('{}')", task.name()),
@@ -421,7 +416,7 @@ fn analyse_stream(
     let mut fallback = Q::ZERO;
     let mut own_truncated = false;
     if fallback_active {
-        let own_rbf = memo.get_or_compute(index, task, horizon, meter, cfg.threads);
+        let own_rbf = memo.get_or_compute(index, task, horizon, meter);
         if let Some(k) = own_rbf.truncated() {
             own_truncated = true;
             degradations.push(Degradation {

@@ -92,21 +92,18 @@ pub fn busy_window_metered(
     beta: &Curve,
     meter: &BudgetMeter,
 ) -> Result<BusyWindow, AnalysisError> {
-    busy_window_metered_ext(tasks, beta, meter, 1, &RbfMemo::new(tasks.len()))
+    busy_window_metered_ext(tasks, beta, meter, &RbfMemo::new(tasks.len()))
 }
 
-/// [`busy_window_metered`] with explicit parallelism and an rbf memo.
+/// [`busy_window_metered`] with an explicit rbf memo.
 ///
-/// `threads` shards each rbf's path exploration (bit-identical to the
-/// sequential run for any value; `<= 1` runs the sequential engine). The
-/// `memo` deduplicates repeated `(task, horizon)` materializations — most
+/// The `memo` deduplicates repeated `(task, horizon)` materializations — most
 /// usefully shared with the caller's own per-stream analyses, which revisit
 /// the final fixpoint bound.
 pub fn busy_window_metered_ext(
     tasks: &[DrtTask],
     beta: &Curve,
     meter: &BudgetMeter,
-    threads: usize,
     memo: &RbfMemo,
 ) -> Result<BusyWindow, AnalysisError> {
     let utilization = tasks
@@ -130,7 +127,7 @@ pub fn busy_window_metered_ext(
     let mut rbfs: Vec<Rbf> = tasks
         .iter()
         .enumerate()
-        .map(|(i, t)| memo.get_or_compute(i, t, horizon, meter, threads))
+        .map(|(i, t)| memo.get_or_compute(i, t, horizon, meter))
         .collect();
     let mut level = Q::ZERO;
     let mut iterations = 0usize;
@@ -163,7 +160,7 @@ pub fn busy_window_metered_ext(
             let rbfs: Vec<Rbf> = tasks
                 .iter()
                 .enumerate()
-                .map(|(i, t)| memo.get_or_compute(i, t, bound, meter, threads))
+                .map(|(i, t)| memo.get_or_compute(i, t, bound, meter))
                 .collect();
             let degraded = if rbfs.iter().any(|r| r.truncated().is_some()) {
                 meter.tripped()
@@ -184,7 +181,7 @@ pub fn busy_window_metered_ext(
             rbfs = tasks
                 .iter()
                 .enumerate()
-                .map(|(i, t)| memo.get_or_compute(i, t, horizon, meter, threads))
+                .map(|(i, t)| memo.get_or_compute(i, t, horizon, meter))
                 .collect();
         }
     }

@@ -18,11 +18,22 @@
 //! record: u32 LE payload length | u32 LE CRC-32 of payload | payload
 //! ```
 //!
-//! The payload carries (generation, canonical hash, deadline class,
-//! threads, presentation digest, canonical code lanes, rendered body
-//! verbatim). The body is replayed byte-identically on a warm hit, and
-//! the canonical-form lanes let the loader re-verify the content hash —
-//! a corrupt or stale entry can only *miss*, never lie.
+//! The payload is
+//!
+//! ```text
+//! u64 LE generation | u128 LE canonical hash | u64 LE presentation digest
+//! | u32 LE lane count | lane count × u64 LE canonical code lanes
+//! | u32 LE body length | body bytes (UTF-8, verbatim)
+//! ```
+//!
+//! The canonical hash alone is the cache key: only exact results are
+//! cached, and an exact result depends on neither the request's deadline
+//! nor anything else outside the parsed system. The body is replayed
+//! byte-identically on a warm hit, and the canonical-form lanes let the
+//! loader re-verify the content hash — a corrupt or stale entry can only
+//! *miss*, never lie. Version 1 files (which also carried a deadline
+//! class and a thread count) fail the version check and load cold with
+//! one warning; the writer then recreates them as version 2.
 //!
 //! ## Sharing discipline
 //!
@@ -52,7 +63,7 @@ use std::sync::Mutex;
 /// Magic bytes opening every spill file.
 pub const SPILL_MAGIC: &[u8; 8] = b"SRTWSPIL";
 /// Current on-disk format version.
-pub const SPILL_VERSION: u32 = 1;
+pub const SPILL_VERSION: u32 = 2;
 /// Header size: magic + version.
 pub const SPILL_HEADER_BYTES: usize = 8 + 4;
 /// Upper bound on a single spill payload (mirrors the journal's cap).
@@ -207,7 +218,7 @@ impl fmt::Display for PersistFault {
     }
 }
 
-/// One spilled cache entry: the full cache key, the canonical-form code
+/// One spilled cache entry: the cache key, the canonical-form code
 /// lanes (so the loader can re-verify the content hash), and the rendered
 /// body verbatim (so a warm hit replays byte-identical bytes).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -215,12 +226,8 @@ pub struct SpillRecord {
     /// Monotone per-store insertion counter; the loader replays records
     /// in ascending generation order so LRU recency survives a restart.
     pub generation: u64,
-    /// 128-bit canonical content hash (the cache key's primary part).
+    /// 128-bit canonical content hash (the cache key).
     pub canon: u128,
-    /// Deadline class of the request, if any.
-    pub deadline_ms: Option<u64>,
-    /// Thread count the analysis ran with.
-    pub threads: u32,
     /// Presentation digest (names/order) — second verification key.
     pub presentation: u64,
     /// The canonical form's code lanes, verbatim.
@@ -234,14 +241,6 @@ impl SpillRecord {
         let mut out = Vec::with_capacity(64 + self.form.len() * 8 + self.body.len());
         out.extend_from_slice(&self.generation.to_le_bytes());
         out.extend_from_slice(&self.canon.to_le_bytes());
-        match self.deadline_ms {
-            Some(d) => {
-                out.push(1);
-                out.extend_from_slice(&d.to_le_bytes());
-            }
-            None => out.push(0),
-        }
-        out.extend_from_slice(&self.threads.to_le_bytes());
         out.extend_from_slice(&self.presentation.to_le_bytes());
         out.extend_from_slice(&(self.form.len() as u32).to_le_bytes());
         for lane in &self.form {
@@ -259,12 +258,6 @@ impl SpillRecord {
         };
         let generation = cur.take_u64()?;
         let canon = cur.take_u128()?;
-        let deadline_ms = match cur.take_u8()? {
-            0 => None,
-            1 => Some(cur.take_u64()?),
-            _ => return None,
-        };
-        let threads = cur.take_u32()?;
         let presentation = cur.take_u64()?;
         let lanes = cur.take_u32()? as usize;
         if lanes > MAX_SPILL_BYTES / 8 {
@@ -285,8 +278,6 @@ impl SpillRecord {
         Some(SpillRecord {
             generation,
             canon,
-            deadline_ms,
-            threads,
             presentation,
             form,
             body,
@@ -310,10 +301,6 @@ impl Cursor<'_> {
         Some(s)
     }
 
-    fn take_u8(&mut self) -> Option<u8> {
-        Some(self.take(1)?[0])
-    }
-
     fn take_u32(&mut self) -> Option<u32> {
         Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?))
     }
@@ -330,8 +317,8 @@ impl Cursor<'_> {
 /// What [`load_dir`] salvaged from a spill directory.
 #[derive(Debug, Clone, Default)]
 pub struct SpillLoad {
-    /// Every intact record across all spill files, de-duplicated by full
-    /// cache key (latest generation wins), sorted ascending by generation
+    /// Every intact record across all spill files, de-duplicated by
+    /// canonical hash and presentation digest (latest generation wins), sorted ascending by generation
     /// so replaying them in order reconstructs LRU recency.
     pub records: Vec<SpillRecord>,
     /// Recovery warnings — anything skipped, truncated, or unreadable.
@@ -363,8 +350,7 @@ pub fn load_dir(dir: &Path) -> SpillLoad {
         .filter(|p| p.extension().is_some_and(|x| x == "spill"))
         .collect();
     paths.sort();
-    let mut best: std::collections::HashMap<(u128, Option<u64>, u32, u64), SpillRecord> =
-        Default::default();
+    let mut best: std::collections::HashMap<(u128, u64), SpillRecord> = Default::default();
     for path in paths {
         let bytes = match fs::read(&path) {
             Ok(b) => b,
@@ -387,17 +373,25 @@ pub fn load_dir(dir: &Path) -> SpillLoad {
 fn scan_spill(
     path: &Path,
     bytes: &[u8],
-    best: &mut std::collections::HashMap<(u128, Option<u64>, u32, u64), SpillRecord>,
+    best: &mut std::collections::HashMap<(u128, u64), SpillRecord>,
     warnings: &mut Vec<SpillWarning>,
 ) {
-    if bytes.len() < SPILL_HEADER_BYTES
-        || &bytes[..8] != SPILL_MAGIC
-        || u32::from_le_bytes(bytes[8..12].try_into().unwrap()) != SPILL_VERSION
-    {
+    if bytes.len() < SPILL_HEADER_BYTES || &bytes[..8] != SPILL_MAGIC {
         warnings.push(SpillWarning {
             path: path.to_path_buf(),
             offset: 0,
             message: "spill header missing or malformed; file ignored".into(),
+        });
+        return;
+    }
+    let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
+    if version != SPILL_VERSION {
+        warnings.push(SpillWarning {
+            path: path.to_path_buf(),
+            offset: 0,
+            message: format!(
+                "spill format version {version}, expected {SPILL_VERSION}; file ignored"
+            ),
         });
         return;
     }
@@ -435,7 +429,7 @@ fn scan_spill(
             }),
             ScannedFrame::Payload { offset, payload } => match SpillRecord::decode(payload) {
                 Some(rec) => {
-                    let key = (rec.canon, rec.deadline_ms, rec.threads, rec.presentation);
+                    let key = (rec.canon, rec.presentation);
                     match best.get(&key) {
                         Some(have) if have.generation >= rec.generation => {}
                         _ => {
@@ -512,13 +506,10 @@ impl Store {
     /// fault) the store disables itself and returns the typed error once;
     /// later appends are silent no-ops. The caller must never let this
     /// error change a response.
-    #[allow(clippy::too_many_arguments)]
     pub fn append(
         &self,
         shard: usize,
         canon: u128,
-        deadline_ms: Option<u64>,
-        threads: u32,
         presentation: u64,
         form: &[u64],
         body: &str,
@@ -529,8 +520,6 @@ impl Store {
         let rec = SpillRecord {
             generation: self.generation.fetch_add(1, Ordering::Relaxed),
             canon,
-            deadline_ms,
-            threads,
             presentation,
             form: form.to_vec(),
             body: body.to_string(),
@@ -656,8 +645,6 @@ mod tests {
         SpillRecord {
             generation: gen,
             canon,
-            deadline_ms: Some(10),
-            threads: 1,
             presentation: canon as u64 ^ 0xdead,
             form: vec![1, 2, 3, canon as u64],
             body: body.to_string(),
@@ -670,8 +657,6 @@ mod tests {
                 .append(
                     (r.canon as usize) & 7,
                     r.canon,
-                    r.deadline_ms,
-                    r.threads,
                     r.presentation,
                     &r.form,
                     &r.body,
@@ -770,6 +755,39 @@ mod tests {
     }
 
     #[test]
+    fn version_one_spill_loads_cold_then_is_rewritten_as_version_two() {
+        let dir = tmpdir("v1");
+        let path = Store::shard_path(&dir, 0, 0);
+        // A version-1 header followed by one intact frame: the frame must
+        // not be read, whatever it holds.
+        let mut old = SPILL_MAGIC.to_vec();
+        old.extend_from_slice(&1u32.to_le_bytes());
+        old.extend_from_slice(&frame(&rec(1, 4, "old\n").encode()));
+        fs::write(&path, &old).unwrap();
+        let load = load_dir(&dir);
+        assert!(load.records.is_empty());
+        assert_eq!(load.warnings.len(), 1, "{:?}", load.warnings);
+        assert_eq!(load.warnings[0].path, path);
+        assert_eq!(load.warnings[0].offset, 0);
+        assert!(load.warnings[0].to_string().starts_with("srtw-persist: "));
+        assert!(load.warnings[0].message.contains("version 1"));
+        // The writer recreates the file under the current header, and a
+        // new append round-trips.
+        let store = Store::open(&dir, 0, 1, 1, None).unwrap();
+        append_all(&store, &[rec(0, 8, "eight\n")]);
+        let bytes = fs::read(&path).unwrap();
+        assert_eq!(&bytes[..8], SPILL_MAGIC);
+        assert_eq!(bytes[8..12], SPILL_VERSION.to_le_bytes());
+        assert_eq!(SPILL_VERSION, 2);
+        let load = load_dir(&dir);
+        fs::remove_dir_all(&dir).unwrap();
+        assert!(load.warnings.is_empty(), "{:?}", load.warnings);
+        assert_eq!(load.records.len(), 1);
+        assert_eq!(load.records[0].canon, 8);
+        assert_eq!(load.records[0].body, "eight\n");
+    }
+
+    #[test]
     fn replicas_share_reads_but_not_writes() {
         let dir = tmpdir("replicas");
         let a = Store::open(&dir, 0, 8, 1, None).unwrap();
@@ -817,16 +835,12 @@ mod tests {
             }),
         )
         .unwrap();
-        store
-            .append(0, 1, None, 1, 11, &[1], "one\n")
-            .unwrap();
-        let err = store
-            .append(0, 2, None, 1, 22, &[2], "two\n")
-            .unwrap_err();
+        store.append(0, 1, 11, &[1], "one\n").unwrap();
+        let err = store.append(0, 2, 22, &[2], "two\n").unwrap_err();
         assert_eq!(err.kind, PersistErrorKind::Io);
         assert!(store.disabled());
         // Disabled: further appends are silent no-ops.
-        store.append(0, 3, None, 1, 33, &[3], "three\n").unwrap();
+        store.append(0, 3, 33, &[3], "three\n").unwrap();
         let load = load_dir(&dir);
         fs::remove_dir_all(&dir).unwrap();
         assert_eq!(load.records.len(), 1);
@@ -848,7 +862,7 @@ mod tests {
             }),
         )
         .unwrap();
-        let err = store.append(0, 1, None, 1, 11, &[1], "one\n").unwrap_err();
+        let err = store.append(0, 1, 11, &[1], "one\n").unwrap_err();
         assert_eq!(err.kind, PersistErrorKind::NoSpace);
         assert!(err.to_string().contains("enospc"));
         assert!(store.disabled());
@@ -893,13 +907,11 @@ mod tests {
         let store = Store::open(&dir, 0, 1, next, None).unwrap();
         // Overwrite key 1: must win the dedup because its generation is
         // newer than the loaded one.
-        store
-            .append(0, 1, Some(10), 1, 1u64 ^ 0xdead, &[9], "newer\n")
-            .unwrap();
+        store.append(0, 1, 1u64 ^ 0xdead, &[9], "newer\n").unwrap();
         let load = load_dir(&dir);
         fs::remove_dir_all(&dir).unwrap();
         let one: Vec<&SpillRecord> = load.records.iter().filter(|r| r.canon == 1).collect();
-        assert_eq!(one.len(), 1, "same full key dedups");
+        assert_eq!(one.len(), 1, "same key dedups");
         assert_eq!(one[0].body, "newer\n", "newer generation must win");
     }
 }

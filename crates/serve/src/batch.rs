@@ -343,7 +343,6 @@ fn run_and_stream(shared: &Shared, prepared: Prepared, stream: &mut TcpStream) {
             budget_ms: 1_000,
             budget_retries: 2,
             fault: shared.cfg.fault,
-            threads: shared.cfg.threads.max(1),
             cancel: Some(token.clone()),
         },
         fail_fast: false,

@@ -3,16 +3,20 @@
 //! Two stores back the service's incremental paths:
 //!
 //! * [`ResultCache`] — a sharded, byte-budgeted, LRU-evicting map from
-//!   `(canonical system hash, deadline class, threads)` to the rendered
-//!   `POST /analyze` response body plus the structured [`FifoReport`]
-//!   behind it. Every hit **verifies** the stored canonical form and the
-//!   presentation digest before replaying — hash collisions and
-//!   canonicalization incompleteness degrade to misses, never to wrong
-//!   bodies (see `srtw_workload::canon` for the soundness argument).
-//!   Only exact (non-degraded), fault-free results are stored: an exact
-//!   report is a pure function of the parsed system, so a replayed body
-//!   is byte-identical to what a cold run would produce — modulo
-//!   `runtime_secs`, the document's only nondeterministic field.
+//!   the 128-bit canonical system hash to the rendered `POST /analyze`
+//!   response body plus the structured [`FifoReport`] behind it. Every
+//!   hit **verifies** the stored canonical form and the presentation
+//!   digest before replaying — hash collisions and canonicalization
+//!   incompleteness degrade to misses, never to wrong bodies (see
+//!   `srtw_workload::canon` for the soundness argument). Only exact
+//!   (non-degraded), fault-free results are stored: an exact report is a
+//!   pure function of the parsed system, so a replayed body is
+//!   byte-identical to what a cold run would produce — modulo
+//!   `runtime_secs`, the document's only nondeterministic field. A
+//!   request's deadline is therefore not part of the key: a deadline that
+//!   never tripped leaves no trace in an exact body, and a deadlined
+//!   request that hits gets the exact answer instead of a possibly
+//!   degraded recompute.
 //! * [`MemoStore`] — promoted exact rbfs keyed by *per-task* canonical
 //!   hash and horizon, used to pre-seed a request's
 //!   [`RbfMemo`]. Because only exact rbfs are promoted (pure functions
@@ -46,20 +50,6 @@ const MEMO_WAYS: usize = 8;
 /// recently used.
 const MEMO_TASK_CAP: usize = 1024;
 
-/// The lookup key of one cached analysis: canonical content hash plus
-/// the budget class the result was computed under.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub(crate) struct CacheKey {
-    /// 128-bit canonical hash of the parsed system.
-    pub canon: u128,
-    /// The request's deadline class (`X-Deadline-Ms` or the configured
-    /// default) — a budget is part of what the answer *means*.
-    pub deadline_ms: Option<u64>,
-    /// Exploration threads (bit-identical either way, but part of the
-    /// configured analysis class).
-    pub threads: usize,
-}
-
 struct Entry {
     /// Full canonical form, compared on every hit (collision safety).
     form: CanonicalForm,
@@ -92,7 +82,7 @@ pub(crate) struct CacheHit {
 /// Sharded, byte-budgeted response cache (see module docs).
 #[derive(Default)]
 pub(crate) struct ResultCache {
-    shards: Vec<Mutex<HashMap<CacheKey, Entry>>>,
+    shards: Vec<Mutex<HashMap<u128, Entry>>>,
     /// Byte budget per shard (total budget / shard count).
     shard_budget: usize,
     clock: AtomicU64,
@@ -136,14 +126,14 @@ impl ResultCache {
         }
     }
 
-    /// Which shard a key lives in — also the spill-file index the persist
-    /// layer uses for this key.
-    pub fn shard_index(key: &CacheKey) -> usize {
-        (key.canon as usize) & (SHARDS - 1)
+    /// Which shard a canonical hash lives in — also the spill-file index
+    /// the persist layer uses for it.
+    pub fn shard_index(canon: u128) -> usize {
+        (canon as usize) & (SHARDS - 1)
     }
 
-    fn shard(&self, key: &CacheKey) -> &Mutex<HashMap<CacheKey, Entry>> {
-        &self.shards[ResultCache::shard_index(key)]
+    fn shard(&self, canon: u128) -> &Mutex<HashMap<u128, Entry>> {
+        &self.shards[ResultCache::shard_index(canon)]
     }
 
     fn tick(&self) -> u64 {
@@ -157,17 +147,12 @@ impl ResultCache {
 
     /// Looks up a stored result, verifying both the canonical form and
     /// the presentation digest. A verified hit refreshes LRU recency.
-    pub fn lookup(
-        &self,
-        key: &CacheKey,
-        form: &CanonicalForm,
-        presentation: u64,
-    ) -> Option<CacheHit> {
+    pub fn lookup(&self, canon: u128, form: &CanonicalForm, presentation: u64) -> Option<CacheHit> {
         if self.disabled() {
             return None;
         }
-        let mut shard = self.shard(key).lock().unwrap();
-        let entry = shard.get_mut(key)?;
+        let mut shard = self.shard(canon).lock().unwrap();
+        let entry = shard.get_mut(&canon)?;
         if entry.form != *form || entry.presentation != presentation {
             return None;
         }
@@ -186,7 +171,7 @@ impl ResultCache {
     /// entries warm-loaded from disk.
     pub fn insert(
         &self,
-        key: CacheKey,
+        canon: u128,
         form: CanonicalForm,
         presentation: u64,
         body: String,
@@ -199,8 +184,8 @@ impl ResultCache {
         if bytes > self.shard_budget {
             return false;
         }
-        let mut shard = self.shard(&key).lock().unwrap();
-        if let Some(old) = shard.remove(&key) {
+        let mut shard = self.shard(canon).lock().unwrap();
+        if let Some(old) = shard.remove(&canon) {
             self.bytes.fetch_sub(old.bytes as u64, Ordering::Relaxed);
         }
         let mut used: usize = shard.values().map(|e| e.bytes).sum();
@@ -208,7 +193,7 @@ impl ResultCache {
             let victim = shard
                 .iter()
                 .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
+                .map(|(k, _)| *k)
                 .expect("over budget implies non-empty shard");
             let evicted = shard.remove(&victim).expect("victim exists");
             used -= evicted.bytes;
@@ -218,7 +203,7 @@ impl ResultCache {
         }
         self.bytes.fetch_add(bytes as u64, Ordering::Relaxed);
         shard.insert(
-            key,
+            canon,
             Entry {
                 form,
                 presentation,
@@ -343,26 +328,18 @@ mod tests {
         (form, FifoReport { per, rtc })
     }
 
-    fn key(canon: u128) -> CacheKey {
-        CacheKey {
-            canon,
-            deadline_ms: None,
-            threads: 1,
-        }
-    }
-
     #[test]
     fn hit_requires_form_and_presentation_match() {
         let (form, report) = tiny_report();
         let cache = ResultCache::new(1 << 20);
-        let k = key(form.hash());
-        assert!(cache.insert(k.clone(), form.clone(), 7, "body\n".into(), Some(report)));
-        assert!(cache.lookup(&k, &form, 7).is_some());
+        let k = form.hash();
+        assert!(cache.insert(k, form.clone(), 7, "body\n".into(), Some(report)));
+        assert!(cache.lookup(k, &form, 7).is_some());
         // Same key, different presentation: a miss, not a wrong body.
-        assert!(cache.lookup(&k, &form, 8).is_none());
+        assert!(cache.lookup(k, &form, 8).is_none());
         // Different form under the same key (a collision): a miss.
         let other = combine_forms(vec![], &[1]);
-        assert!(cache.lookup(&k, &other, 7).is_none());
+        assert!(cache.lookup(k, &other, 7).is_none());
     }
 
     #[test]
@@ -371,26 +348,22 @@ mod tests {
         // Budget sized so a shard holds roughly one entry.
         let one = entry_bytes(&form, "b", Some(&report));
         let cache = ResultCache::new(one * SHARDS + SHARDS);
-        let mut keys = Vec::new();
-        for i in 0..64u128 {
-            let k = key(i);
-            cache.insert(k.clone(), form.clone(), 1, "b".into(), Some(report.clone()));
-            keys.push(k);
+        for k in 0..64u128 {
+            cache.insert(k, form.clone(), 1, "b".into(), Some(report.clone()));
         }
         assert!(cache.evictions() > 0);
         assert!(cache.bytes() <= (one as u64 + 1) * SHARDS as u64 + SHARDS as u64);
         // The most recent insert in its shard must have survived.
-        let last = keys.last().unwrap();
-        assert!(cache.lookup(last, &form, 1).is_some());
+        assert!(cache.lookup(63, &form, 1).is_some());
     }
 
     #[test]
     fn zero_budget_disables_the_cache() {
         let (form, report) = tiny_report();
         let cache = ResultCache::new(0);
-        let k = key(form.hash());
-        assert!(!cache.insert(k.clone(), form.clone(), 1, "b".into(), Some(report)));
-        assert!(cache.lookup(&k, &form, 1).is_none());
+        let k = form.hash();
+        assert!(!cache.insert(k, form.clone(), 1, "b".into(), Some(report)));
+        assert!(cache.lookup(k, &form, 1).is_none());
         assert_eq!(cache.bytes(), 0);
     }
 
@@ -409,7 +382,6 @@ mod tests {
             &task,
             Q::int(40),
             &srtw_minplus::BudgetMeter::unlimited(),
-            1,
         );
         assert_eq!(memo.computes(), 1);
         store.promote(&[hash], &memo);
@@ -420,7 +392,6 @@ mod tests {
             &task,
             Q::int(40),
             &srtw_minplus::BudgetMeter::unlimited(),
-            1,
         );
         assert_eq!(warm.hits(), 1, "promoted rbf must be a warm hit");
         assert_eq!(warm.computes(), 0);

@@ -33,7 +33,6 @@
 //! (`delta_full_fallbacks` in `/stats`), still warm-started from the
 //! promoted rbf memo when unmetered.
 
-use crate::cache::CacheKey;
 use crate::http::{Request, Response};
 use crate::report::{fifo_report, fifo_report_with_memo, FifoReport};
 use crate::server::{error_body, parse_error_response, Shared};
@@ -430,9 +429,8 @@ fn run_delta_with_base_tasks(
         edited.iter().all(|&i| {
             // `memo` already holds the edited task's rbf (the subset run
             // computed it); the base task's rbf is recomputed fresh.
-            let edited_rbf = memo.get_or_compute(i, &system.tasks[i], horizon, &meter, cfg.threads);
-            let base_rbf =
-                Rbf::compute_metered_threads(&base_tasks[i], horizon, &meter, cfg.threads);
+            let edited_rbf = memo.get_or_compute(i, &system.tasks[i], horizon, &meter);
+            let base_rbf = Rbf::compute_metered(&base_tasks[i], horizon, &meter);
             rbf_equal(&edited_rbf, &base_rbf)
         })
     };
@@ -530,19 +528,14 @@ pub(crate) fn analyze_delta(shared: &Shared, req: &Request) -> Response {
         },
     };
 
-    let threads = shared.cfg.threads.max(1);
     let form = system.canonical_form();
     let presentation = system.presentation_digest();
-    let key = CacheKey {
-        canon: form.hash(),
-        deadline_ms,
-        threads,
-    };
+    let canon = form.hash();
     let cacheable = shared.cfg.fault.is_none();
 
     // Fast path: the edited system itself is already cached.
     if cacheable {
-        if let Some(hit) = shared.cache.lookup(&key, &form, presentation) {
+        if let Some(hit) = shared.cache.lookup(canon, &form, presentation) {
             shared.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
             shared.stats.completed.fetch_add(1, Ordering::Relaxed);
             let n = system.tasks.len();
@@ -571,7 +564,6 @@ pub(crate) fn analyze_delta(shared: &Shared, req: &Request) -> Response {
     }
     let cfg = AnalysisConfig {
         budget,
-        threads,
         ..Default::default()
     };
 
@@ -581,17 +573,11 @@ pub(crate) fn analyze_delta(shared: &Shared, req: &Request) -> Response {
     // splicing. That *is* the full fallback.
     let metered = deadline_ms.is_some() || shared.cfg.fault.is_some() || hard_cancel;
 
-    let base_key = CacheKey {
-        canon: base_sys.canonical_form().hash(),
-        deadline_ms,
-        threads,
-    };
     let base_hit = if cacheable && !metered {
-        shared.cache.lookup(
-            &base_key,
-            &base_sys.canonical_form(),
-            base_sys.presentation_digest(),
-        )
+        let base_form = base_sys.canonical_form();
+        shared
+            .cache
+            .lookup(base_form.hash(), &base_form, base_sys.presentation_digest())
     } else {
         None
     };
@@ -666,7 +652,7 @@ pub(crate) fn analyze_delta(shared: &Shared, req: &Request) -> Response {
                     .memo_store
                     .promote(&task_hashes(&system.tasks), &memo);
                 if cacheable && !outcome.report.degraded() {
-                    shared.cache_insert(key, form, presentation, &body, outcome.report.clone());
+                    shared.cache_insert(canon, form, presentation, &body, outcome.report.clone());
                 }
             }
             let mut resp = Response::json(200, body);

@@ -14,7 +14,7 @@
 //! serving. Keep-alive connections cycle back to the acceptor after each
 //! response instead of occupying a worker between requests.
 
-use crate::cache::{CacheKey, MemoStore, ResultCache};
+use crate::cache::{MemoStore, ResultCache};
 use crate::fault::{ProcessFault, ProcessFaultArm, ProcessFaultKind};
 use crate::gate::Gate;
 use crate::http::{Request, RequestError, Response, MAX_HEAD_BYTES};
@@ -71,8 +71,6 @@ pub struct ServeConfig {
     /// Deadline applied to `/analyze` requests that carry no
     /// `X-Deadline-Ms` header (`None` = unbounded).
     pub default_deadline_ms: Option<u64>,
-    /// Path-exploration threads per request (bit-identical at any value).
-    pub threads: usize,
     /// Deterministic fault injected into every request's meter (testing
     /// the shed/degrade/crash paths without timing races).
     pub fault: Option<FaultPlan>,
@@ -126,7 +124,6 @@ impl Default for ServeConfig {
             header_timeout: Duration::from_secs(2),
             read_timeout: Duration::from_secs(5),
             default_deadline_ms: None,
-            threads: 1,
             fault: None,
             process_fault: None,
             replica: None,
@@ -199,18 +196,14 @@ impl Shared {
     /// changes a response.
     pub(crate) fn cache_insert(
         &self,
-        key: CacheKey,
+        canon: u128,
         form: CanonicalForm,
         presentation: u64,
         body: &str,
         report: FifoReport,
     ) {
-        let shard = ResultCache::shard_index(&key);
-        let canon = key.canon;
-        let deadline_ms = key.deadline_ms;
-        let threads = key.threads;
         let stored = self.cache.insert(
-            key,
+            canon,
             form.clone(),
             presentation,
             body.to_string(),
@@ -220,15 +213,8 @@ impl Shared {
             return;
         }
         if let Some(store) = &self.persist {
-            match store.append(
-                shard,
-                canon,
-                deadline_ms,
-                threads as u32,
-                presentation,
-                form.code(),
-                body,
-            ) {
+            let shard = ResultCache::shard_index(canon);
+            match store.append(shard, canon, presentation, form.code(), body) {
                 Ok(()) => {
                     if !store.disabled() {
                         self.stats.persist_stored.fetch_add(1, Ordering::Relaxed);
@@ -315,15 +301,10 @@ impl Server {
                         );
                         continue;
                     }
-                    let key = CacheKey {
-                        canon: rec.canon,
-                        deadline_ms: rec.deadline_ms,
-                        threads: rec.threads as usize,
-                    };
                     // Warm entries replay their body verbatim but carry no
                     // structured report; ascending generation order
                     // reconstructs LRU recency under `cache_bytes`.
-                    if cache.insert(key, form, rec.presentation, rec.body, None) {
+                    if cache.insert(rec.canon, form, rec.presentation, rec.body, None) {
                         stats.persist_loaded.fetch_add(1, Ordering::Relaxed);
                     }
                 }
@@ -738,24 +719,20 @@ fn analyze(shared: &Shared, req: &Request) -> Response {
         },
     };
 
-    // Content-addressed cache: a fault-free request whose canonical form,
-    // presentation, and budget class all match a stored result replays
-    // its body byte-for-byte (modulo `runtime_secs`, which the stored
-    // body simply carries from the original run). With a configured
-    // fault plan every request must execute the metered path, so the
-    // cache is bypassed entirely.
-    let threads = shared.cfg.threads.max(1);
+    // Content-addressed cache: a fault-free request whose canonical form
+    // and presentation match a stored result replays its body
+    // byte-for-byte (modulo `runtime_secs`, which the stored body simply
+    // carries from the original run). Only exact results are stored, and
+    // an exact result does not depend on the deadline, so a deadlined
+    // request may hit too. With a configured fault plan every request
+    // must execute the metered path, so the cache is bypassed entirely.
     let cacheable = shared.cfg.fault.is_none();
     let hard_cancel = shared.hard_cancel.load(Ordering::Relaxed);
     let form = sys.canonical_form();
     let presentation = sys.presentation_digest();
-    let key = CacheKey {
-        canon: form.hash(),
-        deadline_ms,
-        threads,
-    };
+    let canon = form.hash();
     if cacheable {
-        if let Some(hit) = shared.cache.lookup(&key, &form, presentation) {
+        if let Some(hit) = shared.cache.lookup(canon, &form, presentation) {
             shared.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
             shared.stats.completed.fetch_add(1, Ordering::Relaxed);
             return Response::json(200, hit.body);
@@ -779,7 +756,6 @@ fn analyze(shared: &Shared, req: &Request) -> Response {
     }
     let cfg = AnalysisConfig {
         budget,
-        threads,
         ..Default::default()
     };
     // Warm rbf memo only on unmetered requests: a memo hit skips the
@@ -834,7 +810,7 @@ fn analyze(shared: &Shared, req: &Request) -> Response {
             }
             let body = format!("{}\n", report.to_json());
             if cacheable && !report.degraded() {
-                shared.cache_insert(key, form, presentation, &body, report);
+                shared.cache_insert(canon, form, presentation, &body, report);
             }
             Response::json(200, body)
         }

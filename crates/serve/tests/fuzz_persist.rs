@@ -13,7 +13,8 @@
 //!    were never stored, and the serve-side double verification
 //!    (canonical-form hash + presentation digest) can never be handed
 //!    a wrong body that passes;
-//! 3. dedup holds — no two salvaged records share a full cache key;
+//! 3. dedup holds — no two salvaged records share a cache key (canonical
+//!    hash plus presentation digest);
 //! 4. among genuine duplicates of one key, the survivor carries the
 //!    highest generation present (stale spills never shadow newer
 //!    ones).
@@ -29,7 +30,7 @@ use std::sync::OnceLock;
 
 /// The genuine records the fuzz cases start from, plus each record's
 /// exact on-disk frame bytes (captured by writing a one-record spill
-/// file and stripping the header). Two of the records share a full
+/// file and stripping the header). Two of the records share a
 /// cache key at different generations — the "stale duplicate" pair.
 struct Base {
     records: Vec<SpillRecord>,
@@ -40,29 +41,25 @@ struct Base {
 fn base() -> &'static Base {
     static BASE: OnceLock<Base> = OnceLock::new();
     BASE.get_or_init(|| {
-        // (canon, deadline, threads, presentation, body). The last entry
-        // reuses the first key with a different body and a later
-        // generation: a genuine re-spill of the same cache slot.
-        let specs: [(u128, Option<u64>, u32, u64, &str); 5] = [
-            (0x1111, None, 1, 0xaaaa, "{\"scheduler\":\"fifo\",\"n\":1}\n"),
-            (0x2222, Some(50), 2, 0xbbbb, "{\"scheduler\":\"fifo\",\"n\":2}\n"),
-            (0x3333, None, 4, 0xcccc, "{\"scheduler\":\"fifo\",\"n\":3}\n"),
-            (0x4444, Some(10), 1, 0xdddd, "{\"scheduler\":\"fifo\",\"n\":4}\n"),
-            (0x1111, None, 1, 0xaaaa, "{\"scheduler\":\"fifo\",\"n\":5}\n"),
+        // (canon, presentation, body). The last entry reuses the first
+        // key with a different body and a later generation: a genuine
+        // re-spill of the same cache slot.
+        let specs: [(u128, u64, &str); 5] = [
+            (0x1111, 0xaaaa, "{\"scheduler\":\"fifo\",\"n\":1}\n"),
+            (0x2222, 0xbbbb, "{\"scheduler\":\"fifo\",\"n\":2}\n"),
+            (0x3333, 0xcccc, "{\"scheduler\":\"fifo\",\"n\":3}\n"),
+            (0x4444, 0xdddd, "{\"scheduler\":\"fifo\",\"n\":4}\n"),
+            (0x1111, 0xaaaa, "{\"scheduler\":\"fifo\",\"n\":5}\n"),
         ];
         let mut records = Vec::new();
         let mut frames = Vec::new();
         let mut header = Vec::new();
-        for (i, (canon, deadline_ms, threads, presentation, body)) in
-            specs.into_iter().enumerate()
-        {
+        for (i, (canon, presentation, body)) in specs.into_iter().enumerate() {
             let dir = tmp(&format!("frame-{i}"));
             let _ = std::fs::remove_dir_all(&dir);
             let store = Store::open(&dir, 0, 1, i as u64, None).unwrap();
             let form = vec![canon as u64, 7, i as u64];
-            store
-                .append(0, canon, deadline_ms, threads, presentation, &form, body)
-                .unwrap();
+            store.append(0, canon, presentation, &form, body).unwrap();
             let bytes = std::fs::read(Store::shard_path(&dir, 0, 0)).unwrap();
             std::fs::remove_dir_all(&dir).unwrap();
             if header.is_empty() {
@@ -72,8 +69,6 @@ fn base() -> &'static Base {
             records.push(SpillRecord {
                 generation: i as u64,
                 canon,
-                deadline_ms,
-                threads,
                 presentation,
                 form,
                 body: body.to_string(),
@@ -93,8 +88,8 @@ fn tmp(name: &str) -> PathBuf {
     p
 }
 
-fn full_key(r: &SpillRecord) -> (u128, Option<u64>, u32, u64) {
-    (r.canon, r.deadline_ms, r.threads, r.presentation)
+fn full_key(r: &SpillRecord) -> (u128, u64) {
+    (r.canon, r.presentation)
 }
 
 /// One seeded spill image: the genuine frames in a random order (with
@@ -168,7 +163,7 @@ fn mutated_spills_load_without_panics_or_invented_records() {
                 full_key(r)
             );
         }
-        // Invariant 3: full-key dedup.
+        // Invariant 3: key dedup.
         for (i, r) in load.records.iter().enumerate() {
             assert!(
                 load.records[..i].iter().all(|p| full_key(p) != full_key(r)),

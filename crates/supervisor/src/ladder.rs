@@ -34,10 +34,6 @@ pub struct SupervisorConfig {
     pub budget_retries: u32,
     /// Deterministic fault injected into every attempt (testing only).
     pub fault: Option<FaultPlan>,
-    /// Worker threads for each attempt's path exploration (the job-level
-    /// split of the machine: batch jobs × per-job threads). `0`/`1` run
-    /// the sequential engine; any value is bit-identical.
-    pub threads: usize,
     /// External cancellation: when this token is raised (e.g. the batch's
     /// client disconnected), every in-flight attempt's own watchdog token
     /// is raised too, so the job winds down cooperatively with a sound,
@@ -53,7 +49,6 @@ impl Default for SupervisorConfig {
             budget_ms: 1_000,
             budget_retries: 2,
             fault: None,
-            threads: 1,
             cancel: None,
         }
     }
@@ -194,13 +189,12 @@ fn run_attempt(spec: &Arc<JobSpec>, rung: Rung, cfg: &SupervisorConfig) -> RawAt
 
     let started = Instant::now();
     let job = Arc::clone(spec);
-    let threads = cfg.threads;
     let contained = contain(
         &format!("srtw-{}", spec.name),
         cfg.timeout,
         cfg.grace,
         &token,
-        move || analyse(&job, rung, budget, threads),
+        move || analyse(&job, rung, budget),
     );
     let wall = started.elapsed();
     relay_done.store(true, std::sync::atomic::Ordering::Release);
@@ -249,17 +243,11 @@ fn run_attempt(spec: &Arc<JobSpec>, rung: Rung, cfg: &SupervisorConfig) -> RawAt
 }
 
 /// The analysis an attempt at `rung` actually runs.
-fn analyse(
-    spec: &JobSpec,
-    rung: Rung,
-    budget: Budget,
-    threads: usize,
-) -> Result<AnalysisOutput, AnalysisError> {
+fn analyse(spec: &JobSpec, rung: Rung, budget: Budget) -> Result<AnalysisOutput, AnalysisError> {
     match rung {
         Rung::Exact | Rung::Budgeted { .. } => {
             let cfg = AnalysisConfig {
                 budget,
-                threads,
                 ..Default::default()
             };
             fifo_structural(&spec.tasks, &spec.beta, &cfg).map(AnalysisOutput::Structural)

@@ -62,9 +62,7 @@ pub use error::WorkloadError;
 pub use models::{
     Frame, MultiframeTask, PeriodicTask, RbNode, RecurringBranchingTask, SporadicTask,
 };
-pub use paths::{
-    explore, explore_metered, explore_metered_threads, ExploreConfig, Exploration, PathNode,
-};
+pub use paths::{explore, explore_metered, ExploreConfig, Exploration, PathNode};
 pub use rbf::{rbf_samples, Rbf, RbfMemo};
 pub use trace::{Release, ReleaseTrace};
 pub use utilization::{critical_cycle, long_run_utilization, CriticalCycle};

@@ -141,8 +141,7 @@ impl Ord for Candidate {
         // tuple at a span is installed first (maximising pruning). The
         // final parent tie-break makes the order *total* over distinct
         // candidates, so the pop sequence — and with it the witness
-        // retained among fully tied tuples — is deterministic and can be
-        // reproduced exactly by the sort-based parallel engine.
+        // retained among fully tied tuples — is deterministic.
         other
             .span
             .cmp(&self.span)
@@ -151,12 +150,6 @@ impl Ord for Candidate {
             .then(self.len.cmp(&other.len).reverse())
             .then(self.parent.cmp(&other.parent).reverse())
     }
-}
-
-/// The order candidates leave the max-heap: ascending span, then
-/// descending work, ascending vertex, ascending length, ascending parent.
-fn pop_order(a: &Candidate, b: &Candidate) -> Ordering {
-    b.cmp(a)
 }
 
 impl PartialOrd for Candidate {
@@ -321,526 +314,6 @@ pub fn explore_metered(task: &DrtTask, cfg: &ExploreConfig, meter: &BudgetMeter)
     }
 }
 
-// ---------------------------------------------------------------------------
-// Parallel exploration engine
-// ---------------------------------------------------------------------------
-//
-// `explore_parallel` reproduces the sequential heap loop *bit for bit* while
-// fanning the expensive per-candidate work out to a fixed worker pool. The
-// key observation is that candidates pop in ascending span order and every
-// successor strictly increases the span (separations are positive), so the
-// frontier can be processed in *windows*: all pending candidates with span
-// in `[s, s + min_sep)` are already present in the queue when the window
-// starts — no candidate processed inside the window can generate another
-// one into it. Within a window the engine runs three phases:
-//
-//  1. **Classify** (sharded): sort each shard into the exact heap pop order
-//     (`pop_order`, total thanks to the parent tie-break) and flag each
-//     candidate as dominated-or-not against the *frozen* pre-window Pareto
-//     frontiers. Freezing is exact: an entry evicted from the frontier
-//     during the window is only evicted by an entry that dominates it, so
-//     `frozen-dominated ∨ window-dominated` equals the sequential live
-//     check (dominance is a disjunction over entries).
-//  2. **Retain** (sequential spine): walk the merged window in pop order,
-//     issuing `meter.tick_path()` per candidate *in exactly the sequential
-//     order* — budget trips, injected faults and the node limit therefore
-//     fire at the same logical operation, leaving the same retained prefix
-//     and the same `complete_span`. Window-local dominance uses small
-//     per-vertex scratch frontiers holding only this window's insertions.
-//  3. **Expand** (sharded): generate successors of the retained nodes.
-//     Each successor lands in a later window, and the windows are fully
-//     re-sorted, so the emission order across shards is irrelevant.
-//
-// The merge of shard results is deterministic because `pop_order` is a
-// total order over distinct candidates (span, work, vertex, len, parent) —
-// fully tied candidates are identical tuples, for which any order yields
-// the same exploration.
-
-use std::collections::{BTreeMap, VecDeque};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
-
-/// Windows smaller than this are classified inline by the coordinator:
-/// sharding them would cost more in handoff than the scan saves.
-const CLASSIFY_GRAIN: usize = 192;
-/// Minimum retained nodes before successor expansion is sharded.
-const EXPAND_GRAIN: usize = 48;
-
-/// A unit of work handed to the pool.
-enum Job {
-    /// Sort the chunk into pop order and flag frozen-frontier dominance.
-    Classify { chunk: Vec<Candidate> },
-    /// Expand successors of retained `(arena_index, node)` pairs.
-    Expand {
-        nodes: Arc<Vec<(usize, PathNode)>>,
-        lo: usize,
-        hi: usize,
-    },
-}
-
-/// The result of one [`Job`].
-enum JobOut {
-    Classify {
-        chunk: Vec<Candidate>,
-        dominated: Vec<bool>,
-    },
-    Expand {
-        succ: Vec<Candidate>,
-        generated: usize,
-    },
-}
-
-/// A fixed worker pool for one exploration: a shared job queue drained by
-/// `threads` scoped workers. Jobs own their inputs (or share them through
-/// `Arc`), so no `unsafe` lifetime laundering is needed; the per-window
-/// shared state (Pareto frontiers) lives behind an `RwLock` the workers
-/// only ever read.
-struct Pool {
-    state: Mutex<PoolState>,
-    work: Condvar,
-    done: Condvar,
-}
-
-struct PoolState {
-    jobs: VecDeque<Job>,
-    outs: Vec<JobOut>,
-    pending: usize,
-    shutdown: bool,
-    /// Set when a worker panicked mid-job; `run` re-raises on the
-    /// coordinator so the panic surfaces through the usual `catch_unwind`
-    /// layers instead of deadlocking the barrier.
-    poisoned: bool,
-}
-
-impl Pool {
-    fn new() -> Pool {
-        Pool {
-            state: Mutex::new(PoolState {
-                jobs: VecDeque::new(),
-                outs: Vec::new(),
-                pending: 0,
-                shutdown: false,
-                poisoned: false,
-            }),
-            work: Condvar::new(),
-            done: Condvar::new(),
-        }
-    }
-
-    /// Submits `jobs` and blocks until all of them completed, returning the
-    /// outputs (in arbitrary order — every merge downstream is order-free).
-    fn run(&self, jobs: Vec<Job>) -> Vec<JobOut> {
-        let n = jobs.len();
-        {
-            let mut st = self.state.lock().unwrap();
-            st.jobs.extend(jobs);
-            st.pending += n;
-        }
-        self.work.notify_all();
-        let mut st = self.state.lock().unwrap();
-        while st.pending > 0 && !st.poisoned {
-            st = self.done.wait(st).unwrap();
-        }
-        if st.poisoned {
-            st.shutdown = true;
-            drop(st);
-            self.work.notify_all();
-            panic!("parallel exploration worker panicked");
-        }
-        std::mem::take(&mut st.outs)
-    }
-
-    fn shutdown(&self) {
-        let mut st = self.state.lock().unwrap();
-        st.shutdown = true;
-        drop(st);
-        self.work.notify_all();
-    }
-}
-
-/// Marks the pool poisoned if a worker unwinds mid-job (kept disarmed via
-/// `mem::forget` on the normal path).
-struct PoisonGuard<'a> {
-    pool: &'a Pool,
-}
-
-impl Drop for PoisonGuard<'_> {
-    fn drop(&mut self) {
-        let mut st = self.pool.state.lock().unwrap();
-        st.poisoned = true;
-        self.pool.done.notify_all();
-    }
-}
-
-/// Shuts the pool down when the coordinator leaves its scope — including by
-/// panic, so workers never block a `thread::scope` join forever.
-struct ShutdownGuard<'a> {
-    pool: &'a Pool,
-}
-
-impl Drop for ShutdownGuard<'_> {
-    fn drop(&mut self) {
-        self.pool.shutdown();
-    }
-}
-
-fn worker_loop(pool: &Pool, frontiers: &RwLock<Vec<Frontier>>, task: &DrtTask, horizon: Q) {
-    loop {
-        let job = {
-            let mut st = pool.state.lock().unwrap();
-            loop {
-                if let Some(j) = st.jobs.pop_front() {
-                    break j;
-                }
-                if st.shutdown {
-                    return;
-                }
-                st = pool.work.wait(st).unwrap();
-            }
-        };
-        let guard = PoisonGuard { pool };
-        let out = match job {
-            Job::Classify { mut chunk } => {
-                chunk.sort_unstable_by(pop_order);
-                let f = frontiers.read().unwrap();
-                let dominated = chunk
-                    .iter()
-                    .map(|c| f[c.vertex.index()].dominated(c.span, c.work))
-                    .collect();
-                JobOut::Classify { chunk, dominated }
-            }
-            Job::Expand { nodes, lo, hi } => {
-                let mut succ = Vec::new();
-                let mut generated = 0usize;
-                for &(idx, n) in &nodes[lo..hi] {
-                    for e in task.out_edges(n.vertex) {
-                        let span = n.span + e.separation;
-                        if span > horizon {
-                            continue;
-                        }
-                        generated += 1;
-                        succ.push(Candidate {
-                            span,
-                            work: n.work + task.wcet(e.to),
-                            vertex: e.to,
-                            len: n.len + 1,
-                            parent: Some(idx),
-                        });
-                    }
-                }
-                JobOut::Expand { succ, generated }
-            }
-        };
-        std::mem::forget(guard);
-        let mut st = pool.state.lock().unwrap();
-        st.outs.push(out);
-        st.pending -= 1;
-        if st.pending == 0 {
-            pool.done.notify_all();
-        }
-    }
-}
-
-/// Merges two pop-order-sorted shard results into one. Ties under
-/// [`pop_order`] are *identical* candidates, so either pick is the same.
-fn merge_classified(
-    a: (Vec<Candidate>, Vec<bool>),
-    b: (Vec<Candidate>, Vec<bool>),
-) -> (Vec<Candidate>, Vec<bool>) {
-    let (ac, af) = a;
-    let (bc, bf) = b;
-    let mut cands = Vec::with_capacity(ac.len() + bc.len());
-    let mut flags = Vec::with_capacity(af.len() + bf.len());
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < ac.len() && j < bc.len() {
-        if pop_order(&ac[i], &bc[j]) != Ordering::Greater {
-            cands.push(ac[i]);
-            flags.push(af[i]);
-            i += 1;
-        } else {
-            cands.push(bc[j]);
-            flags.push(bf[j]);
-            j += 1;
-        }
-    }
-    cands.extend_from_slice(&ac[i..]);
-    flags.extend_from_slice(&af[i..]);
-    cands.extend_from_slice(&bc[j..]);
-    flags.extend_from_slice(&bf[j..]);
-    (cands, flags)
-}
-
-/// Shards `cands` across the pool for sorting + frozen-dominance
-/// classification, then k-way merges back into global pop order.
-fn classify_parallel(
-    pool: &Pool,
-    mut cands: Vec<Candidate>,
-    threads: usize,
-) -> (Vec<Candidate>, Vec<bool>) {
-    let chunk_size = cands.len().div_ceil(threads);
-    let mut jobs = Vec::with_capacity(threads);
-    while !cands.is_empty() {
-        let at = cands.len().saturating_sub(chunk_size);
-        jobs.push(Job::Classify {
-            chunk: cands.split_off(at),
-        });
-    }
-    let parts: Vec<(Vec<Candidate>, Vec<bool>)> = pool
-        .run(jobs)
-        .into_iter()
-        .map(|o| match o {
-            JobOut::Classify { chunk, dominated } => (chunk, dominated),
-            JobOut::Expand { .. } => unreachable!("classify phase got an expand result"),
-        })
-        .collect();
-    parts
-        .into_iter()
-        .reduce(merge_classified)
-        .unwrap_or_default()
-}
-
-/// Parallel [`explore_metered`]: shards the per-window candidate work
-/// across a fixed pool of `threads` scoped workers while a sequential
-/// coordinator spine replays the exact heap pop order. The result is
-/// **bit-identical** to the sequential engine — same retained nodes in the
-/// same arena order (hence identical witnesses), same `generated` /
-/// `pruned` counters, same `complete_span` and same interruption cause
-/// under path caps, node limits, cancellation and injected faults.
-///
-/// `threads ≤ 1` runs the sequential engine directly. Explorations without
-/// pruning (`ExploreConfig::prune == false`, the ablation mode) also fall
-/// back to the sequential engine: their exact-duplicate scan is inherently
-/// serial and never performance-critical.
-///
-/// Wall-clock budgets remain time-dependent in *where* they trip (exactly
-/// as in the sequential engine); all deterministic budget dimensions are
-/// reproduced exactly.
-pub fn explore_metered_threads(
-    task: &DrtTask,
-    cfg: &ExploreConfig,
-    meter: &BudgetMeter,
-    threads: usize,
-) -> Exploration {
-    if threads <= 1 || !cfg.prune || task.num_vertices() == 0 {
-        return explore_metered(task, cfg, meter);
-    }
-    explore_parallel(task, cfg, meter, threads)
-}
-
-fn explore_parallel(
-    task: &DrtTask,
-    cfg: &ExploreConfig,
-    meter: &BudgetMeter,
-    threads: usize,
-) -> Exploration {
-    let mut nodes: Vec<PathNode> = Vec::new();
-    let mut generated = 0usize;
-    let mut pruned = 0usize;
-    let mut truncated_by_len = false;
-    let mut complete_span = cfg.horizon;
-    let mut interrupted: Option<BudgetKind> = None;
-
-    // Pending candidates, grouped by span. The window loop below drains
-    // all groups with span < current + min_sep at once: successors of a
-    // window land strictly beyond it, so each window is complete when it
-    // starts.
-    let mut buckets: BTreeMap<Q, Vec<Candidate>> = BTreeMap::new();
-    for v in task.vertex_ids() {
-        generated += 1;
-        buckets.entry(Q::ZERO).or_default().push(Candidate {
-            span: Q::ZERO,
-            work: task.wcet(v),
-            vertex: v,
-            len: 1,
-            parent: None,
-        });
-    }
-    let min_sep: Option<Q> = task
-        .vertex_ids()
-        .flat_map(|v| task.out_edges(v).iter().map(|e| e.separation))
-        .min();
-
-    let frontiers: RwLock<Vec<Frontier>> = RwLock::new(vec![Frontier::default(); task.num_vertices()]);
-    let pool = Pool::new();
-    // Per-window scratch frontiers (only this window's insertions), with a
-    // touched list so clearing is O(touched) not O(vertices).
-    let mut win_frontiers: Vec<Frontier> = vec![Frontier::default(); task.num_vertices()];
-    let mut touched: Vec<usize> = Vec::new();
-
-    std::thread::scope(|s| {
-        let _shutdown = ShutdownGuard { pool: &pool };
-        for _ in 0..threads {
-            let pool = &pool;
-            let frontiers = &frontiers;
-            let horizon = cfg.horizon;
-            s.spawn(move || worker_loop(pool, frontiers, task, horizon));
-        }
-
-        'windows: while let Some((&w_start, _)) = buckets.first_key_value() {
-            // Phase 0: collect the window `[w_start, w_start + min_sep)`.
-            let mut window: Vec<Candidate> = Vec::new();
-            match min_sep {
-                Some(m) => {
-                    let end = w_start + m;
-                    while let Some(e) = buckets.first_entry() {
-                        if *e.key() < end {
-                            window.extend(e.remove());
-                        } else {
-                            break;
-                        }
-                    }
-                }
-                // No edges: every candidate is a root; a single group.
-                None => window = buckets.pop_first().map(|(_, v)| v).unwrap_or_default(),
-            }
-
-            // Phase 1: sort into pop order + frozen-frontier dominance.
-            let (window, dominated) = if window.len() >= CLASSIFY_GRAIN {
-                classify_parallel(&pool, window, threads)
-            } else {
-                let mut w = window;
-                w.sort_unstable_by(pop_order);
-                let f = frontiers.read().unwrap();
-                let d = w
-                    .iter()
-                    .map(|c| f[c.vertex.index()].dominated(c.span, c.work))
-                    .collect();
-                (w, d)
-            };
-
-            // Phase 2: sequential retention spine — ticks, window-local
-            // dominance and the node limit in exact pop order.
-            for i in touched.drain(..) {
-                win_frontiers[i].entries.clear();
-            }
-            let base = nodes.len();
-            let mut expand: Vec<(usize, PathNode)> = Vec::new();
-            let mut broke = false;
-            for (i, c) in window.iter().enumerate() {
-                if !meter.tick_path() {
-                    interrupted = meter.tripped().or(Some(BudgetKind::Paths));
-                    complete_span = c.span;
-                    broke = true;
-                    break;
-                }
-                let vi = c.vertex.index();
-                if dominated[i] || win_frontiers[vi].dominated(c.span, c.work) {
-                    pruned += 1;
-                    continue;
-                }
-                let idx = nodes.len();
-                if idx >= cfg.node_limit {
-                    interrupted = Some(BudgetKind::Paths);
-                    complete_span = c.span;
-                    broke = true;
-                    break;
-                }
-                let node = PathNode {
-                    vertex: c.vertex,
-                    span: c.span,
-                    work: c.work,
-                    len: c.len,
-                    parent: c.parent,
-                };
-                nodes.push(node);
-                if win_frontiers[vi].entries.is_empty() {
-                    touched.push(vi);
-                }
-                win_frontiers[vi].insert(c.span, c.work, idx);
-                if let Some(ml) = cfg.max_len {
-                    if c.len >= ml {
-                        if !task.out_edges(c.vertex).is_empty() {
-                            truncated_by_len = true;
-                        }
-                        continue;
-                    }
-                }
-                expand.push((idx, node));
-            }
-
-            // Publish this window's insertions into the shared frontiers
-            // (in pop order; the resulting Pareto set is order-free).
-            {
-                let mut f = frontiers.write().unwrap();
-                for (off, n) in nodes[base..].iter().enumerate() {
-                    f[n.vertex.index()].insert(n.span, n.work, base + off);
-                }
-            }
-
-            if broke {
-                // The sequential loop would already have pushed (and
-                // counted) the successors of everything retained before
-                // the breaking candidate; none of them are ever popped,
-                // so only the `generated` count needs reproducing.
-                for &(_, n) in &expand {
-                    for e in task.out_edges(n.vertex) {
-                        if n.span + e.separation <= cfg.horizon {
-                            generated += 1;
-                        }
-                    }
-                }
-                break 'windows;
-            }
-
-            // Phase 3: successor expansion.
-            if expand.len() >= EXPAND_GRAIN {
-                let chunk = expand.len().div_ceil(threads);
-                let shared = Arc::new(expand);
-                let jobs: Vec<Job> = (0..threads)
-                    .map(|t| Job::Expand {
-                        nodes: Arc::clone(&shared),
-                        lo: (t * chunk).min(shared.len()),
-                        hi: ((t + 1) * chunk).min(shared.len()),
-                    })
-                    .filter(|j| match j {
-                        Job::Expand { lo, hi, .. } => lo < hi,
-                        _ => true,
-                    })
-                    .collect();
-                for out in pool.run(jobs) {
-                    match out {
-                        JobOut::Expand { succ, generated: g } => {
-                            generated += g;
-                            for c in succ {
-                                buckets.entry(c.span).or_default().push(c);
-                            }
-                        }
-                        JobOut::Classify { .. } => {
-                            unreachable!("expand phase got a classify result")
-                        }
-                    }
-                }
-            } else {
-                for &(idx, n) in &expand {
-                    for e in task.out_edges(n.vertex) {
-                        let span = n.span + e.separation;
-                        if span > cfg.horizon {
-                            continue;
-                        }
-                        generated += 1;
-                        buckets.entry(span).or_default().push(Candidate {
-                            span,
-                            work: n.work + task.wcet(e.to),
-                            vertex: e.to,
-                            len: n.len + 1,
-                            parent: Some(idx),
-                        });
-                    }
-                }
-            }
-        }
-    });
-
-    Exploration {
-        nodes,
-        generated,
-        pruned,
-        horizon: cfg.horizon,
-        truncated_by_len,
-        complete_span,
-        interrupted,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -993,106 +466,6 @@ mod tests {
         assert_eq!(ex.interrupted, Some(BudgetKind::Paths));
         assert_eq!(ex.nodes().len(), 5);
         assert!(ex.complete_span <= Q::int(5));
-    }
-
-    /// All-pairs digraph with separations cycling through `seps` — fat
-    /// span windows (many collisions), the parallel engine's stress shape.
-    fn dense(n: usize, seps: &[i128]) -> DrtTask {
-        let mut b = DrtTaskBuilder::new("dense");
-        let ids: Vec<_> = (0..n)
-            .map(|i| b.vertex(format!("v{i}"), Q::int(1 + (i as i128 * 7) % 5)))
-            .collect();
-        let mut k = 0usize;
-        for i in 0..n {
-            for j in 0..n {
-                if i != j {
-                    b.edge(ids[i], ids[j], Q::int(seps[k % seps.len()]));
-                    k += 1;
-                }
-            }
-        }
-        b.build().unwrap()
-    }
-
-    fn assert_same(seq: &Exploration, par: &Exploration, what: &str) {
-        assert_eq!(seq.nodes(), par.nodes(), "{what}: nodes differ");
-        assert_eq!(seq.generated, par.generated, "{what}: generated differs");
-        assert_eq!(seq.pruned, par.pruned, "{what}: pruned differs");
-        assert_eq!(seq.horizon, par.horizon, "{what}: horizon differs");
-        assert_eq!(
-            seq.truncated_by_len, par.truncated_by_len,
-            "{what}: truncated_by_len differs"
-        );
-        assert_eq!(
-            seq.complete_span, par.complete_span,
-            "{what}: complete_span differs"
-        );
-        assert_eq!(seq.interrupted, par.interrupted, "{what}: interrupted differs");
-    }
-
-    #[test]
-    fn parallel_matches_sequential_exactly() {
-        for (task, horizon) in [
-            (diamond(), Q::int(100)),
-            (dense(8, &[5, 10, 15]), Q::int(60)),
-            (dense(16, &[5, 7]), Q::int(60)), // multi-group windows, sharded classify
-            (dense(50, &[5, 7]), Q::int(40)), // sharded classify *and* expand
-        ] {
-            let cfg = ExploreConfig::new(horizon);
-            let seq = explore_metered(&task, &cfg, &BudgetMeter::unlimited());
-            for threads in [2usize, 4, 8] {
-                let par =
-                    explore_metered_threads(&task, &cfg, &BudgetMeter::unlimited(), threads);
-                assert_same(&seq, &par, &format!("{} @ {threads} threads", task.name()));
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_matches_sequential_under_budgets_and_faults() {
-        use srtw_minplus::{Budget, FaultKind, FaultPlan};
-        let task = dense(10, &[5, 7]);
-        let cfg = ExploreConfig::new(Q::int(80));
-        for cap in [0u64, 1, 5, 17, 100, 1000] {
-            let b = Budget::default().with_max_paths(cap);
-            let seq = explore_metered(&task, &cfg, &BudgetMeter::new(&b));
-            let par =
-                explore_metered_threads(&task, &cfg, &BudgetMeter::new(&b), 4);
-            assert_same(&seq, &par, &format!("max_paths {cap}"));
-        }
-        for at in [1u64, 3, 10, 50, 500] {
-            let b = Budget::default().with_fault(FaultPlan::new(at, FaultKind::TripBudget));
-            let seq = explore_metered(&task, &cfg, &BudgetMeter::new(&b));
-            let par =
-                explore_metered_threads(&task, &cfg, &BudgetMeter::new(&b), 4);
-            assert_same(&seq, &par, &format!("trip@{at}"));
-        }
-        for limit in [1usize, 7, 40] {
-            let mut lcfg = cfg.clone();
-            lcfg.node_limit = limit;
-            let seq = explore_metered(&task, &lcfg, &BudgetMeter::unlimited());
-            let par = explore_metered_threads(&task, &lcfg, &BudgetMeter::unlimited(), 4);
-            assert_same(&seq, &par, &format!("node_limit {limit}"));
-        }
-    }
-
-    #[test]
-    fn parallel_respects_max_len_truncation() {
-        let task = dense(8, &[5, 10]);
-        let cfg = ExploreConfig::new(Q::int(60)).with_max_len(3);
-        let seq = explore_metered(&task, &cfg, &BudgetMeter::unlimited());
-        let par = explore_metered_threads(&task, &cfg, &BudgetMeter::unlimited(), 4);
-        assert_same(&seq, &par, "max_len 3");
-        assert!(par.truncated_by_len);
-    }
-
-    #[test]
-    fn parallel_without_pruning_falls_back_to_sequential() {
-        let task = diamond();
-        let cfg = ExploreConfig::new(Q::int(30)).without_pruning();
-        let seq = explore_metered(&task, &cfg, &BudgetMeter::unlimited());
-        let par = explore_metered_threads(&task, &cfg, &BudgetMeter::unlimited(), 4);
-        assert_same(&seq, &par, "no-prune fallback");
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! (see [`crate::paths`]) and returned as a right-continuous staircase.
 
 use crate::digraph::DrtTask;
-use crate::paths::{explore_metered_threads, ExploreConfig};
+use crate::paths::{explore_metered, ExploreConfig};
 use srtw_minplus::{BudgetKind, BudgetMeter, Curve, Piece, Q, Tail};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -82,21 +82,7 @@ impl Rbf {
     /// edgeless task). Either way the truncated rbf **dominates** the true
     /// rbf everywhere, so any delay bound computed from it is sound.
     pub fn compute_metered(task: &DrtTask, horizon: Q, meter: &BudgetMeter) -> Rbf {
-        Rbf::compute_metered_threads(task, horizon, meter, 1)
-    }
-
-    /// [`Rbf::compute_metered`] with the path exploration sharded across
-    /// `threads` workers (see
-    /// [`explore_metered_threads`](crate::explore_metered_threads)). The
-    /// result is bit-identical to the sequential computation for every
-    /// `threads` value; `threads <= 1` runs the sequential engine.
-    pub fn compute_metered_threads(
-        task: &DrtTask,
-        horizon: Q,
-        meter: &BudgetMeter,
-        threads: usize,
-    ) -> Rbf {
-        let ex = explore_metered_threads(task, &ExploreConfig::new(horizon), meter, threads);
+        let ex = explore_metered(task, &ExploreConfig::new(horizon), meter);
         let exact_span = ex.complete_span;
         let truncated = ex.interrupted;
         let mut pts: Vec<(Q, Q)> = ex
@@ -388,7 +374,7 @@ impl RbfMemo {
     }
 
     /// Returns the cached rbf for `(index, horizon)` or computes it with
-    /// [`Rbf::compute_metered_threads`], caching exact results.
+    /// [`Rbf::compute_metered`], caching exact results.
     ///
     /// `index` must consistently identify `task` across calls; an index
     /// beyond the memo's size disables caching for that call.
@@ -398,7 +384,6 @@ impl RbfMemo {
         task: &DrtTask,
         horizon: Q,
         meter: &BudgetMeter,
-        threads: usize,
     ) -> Rbf {
         if let Some(ways) = self.slots.get(index) {
             for slot in ways {
@@ -411,7 +396,7 @@ impl RbfMemo {
             }
         }
         self.computes.fetch_add(1, Ordering::Relaxed);
-        let rbf = Rbf::compute_metered_threads(task, horizon, meter, threads);
+        let rbf = Rbf::compute_metered(task, horizon, meter);
         if rbf.truncated().is_none() {
             if let Some(ways) = self.slots.get(index) {
                 for slot in ways {

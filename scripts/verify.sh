@@ -37,8 +37,9 @@
 #      resume from its journal (>=1 job replayed, not recomputed) with a
 #      final report byte-identical to an uninterrupted run, and a
 #      deterministic torn-write fault must recover the same way;
-#  11. cache + delta smoke test: the same system POSTed twice must
-#      replay the first body verbatim (a /stats-confirmed cache hit),
+#  11. cache + delta smoke test: the same system POSTed twice, then once
+#      more with `X-Deadline-Ms`, must replay the first body verbatim
+#      both times (/stats-confirmed: two hits, one miss),
 #      a POST /analyze/delta edit must match a cold CLI run of the
 #      edited system byte-for-byte (modulo runtime_secs), and the
 #      server must still drain with exit 0;
@@ -473,23 +474,30 @@ if [ -z "$port" ]; then
     echo "error: srtw serve did not report a listening address" >&2
     kill "$cache_pid" 2>/dev/null; exit 1
 fi
-# 11a: the same system twice — the second answer must replay the first's
-# bytes *verbatim* (not merely modulo runtime) and /stats must record
-# exactly one hit against one miss.
+# 11a: the same system twice, then a third time with a deadline — the
+# second and third answers must replay the first's bytes *verbatim* (not
+# merely modulo runtime; the cache key is the canonical hash alone, so a
+# deadline cannot split it) and /stats must record exactly two hits
+# against one miss.
 first=$(http_req "$port" POST /analyze systems/decoder.srtw | tail -1)
 second=$(http_req "$port" POST /analyze systems/decoder.srtw | tail -1)
 if [ "$first" != "$second" ]; then
     echo "error: repeated POST /analyze bodies differ (cache did not replay)" >&2
     exit 1
 fi
+third=$(http_req "$port" POST /analyze systems/decoder.srtw "X-Deadline-Ms: 60000" | tail -1)
+if [ "$first" != "$third" ]; then
+    echo "error: a deadlined re-send did not replay the cached body verbatim" >&2
+    exit 1
+fi
 stats=$(http_req "$port" GET /stats | tail -1)
 case "$stats" in
-    *'"cache_hits":1'*) : ;;
-    *) echo "error: /stats did not record the cache hit: $stats" >&2; exit 1 ;;
+    *'"cache_hits":2'*) : ;;
+    *) echo "error: /stats did not record both cache hits: $stats" >&2; exit 1 ;;
 esac
 case "$stats" in
     *'"cache_misses":1'*) : ;;
-    *) echo "error: /stats miss counter wrong after two identical POSTs: $stats" >&2; exit 1 ;;
+    *) echo "error: /stats miss counter wrong after three identical POSTs: $stats" >&2; exit 1 ;;
 esac
 # 11b: a delta edit over the warm base must answer byte-identically
 # (modulo runtime_secs) to a cold CLI run of the edited system.

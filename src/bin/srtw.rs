@@ -3,11 +3,10 @@
 //! ```text
 //! srtw analyze  <system.srtw> [--scheduler fifo|fp|edf] [--json]
 //!               [--budget-ms MS] [--max-paths N] [--max-segments N]
-//!               [--threads N]
 //! srtw rbf      <system.srtw> [--horizon H]
 //! srtw dot      <system.srtw>
 //! srtw simulate <system.srtw> [--seeds N] [--horizon H]
-//! srtw batch    <dir|manifest> [--jobs N] [--threads N] [--timeout-ms MS]
+//! srtw batch    <dir|manifest> [--jobs N] [--timeout-ms MS]
 //!               [--grace-ms MS] [--budget-ms MS] [--retries N]
 //!               [--fail-fast|--keep-going] [--journal PATH [--resume]]
 //!               [--fault trip@N|overflow@N|clockjump@N:MS|panic@N
@@ -15,7 +14,7 @@
 //! srtw serve    [--addr HOST:PORT] [--replicas N] [--admin-addr HOST:PORT]
 //!               [--workers N] [--queue N] [--max-conns N]
 //!               [--drain-ms MS] [--grace-ms MS] [--read-timeout-ms MS]
-//!               [--header-timeout-ms MS] [--deadline-ms MS] [--threads N]
+//!               [--header-timeout-ms MS] [--deadline-ms MS]
 //!               [--journal PREFIX] [--cache-bytes N] [--persist DIR]
 //!               [--fault SPEC|abort@N|stall@N:MS|closefd@N|torn@N|jcorrupt@N
 //!                        |pers-torn@N|pers-corrupt@N|pers-enospc@N]
@@ -34,17 +33,6 @@
 //! effort. When a cap trips, the analysis does not fail: it degrades
 //! gracefully to sound (possibly pessimistic) bounds, prints a warning on
 //! stderr and still exits 0.
-//!
-//! # Parallelism
-//!
-//! `analyze --threads N` shards the path-exploration frontier across `N`
-//! worker threads. The result is **bit-identical** for every `N` — the
-//! flag only changes wall-clock time. The default is the machine's
-//! available parallelism; `--threads 1` runs the classic sequential
-//! engine. In batch mode `--threads` sets the per-job worker count
-//! (default 1): the machine splits as `--jobs` × `--threads`, and if that
-//! product exceeds the available parallelism the per-job count is reduced
-//! with a stderr warning instead of silently oversubscribing.
 //!
 //! # Batch mode
 //!
@@ -317,21 +305,6 @@ fn batch(path: &str, opts: &[String]) -> Result<ExitCode, CliError> {
         }
     };
     let jobs = (parse_u64("--jobs", 1)? as usize).max(1);
-    // The machine splits as jobs × per-job threads. When --threads asks
-    // for real per-job parallelism, cap the product at the available
-    // parallelism instead of silently oversubscribing (a pool of
-    // single-threaded jobs is the long-standing default and stays
-    // unwarned — its workers mostly block on the watchdog).
-    let mut threads = parse_threads(opts, 1)?;
-    let avail = available_parallelism();
-    if threads > 1 && jobs.saturating_mul(threads) > avail {
-        let capped = (avail / jobs).max(1);
-        eprintln!(
-            "warning: --jobs {jobs} × --threads {threads} exceeds the {avail} available \
-             core(s); capping per-job threads at {capped}"
-        );
-        threads = capped;
-    }
     let budget_ms = parse_u64("--budget-ms", 1_000)?;
     let retries = parse_u64("--retries", 2)? as u32;
     let grace = Duration::from_millis(parse_u64("--grace-ms", 2_000)?);
@@ -443,7 +416,6 @@ fn batch(path: &str, opts: &[String]) -> Result<ExitCode, CliError> {
             budget_ms,
             budget_retries: retries,
             fault,
-            threads,
             cancel: None,
         },
         fail_fast,
@@ -567,23 +539,6 @@ fn available_parallelism() -> usize {
         .unwrap_or(1)
 }
 
-/// Parses `--threads` (must be at least 1); `default` applies when the
-/// flag is absent.
-fn parse_threads(opts: &[String], default: usize) -> Result<usize, CliError> {
-    match opt_value(opts, "--threads") {
-        None => Ok(default),
-        Some(v) => {
-            let n: usize = v
-                .parse()
-                .map_err(|e| input(format!("bad --threads '{v}': {e}")))?;
-            if n == 0 {
-                return Err(input("--threads must be at least 1"));
-            }
-            Ok(n)
-        }
-    }
-}
-
 fn parse_budget(opts: &[String]) -> Result<Budget, CliError> {
     let mut budget = Budget::default();
     if let Some(v) = opt_value(opts, "--budget-ms") {
@@ -642,11 +597,8 @@ fn analyze(sys: &SystemSpec, opts: &[String]) -> Result<(), CliError> {
     let beta = server_curve(sys)?;
     let scheduler = opt_value(opts, "--scheduler").unwrap_or_else(|| "fifo".into());
     let json = opts.iter().any(|a| a == "--json");
-    let budget = parse_budget(opts)?;
-    let threads = parse_threads(opts, available_parallelism())?;
     let cfg = AnalysisConfig {
-        budget: budget.clone(),
-        threads,
+        budget: parse_budget(opts)?,
         ..Default::default()
     };
     match scheduler.as_str() {
@@ -790,7 +742,6 @@ fn serve(opts: &[String]) -> Result<ExitCode, CliError> {
                     .map_err(|e| input(format!("bad --deadline-ms '{v}': {e}")))
             })
             .transpose()?,
-        threads: parse_threads(opts, 1)?,
         fault: meter_fault,
         process_fault,
         replica: None,
@@ -899,7 +850,6 @@ fn serve_supervisor(
         "--header-timeout-ms",
         "--read-timeout-ms",
         "--deadline-ms",
-        "--threads",
         "--journal",
         "--cache-bytes",
         "--persist",

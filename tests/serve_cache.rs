@@ -73,6 +73,31 @@ fn cache_hit_replays_the_exact_first_response() {
     assert!(server.shutdown().clean());
 }
 
+/// The cache key is the canonical hash alone: a deadline cannot change an
+/// exact answer, so a deadlined re-send of a cached system is a verbatim
+/// hit rather than a recompute that might come back degraded.
+#[test]
+fn deadlined_resend_is_a_verbatim_cache_hit() {
+    let text = decoder();
+    let server = spawn(ServeConfig::default());
+    let (s1, _, first) = post(&server.addr(), "/analyze", &text);
+    let (s2, _, second) = client_roundtrip(
+        &server.addr(),
+        "POST",
+        "/analyze",
+        &[("X-Deadline-Ms", "60000")],
+        text.as_bytes(),
+    )
+    .expect("round trip");
+    assert_eq!((s1, s2), (200, 200), "{first}");
+    assert_eq!(first, second, "a deadlined re-send must replay the original bytes");
+
+    let stats = get_stats(&server.addr());
+    assert!(stats.contains("\"cache_hits\":1"), "{stats}");
+    assert!(stats.contains("\"cache_misses\":1"), "{stats}");
+    assert!(server.shutdown().clean());
+}
+
 #[test]
 fn renamed_system_misses_the_cache_but_still_answers() {
     let text = decoder();

@@ -1,6 +1,6 @@
 //! Adversarial stress properties for the budgeted analysis engine.
 //!
-//! Three claims, each over seeded random adversarial workloads (huge
+//! Four claims, each over seeded random adversarial workloads (huge
 //! coprime periods, deep chains, dense graphs):
 //!
 //! 1. the engine never panics — every outcome is `Ok` or a typed `Err`;
@@ -8,7 +8,10 @@
 //! 3. degraded bounds are sandwiched: at least the full structural bound
 //!    (soundness) and at most the RTC baseline under the same budget
 //!    (graceful degradation never does worse than the fraction-0
-//!    fallback).
+//!    fallback);
+//! 4. the sandwich also holds when the run is cancelled from another
+//!    thread at an arbitrary point mid-exploration — the way a serve
+//!    drain and the batch watchdog stop an analysis.
 //!
 //! Case counts follow `SRTW_PROP_CASES` (default 64); failures print a
 //! `SRTW_PROP_REPLAY=<seed>:<size>` handle for exact reproduction.
@@ -19,8 +22,8 @@ use srtw::gen::{
 use srtw::prop::forall;
 use srtw::{
     earliest_random_walk, q, rtc_delay_with, simulate_fifo, structural_delay,
-    structural_delay_with, AnalysisConfig, AnalysisError, Budget, Curve, DrtTask, FaultPlan, Q,
-    Rng, ServiceProcess,
+    structural_delay_with, AnalysisConfig, AnalysisError, Budget, CancelToken, Curve, DrtTask,
+    FaultPlan, Q, Rng, ServiceProcess,
 };
 use std::time::{Duration, Instant};
 
@@ -218,4 +221,70 @@ fn rtc_degradation_is_sound_and_flagged() {
             }
         }
     });
+}
+
+/// A small stable instance plus a seeded canceller delay (from nothing to
+/// about a millisecond of spinning).
+fn small_stable_with_cancel(rng: &mut Rng, size: u32) -> (DrtTask, Curve, u64) {
+    let (task, beta) = small_stable(rng, size);
+    (task, beta, rng.random_range(0u64..200_000))
+}
+
+/// A cancel raised from another thread lands anywhere from before the
+/// first exploration step to after the last one. Whatever it interrupts,
+/// the run must finish sandwiched between the exact bound and the RTC
+/// baseline, or refuse with a typed `BudgetExhausted` — never panic and
+/// never report an unsound bound.
+#[test]
+fn cross_thread_cancellation_is_sandwiched_between_exact_and_rtc() {
+    forall(
+        "cancel_mid_exploration",
+        small_stable_with_cancel,
+        |(task, beta, delay_ops)| {
+            let exact = structural_delay(task, beta).expect("small stable instance");
+            let rtc = rtc_delay_with(task, beta, &Budget::UNLIMITED).expect("small stable instance");
+            let token = CancelToken::new();
+            let cfg = AnalysisConfig {
+                budget: Budget::default().with_cancel(token.clone()),
+                ..Default::default()
+            };
+            std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    for _ in 0..*delay_ops {
+                        std::hint::spin_loop();
+                    }
+                    token.cancel();
+                });
+                match structural_delay_with(task, beta, &cfg) {
+                    Ok(a) => {
+                        assert!(
+                            a.stream_bound >= exact.stream_bound,
+                            "cancelled run reported {} below the exact bound {}",
+                            a.stream_bound,
+                            exact.stream_bound
+                        );
+                        assert!(
+                            a.stream_bound <= rtc.bound,
+                            "cancelled run reported {} above the RTC baseline {}",
+                            a.stream_bound,
+                            rtc.bound
+                        );
+                        for (d, e) in a.per_vertex.iter().zip(exact.per_vertex.iter()) {
+                            assert!(
+                                d.bound >= e.bound,
+                                "vertex '{}': cancelled bound {} below exact {}",
+                                d.label,
+                                d.bound,
+                                e.bound
+                            );
+                        }
+                        assert_eq!(a.quality.is_exact(), a.degradations.is_empty());
+                    }
+                    // A very early cancel can leave no sound coarse finish.
+                    Err(AnalysisError::BudgetExhausted { .. }) => {}
+                    Err(e) => panic!("cancelled run failed unexpectedly: {e}"),
+                }
+            });
+        },
+    );
 }
