@@ -109,7 +109,20 @@ pub fn structural_delay_with(
     let result =
         busy_window_metered_ext(std::slice::from_ref(task), beta, &meter, &memo).and_then(|bw| {
             let horizon = cfg.horizon_override.unwrap_or(bw.bound);
-            analyse_stream(task, 0, beta, &bw, horizon, &[], cfg, &meter, &memo, start)
+            let ceiling = || rtc_report(&bw, beta).map(|rtc| rtc.bound);
+            analyse_stream(
+                task,
+                0,
+                beta,
+                &bw,
+                horizon,
+                &[],
+                &ceiling,
+                cfg,
+                &meter,
+                &memo,
+                start,
+            )
         });
     surface_injected_fault(result, &meter)
 }
@@ -132,24 +145,7 @@ pub fn rtc_delay_with(
     beta: &Curve,
     budget: &Budget,
 ) -> Result<RtcReport, AnalysisError> {
-    let meter = BudgetMeter::new(budget);
-    let result = busy_window_metered(std::slice::from_ref(task), beta, &meter).and_then(|bw| {
-        let rbf = &bw.rbfs[0];
-        let degraded = bw.degraded.or_else(|| rbf.truncated());
-        let (bound, _) = rtc_ceiling(&bw, beta)?;
-        Ok(RtcReport {
-            bound,
-            busy_window: bw.bound,
-            breakpoints: rbf.points().len(),
-            quality: match degraded {
-                None => BoundQuality::Exact,
-                Some(_) => BoundQuality::Degraded {
-                    fallback: Fallback::CoarseRbf,
-                },
-            },
-        })
-    });
-    surface_injected_fault(result, &meter)
+    fifo_rtc_with(std::slice::from_ref(task), beta, budget)
 }
 
 /// Structural analysis of each stream in a FIFO multiplex: the analysed
@@ -162,89 +158,66 @@ pub fn fifo_structural(
     beta: &Curve,
     cfg: &AnalysisConfig,
 ) -> Result<Vec<DelayAnalysis>, AnalysisError> {
-    fifo_structural_with_memo(tasks, beta, cfg, &RbfMemo::new(tasks.len()))
+    let all: Vec<usize> = (0..tasks.len()).collect();
+    fifo_analysis(tasks, beta, cfg, &RbfMemo::new(tasks.len()), &all).map(|(per, _)| per)
 }
 
-/// [`fifo_structural`] reusing a caller-provided (possibly warm)
-/// [`RbfMemo`] instead of a fresh per-call one.
+/// The FIFO engine: one busy-window fixpoint for the whole multiplex, the
+/// structural analysis of the streams named by `streams` (results in the
+/// order given), and the RTC baseline of the multiplex — all from that one
+/// [`BusyWindow`] and one meter.
 ///
-/// The memo caches only **exact** rbfs — pure functions of
-/// `(task, horizon)` — so a warm memo can only change *how fast* the
-/// result is computed, never *what* it is: on an unmetered budget the
-/// output is byte-identical to a cold run. (Under an active budget a warm
-/// memo skips exploration ticks, which can only let the analysis complete
-/// *more* exactly; callers needing tick-exact reproducibility of degraded
-/// runs should pass a fresh memo.) The caller can read per-component
-/// reuse provenance from the memo afterwards
-/// ([`RbfMemo::hits`] / [`RbfMemo::computes`] /
+/// The remaining tasks still contribute interference through their
+/// request-bound curves, so each returned [`DelayAnalysis`] is
+/// byte-identical (modulo runtime) to the corresponding entry of a full
+/// [`fifo_structural`] run: a stream's analysis depends only on its own
+/// task, the busy window and the other streams' rbfs. Analysing a subset
+/// is the incremental re-analysis primitive behind the service's
+/// `POST /analyze/delta`. The baseline equals [`fifo_rtc_with`] under
+/// `cfg.budget` — that function computes the same fixpoint from a fresh
+/// meter, which replays exactly the ticks this one spent on it — except
+/// that a wall-clock trip inside the fixpoint degrades the baseline too.
+///
+/// `memo` may be warm (for example promoted from earlier requests). It
+/// caches only **exact** rbfs — pure functions of `(task, horizon)` — so a
+/// warm memo can only change *how fast* the result is computed, never
+/// *what* it is: on an unmetered budget the output is byte-identical to a
+/// cold run. (Under an active budget a warm memo skips exploration ticks,
+/// which can only let the analysis complete *more* exactly; callers
+/// needing tick-exact reproducibility of degraded runs should pass a fresh
+/// memo.) The caller can read per-component reuse provenance from the memo
+/// afterwards ([`RbfMemo::hits`] / [`RbfMemo::computes`] /
 /// [`RbfMemo::snapshot`]). `memo` must have one slot group per task,
 /// indexed consistently with `tasks`.
-pub fn fifo_structural_with_memo(
+pub fn fifo_analysis(
     tasks: &[DrtTask],
     beta: &Curve,
     cfg: &AnalysisConfig,
     memo: &RbfMemo,
-) -> Result<Vec<DelayAnalysis>, AnalysisError> {
+    streams: &[usize],
+) -> Result<(Vec<DelayAnalysis>, RtcReport), AnalysisError> {
     let meter = BudgetMeter::new(&cfg.budget);
     let result = busy_window_metered_ext(tasks, beta, &meter, memo).and_then(|bw| {
         let horizon = cfg.horizon_override.unwrap_or(bw.bound);
-        let mut out = Vec::with_capacity(tasks.len());
-        for (i, task) in tasks.iter().enumerate() {
-            let start = Instant::now();
-            let others: Vec<&Rbf> = bw
-                .rbfs
-                .iter()
-                .enumerate()
-                .filter(|&(j, _)| j != i)
-                .map(|(_, r)| r)
-                .collect();
-            out.push(analyse_stream(
-                task, i, beta, &bw, horizon, &others, cfg, &meter, memo, start,
-            )?);
-        }
-        Ok(out)
-    });
-    surface_injected_fault(result, &meter)
-}
-
-/// Structural FIFO analysis of a *subset* of the streams in a multiplex,
-/// reusing a caller-provided warm [`RbfMemo`].
-///
-/// `indices` selects which streams to analyse (results are returned in
-/// the order given); the remaining tasks still contribute interference
-/// through their request-bound curves, exactly as in
-/// [`fifo_structural`]. On an unmetered budget each returned
-/// [`DelayAnalysis`] is byte-identical (modulo runtime) to the
-/// corresponding entry of a full [`fifo_structural`] run — the engine is
-/// deterministic and a stream's analysis depends only on its own task,
-/// the busy window, and the other streams' rbfs. This is the incremental
-/// re-analysis primitive behind the service's `POST /analyze/delta`.
-pub fn fifo_structural_subset(
-    tasks: &[DrtTask],
-    beta: &Curve,
-    cfg: &AnalysisConfig,
-    memo: &RbfMemo,
-    indices: &[usize],
-) -> Result<Vec<DelayAnalysis>, AnalysisError> {
-    let meter = BudgetMeter::new(&cfg.budget);
-    let result = busy_window_metered_ext(tasks, beta, &meter, memo).and_then(|bw| {
-        let horizon = cfg.horizon_override.unwrap_or(bw.bound);
-        let mut out = Vec::with_capacity(indices.len());
-        for &i in indices {
-            let task = &tasks[i];
-            let start = Instant::now();
-            let others: Vec<&Rbf> = bw
-                .rbfs
-                .iter()
-                .enumerate()
-                .filter(|&(j, _)| j != i)
-                .map(|(_, r)| r)
-                .collect();
-            out.push(analyse_stream(
-                task, i, beta, &bw, horizon, &others, cfg, &meter, memo, start,
-            )?);
-        }
-        Ok(out)
+        let rtc = rtc_report(&bw, beta)?;
+        let ceiling = || Ok(rtc.bound);
+        let per = streams
+            .iter()
+            .map(|&i| {
+                let start = Instant::now();
+                let others: Vec<&Rbf> = bw
+                    .rbfs
+                    .iter()
+                    .enumerate()
+                    .filter(|&(j, _)| j != i)
+                    .map(|(_, r)| r)
+                    .collect();
+                analyse_stream(
+                    &tasks[i], i, beta, &bw, horizon, &others, &ceiling, cfg, &meter, memo, start,
+                )
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok((per, rtc))
     });
     surface_injected_fault(result, &meter)
 }
@@ -263,23 +236,7 @@ pub fn fifo_rtc_with(
     budget: &Budget,
 ) -> Result<RtcReport, AnalysisError> {
     let meter = BudgetMeter::new(budget);
-    let result = busy_window_metered(tasks, beta, &meter).and_then(|bw| {
-        let degraded = bw
-            .degraded
-            .or_else(|| bw.rbfs.iter().find_map(|r| r.truncated()));
-        let (bound, breakpoints) = rtc_ceiling(&bw, beta)?;
-        Ok(RtcReport {
-            bound,
-            busy_window: bw.bound,
-            breakpoints,
-            quality: match degraded {
-                None => BoundQuality::Exact,
-                Some(_) => BoundQuality::Degraded {
-                    fallback: Fallback::CoarseRbf,
-                },
-            },
-        })
-    });
+    let result = busy_window_metered(tasks, beta, &meter).and_then(|bw| rtc_report(&bw, beta));
     surface_injected_fault(result, &meter)
 }
 
@@ -329,6 +286,7 @@ fn analyse_stream(
     bw: &BusyWindow,
     horizon: Q,
     others: &[&Rbf],
+    ceiling: &dyn Fn() -> Result<Q, AnalysisError>,
     cfg: &AnalysisConfig,
     meter: &BudgetMeter,
     memo: &RbfMemo,
@@ -470,7 +428,7 @@ fn analyse_stream(
     // fallback there — pinning the sandwich
     // `exact structural ≤ degraded ≤ RTC baseline`.
     if fallback_active {
-        if let Ok((ceiling, _)) = rtc_ceiling(bw, beta) {
+        if let Ok(ceiling) = ceiling() {
             fallback = fallback.min(ceiling);
         }
     }
@@ -564,16 +522,17 @@ fn affine_region_bound(
     Ok(cand(lo).max(cand(hi)))
 }
 
-/// The RTC-baseline delay bound of the whole multiplex, computed from an
+/// The RTC baseline of the whole multiplex, computed from an
 /// already-materialised busy window: `max over union breakpoint spans s of
 /// β⁻¹(Σ rbf(s)) − s`, extended by the summed coarse affine tails when any
-/// rbf is truncated. Returns `(bound, union breakpoint count)`.
+/// rbf is truncated (the report is then marked degraded). `breakpoints`
+/// counts the union spans inspected.
 ///
 /// This is both the public RTC bound ([`rtc_delay_with`] /
 /// [`fifo_rtc_with`]) and the fraction-0 *ceiling* the structural analysis
 /// clamps degraded results to — sharing the materialisation pins the
 /// documented sandwich `exact structural ≤ degraded ≤ RTC baseline`.
-fn rtc_ceiling(bw: &BusyWindow, beta: &Curve) -> Result<(Q, usize), AnalysisError> {
+fn rtc_report(bw: &BusyWindow, beta: &Curve) -> Result<RtcReport, AnalysisError> {
     let mut spans: Vec<Q> = bw
         .rbfs
         .iter()
@@ -614,7 +573,17 @@ fn rtc_ceiling(bw: &BusyWindow, beta: &Curve) -> Result<(Q, usize), AnalysisErro
             bw.bound,
         )?);
     }
-    Ok((bound.clamp_nonneg(), spans.len()))
+    Ok(RtcReport {
+        bound: bound.clamp_nonneg(),
+        busy_window: bw.bound,
+        breakpoints: spans.len(),
+        quality: match degraded {
+            None => BoundQuality::Exact,
+            Some(_) => BoundQuality::Degraded {
+                fallback: Fallback::CoarseRbf,
+            },
+        },
+    })
 }
 
 #[cfg(test)]

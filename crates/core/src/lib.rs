@@ -56,9 +56,8 @@ mod tandem;
 pub mod textfmt;
 
 pub use analysis::{
-    backlog_bound, fifo_rtc, fifo_rtc_with, fifo_structural, fifo_structural_subset,
-    fifo_structural_with_memo, rtc_delay, rtc_delay_with, structural_delay, structural_delay_with,
-    AnalysisConfig,
+    backlog_bound, fifo_analysis, fifo_rtc, fifo_rtc_with, fifo_structural, rtc_delay,
+    rtc_delay_with, structural_delay, structural_delay_with, AnalysisConfig,
 };
 pub use busy::{busy_window, busy_window_metered, busy_window_metered_ext, BusyWindow};
 pub use edf::{edf_schedulable, EdfReport};

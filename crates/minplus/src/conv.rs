@@ -623,7 +623,7 @@ impl Curve {
     /// exhaustion (and `i128` overflow) as errors instead of grinding
     /// through a quadratic candidate set on an oversized horizon.
     ///
-    /// When both operands share a [`Shape`] class (both concave or both
+    /// When both operands share a shape class (both concave or both
     /// convex — detected once and cached on the curve), an O(n+m) fast
     /// path replaces the quadratic candidate-envelope construction; the
     /// result is the same function on `[0, h]`, and the segment budget is

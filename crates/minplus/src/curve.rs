@@ -666,13 +666,13 @@ impl Curve {
     }
 
     /// Is the curve convex? (Slopes non-decreasing and no upward jumps.)
-    /// Cached after the first call — see [`Curve::shape`].
+    /// Cached on the curve after the first call.
     pub fn is_convex(&self) -> bool {
         matches!(self.shape(), Shape::Convex | Shape::Both)
     }
 
     /// Is the curve concave (on `t > 0`)? Slopes non-increasing, jumps allowed
-    /// only at 0. Cached after the first call — see [`Curve::shape`].
+    /// only at 0. Cached on the curve after the first call.
     pub fn is_concave(&self) -> bool {
         matches!(self.shape(), Shape::Concave | Shape::Both)
     }

@@ -37,9 +37,7 @@ use crate::http::{Request, Response};
 use crate::report::{fifo_report, fifo_report_with_memo, FifoReport};
 use crate::server::{error_body, parse_error_response, Shared};
 use srtw_core::textfmt::{parse_system, ServerSpec, SystemSpec};
-use srtw_core::{
-    fifo_rtc_with, fifo_structural_subset, AnalysisConfig, AnalysisError, Json,
-};
+use srtw_core::{fifo_analysis, AnalysisConfig, AnalysisError, Json};
 use srtw_minplus::{Budget, BudgetMeter, CancelToken, Q};
 use srtw_supervisor::{contain, Contained};
 use srtw_workload::{canonical_task_form, DrtTaskBuilder, Rbf, RbfMemo};
@@ -413,8 +411,9 @@ fn run_delta_with_base_tasks(
     let base = base_report.expect("splice_possible implies a base report");
 
     // Re-analyse the edited streams (this also computes the edited
-    // system's busy window and all rbfs into the warm memo).
-    let subset = fifo_structural_subset(&system.tasks, beta, cfg, memo, edited)?;
+    // system's busy window and all rbfs into the warm memo, and the
+    // baseline from that busy window).
+    let (subset, rtc) = fifo_analysis(&system.tasks, beta, cfg, memo, edited)?;
 
     // Conservative cut: unedited streams may be spliced from the base
     // report only when their analysis inputs provably match — same busy
@@ -439,13 +438,12 @@ fn run_delta_with_base_tasks(
     }
 
     // Splice: unedited streams from the cached base run, edited streams
-    // from the subset re-analysis, baseline recomputed (it is cheap and
-    // depends on the edited task's rbf).
+    // and the baseline (which depends on the edited tasks' rbfs) from the
+    // subset re-analysis of the edited system.
     let mut per = base.per.clone();
     for (k, &i) in edited.iter().enumerate() {
         per[i] = subset[k].clone();
     }
-    let rtc = fifo_rtc_with(&system.tasks, beta, &cfg.budget)?;
     Ok(DeltaOutcome {
         report: FifoReport { per, rtc },
         reused: n - edited.len(),

@@ -42,7 +42,7 @@
 //!   provably reach — all three answering byte-identically to a cold
 //!   run, only faster.
 //! - **Crash-safe persistence** ([`srtw_persist`] wired through
-//!   [`server`] and [`batch`]): `--persist DIR` spills every cached
+//!   [`server`] and `batch`): `--persist DIR` spills every cached
 //!   result to an append-only, CRC-framed shard file and warm-loads the
 //!   cache on startup (LRU order preserved, every record re-verified
 //!   against its canonical hash before it can answer); replicas share

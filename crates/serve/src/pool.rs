@@ -1,6 +1,6 @@
 //! A fixed worker pool with supervisor-style respawn.
 //!
-//! Workers pull jobs off the [`Gate`](crate::gate::Gate) and run them
+//! Workers pull jobs off the [`Gate`] and run them
 //! behind `catch_unwind`. A panic in the *handler* (a bug in the server
 //! code itself — analysis panics are already contained one level deeper
 //! by [`srtw_supervisor::contain`]) kills only that worker; a monitor

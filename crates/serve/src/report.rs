@@ -6,10 +6,7 @@
 //! exactly one place: the CLI calls [`fifo_report`] + [`FifoReport::to_json`]
 //! and so does the service worker.
 
-use srtw_core::{
-    fifo_rtc_with, fifo_structural, fifo_structural_with_memo, AnalysisConfig, AnalysisError,
-    DelayAnalysis, Json, RtcReport,
-};
+use srtw_core::{fifo_analysis, AnalysisConfig, AnalysisError, DelayAnalysis, Json, RtcReport};
 use srtw_minplus::Curve;
 use srtw_workload::{DrtTask, RbfMemo};
 
@@ -23,18 +20,17 @@ pub struct FifoReport {
     pub rtc: RtcReport,
 }
 
-/// Runs the FIFO analysis under `cfg` (the RTC baseline shares
-/// `cfg.budget`). The call order — structural first, RTC second — is part
-/// of the determinism contract: budget trips and injected faults land on
-/// the same metered operation whichever entry point runs the analysis.
+/// Runs the FIFO analysis under `cfg`: one busy-window fixpoint, every
+/// stream's structural bounds, and the RTC baseline from that same
+/// fixpoint (so the baseline shares `cfg.budget` and its meter). Every
+/// entry point runs this one engine, so budget trips and injected faults
+/// land on the same metered operation whichever of them runs the analysis.
 pub fn fifo_report(
     tasks: &[DrtTask],
     beta: &Curve,
     cfg: &AnalysisConfig,
 ) -> Result<FifoReport, AnalysisError> {
-    let per = fifo_structural(tasks, beta, cfg)?;
-    let rtc = fifo_rtc_with(tasks, beta, &cfg.budget)?;
-    Ok(FifoReport { per, rtc })
+    fifo_report_with_memo(tasks, beta, cfg, &RbfMemo::new(tasks.len()))
 }
 
 /// [`fifo_report`] reusing a caller-provided warm [`RbfMemo`].
@@ -51,8 +47,8 @@ pub fn fifo_report_with_memo(
     cfg: &AnalysisConfig,
     memo: &RbfMemo,
 ) -> Result<FifoReport, AnalysisError> {
-    let per = fifo_structural_with_memo(tasks, beta, cfg, memo)?;
-    let rtc = fifo_rtc_with(tasks, beta, &cfg.budget)?;
+    let all: Vec<usize> = (0..tasks.len()).collect();
+    let (per, rtc) = fifo_analysis(tasks, beta, cfg, memo, &all)?;
     Ok(FifoReport { per, rtc })
 }
 

@@ -11,6 +11,9 @@
 //! weight `Σ (wcet − λ·separation) > 0` exists (detected by Bellman–Ford
 //! longest-path relaxation), replace `λ` by that cycle's exact ratio. All
 //! arithmetic is exact, so the result is the exact maximum cycle ratio.
+//! The relaxation runs over integers: every reduced weight is scaled by
+//! the same positive constant (`ScaledGraph`), falling back to
+//! rationals only when the scaled values leave `i128`.
 
 use crate::digraph::{DrtTask, VertexId};
 use srtw_minplus::Q;
@@ -46,12 +49,26 @@ pub fn long_run_utilization(task: &DrtTask) -> Q {
 
 /// Finds a cycle achieving the maximum ratio (`None` for acyclic graphs).
 pub fn critical_cycle(task: &DrtTask) -> Option<CriticalCycle> {
+    critical_cycle_by(task, ScaledGraph::new(task).as_ref())
+}
+
+/// [`critical_cycle`] with the integer-scaled graph made explicit: `None`
+/// relaxes every `λ` over exact rationals, `Some` over scaled integers
+/// wherever they fit. Both give the same cycle and ratio (the unit tests
+/// compare them).
+fn critical_cycle_by(task: &DrtTask, scaled: Option<&ScaledGraph>) -> Option<CriticalCycle> {
     let mut cycle = any_cycle(task)?;
     let mut lambda = cycle_ratio(task, &cycle);
     // Improvement loop: each extracted cycle has a strictly larger ratio;
     // ratios come from a finite set, so this terminates.
     loop {
-        match positive_cycle(task, lambda) {
+        let found = match scaled.and_then(|g| g.weights(lambda)) {
+            Some(w) => {
+                positive_cycle(task, &w).unwrap_or_else(|Overflow| exact_cycle(task, lambda))
+            }
+            None => exact_cycle(task, lambda),
+        };
+        match found {
             None => {
                 return Some(CriticalCycle {
                     vertices: cycle,
@@ -73,6 +90,84 @@ pub fn critical_cycle(task: &DrtTask) -> Option<CriticalCycle> {
                 cycle = better;
             }
         }
+    }
+}
+
+/// The edge data scaled to integers by `D`, the lcm of every WCET and
+/// separation denominator: per edge (in `out_edges` order, source by
+/// source) `(D·wcet(target), D·separation)`.
+///
+/// For `λ = p/q` (`q > 0`) the reduced weight `wcet − λ·separation`
+/// times the positive factor `q·D` is the integer
+/// `q·(D·wcet) − p·(D·separation)`, so longest-path relaxation over the
+/// scaled weights compares, relaxes and records parents exactly as over
+/// the rationals — at the cost of an `i128` multiply instead of a
+/// gcd-normalised rational operation.
+struct ScaledGraph {
+    edges: Vec<(i128, i128)>,
+}
+
+impl ScaledGraph {
+    /// `None` when `D` or a scaled value overflows `i128`.
+    fn new(task: &DrtTask) -> Option<ScaledGraph> {
+        let ids = || (0..task.num_vertices()).map(VertexId);
+        let denominators = ids()
+            .map(|v| task.wcet(v).denom())
+            .chain(ids().flat_map(|v| task.out_edges(v).iter().map(|e| e.separation.denom())));
+        let mut d = Q::ONE;
+        for den in denominators {
+            d = Q::try_lcm(d, Q::int(den)).ok()?;
+        }
+        let d = d.numer();
+        let scale = |x: Q| x.numer().checked_mul(d / x.denom());
+        let edges = ids()
+            .flat_map(|v| task.out_edges(v))
+            .map(|e| Some((scale(task.wcet(e.to))?, scale(e.separation)?)))
+            .collect::<Option<Vec<_>>>()?;
+        Some(ScaledGraph { edges })
+    }
+
+    /// The scaled reduced weights at `λ`, `None` when a product overflows.
+    fn weights(&self, lambda: Q) -> Option<Vec<i128>> {
+        let (p, q) = (lambda.numer(), lambda.denom());
+        self.edges
+            .iter()
+            .map(|&(w, s)| q.checked_mul(w)?.checked_sub(p.checked_mul(s)?))
+            .collect()
+    }
+}
+
+/// The positive-cycle search over the exact rational reduced weights.
+fn exact_cycle(task: &DrtTask, lambda: Q) -> Option<Vec<VertexId>> {
+    let weights: Vec<Q> = (0..task.num_vertices())
+        .flat_map(|u| task.out_edges(VertexId(u)))
+        .map(|e| task.wcet(e.to) - lambda * e.separation)
+        .collect();
+    positive_cycle(task, &weights)
+        .unwrap_or_else(|Overflow| unreachable!("Q::plus never reports overflow"))
+}
+
+/// An `i128` distance left its range; the caller redoes the search in `Q`.
+struct Overflow;
+
+/// A reduced edge weight: exact rational, or the same rational scaled to
+/// an integer.
+trait Weight: Copy + Ord {
+    const ZERO: Self;
+    fn plus(self, rhs: Self) -> Result<Self, Overflow>;
+}
+
+impl Weight for i128 {
+    const ZERO: i128 = 0;
+    fn plus(self, rhs: i128) -> Result<i128, Overflow> {
+        self.checked_add(rhs).ok_or(Overflow)
+    }
+}
+
+impl Weight for Q {
+    const ZERO: Q = Q::ZERO;
+    fn plus(self, rhs: Q) -> Result<Q, Overflow> {
+        Ok(self + rhs)
     }
 }
 
@@ -145,17 +240,22 @@ fn any_cycle(task: &DrtTask) -> Option<Vec<VertexId>> {
 /// Detects a cycle with strictly positive reduced weight
 /// `Σ (wcet(target) − λ·separation)` via Bellman–Ford longest-path
 /// relaxation from a virtual super-source, returning the cycle if found.
-fn positive_cycle(task: &DrtTask, lambda: Q) -> Option<Vec<VertexId>> {
+/// `weights` holds the reduced weight of every edge in `out_edges` order,
+/// source by source.
+fn positive_cycle<W: Weight>(
+    task: &DrtTask,
+    weights: &[W],
+) -> Result<Option<Vec<VertexId>>, Overflow> {
     let n = task.num_vertices();
-    let mut dist = vec![Q::ZERO; n];
+    let mut dist = vec![W::ZERO; n];
     let mut parent: Vec<Option<usize>> = vec![None; n];
     let mut improved_vertex = None;
     for round in 0..n {
         let mut improved = false;
+        let mut w = weights.iter();
         for u in 0..n {
             for e in task.out_edges(VertexId(u)) {
-                let w = task.wcet(e.to) - lambda * e.separation;
-                let cand = dist[u] + w;
+                let cand = dist[u].plus(*w.next().expect("one weight per edge"))?;
                 if cand > dist[e.to.0] {
                     dist[e.to.0] = cand;
                     parent[e.to.0] = Some(u);
@@ -167,9 +267,19 @@ fn positive_cycle(task: &DrtTask, lambda: Q) -> Option<Vec<VertexId>> {
             }
         }
         if !improved {
-            return None;
+            return Ok(None);
         }
     }
+    Ok(extract_cycle(improved_vertex, &parent))
+}
+
+/// The cycle on the parent pointers reached from the vertex improved in
+/// the last relaxation round.
+fn extract_cycle(
+    improved_vertex: Option<usize>,
+    parent: &[Option<usize>],
+) -> Option<Vec<VertexId>> {
+    let n = parent.len();
     let mut v = improved_vertex?;
     // Walk the parent chain until a vertex repeats: that vertex lies on the
     // positive cycle recorded by the parent pointers.
@@ -279,5 +389,97 @@ mod tests {
         assert_eq!(long_run_utilization(&t), q(5, 9));
         let c = critical_cycle(&t).unwrap();
         assert_eq!(c.vertices.len(), 2);
+    }
+
+    /// A random digraph with rational WCETs and separations: every
+    /// vertex on a ring (so there is a cycle), plus random chords.
+    fn random_task(rng: &mut srtw_detrand::Rng, size: u32) -> DrtTask {
+        let n = rng.random_range(1..=2 + size as i128 / 8) as usize;
+        let mut b = DrtTaskBuilder::new("random");
+        let vs: Vec<VertexId> = (0..n)
+            .map(|i| {
+                let wcet = Q::new(rng.random_range(1..=40i128), rng.random_range(1..=12i128));
+                b.vertex(format!("v{i}"), wcet)
+            })
+            .collect();
+        let sep = |rng: &mut srtw_detrand::Rng| {
+            Q::new(rng.random_range(1..=90i128), rng.random_range(1..=8i128))
+        };
+        for i in 0..n {
+            let s = sep(rng);
+            b.edge(vs[i], vs[(i + 1) % n], s);
+        }
+        for i in 0..n {
+            for j in 0..n {
+                if j != (i + 1) % n && rng.random_ratio(1, 3) {
+                    let s = sep(rng);
+                    b.edge(vs[i], vs[j], s);
+                }
+            }
+        }
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn integer_and_rational_relaxation_find_the_same_cycle() {
+        srtw_detrand::prop::forall("max_cycle_ratio_i128_vs_q", random_task, |task| {
+            let scaled = ScaledGraph::new(task).expect("small denominators scale");
+            let integer = critical_cycle_by(task, Some(&scaled)).unwrap();
+            let exact = critical_cycle_by(task, None).unwrap();
+            assert_eq!(integer, exact);
+        });
+    }
+
+    #[test]
+    fn overflowing_scale_falls_back_to_exact_rationals() {
+        // Distinct primes just above 2^40: all four multiply past i128, so
+        // the common denominator D overflows, while each self-loop's
+        // reduced weight (two of them at a time) stays representable in Q.
+        const PRIMES: [i128; 4] = [
+            1_099_511_627_791,
+            1_099_511_627_803,
+            1_099_511_627_831,
+            1_099_511_627_873,
+        ];
+        let mut b = DrtTaskBuilder::new("primes");
+        for (i, p) in PRIMES.into_iter().enumerate() {
+            let v = b.vertex(format!("v{i}"), Q::new(3 * p + 1, p));
+            b.edge(v, v, Q::int(10 + i as i128));
+        }
+        let t = b.build().unwrap();
+        assert!(ScaledGraph::new(&t).is_none(), "D must overflow");
+        // Ratios (3 + 1/p_i) / (10 + i): v0 has the largest.
+        let c = critical_cycle(&t).unwrap();
+        assert_eq!(c.vertices, vec![VertexId(0)]);
+        assert_eq!(c.ratio, Q::new(3 * PRIMES[0] + 1, 10 * PRIMES[0]));
+        assert_eq!(c, critical_cycle_by(&t, None).unwrap());
+    }
+
+    #[test]
+    fn decoder_system_utilization_is_pinned() {
+        // systems/decoder.srtw: the decoder's B→P→B loop (9 per 30) plus
+        // the telemetry self-loop (1 per 25) report U = 17/50.
+        let mut b = DrtTaskBuilder::new("decoder");
+        let i = b.vertex("I", Q::int(12));
+        let p = b.vertex("P", Q::int(6));
+        let bb = b.vertex("B", Q::int(3));
+        b.edge(i, bb, Q::int(15));
+        b.edge(bb, bb, Q::int(15));
+        b.edge(bb, p, Q::int(15));
+        b.edge(p, bb, Q::int(15));
+        b.edge(p, i, Q::int(45));
+        let decoder = b.build().unwrap();
+        let mut b = DrtTaskBuilder::new("telemetry");
+        let t = b.vertex("t", Q::ONE);
+        b.edge(t, t, Q::int(25));
+        let telemetry = b.build().unwrap();
+
+        let c = critical_cycle(&decoder).unwrap();
+        assert_eq!(c.ratio, q(3, 10));
+        assert_eq!(c.vertices.len(), 2);
+        assert_eq!(
+            long_run_utilization(&decoder) + long_run_utilization(&telemetry),
+            q(17, 50)
+        );
     }
 }

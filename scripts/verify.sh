@@ -8,7 +8,9 @@
 #      registry — every dependency must be a workspace path crate;
 #   2. `cargo build --release` and `cargo test -q` with --offline
 #      (the workspace must build with no network and no vendored deps),
-#      plus `cargo clippy --workspace -- -D warnings` (lint-clean);
+#      plus `cargo clippy --workspace -- -D warnings` (lint-clean) and
+#      `cargo doc --workspace --no-deps` with rustdoc warnings denied
+#      (no broken or private intra-doc links);
 #   3. build all five examples;
 #   4. CLI smoke test on the shipped sample system;
 #   5. adversarial stress suite at elevated case counts (no-panic,
@@ -82,6 +84,7 @@ echo "ok: all dependencies are workspace path crates"
 echo "== 2/12 offline build + tests =="
 cargo build --release --offline --workspace
 cargo clippy --offline --workspace -- -D warnings
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
 SRTW_BENCH_FAST=1 cargo test -q --offline --workspace
 
 echo "== 3/12 examples build =="
