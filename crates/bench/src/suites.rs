@@ -6,11 +6,13 @@
 //! every recorded number.
 
 use crate::timing::{Sample, Timer};
-use srtw_core::{rtc_delay, structural_delay, structural_delay_with, AnalysisConfig, Budget};
+use srtw_core::{
+    busy_window, rtc_delay, structural_delay, structural_delay_with, AnalysisConfig, Budget,
+};
 use srtw_gen::{adversarial_dense, generate_drt, rescale_utilization, DrtGenConfig};
 use srtw_minplus::{q, BudgetMeter, Curve, Pipe, Q};
 use srtw_sim::{earliest_random_walk, simulate_fifo, ServiceProcess};
-use srtw_workload::Rbf;
+use srtw_workload::{explore, ExploreConfig, Rbf};
 use std::hint::black_box;
 
 fn gen_cfg(n: usize) -> DrtGenConfig {
@@ -100,7 +102,8 @@ pub fn rbf_suite(t: &Timer) -> Vec<Sample> {
 }
 
 /// B3 — the structural delay analysis end to end: scaling with graph size
-/// and the effect of dominance pruning (the ablation measures).
+/// and the effect of dominance pruning (the ablation measures), plus the
+/// bare path exploration at the busy-window bound.
 pub fn structural_suite(t: &Timer) -> Vec<Sample> {
     let mut out = Vec::new();
     let beta = Curve::rate_latency(q(4, 5), Q::int(4));
@@ -116,6 +119,17 @@ pub fn structural_suite(t: &Timer) -> Vec<Sample> {
             black_box(structural_delay(&task, &beta).unwrap());
         }));
     }
+    // The one exploration a structural analysis runs per stream, alone:
+    // the 40-vertex graph at its busy-window bound (450 retained nodes).
+    let task = generate_drt(&gen_cfg(40), 11);
+    let bound = busy_window(std::slice::from_ref(&task), &beta)
+        .unwrap()
+        .bound;
+    let cfg = ExploreConfig::new(bound);
+    black_box(explore(&task, &cfg));
+    out.push(t.bench("structural", "explore_at_bound/40", || {
+        black_box(explore(&task, &cfg));
+    }));
     let task = generate_drt(&gen_cfg(6), 3);
     out.push(t.bench("structural", "structural_pruned", || {
         black_box(structural_delay(&task, &beta).unwrap());
@@ -834,7 +848,7 @@ mod tests {
         let t = Timer::fast();
         assert_eq!(convolution_suite(&t).len(), 10);
         assert_eq!(rbf_suite(&t).len(), 7);
-        assert_eq!(structural_suite(&t).len(), 7);
+        assert_eq!(structural_suite(&t).len(), 8);
         assert_eq!(simulation_suite(&t).len(), 6);
         assert_eq!(budgeted_suite(&t).len(), 6);
         assert_eq!(parallel_suite(&t).len(), 4);

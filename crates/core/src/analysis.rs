@@ -56,9 +56,6 @@ pub struct AnalysisConfig {
     pub horizon_fraction: Option<Q>,
     /// Disable dominance pruning (for ablation measurements only).
     pub no_prune: bool,
-    /// Override the busy-window horizon (must be an upper bound on the true
-    /// busy window to stay sound; used by experiments).
-    pub horizon_override: Option<Q>,
     /// Effort budget for the whole invocation. When a dimension trips, the
     /// analysis degrades gracefully instead of failing: exploration and
     /// rbf horizons are truncated soundly and the result carries a
@@ -103,12 +100,30 @@ pub fn structural_delay_with(
     beta: &Curve,
     cfg: &AnalysisConfig,
 ) -> Result<DelayAnalysis, AnalysisError> {
+    structural_delay_at(task, beta, cfg, None)
+}
+
+/// [`structural_delay_with`] exploring up to `horizon` instead of the
+/// stream's own busy-window bound (the fixed-priority analysis passes its
+/// joint busy window). The analysis still covers at least the stream's
+/// exact busy-window bound: a shorter horizon only moves demand from
+/// exact paths to the arrival-curve fallback, and the result is then
+/// labelled degraded. When the stream's own fixpoint degrades under the
+/// budget, its bound is only a coarse over-estimate and `horizon` is
+/// used as given, so `horizon` must itself bound the busy window (the
+/// joint window bounds every priority level's).
+pub(crate) fn structural_delay_at(
+    task: &DrtTask,
+    beta: &Curve,
+    cfg: &AnalysisConfig,
+    horizon: Option<Q>,
+) -> Result<DelayAnalysis, AnalysisError> {
     let start = Instant::now();
     let meter = BudgetMeter::new(&cfg.budget);
     let memo = RbfMemo::new(1);
     let result =
         busy_window_metered_ext(std::slice::from_ref(task), beta, &meter, &memo).and_then(|bw| {
-            let horizon = cfg.horizon_override.unwrap_or(bw.bound);
+            let horizon = horizon.unwrap_or(bw.bound);
             let ceiling = || rtc_report(&bw, beta).map(|rtc| rtc.bound);
             analyse_stream(
                 task,
@@ -198,7 +213,6 @@ pub fn fifo_analysis(
 ) -> Result<(Vec<DelayAnalysis>, RtcReport), AnalysisError> {
     let meter = BudgetMeter::new(&cfg.budget);
     let result = busy_window_metered_ext(tasks, beta, &meter, memo).and_then(|bw| {
-        let horizon = cfg.horizon_override.unwrap_or(bw.bound);
         let rtc = rtc_report(&bw, beta)?;
         let ceiling = || Ok(rtc.bound);
         let per = streams
@@ -213,7 +227,7 @@ pub fn fifo_analysis(
                     .map(|(_, r)| r)
                     .collect();
                 analyse_stream(
-                    &tasks[i], i, beta, &bw, horizon, &others, &ceiling, cfg, &meter, memo, start,
+                    &tasks[i], i, beta, &bw, bw.bound, &others, &ceiling, cfg, &meter, memo, start,
                 )
             })
             .collect::<Result<Vec<_>, _>>()?;
@@ -278,6 +292,13 @@ fn surface_injected_fault<T>(
 
 /// Shared engine: per-vertex structural bounds for `task`, with FIFO
 /// interference from `others` (empty for a dedicated stream).
+///
+/// Paths are explored up to `horizon` (times the configured fraction),
+/// but the bounds cover the window `W = max(horizon, bw.bound)` (just
+/// `horizon` when the fixpoint degraded): demand at spans from the exact
+/// cap up to `W` comes from the arrival-curve fallback, so a horizon
+/// below the busy window can cost tightness but never soundness, and
+/// such a result is never labelled exact.
 #[allow(clippy::too_many_arguments)]
 fn analyse_stream(
     task: &DrtTask,
@@ -370,11 +391,17 @@ fn analyse_stream(
     // ≤ rbf(δ), so its end job's delay is at most
     // β⁻¹(rbf(δ) + interference(δ)) − δ.
     let exact_cap = span_cap.min(ex.complete_span);
-    let fallback_active = exact_cap < horizon || ex.interrupted.is_some();
+    // A budget-degraded fixpoint bound is a coarse over-estimate of the
+    // busy window, not a finding the caller's horizon missed.
+    let window = match bw.degraded {
+        None => horizon.max(bw.bound),
+        Some(_) => horizon,
+    };
+    let fallback_active = exact_cap < window || ex.interrupted.is_some();
     let mut fallback = Q::ZERO;
     let mut own_truncated = false;
     if fallback_active {
-        let own_rbf = memo.get_or_compute(index, task, horizon, meter);
+        let own_rbf = memo.get_or_compute(index, task, window, meter);
         if let Some(k) = own_rbf.truncated() {
             own_truncated = true;
             degradations.push(Degradation {
@@ -383,7 +410,7 @@ fn analyse_stream(
                 detail: format!(
                     "fallback rbf exact only below span {} of horizon {}",
                     own_rbf.exact_span(),
-                    horizon
+                    window
                 ),
             });
         }
@@ -392,7 +419,7 @@ fn analyse_stream(
             // rbf plateau the worst candidate sits at its left end, clamped
             // to the cap (evaluating *at* the cap is conservative).
             let d0 = delta.max(exact_cap);
-            if delta > horizon {
+            if delta > window {
                 break;
             }
             let ahead = w + interference(d0);
@@ -403,7 +430,7 @@ fn analyse_stream(
         }
         if own_truncated {
             // The staircase points stop at the truncation; spans from
-            // there to the horizon are covered by the affine demand lines
+            // there to the window are covered by the affine demand lines
             // (own coarse tail plus the competing streams' coarse tails,
             // each dominating the respective true rbf everywhere).
             let lo = exact_cap.max(own_rbf.exact_span());
@@ -416,7 +443,7 @@ fn analyse_stream(
                 intf_line,
                 beta,
                 lo,
-                horizon,
+                window,
             )?);
         }
     }
@@ -465,7 +492,7 @@ fn analyse_stream(
         });
     }
 
-    let quality = if degradations.is_empty() {
+    let quality = if degradations.is_empty() && horizon >= window {
         BoundQuality::Exact
     } else {
         let coarse = bw.degraded.is_some()
@@ -487,7 +514,7 @@ fn analyse_stream(
         task_name: task.name().to_owned(),
         per_vertex,
         stream_bound,
-        busy_window: horizon,
+        busy_window: window,
         utilization: bw.utilization,
         paths_retained: ex.nodes().len(),
         paths_generated: ex.generated,
@@ -590,7 +617,7 @@ fn rtc_report(bw: &BusyWindow, beta: &Curve) -> Result<RtcReport, AnalysisError>
 mod tests {
     use super::*;
     use srtw_minplus::q;
-    use srtw_resource::{Server, TdmaServer};
+    use srtw_resource::{PeriodicResource, Server, TdmaServer};
     use srtw_workload::DrtTaskBuilder;
 
     fn heavy_light() -> DrtTask {
@@ -1056,5 +1083,72 @@ mod tests {
         assert_eq!(a.stream_bound, rtc.bound);
         assert!(a.stream_bound >= Q::int(4)); // at least the heavy WCET
         assert!(a.schedulable(&task)); // no deadlines set: vacuously true
+    }
+
+    /// `a(1) →1 b(4) →20 a`: the worst `b` job ends the path `a → b` of
+    /// span 1, which a horizon below 1 cuts off.
+    fn short_horizon_task() -> DrtTask {
+        let mut b = DrtTaskBuilder::new("ab");
+        let a = b.vertex("a", Q::ONE);
+        let bb = b.vertex("b", Q::int(4));
+        b.edge(a, bb, Q::ONE);
+        b.edge(bb, a, Q::int(20));
+        b.build().unwrap()
+    }
+
+    /// An exploration horizon below the busy window must come out
+    /// degraded, cover the whole busy window, and bound every job type at
+    /// least as high as the full exact analysis does.
+    fn assert_short_horizon_degrades(task: &DrtTask, beta: &Curve) {
+        let cfg = AnalysisConfig::default();
+        let full = structural_delay(task, beta).unwrap();
+        assert!(full.quality.is_exact());
+        let window = full.busy_window;
+        assert_eq!(
+            structural_delay_at(task, beta, &cfg, Some(window))
+                .unwrap()
+                .per_vertex,
+            full.per_vertex
+        );
+        for h in [q(1, 2), window / Q::int(2), window - q(1, 7)] {
+            let short = structural_delay_at(task, beta, &cfg, Some(h)).unwrap();
+            assert_eq!(
+                short.quality,
+                BoundQuality::Degraded {
+                    fallback: Fallback::TruncatedHorizon
+                },
+                "horizon {h}"
+            );
+            assert_eq!(short.busy_window, window);
+            for (s, f) in short.per_vertex.iter().zip(&full.per_vertex) {
+                assert!(
+                    s.bound >= f.bound,
+                    "{}: {} < {} at horizon {h}",
+                    s.label,
+                    s.bound,
+                    f.bound
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn horizon_below_the_busy_window_is_degraded_not_exact() {
+        let task = short_horizon_task();
+        let beta = Curve::affine(Q::ZERO, q(1, 2));
+        let full = structural_delay(&task, &beta).unwrap();
+        assert_eq!(full.bound_of(task.vertex_ids().nth(1).unwrap()), Q::int(9));
+        assert_eq!(full.busy_window, Q::int(10));
+        assert_short_horizon_degrades(&task, &beta);
+    }
+
+    #[test]
+    fn horizon_below_the_busy_window_on_tdma_and_periodic_resource() {
+        let task = short_horizon_task();
+        let tdma = TdmaServer::new(Q::int(3), Q::int(4), Q::ONE).unwrap();
+        assert_short_horizon_degrades(&task, &tdma.beta_lower());
+        let pr = PeriodicResource::new(Q::int(5), Q::int(4)).unwrap();
+        assert_short_horizon_degrades(&task, &pr.beta_lower());
+        assert_short_horizon_degrades(&branching(), &pr.beta_lower());
     }
 }

@@ -7,7 +7,7 @@
 //! demand. Each task is then analysed structurally on its own leftover
 //! curve, retaining per-job-type attribution at every priority level.
 
-use crate::analysis::{structural_delay_with, AnalysisConfig};
+use crate::analysis::{structural_delay_at, AnalysisConfig};
 use crate::busy::busy_window;
 use crate::error::AnalysisError;
 use crate::report::DelayAnalysis;
@@ -57,7 +57,7 @@ pub fn fixed_priority_structural_with(
     // leftover service of level i at the joint bound L still covers the
     // level's own demand: β_i(L) ≥ β(L) − Σ_{j<i} rbf_j(L) ≥ rbf_i(L)).
     let bw = busy_window(tasks, beta)?;
-    let horizon = cfg.horizon_override.unwrap_or(bw.bound);
+    let horizon = bw.bound;
     // Arrival curves must be exact well past the horizon so the leftover
     // closure is exact wherever the analysis evaluates it.
     let generous = horizon + horizon + Q::ONE;
@@ -77,11 +77,12 @@ pub fn fixed_priority_structural_with(
         // the (truncation-optimistic beyond the joint horizon) leftover
         // curve is not trusted; the joint bound is sound for every level
         // and the leftover curve is exact on [0, 2·horizon].
-        let level_cfg = AnalysisConfig {
-            horizon_override: Some(horizon),
-            ..cfg.clone()
-        };
-        out.push(structural_delay_with(task, current.current(), &level_cfg)?);
+        out.push(structural_delay_at(
+            task,
+            current.current(),
+            cfg,
+            Some(horizon),
+        )?);
         current = current
             .sub_clamped(alpha)
             .expect("unmetered leftover-service subtraction cannot trip");

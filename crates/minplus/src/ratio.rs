@@ -40,8 +40,18 @@ pub struct Q {
 }
 
 /// Greatest common divisor (always non-negative).
+///
+/// Operands whose magnitudes fit `u64` — nearly all of them in practice —
+/// take binary (Stein) gcd on `u64`, which needs no 128-bit division;
+/// larger ones take Euclid's algorithm on `i128`.
 #[inline]
 pub(crate) fn gcd(mut a: i128, mut b: i128) -> i128 {
+    if let (Ok(x), Ok(y)) = (
+        u64::try_from(a.unsigned_abs()),
+        u64::try_from(b.unsigned_abs()),
+    ) {
+        return i128::from(binary_gcd(x, y));
+    }
     a = a.abs();
     b = b.abs();
     while b != 0 {
@@ -50,6 +60,27 @@ pub(crate) fn gcd(mut a: i128, mut b: i128) -> i128 {
         b = t;
     }
     a
+}
+
+/// Stein's binary gcd: strips common factors of two, then subtracts the
+/// smaller odd value from the larger until they meet.
+#[inline]
+fn binary_gcd(mut a: u64, mut b: u64) -> u64 {
+    if a == 0 || b == 0 {
+        return a | b;
+    }
+    let shift = (a | b).trailing_zeros();
+    a >>= a.trailing_zeros();
+    loop {
+        b >>= b.trailing_zeros();
+        if a > b {
+            std::mem::swap(&mut a, &mut b);
+        }
+        b -= a;
+        if b == 0 {
+            return a << shift;
+        }
+    }
 }
 
 /// Least common multiple, `None` on `i128` overflow.
@@ -210,6 +241,9 @@ impl Q {
 
     /// Checked addition.
     pub fn checked_add(self, rhs: Q) -> Option<Q> {
+        if self.den == 1 && rhs.den == 1 {
+            return Some(Q::int(self.num.checked_add(rhs.num)?));
+        }
         // a/b + c/d = (a*(d/g) + c*(b/g)) / (b*(d/g)) with g = gcd(b, d).
         let g = gcd(self.den, rhs.den);
         let db = self.den / g;
@@ -832,6 +866,120 @@ mod tests {
         assert_eq!(Q::try_lcm(q(3, 2), q(1, 2)), Ok(Q::lcm(q(3, 2), q(1, 2))));
         assert_eq!(checked_lcm(i128::MAX, i128::MAX - 1), None);
         assert_eq!(checked_lcm(0, 7), Some(0));
+    }
+
+    /// The Euclid gcd every operand went through before the `u64` fast
+    /// path: the oracle for [`gcd`].
+    fn euclid_gcd(mut a: i128, mut b: i128) -> i128 {
+        a = a.abs();
+        b = b.abs();
+        while b != 0 {
+            let t = a % b;
+            a = b;
+            b = t;
+        }
+        a
+    }
+
+    /// An `i128` drawn to hit both sides of the `u64` boundary, the edge
+    /// values, and operands sharing large powers of two.
+    fn operand(rng: &mut srtw_detrand::Rng) -> i128 {
+        const EDGES: [i128; 7] = [
+            0,
+            1,
+            -1,
+            u64::MAX as i128,
+            u64::MAX as i128 + 1,
+            -(u64::MAX as i128),
+            i128::MAX,
+        ];
+        let v = match rng.random_range(0..5u32) {
+            0 => EDGES[rng.random_range(0..EDGES.len())],
+            1 => rng.random_range(-1000..=1000i128),
+            2 => rng.random_range(-(1i128 << 64)..=(1i128 << 64)),
+            3 => rng.random_range(1..=1i128 << 40) << rng.random_range(0..60u32),
+            _ => rng.random_range(-(1i128 << 100)..=(1i128 << 100)),
+        };
+        if v != i128::MAX && rng.random_ratio(1, 2) {
+            -v
+        } else {
+            v
+        }
+    }
+
+    #[test]
+    fn gcd_agrees_with_euclid() {
+        srtw_detrand::prop::forall(
+            "gcd_u64_fast_path",
+            |rng, _| (operand(rng), operand(rng)),
+            |&(a, b)| {
+                let g = gcd(a, b);
+                assert_eq!(g, euclid_gcd(a, b), "gcd({a}, {b})");
+                assert_eq!(g, gcd(b, a));
+            },
+        );
+        let edges = [
+            0,
+            1,
+            -1,
+            u64::MAX as i128,
+            u64::MAX as i128 + 1,
+            -(u64::MAX as i128),
+        ];
+        for a in edges {
+            for b in edges {
+                assert_eq!(gcd(a, b), euclid_gcd(a, b), "gcd({a}, {b})");
+            }
+        }
+    }
+
+    /// A rational normalised by the oracle gcd: `(num, den)` in lowest
+    /// terms with a positive denominator.
+    fn reference(num: i128, den: i128) -> (i128, i128) {
+        let g = euclid_gcd(num, den);
+        let (n, d) = (num / g, den / g);
+        if d < 0 {
+            (-n, -d)
+        } else {
+            (n, d)
+        }
+    }
+
+    /// A seeded rational small enough that the reference arithmetic below
+    /// cannot overflow; a third of them have denominator 1.
+    fn rational(rng: &mut srtw_detrand::Rng) -> (i128, i128) {
+        let num = rng.random_range(-(1i128 << 40)..=(1i128 << 40));
+        let den = match rng.random_range(0..3u32) {
+            0 => 1,
+            1 => rng.random_range(1..=1000i128),
+            _ => rng.random_range(1..=1i128 << 40),
+        };
+        (num, den)
+    }
+
+    #[test]
+    fn arithmetic_agrees_with_reference_normalisation() {
+        srtw_detrand::prop::forall(
+            "q_kernel_vs_reference",
+            |rng, _| (rational(rng), rational(rng)),
+            |&((a, b), (c, d))| {
+                let (x, y) = (Q::new(a, b), Q::new(c, d));
+                assert_eq!((x.numer(), x.denom()), reference(a, b));
+                assert_eq!((y.numer(), y.denom()), reference(c, d));
+                let sum = x + y;
+                assert_eq!((sum.numer(), sum.denom()), reference(a * d + c * b, b * d));
+                let diff = x - y;
+                assert_eq!(
+                    (diff.numer(), diff.denom()),
+                    reference(a * d - c * b, b * d)
+                );
+                let prod = x * y;
+                assert_eq!((prod.numer(), prod.denom()), reference(a * c, b * d));
+                assert_eq!(x.cmp(&y), (a * d).cmp(&(c * b)), "{x} vs {y}");
+                // Negative denominators normalise like positive ones.
+                assert_eq!(Q::new(-a, -b), x);
+            },
+        );
     }
 
     #[test]

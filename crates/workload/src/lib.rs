@@ -54,6 +54,7 @@ mod paths;
 mod rbf;
 mod trace;
 mod utilization;
+mod weight;
 
 pub use canon::{canonical_task_form, combine_forms, CanonicalForm, StructHasher};
 pub use dbf::{Dbf, MissingDeadline};

@@ -13,6 +13,7 @@
 //! analysis.
 
 use crate::digraph::{DrtTask, VertexId};
+use crate::weight::{Overflow, ScaledGraph, Weight};
 use srtw_minplus::{BudgetKind, BudgetMeter, Q};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -124,71 +125,6 @@ impl Exploration {
     }
 }
 
-/// Heap entry ordered by ascending span (BinaryHeap is a max-heap, so the
-/// ordering is reversed).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Candidate {
-    span: Q,
-    work: Q,
-    vertex: VertexId,
-    len: usize,
-    parent: Option<usize>,
-}
-
-impl Ord for Candidate {
-    fn cmp(&self, other: &Candidate) -> Ordering {
-        // Reverse span; tie-break on descending work so the strongest
-        // tuple at a span is installed first (maximising pruning). The
-        // final parent tie-break makes the order *total* over distinct
-        // candidates, so the pop sequence — and with it the witness
-        // retained among fully tied tuples — is deterministic.
-        other
-            .span
-            .cmp(&self.span)
-            .then(self.work.cmp(&other.work))
-            .then(self.vertex.cmp(&other.vertex).reverse())
-            .then(self.len.cmp(&other.len).reverse())
-            .then(self.parent.cmp(&other.parent).reverse())
-    }
-}
-
-impl PartialOrd for Candidate {
-    fn partial_cmp(&self, other: &Candidate) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// Per-vertex Pareto frontier: entries `(span, work, node_index)` strictly
-/// increasing in both `span` and `work`.
-#[derive(Debug, Default, Clone)]
-struct Frontier {
-    entries: Vec<(Q, Q, usize)>,
-}
-
-impl Frontier {
-    /// Is `(span, work)` dominated by an existing entry?
-    fn dominated(&self, span: Q, work: Q) -> bool {
-        // Last entry with span' ≤ span carries the best work at or before
-        // `span` (entries are increasing in both coordinates).
-        match self.entries.iter().rev().find(|e| e.0 <= span) {
-            Some(&(_, w, _)) => w >= work,
-            None => false,
-        }
-    }
-
-    /// Inserts a non-dominated `(span, work, idx)` and evicts entries it
-    /// dominates.
-    fn insert(&mut self, span: Q, work: Q, idx: usize) {
-        let pos = self.entries.partition_point(|e| e.0 < span);
-        // Evict subsequent entries with work ≤ work (they have span ≥ span).
-        let mut end = pos;
-        while end < self.entries.len() && self.entries[end].1 <= work {
-            end += 1;
-        }
-        self.entries.splice(pos..end, [(span, work, idx)]);
-    }
-}
-
 /// Explores all non-dominated abstract paths of `task` within the
 /// configuration's horizon.
 ///
@@ -223,20 +159,208 @@ pub fn explore(task: &DrtTask, cfg: &ExploreConfig) -> Exploration {
 /// exclusive frontier; retained nodes at span `≥ s` are genuine paths too
 /// (sound for maximisation) but possibly not exhaustive.
 pub fn explore_metered(task: &DrtTask, cfg: &ExploreConfig, meter: &BudgetMeter) -> Exploration {
-    let mut nodes: Vec<PathNode> = Vec::new();
-    let mut frontiers: Vec<Frontier> = vec![Frontier::default(); task.num_vertices()];
-    let mut heap: BinaryHeap<Candidate> = BinaryHeap::new();
+    match explore_scaled(task, cfg, meter) {
+        Explored::Scaled(arena) => arena.into_exploration(),
+        Explored::Exact(arena) => arena.into_exploration(),
+    }
+}
+
+/// Heap entry ordered by ascending span (BinaryHeap is a max-heap, so the
+/// ordering is reversed). Popped entries become the arena's nodes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Candidate<W> {
+    pub(crate) span: W,
+    pub(crate) work: W,
+    vertex: VertexId,
+    len: usize,
+    parent: Option<usize>,
+}
+
+impl<W: Weight> Candidate<W> {
+    fn unscale(self, scale: i128) -> PathNode {
+        PathNode {
+            vertex: self.vertex,
+            span: self.span.unscale(scale),
+            work: self.work.unscale(scale),
+            len: self.len,
+            parent: self.parent,
+        }
+    }
+}
+
+impl<W: Ord> Ord for Candidate<W> {
+    fn cmp(&self, other: &Candidate<W>) -> Ordering {
+        // Reverse span; tie-break on descending work so the strongest
+        // tuple at a span is installed first (maximising pruning). The
+        // final parent tie-break makes the order *total* over distinct
+        // candidates, so the pop sequence — and with it the witness
+        // retained among fully tied tuples — is deterministic.
+        other
+            .span
+            .cmp(&self.span)
+            .then(self.work.cmp(&other.work))
+            .then(self.vertex.cmp(&other.vertex).reverse())
+            .then(self.len.cmp(&other.len).reverse())
+            .then(self.parent.cmp(&other.parent).reverse())
+    }
+}
+
+impl<W: Ord> PartialOrd for Candidate<W> {
+    fn partial_cmp(&self, other: &Candidate<W>) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// Per-vertex Pareto frontier: entries `(span, work, node_index)` strictly
+/// increasing in both `span` and `work`.
+#[derive(Debug, Clone)]
+struct Frontier<W> {
+    entries: Vec<(W, W, usize)>,
+}
+
+impl<W: Weight> Frontier<W> {
+    fn new() -> Frontier<W> {
+        Frontier {
+            entries: Vec::new(),
+        }
+    }
+
+    /// Is `(span, work)` dominated by an existing entry?
+    fn dominated(&self, span: W, work: W) -> bool {
+        // Last entry with span' ≤ span carries the best work at or before
+        // `span` (entries are increasing in both coordinates).
+        match self.entries.iter().rev().find(|e| e.0 <= span) {
+            Some(&(_, w, _)) => w >= work,
+            None => false,
+        }
+    }
+
+    /// Inserts a non-dominated `(span, work, idx)` and evicts entries it
+    /// dominates.
+    fn insert(&mut self, span: W, work: W, idx: usize) {
+        let pos = self.entries.partition_point(|e| e.0 < span);
+        // Evict subsequent entries with work ≤ work (they have span ≥ span).
+        let mut end = pos;
+        while end < self.entries.len() && self.entries[end].1 <= work {
+            end += 1;
+        }
+        self.entries.splice(pos..end, [(span, work, idx)]);
+    }
+}
+
+/// The raw result of one exploration, in the weight domain it ran in.
+#[derive(Debug)]
+pub(crate) struct Arena<W> {
+    /// The retained nodes, in pop order (non-decreasing span).
+    pub(crate) nodes: Vec<Candidate<W>>,
+    generated: usize,
+    pub(crate) pruned: usize,
+    truncated_by_len: bool,
+    /// The scale of the weights (see [`Weight::unscale`]).
+    pub(crate) scale: i128,
+    pub(crate) horizon: Q,
+    /// Where and why the exploration stopped early: the span of the
+    /// candidate it stopped at, and the budget dimension.
+    pub(crate) stopped: Option<(W, BudgetKind)>,
+}
+
+impl<W: Weight> Arena<W> {
+    /// Spans strictly below this are completely enumerated (see
+    /// [`Exploration::complete_span`]).
+    pub(crate) fn complete_span(&self) -> Q {
+        match self.stopped {
+            Some((span, _)) => span.unscale(self.scale),
+            None => self.horizon,
+        }
+    }
+
+    fn into_exploration(self) -> Exploration {
+        Exploration {
+            complete_span: self.complete_span(),
+            interrupted: self.stopped.map(|(_, kind)| kind),
+            nodes: self.nodes.iter().map(|c| c.unscale(self.scale)).collect(),
+            generated: self.generated,
+            pruned: self.pruned,
+            horizon: self.horizon,
+            truncated_by_len: self.truncated_by_len,
+        }
+    }
+}
+
+/// An exploration run in one of the two exact weight domains.
+pub(crate) enum Explored {
+    /// Over the task's weights scaled to integers.
+    Scaled(Arena<i128>),
+    /// Over exact rationals: the scaled weights could leave `i128`.
+    Exact(Arena<Q>),
+}
+
+/// Explores in scaled integers when a static bound proves that no span or
+/// work of the exploration can leave `i128`, and in exact rationals
+/// otherwise. The domain is chosen before the first meter tick, so one
+/// run never mixes the two (a mid-run fallback would tick the meter
+/// twice).
+pub(crate) fn explore_scaled(task: &DrtTask, cfg: &ExploreConfig, meter: &BudgetMeter) -> Explored {
+    let scaled = ScaledGraph::new(task).and_then(|g| Some((scaled_horizon(&g, cfg.horizon)?, g)));
+    match scaled {
+        Some((h, g)) => Explored::Scaled(run(task, &g, h, cfg, meter)),
+        None => Explored::Exact(run(
+            task,
+            &ScaledGraph::exact(task),
+            cfg.horizon,
+            cfg,
+            meter,
+        )),
+    }
+}
+
+/// `⌊horizon·D⌋` when every span and work of an exploration to `horizon`
+/// provably fits `i128` at scale `D`, `None` otherwise.
+///
+/// For an integer span `s`, `s > horizon·D` iff `s > ⌊horizon·D⌋`, so the
+/// scaled horizon test is exact. Every expanded node has span at most
+/// `H = max(⌊horizon·D⌋, 0)`, so a successor's span is at most
+/// `H + max sep`; a path within `H` has at most `H / min sep + 1` jobs,
+/// so its work is at most that times the largest WCET.
+fn scaled_horizon(g: &ScaledGraph<i128>, horizon: Q) -> Option<i128> {
+    let h = horizon.checked_mul(Q::int(g.scale))?.floor();
+    let reach = h.max(0);
+    let seps = || g.edges.iter().map(|e| e.1);
+    reach.checked_add(seps().max().unwrap_or(0))?;
+    let jobs = seps()
+        .min()
+        .map_or(Some(1), |s| (reach / s).checked_add(1))?;
+    jobs.checked_mul(g.wcets.iter().copied().max().unwrap_or(0))?;
+    Some(h)
+}
+
+/// The exploration loop, generic over the weight domain: `g` holds the
+/// task's weights and `horizon` the configuration's horizon in it.
+fn run<W: Weight>(
+    task: &DrtTask,
+    g: &ScaledGraph<W>,
+    horizon: W,
+    cfg: &ExploreConfig,
+    meter: &BudgetMeter,
+) -> Arena<W> {
+    let sum = |a: W, b: W| {
+        a.plus(b).unwrap_or_else(|Overflow| {
+            unreachable!("scaled spans and works are statically bounded")
+        })
+    };
+    let mut nodes: Vec<Candidate<W>> = Vec::new();
+    let mut frontiers: Vec<Frontier<W>> = vec![Frontier::new(); task.num_vertices()];
+    let mut heap: BinaryHeap<Candidate<W>> = BinaryHeap::new();
     let mut generated = 0usize;
     let mut pruned = 0usize;
     let mut truncated_by_len = false;
-    let mut complete_span = cfg.horizon;
-    let mut interrupted: Option<BudgetKind> = None;
+    let mut stopped = None;
 
     for v in task.vertex_ids() {
         generated += 1;
         heap.push(Candidate {
-            span: Q::ZERO,
-            work: task.wcet(v),
+            span: W::ZERO,
+            work: g.wcets[v.index()],
             vertex: v,
             len: 1,
             parent: None,
@@ -245,8 +369,7 @@ pub fn explore_metered(task: &DrtTask, cfg: &ExploreConfig, meter: &BudgetMeter)
 
     while let Some(c) = heap.pop() {
         if !meter.tick_path() {
-            interrupted = meter.tripped().or(Some(BudgetKind::Paths));
-            complete_span = c.span;
+            stopped = Some((c.span, meter.tripped().unwrap_or(BudgetKind::Paths)));
             break;
         }
         if cfg.prune && frontiers[c.vertex.index()].dominated(c.span, c.work) {
@@ -265,17 +388,10 @@ pub fn explore_metered(task: &DrtTask, cfg: &ExploreConfig, meter: &BudgetMeter)
         }
         let idx = nodes.len();
         if idx >= cfg.node_limit {
-            interrupted = Some(BudgetKind::Paths);
-            complete_span = c.span;
+            stopped = Some((c.span, BudgetKind::Paths));
             break;
         }
-        nodes.push(PathNode {
-            vertex: c.vertex,
-            span: c.span,
-            work: c.work,
-            len: c.len,
-            parent: c.parent,
-        });
+        nodes.push(c);
         if cfg.prune {
             frontiers[c.vertex.index()].insert(c.span, c.work, idx);
         }
@@ -287,15 +403,15 @@ pub fn explore_metered(task: &DrtTask, cfg: &ExploreConfig, meter: &BudgetMeter)
                 continue;
             }
         }
-        for e in task.out_edges(c.vertex) {
-            let span = c.span + e.separation;
-            if span > cfg.horizon {
+        for (e, &(wcet, sep)) in task.out_edges(c.vertex).iter().zip(g.out(c.vertex)) {
+            let span = sum(c.span, sep);
+            if span > horizon {
                 continue;
             }
             generated += 1;
             heap.push(Candidate {
                 span,
-                work: c.work + task.wcet(e.to),
+                work: sum(c.work, wcet),
                 vertex: e.to,
                 len: c.len + 1,
                 parent: Some(idx),
@@ -303,14 +419,14 @@ pub fn explore_metered(task: &DrtTask, cfg: &ExploreConfig, meter: &BudgetMeter)
         }
     }
 
-    Exploration {
+    Arena {
         nodes,
         generated,
         pruned,
-        horizon: cfg.horizon,
         truncated_by_len,
-        complete_span,
-        interrupted,
+        scale: g.scale,
+        horizon: cfg.horizon,
+        stopped,
     }
 }
 
@@ -470,7 +586,7 @@ mod tests {
 
     #[test]
     fn frontier_insert_and_dominate() {
-        let mut f = Frontier::default();
+        let mut f = Frontier::new();
         f.insert(Q::ZERO, Q::ONE, 0);
         assert!(f.dominated(Q::ONE, Q::ONE));
         assert!(!f.dominated(Q::ONE, Q::TWO));
@@ -479,5 +595,247 @@ mod tests {
         f.insert(Q::ONE, Q::int(5), 2);
         assert!(f.dominated(Q::int(2), Q::int(5)));
         assert_eq!(f.entries.len(), 2);
+    }
+
+    use crate::rbf::Rbf;
+    use crate::weight::ScaledGraph;
+    use srtw_detrand::Rng;
+    use srtw_minplus::{q, Budget};
+
+    /// A random task with rational WCETs *and* rational separations: every
+    /// vertex on a ring, plus random chords.
+    fn rational_task(rng: &mut Rng, size: u32) -> DrtTask {
+        let n = rng.random_range(1..=2 + size as i128 / 8) as usize;
+        let mut b = DrtTaskBuilder::new("rational");
+        let vs: Vec<VertexId> = (0..n)
+            .map(|i| {
+                let wcet = Q::new(rng.random_range(1..=40i128), rng.random_range(1..=12i128));
+                b.vertex(format!("v{i}"), wcet)
+            })
+            .collect();
+        let sep = |rng: &mut Rng| Q::new(rng.random_range(1..=90i128), rng.random_range(1..=8i128));
+        for i in 0..n {
+            let s = sep(rng);
+            b.edge(vs[i], vs[(i + 1) % n], s);
+        }
+        for i in 0..n {
+            for j in 0..n {
+                if j != (i + 1) % n && rng.random_ratio(1, 3) {
+                    let s = sep(rng);
+                    b.edge(vs[i], vs[j], s);
+                }
+            }
+        }
+        b.build().unwrap()
+    }
+
+    /// Rebuilds a task made by `srtw-gen` as this crate's type (the
+    /// generator links its own copy of the crate, whose types differ).
+    macro_rules! adopt {
+        ($task:expr) => {{
+            let t = $task;
+            let mut b = DrtTaskBuilder::new(t.name());
+            let ids: Vec<VertexId> = t
+                .vertex_ids()
+                .map(|v| b.vertex(t.vertex(v).label.clone(), t.wcet(v)))
+                .collect();
+            for v in t.vertex_ids() {
+                for e in t.out_edges(v) {
+                    b.edge(ids[v.index()], ids[e.to.index()], e.separation);
+                }
+            }
+            b.build().unwrap()
+        }};
+    }
+
+    /// Default, length-capped, unpruned (kept finite by a node limit) and
+    /// node-limited configurations at horizon `h`.
+    fn configs(h: Q) -> [ExploreConfig; 4] {
+        let mut raw = ExploreConfig::new(h).without_pruning();
+        raw.node_limit = 300;
+        let mut small = ExploreConfig::new(h);
+        small.node_limit = 7;
+        [
+            ExploreConfig::new(h),
+            ExploreConfig::new(h).with_max_len(3),
+            raw,
+            small,
+        ]
+    }
+
+    const MAX_PATHS: [Option<u64>; 7] = [
+        None,
+        Some(0),
+        Some(1),
+        Some(2),
+        Some(5),
+        Some(17),
+        Some(100),
+    ];
+
+    fn meter(max_paths: Option<u64>) -> BudgetMeter {
+        match max_paths {
+            None => BudgetMeter::unlimited(),
+            Some(n) => BudgetMeter::new(&Budget::default().with_max_paths(n)),
+        }
+    }
+
+    fn assert_same(a: &Exploration, b: &Exploration) {
+        assert_eq!(a.nodes(), b.nodes(), "arenas differ");
+        assert_eq!(a.generated, b.generated, "generated");
+        assert_eq!(a.pruned, b.pruned, "pruned");
+        assert_eq!(a.complete_span, b.complete_span, "complete span");
+        assert_eq!(a.interrupted, b.interrupted, "interrupted");
+        assert_eq!(a.truncated_by_len, b.truncated_by_len, "truncated by len");
+        assert_eq!(a.horizon, b.horizon, "horizon");
+    }
+
+    /// Runs the loop in scaled `i128` and in exact `Q` under every
+    /// configuration and path cap, and asserts identical explorations
+    /// (parents included) and identical rbfs.
+    fn assert_domains_agree(task: &DrtTask, horizons: &[Q]) {
+        let scaled = ScaledGraph::new(task).expect("task scales to i128");
+        let exact = ScaledGraph::exact(task);
+        for &h in horizons {
+            let hd = scaled_horizon(&scaled, h).expect("scaled horizon fits");
+            let auto = explore_scaled(task, &ExploreConfig::new(h), &BudgetMeter::unlimited());
+            assert!(
+                matches!(auto, Explored::Scaled(_)),
+                "expected the i128 domain"
+            );
+            for cfg in configs(h) {
+                for mp in MAX_PATHS {
+                    let int = run(task, &scaled, hd, &cfg, &meter(mp));
+                    let rat = run(task, &exact, h, &cfg, &meter(mp));
+                    assert_eq!(
+                        Rbf::from_arena(task, &int),
+                        Rbf::from_arena(task, &rat),
+                        "rbf at horizon {h}, cap {mp:?}, {cfg:?}"
+                    );
+                    assert_same(&int.into_exploration(), &rat.into_exploration());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn scaled_and_exact_explorations_agree_on_rational_tasks() {
+        srtw_detrand::prop::forall("explorer_i128_vs_q", rational_task, |task| {
+            assert_domains_agree(task, &[Q::ZERO, q(5, 3), q(37, 2), Q::int(60), q(301, 2)]);
+        });
+    }
+
+    #[test]
+    fn scaled_and_exact_explorations_agree_on_adversarial_tasks() {
+        for seed in 0..4 {
+            let coprime = adopt!(srtw_gen::adversarial_coprime(3 + seed as usize, seed));
+            assert_domains_agree(
+                &coprime,
+                &[Q::int(20_000), Q::int(400_000), q(3_000_000_001, 2)],
+            );
+            let chain = adopt!(srtw_gen::adversarial_deep_chain(30, seed));
+            assert_domains_agree(&chain, &[Q::int(10), q(201, 2), Q::int(700)]);
+            let dense = adopt!(srtw_gen::adversarial_dense(6, seed));
+            assert_domains_agree(&dense, &[Q::int(5), q(41, 3), Q::int(30)]);
+        }
+    }
+
+    /// Every node's span and work equal the sums along its reconstructed
+    /// path, and the nodes come out in non-decreasing span.
+    fn assert_consistent(task: &DrtTask, ex: &Exploration) {
+        for (i, n) in ex.nodes().iter().enumerate() {
+            let path = ex.path_of(i);
+            let work = path.iter().fold(Q::ZERO, |w, &v| w + task.wcet(v));
+            let span = path.windows(2).fold(Q::ZERO, |s, pair| {
+                let e = task.out_edges(pair[0]).iter().filter(|e| e.to == pair[1]);
+                s + e.map(|e| e.separation).min().unwrap()
+            });
+            assert_eq!((n.work, n.len), (work, path.len()));
+            assert!(n.span >= span && n.span <= ex.horizon.max(Q::ZERO));
+        }
+        assert!(ex.nodes().windows(2).all(|w| w[0].span <= w[1].span));
+    }
+
+    #[test]
+    fn unscalable_denominators_explore_in_exact_rationals() {
+        // Distinct primes just above 2^40: their product overflows i128,
+        // so no common scale exists, while each self-loop's sums (one
+        // denominator each) stay representable in Q.
+        const PRIMES: [i128; 4] = [
+            1_099_511_627_791,
+            1_099_511_627_803,
+            1_099_511_627_831,
+            1_099_511_627_873,
+        ];
+        let mut b = DrtTaskBuilder::new("primes");
+        let vs: Vec<VertexId> = PRIMES
+            .iter()
+            .enumerate()
+            .map(|(i, &p)| b.vertex(format!("v{i}"), Q::new(3 * p + 1, p)))
+            .collect();
+        for (i, &v) in vs.iter().enumerate() {
+            b.edge(v, v, Q::int(10 + i as i128));
+        }
+        let task = b.build().unwrap();
+        assert!(ScaledGraph::new(&task).is_none(), "D must overflow");
+        let cfg = ExploreConfig::new(Q::int(40));
+        let auto = explore_scaled(&task, &cfg, &BudgetMeter::unlimited());
+        assert!(matches!(auto, Explored::Exact(_)), "expected the Q domain");
+        let ex = explore(&task, &cfg);
+        // Spans 0, 10, 20, 30, 40 on v0; 0, 11, 22, 33 on v1; …
+        assert_eq!(ex.nodes().len(), 5 + 4 + 4 + 4);
+        assert_consistent(&task, &ex);
+    }
+
+    #[test]
+    fn oversized_scaled_horizon_explores_in_exact_rationals() {
+        // D = p·p' ≈ 2^80 fits, but horizon·D ≈ 2^130 does not.
+        let mut b = DrtTaskBuilder::new("wide");
+        let x = b.vertex("x", Q::new(1, 1_099_511_627_791));
+        let y = b.vertex("y", Q::new(1, 1_099_511_627_803));
+        b.edge(x, y, Q::ONE);
+        let task = b.build().unwrap();
+        let g = ScaledGraph::new(&task).expect("D fits");
+        let horizon = Q::int(1 << 50);
+        assert_eq!(scaled_horizon(&g, horizon), None);
+        let auto = explore_scaled(
+            &task,
+            &ExploreConfig::new(horizon),
+            &BudgetMeter::unlimited(),
+        );
+        assert!(matches!(auto, Explored::Exact(_)), "expected the Q domain");
+        let ex = explore(&task, &ExploreConfig::new(horizon));
+        assert_eq!(ex.nodes().len(), 3);
+        assert_consistent(&task, &ex);
+        // Work, not span, can also fail the bound: 2^30 jobs of 2^100.
+        let mut b = DrtTaskBuilder::new("heavy");
+        let v = b.vertex("v", Q::int(1 << 100));
+        b.edge(v, v, Q::ONE);
+        let heavy = b.build().unwrap();
+        let g = ScaledGraph::new(&heavy).expect("integers scale");
+        assert_eq!(scaled_horizon(&g, Q::int(1 << 20)), Some(1 << 20));
+        assert_eq!(scaled_horizon(&g, Q::int(1 << 30)), None);
+    }
+
+    #[test]
+    fn scaled_horizon_is_the_floor() {
+        let mut b = DrtTaskBuilder::new("thirds");
+        let v = b.vertex("v", q(1, 3));
+        b.edge(v, v, q(5, 2));
+        let task = b.build().unwrap();
+        let g = ScaledGraph::new(&task).unwrap();
+        assert_eq!(g.scale, 6);
+        assert_eq!(scaled_horizon(&g, q(7, 4)), Some(10));
+        assert_eq!(scaled_horizon(&g, Q::int(5)), Some(30));
+        assert_eq!(scaled_horizon(&g, q(-1, 4)), Some(-2));
+        // Spans 0, 5/2, 5 at horizon 5 — and 5 is excluded at 49/10.
+        assert_eq!(
+            explore(&task, &ExploreConfig::new(Q::int(5))).nodes().len(),
+            3
+        );
+        assert_eq!(
+            explore(&task, &ExploreConfig::new(q(49, 10))).nodes().len(),
+            2
+        );
     }
 }

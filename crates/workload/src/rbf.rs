@@ -11,7 +11,8 @@
 //! (see [`crate::paths`]) and returned as a right-continuous staircase.
 
 use crate::digraph::DrtTask;
-use crate::paths::{explore_metered, ExploreConfig};
+use crate::paths::{explore_scaled, Arena, ExploreConfig, Explored};
+use crate::weight::Weight;
 use srtw_minplus::{BudgetKind, BudgetMeter, Curve, Piece, Q, Tail};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -82,29 +83,42 @@ impl Rbf {
     /// edgeless task). Either way the truncated rbf **dominates** the true
     /// rbf everywhere, so any delay bound computed from it is sound.
     pub fn compute_metered(task: &DrtTask, horizon: Q, meter: &BudgetMeter) -> Rbf {
-        let ex = explore_metered(task, &ExploreConfig::new(horizon), meter);
-        let exact_span = ex.complete_span;
-        let truncated = ex.interrupted;
-        let mut pts: Vec<(Q, Q)> = ex
-            .nodes()
+        match explore_scaled(task, &ExploreConfig::new(horizon), meter) {
+            Explored::Scaled(arena) => Rbf::from_arena(task, &arena),
+            Explored::Exact(arena) => Rbf::from_arena(task, &arena),
+        }
+    }
+
+    /// The rbf read off an exploration arena: the running maximum of work
+    /// over the nodes in pop order (ascending span), folded in the arena's
+    /// weight domain. Only the staircase points leave it.
+    pub(crate) fn from_arena<W: Weight>(task: &DrtTask, arena: &Arena<W>) -> Rbf {
+        let horizon = arena.horizon;
+        let exact_span = arena.complete_span();
+        let truncated = arena.stopped.map(|(_, kind)| kind);
+        let stop = arena.stopped.map(|(span, _)| span);
+        // Keep strictly increasing work; a later node at the same span
+        // can only raise that span's value.
+        let mut steps: Vec<(W, W)> = Vec::new();
+        for n in arena
+            .nodes
             .iter()
-            .filter(|n| truncated.is_none() || n.span < exact_span)
-            .map(|n| (n.span, n.work))
-            .collect();
-        pts.sort();
-        // Running max over increasing span; keep strictly increasing work.
-        let mut points: Vec<(Q, Q)> = Vec::new();
-        for (s, w) in pts {
-            match points.last_mut() {
-                Some(last) if last.0 == s => {
-                    if w > last.1 {
-                        last.1 = w;
+            .take_while(|n| stop.is_none_or(|s| n.span < s))
+        {
+            match steps.last_mut() {
+                Some(last) if last.0 == n.span => {
+                    if n.work > last.1 {
+                        last.1 = n.work;
                     }
                 }
-                Some(last) if w <= last.1 => {}
-                _ => points.push((s, w)),
+                Some(last) if n.work <= last.1 => {}
+                _ => steps.push((n.span, n.work)),
             }
         }
+        let points: Vec<(Q, Q)> = steps
+            .into_iter()
+            .map(|(s, w)| (s.unscale(arena.scale), w.unscale(arena.scale)))
+            .collect();
         // Coarse affine tail dominating the true rbf everywhere (only used
         // when truncated; see the doc comment for the soundness argument).
         // Both the subadditive line (from the exact prefix) and the
@@ -146,8 +160,8 @@ impl Rbf {
             truncated,
             tail_base,
             tail_rate,
-            paths_retained: ex.nodes().len(),
-            paths_pruned: ex.pruned,
+            paths_retained: arena.nodes.len(),
+            paths_pruned: arena.pruned,
         }
     }
 
@@ -463,11 +477,51 @@ mod tests {
         b.build().unwrap()
     }
 
+    /// [`branching`] with rational WCETs and separations.
+    fn rational_branching() -> DrtTask {
+        let mut b = DrtTaskBuilder::new("rational-branching");
+        let a = b.vertex("a", q(5, 2));
+        let x = b.vertex("x", q(4, 3));
+        let y = b.vertex("y", q(7, 4));
+        b.edge(a, x, q(9, 2));
+        b.edge(a, y, q(17, 3));
+        b.edge(x, a, q(11, 4));
+        b.edge(y, a, q(10, 3));
+        b.edge(y, y, q(13, 5));
+        b.build().unwrap()
+    }
+
     #[test]
     fn rbf_matches_brute_force() {
         let task = branching();
         let rbf = Rbf::compute(&task, Q::int(40));
         for i in 0..=80 {
+            let t = q(i, 2);
+            assert_eq!(rbf.eval(t), brute_rbf(&task, t), "rbf({t})");
+        }
+        // Rational separations: probe on a grid finer than every
+        // separation denominator, plus every breakpoint itself.
+        let task = rational_branching();
+        let rbf = Rbf::compute(&task, Q::int(24));
+        let grid = (0..=24 * 120).map(|i| q(i, 120));
+        for t in grid.chain(rbf.points().iter().map(|p| p.0)) {
+            assert_eq!(rbf.eval(t), brute_rbf(&task, t), "rbf({t})");
+        }
+    }
+
+    #[test]
+    fn unscalable_rbf_matches_brute_force() {
+        // WCET denominators whose product overflows i128: the rbf is
+        // explored in exact rationals and must still be exact.
+        const PRIMES: [i128; 3] = [1_099_511_627_791, 1_099_511_627_803, 1_099_511_627_831];
+        let mut b = DrtTaskBuilder::new("primes");
+        for (i, p) in PRIMES.into_iter().enumerate() {
+            let v = b.vertex(format!("v{i}"), Q::new(2 * p + 1, p));
+            b.edge(v, v, Q::int(7 + i as i128));
+        }
+        let task = b.build().unwrap();
+        let rbf = Rbf::compute(&task, Q::int(30));
+        for i in 0..=60 {
             let t = q(i, 2);
             assert_eq!(rbf.eval(t), brute_rbf(&task, t), "rbf({t})");
         }

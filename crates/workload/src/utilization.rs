@@ -16,6 +16,7 @@
 //! rationals only when the scaled values leave `i128`.
 
 use crate::digraph::{DrtTask, VertexId};
+use crate::weight::{Overflow, ScaledGraph, Weight};
 use srtw_minplus::Q;
 
 /// A cycle witnessing the maximum ratio: vertex sequence (first vertex not
@@ -56,7 +57,7 @@ pub fn critical_cycle(task: &DrtTask) -> Option<CriticalCycle> {
 /// relaxes every `λ` over exact rationals, `Some` over scaled integers
 /// wherever they fit. Both give the same cycle and ratio (the unit tests
 /// compare them).
-fn critical_cycle_by(task: &DrtTask, scaled: Option<&ScaledGraph>) -> Option<CriticalCycle> {
+fn critical_cycle_by(task: &DrtTask, scaled: Option<&ScaledGraph<i128>>) -> Option<CriticalCycle> {
     let mut cycle = any_cycle(task)?;
     let mut lambda = cycle_ratio(task, &cycle);
     // Improvement loop: each extracted cycle has a strictly larger ratio;
@@ -93,50 +94,6 @@ fn critical_cycle_by(task: &DrtTask, scaled: Option<&ScaledGraph>) -> Option<Cri
     }
 }
 
-/// The edge data scaled to integers by `D`, the lcm of every WCET and
-/// separation denominator: per edge (in `out_edges` order, source by
-/// source) `(D·wcet(target), D·separation)`.
-///
-/// For `λ = p/q` (`q > 0`) the reduced weight `wcet − λ·separation`
-/// times the positive factor `q·D` is the integer
-/// `q·(D·wcet) − p·(D·separation)`, so longest-path relaxation over the
-/// scaled weights compares, relaxes and records parents exactly as over
-/// the rationals — at the cost of an `i128` multiply instead of a
-/// gcd-normalised rational operation.
-struct ScaledGraph {
-    edges: Vec<(i128, i128)>,
-}
-
-impl ScaledGraph {
-    /// `None` when `D` or a scaled value overflows `i128`.
-    fn new(task: &DrtTask) -> Option<ScaledGraph> {
-        let ids = || (0..task.num_vertices()).map(VertexId);
-        let denominators = ids()
-            .map(|v| task.wcet(v).denom())
-            .chain(ids().flat_map(|v| task.out_edges(v).iter().map(|e| e.separation.denom())));
-        let mut d = Q::ONE;
-        for den in denominators {
-            d = Q::try_lcm(d, Q::int(den)).ok()?;
-        }
-        let d = d.numer();
-        let scale = |x: Q| x.numer().checked_mul(d / x.denom());
-        let edges = ids()
-            .flat_map(|v| task.out_edges(v))
-            .map(|e| Some((scale(task.wcet(e.to))?, scale(e.separation)?)))
-            .collect::<Option<Vec<_>>>()?;
-        Some(ScaledGraph { edges })
-    }
-
-    /// The scaled reduced weights at `λ`, `None` when a product overflows.
-    fn weights(&self, lambda: Q) -> Option<Vec<i128>> {
-        let (p, q) = (lambda.numer(), lambda.denom());
-        self.edges
-            .iter()
-            .map(|&(w, s)| q.checked_mul(w)?.checked_sub(p.checked_mul(s)?))
-            .collect()
-    }
-}
-
 /// The positive-cycle search over the exact rational reduced weights.
 fn exact_cycle(task: &DrtTask, lambda: Q) -> Option<Vec<VertexId>> {
     let weights: Vec<Q> = (0..task.num_vertices())
@@ -145,30 +102,6 @@ fn exact_cycle(task: &DrtTask, lambda: Q) -> Option<Vec<VertexId>> {
         .collect();
     positive_cycle(task, &weights)
         .unwrap_or_else(|Overflow| unreachable!("Q::plus never reports overflow"))
-}
-
-/// An `i128` distance left its range; the caller redoes the search in `Q`.
-struct Overflow;
-
-/// A reduced edge weight: exact rational, or the same rational scaled to
-/// an integer.
-trait Weight: Copy + Ord {
-    const ZERO: Self;
-    fn plus(self, rhs: Self) -> Result<Self, Overflow>;
-}
-
-impl Weight for i128 {
-    const ZERO: i128 = 0;
-    fn plus(self, rhs: i128) -> Result<i128, Overflow> {
-        self.checked_add(rhs).ok_or(Overflow)
-    }
-}
-
-impl Weight for Q {
-    const ZERO: Q = Q::ZERO;
-    fn plus(self, rhs: Q) -> Result<Q, Overflow> {
-        Ok(self + rhs)
-    }
 }
 
 /// The exact ratio of a vertex cycle.

@@ -15,7 +15,9 @@
 #   4. CLI smoke test on the shipped sample system;
 #   5. adversarial stress suite at elevated case counts (no-panic,
 #      budget-respecting, structural ≤ degraded ≤ RTC sandwich), plus
-#      the budgeted CLI run on systems/adversarial.srtw;
+#      the budgeted CLI run on systems/adversarial.srtw, plus the path
+#      explorer's differential property (scaled-integer vs exact-rational
+#      instantiation: identical arenas and rbfs) at 1024 cases;
 #   6. supervised batch smoke test: the shipped systems under a 2 s
 #      watchdog must come back degraded-not-failed (exit 0), and a
 #      fault-injected batch must exhaust the ladder and exit 4;
@@ -106,6 +108,10 @@ echo "== 5/12 adversarial stress suite =="
 # Elevated case count for the seeded property suite; the release profile
 # keeps the 150 ms wall budget per case meaningful.
 SRTW_PROP_CASES=256 cargo test -q --release --offline --test stress
+# The explorer runs in scaled integers or exact rationals; both must give
+# the same arena, counters and rbf on every seeded rational task.
+SRTW_PROP_CASES=1024 cargo test -q --release --offline -p srtw-workload --lib \
+    paths::tests::scaled_and_exact_explorations_agree
 # The shipped adversarial system must degrade gracefully under a 1 s wall
 # budget: exit 0, a degradation warning on stderr, "degraded":true in JSON.
 adv_err=$(mktemp)
