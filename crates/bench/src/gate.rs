@@ -315,7 +315,6 @@ mod tests {
             max_ns: median * 1.1,
             samples: 3,
             iters: 10,
-            allocs_per_iter: None,
         }
     }
 

@@ -8,10 +8,7 @@
 //! [`timing`]) to produce `BENCH_1.json`.
 
 #![warn(missing_docs)]
-// The `count-allocs` feature implements `GlobalAlloc`, which is inherently
-// an `unsafe impl`; everything else in the crate stays free of unsafe code.
-#![cfg_attr(not(feature = "count-allocs"), forbid(unsafe_code))]
-#![cfg_attr(feature = "count-allocs", deny(unsafe_op_in_unsafe_fn))]
+#![forbid(unsafe_code)]
 
 pub mod gate;
 pub mod suites;

@@ -10,7 +10,7 @@ use srtw_core::{
     busy_window, rtc_delay, structural_delay, structural_delay_with, AnalysisConfig, Budget,
 };
 use srtw_gen::{adversarial_dense, generate_drt, rescale_utilization, DrtGenConfig};
-use srtw_minplus::{q, BudgetMeter, Curve, Pipe, Q};
+use srtw_minplus::{q, BudgetMeter, Curve, Q};
 use srtw_sim::{earliest_random_walk, simulate_fifo, ServiceProcess};
 use srtw_workload::{explore, ExploreConfig, Rbf};
 use std::hint::black_box;
@@ -427,87 +427,40 @@ pub fn server_connections_suite(t: &Timer) -> Vec<Sample> {
     out
 }
 
-/// B8 — the streaming pipeline: fused conv → conv → min → hdev through
-/// [`srtw_minplus::Pipe`] against the equivalent materializing
-/// composition, and a four-hop tandem concatenation both ways.
-///
-/// Mirroring B6, the suite first **asserts** that the fused pipeline is
-/// bit-identical to the materializing composition — fusion only skips
-/// intermediate validation scans and reuses one scratch arena, it must
-/// never change a breakpoint.
+/// B8 — materializing (min,+) compositions: conv → conv → min → hdev,
+/// and a four-hop tandem concatenation. The group and row names are kept
+/// from when each row had a fused twin, so the gate still pairs new
+/// documents with BENCH_5…BENCH_9.
 pub fn fused_pipeline_suite(t: &Timer) -> Vec<Sample> {
     let mut out = Vec::new();
     let h = Q::int(200);
-    // Same leading pair as B1's conv_upto/200 so the fused numbers tie
-    // back to the gated convolution suite.
+    // Same leading pair as B1's conv_upto/200 so the numbers tie back to
+    // the gated convolution suite.
     let a = Curve::staircase(Q::int(4), Q::int(3));
     let b = Curve::rate_latency(q(3, 4), Q::int(5));
     let b2 = Curve::rate_latency(Q::int(3), Q::int(2));
     let c = Curve::staircase(Q::int(5), Q::int(4)).shift_up(Q::int(2));
     let demand = Curve::staircase(Q::int(6), Q::int(2));
     let meter = BudgetMeter::unlimited();
-
-    let fused = |a: &Curve| {
-        Pipe::new(a.clone(), &meter)
-            .conv_upto(&b, h)
-            .unwrap()
-            .conv_upto(&b2, h)
-            .unwrap()
-            .min(&c)
-            .unwrap()
-            .hdev_of(&demand)
-            .unwrap()
-    };
-    let materializing = |a: &Curve| {
+    out.push(t.bench("fused_pipeline", "conv_min_hdev/materializing/200", || {
         let c1 = a.try_conv_upto(&b, h, &meter).unwrap();
         let c2 = c1.try_conv_upto(&b2, h, &meter).unwrap();
         let min = c2.try_pointwise_min(&c, &meter).unwrap();
-        demand.try_hdev(&min, &meter).unwrap()
-    };
-    assert_eq!(
-        fused(&a),
-        materializing(&a),
-        "fused pipeline diverged from the materializing composition"
-    );
-    out.push(t.bench("fused_pipeline", "conv_min_hdev/fused/200", || {
-        black_box(fused(&a));
-    }));
-    out.push(t.bench("fused_pipeline", "conv_min_hdev/materializing/200", || {
-        black_box(materializing(&a));
+        black_box(demand.try_hdev(&min, &meter).unwrap());
     }));
 
-    // Four-hop tandem concatenation: fold the hops through one pipe vs
-    // materializing every intermediate concatenation.
     let hops = [
         Curve::rate_latency(Q::int(2), Q::int(3)),
         Curve::rate_latency(q(5, 2), Q::int(2)),
         Curve::rate_latency(Q::int(3), Q::int(4)),
         Curve::rate_latency(Q::int(4), Q::ONE),
     ];
-    let fused_chain = || {
-        let mut p = Pipe::new(hops[0].clone(), &meter);
-        for hop in &hops[1..] {
-            p = p.conv_upto(hop, h).unwrap();
-        }
-        p.finish()
-    };
-    let materializing_chain = || {
+    out.push(t.bench("fused_pipeline", "concatenate_4hops/materializing/200", || {
         let mut cur = hops[0].clone();
         for hop in &hops[1..] {
             cur = cur.try_conv_upto(hop, h, &meter).unwrap();
         }
-        cur
-    };
-    assert_eq!(
-        fused_chain(),
-        materializing_chain(),
-        "fused tandem concatenation diverged"
-    );
-    out.push(t.bench("fused_pipeline", "concatenate_4hops/fused/200", || {
-        black_box(fused_chain());
-    }));
-    out.push(t.bench("fused_pipeline", "concatenate_4hops/materializing/200", || {
-        black_box(materializing_chain());
+        black_box(cur);
     }));
     out
 }
@@ -853,7 +806,7 @@ mod tests {
         assert_eq!(budgeted_suite(&t).len(), 6);
         assert_eq!(parallel_suite(&t).len(), 4);
         assert_eq!(server_throughput_suite(&t).len(), 3);
-        assert_eq!(fused_pipeline_suite(&t).len(), 4);
+        assert_eq!(fused_pipeline_suite(&t).len(), 2);
         assert_eq!(server_connections_suite(&t).len(), 3);
         assert_eq!(journal_overhead_suite(&t).len(), 4);
         assert_eq!(cache_saturation_suite(&t).len(), 7);

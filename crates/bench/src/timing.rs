@@ -15,63 +15,6 @@ use srtw_core::Json;
 use std::path::Path;
 use std::time::{Duration, Instant};
 
-/// Thread-local allocation counting, active only with the `count-allocs`
-/// feature: a [`std::alloc::GlobalAlloc`] wrapper around the system
-/// allocator that bumps a thread-local counter on every `alloc`/`realloc`.
-/// Deallocations are free and uncounted; the counter measures allocation
-/// *pressure*, which is what distinguishes a fused pipeline (scratch reuse)
-/// from a materializing one (fresh buffers per operator).
-#[cfg(feature = "count-allocs")]
-mod counting_alloc {
-    use std::alloc::{GlobalAlloc, Layout, System};
-    use std::cell::Cell;
-
-    thread_local! {
-        static ALLOCS: Cell<u64> = const { Cell::new(0) };
-    }
-
-    struct CountingAlloc;
-
-    // SAFETY: defers every operation to `System`; the counter update is a
-    // plain thread-local `Cell` bump, which cannot itself allocate.
-    unsafe impl GlobalAlloc for CountingAlloc {
-        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
-            unsafe { System.alloc(layout) }
-        }
-
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-            unsafe { System.dealloc(ptr, layout) }
-        }
-
-        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
-            unsafe { System.realloc(ptr, layout, new_size) }
-        }
-    }
-
-    #[global_allocator]
-    static GLOBAL: CountingAlloc = CountingAlloc;
-
-    pub(super) fn current() -> u64 {
-        ALLOCS.with(|c| c.get())
-    }
-}
-
-/// The number of heap allocations this thread has performed so far, or
-/// `None` unless the crate was built with the `count-allocs` feature.
-/// Subtract two readings to count the allocations of the code in between.
-pub fn alloc_count() -> Option<u64> {
-    #[cfg(feature = "count-allocs")]
-    {
-        Some(counting_alloc::current())
-    }
-    #[cfg(not(feature = "count-allocs"))]
-    {
-        None
-    }
-}
-
 /// One benchmark measurement (per-iteration times in nanoseconds).
 #[derive(Debug, Clone)]
 pub struct Sample {
@@ -89,9 +32,6 @@ pub struct Sample {
     pub samples: usize,
     /// Iterations per sample chosen by calibration.
     pub iters: u64,
-    /// Heap allocations per iteration (one instrumented pass), `None`
-    /// unless built with the `count-allocs` feature.
-    pub allocs_per_iter: Option<u64>,
 }
 
 /// Benchmark configuration: warmup budget, sample count, and the target
@@ -169,13 +109,6 @@ impl Timer {
         per_iter_ns.sort_by(|a, b| a.total_cmp(b));
         let median_ns = per_iter_ns[per_iter_ns.len() / 2];
 
-        // One extra instrumented pass for the allocation count (after the
-        // timed samples so the instrumentation cannot disturb them).
-        let allocs_per_iter = alloc_count().map(|before| {
-            f();
-            alloc_count().expect("counting allocator vanished") - before
-        });
-
         Sample {
             group,
             name: name.into(),
@@ -184,7 +117,6 @@ impl Timer {
             max_ns: per_iter_ns[per_iter_ns.len() - 1],
             samples: per_iter_ns.len(),
             iters,
-            allocs_per_iter,
         }
     }
 }
@@ -211,12 +143,8 @@ pub fn print_samples(samples: &[Sample]) {
         .unwrap_or(0);
     for s in samples {
         let id = format!("{}/{}", s.group, s.name);
-        let allocs = match s.allocs_per_iter {
-            Some(n) => format!("   {n} allocs/op"),
-            None => String::new(),
-        };
         println!(
-            "{id:<width$}  median {:>12}   range [{} .. {}]   ({} samples × {} iters){allocs}",
+            "{id:<width$}  median {:>12}   range [{} .. {}]   ({} samples × {} iters)",
             human_ns(s.median_ns),
             human_ns(s.min_ns),
             human_ns(s.max_ns),
@@ -231,18 +159,14 @@ pub fn print_samples(samples: &[Sample]) {
 pub fn to_json(samples: &[Sample]) -> Json {
     let mut groups: Vec<(&'static str, Vec<Json>)> = Vec::new();
     for s in samples {
-        let mut fields = vec![
+        let entry = Json::object(vec![
             ("name", Json::str(&s.name)),
             ("median_ns", Json::Float(s.median_ns)),
             ("min_ns", Json::Float(s.min_ns)),
             ("max_ns", Json::Float(s.max_ns)),
             ("samples", Json::Int(s.samples as i128)),
             ("iters", Json::Int(s.iters as i128)),
-        ];
-        if let Some(n) = s.allocs_per_iter {
-            fields.push(("allocs_per_iter", Json::Int(n as i128)));
-        }
-        let entry = Json::object(fields);
+        ]);
         match groups.iter_mut().find(|(g, _)| *g == s.group) {
             Some((_, v)) => v.push(entry),
             None => groups.push((s.group, vec![entry])),
@@ -298,7 +222,6 @@ mod tests {
                 max_ns: 11.0,
                 samples: 3,
                 iters: 100,
-                allocs_per_iter: None,
             },
             Sample {
                 group: "b",
@@ -308,7 +231,6 @@ mod tests {
                 max_ns: 21.0,
                 samples: 3,
                 iters: 50,
-                allocs_per_iter: Some(7),
             },
             Sample {
                 group: "a",
@@ -318,7 +240,6 @@ mod tests {
                 max_ns: 31.0,
                 samples: 3,
                 iters: 10,
-                allocs_per_iter: None,
             },
         ];
         let doc = to_json(&samples).render();

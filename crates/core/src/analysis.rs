@@ -193,17 +193,17 @@ pub fn fifo_structural(
 /// meter, which replays exactly the ticks this one spent on it — except
 /// that a wall-clock trip inside the fixpoint degrades the baseline too.
 ///
-/// `memo` may be warm (for example promoted from earlier requests). It
-/// caches only **exact** rbfs — pure functions of `(task, horizon)` — so a
-/// warm memo can only change *how fast* the result is computed, never
-/// *what* it is: on an unmetered budget the output is byte-identical to a
-/// cold run. (Under an active budget a warm memo skips exploration ticks,
-/// which can only let the analysis complete *more* exactly; callers
-/// needing tick-exact reproducibility of degraded runs should pass a fresh
-/// memo.) The caller can read per-component reuse provenance from the memo
-/// afterwards ([`RbfMemo::hits`] / [`RbfMemo::computes`] /
-/// [`RbfMemo::snapshot`]). `memo` must have one slot group per task,
-/// indexed consistently with `tasks`.
+/// `memo` may already hold rbfs from an earlier analysis of the same
+/// `tasks` (the delta route re-runs a subset first). It caches only
+/// **exact** rbfs — pure functions of `(task, horizon)` — so a filled memo
+/// can only change *how fast* the result is computed, never *what* it is:
+/// on an unmetered budget the output is byte-identical to a run on a fresh
+/// memo. (Under an active budget a memo hit skips exploration ticks, which
+/// can only let the analysis complete *more* exactly; callers needing
+/// tick-exact reproducibility of degraded runs should pass a fresh memo.)
+/// The caller can read reuse provenance from the memo afterwards
+/// ([`RbfMemo::hits`] / [`RbfMemo::computes`]). `memo` must have one slot
+/// group per task, indexed consistently with `tasks`.
 pub fn fifo_analysis(
     tasks: &[DrtTask],
     beta: &Curve,

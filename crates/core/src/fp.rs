@@ -11,7 +11,7 @@ use crate::analysis::{structural_delay_at, AnalysisConfig};
 use crate::busy::busy_window;
 use crate::error::AnalysisError;
 use crate::report::DelayAnalysis;
-use srtw_minplus::{BudgetMeter, Curve, Pipe, Q};
+use srtw_minplus::{BudgetMeter, Curve, Q};
 use srtw_workload::{DrtTask, Rbf};
 
 /// Structural per-job-type bounds for each task under preemptive
@@ -67,25 +67,16 @@ pub fn fixed_priority_structural_with(
         .collect();
 
     let mut out = Vec::with_capacity(tasks.len());
-    // The leftover-service chain β → [β − rbf₀]⁺↑ → [… − rbf₁]⁺↑ → … runs
-    // as one fused pipeline: each level's analysis taps the current curve,
-    // each subtraction is a stage without an intermediate validation scan.
+    // The leftover-service chain β → [β − rbf₀]⁺↑ → [… − rbf₁]⁺↑ → …
     let meter = BudgetMeter::unlimited();
-    let mut current = Pipe::new(beta.clone(), &meter);
+    let mut current = beta.clone();
     for (task, alpha) in tasks.iter().zip(alphas.iter()) {
         // Pin the horizon: the level's own busy-window estimate against
         // the (truncation-optimistic beyond the joint horizon) leftover
         // curve is not trusted; the joint bound is sound for every level
         // and the leftover curve is exact on [0, 2·horizon].
-        out.push(structural_delay_at(
-            task,
-            current.current(),
-            cfg,
-            Some(horizon),
-        )?);
-        current = current
-            .sub_clamped(alpha)
-            .expect("unmetered leftover-service subtraction cannot trip");
+        out.push(structural_delay_at(task, &current, cfg, Some(horizon))?);
+        current = current.try_sub_clamped_monotone(alpha, &meter)?;
     }
     Ok(out)
 }

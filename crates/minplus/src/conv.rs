@@ -21,7 +21,7 @@ use crate::error::CurveError;
 use crate::meter::{BudgetKind, BudgetMeter};
 use crate::ops::{ck_add, TailInfo};
 use crate::ratio::{Q, Q64};
-use crate::stream::{CurveStream, Unroll};
+use crate::stream::Unroll;
 use std::cell::Cell;
 
 /// The budget error carrying whichever dimension actually tripped `meter`.
@@ -111,13 +111,12 @@ impl Part64 {
     }
 }
 
-/// Reusable buffers for the convolution/deconvolution kernels. A fused
-/// [`crate::stream::Pipe`] owns one and threads it through every stage, so
-/// a chained conv → min → hdev composition recycles the same candidate,
-/// event-grid, and envelope-line arenas instead of allocating fresh ones
-/// per operator; the one-shot entry points create a transient instance.
+/// The per-call buffers of one convolution or deconvolution: operand
+/// fragments, candidates, event grid and envelope lines, in both the exact
+/// `Q` and the scalar `Q64` forms. The scalar pass and the `Q` pass that
+/// replays it after an overflow share one instance.
 #[derive(Debug, Default)]
-pub(crate) struct ConvScratch {
+struct ConvScratch {
     pa: Vec<Part>,
     pb: Vec<Part>,
     cand: Vec<Part>,
@@ -131,20 +130,13 @@ pub(crate) struct ConvScratch {
     out64: Vec<(Q64, Q64, Q64)>,
 }
 
-impl ConvScratch {
-    pub(crate) fn new() -> ConvScratch {
-        ConvScratch::default()
-    }
-}
-
 /// Explicit pieces of `c` truncated to `[0, h]`, as [`Part`]s carrying
 /// their extents, written into `out` (cleared first).
 ///
 /// Streams the unrolled pieces through [`Unroll`] instead of materializing
-/// them: the meter sees the identical tick sequence (the stream is drained
-/// to exhaustion even past `h`, exactly as `try_pieces_upto` lifts every
-/// piece of every qualifying period), but the unrolled `Vec<Piece>` is
-/// never built — each event is converted to a [`Part`] on the fly using
+/// them: the meter sees the tick sequence of [`Curve::try_pieces_upto`]
+/// (the stream is drained to exhaustion even past `h`), but the unrolled
+/// `Vec<Piece>` is never built — each event is converted to a [`Part`] on the fly using
 /// one event of lookahead for the extent's right end.
 fn parts_of_into(
     c: &Curve,
@@ -156,7 +148,7 @@ fn parts_of_into(
     let hp1 = h + Q::ONE;
     let mut stream = Unroll::new(c, h, meter);
     let mut pending: Option<Piece> = None;
-    while let Some(ev) = stream.next_event() {
+    while let Some(ev) = stream.next() {
         let p = ev?;
         if let Some(prev) = pending.take() {
             out.push(Part {
@@ -170,7 +162,7 @@ fn parts_of_into(
             // Past the horizon: nothing further is emitted, but the stream
             // is drained so the metered tick demand matches the
             // materializing unroll exactly.
-            while let Some(ev) = stream.next_event() {
+            for ev in stream {
                 ev?;
             }
             return Ok(());
@@ -634,58 +626,21 @@ impl Curve {
         h: Q,
         meter: &BudgetMeter,
     ) -> Result<Curve, CurveError> {
-        self.try_conv_upto_scratch(other, h, meter, &mut ConvScratch::new(), true)
-    }
-
-    /// [`Curve::try_conv_upto`] for fused pipelines: reuses the caller's
-    /// scratch arena and skips the exit validation/normalization pass (the
-    /// kernels construct valid pieces; a [`crate::stream::Pipe`]
-    /// canonicalizes once at its exit instead of once per stage).
-    pub(crate) fn try_conv_upto_raw(
-        &self,
-        other: &Curve,
-        h: Q,
-        meter: &BudgetMeter,
-        scratch: &mut ConvScratch,
-    ) -> Result<Curve, CurveError> {
-        self.try_conv_upto_scratch(other, h, meter, scratch, false)
-    }
-
-    fn try_conv_upto_scratch(
-        &self,
-        other: &Curve,
-        h: Q,
-        meter: &BudgetMeter,
-        scratch: &mut ConvScratch,
-        validate: bool,
-    ) -> Result<Curve, CurveError> {
         assert!(!h.is_negative(), "conv_upto with negative horizon");
-        match (self.shape(), other.shape()) {
+        let mut scratch = ConvScratch::default();
+        let pieces = match (self.shape(), other.shape()) {
             (Shape::Concave | Shape::Both, Shape::Concave | Shape::Both) => {
-                self.conv_concave(other, meter)
+                return self.conv_concave(other, meter);
             }
             (Shape::Convex | Shape::Both, Shape::Convex | Shape::Both)
                 if matches!(self.tail(), Tail::Affine)
                     && matches!(other.tail(), Tail::Affine) =>
             {
-                let pieces = self.conv_convex_pieces(other, h, meter, scratch)?;
-                Ok(if validate {
-                    Curve::new(pieces, Tail::Affine)
-                        .expect("convex conv produced an invalid curve")
-                } else {
-                    Curve::raw(pieces, Tail::Affine).into_normalized()
-                })
+                self.conv_convex_pieces(other, h, meter, &mut scratch)?
             }
-            _ => {
-                let pieces = conv_general_pieces(self, other, h, meter, scratch)?;
-                Ok(if validate {
-                    Curve::new(pieces, Tail::Affine)
-                        .expect("conv_upto produced an invalid curve")
-                } else {
-                    Curve::raw(pieces, Tail::Affine).into_normalized()
-                })
-            }
-        }
+            _ => conv_general_pieces(self, other, h, meter, &mut scratch)?,
+        };
+        Ok(Curve::new(pieces, Tail::Affine).expect("conv_upto produced an invalid curve"))
     }
 
     /// Concave ⊗ concave in O(n+m): write `f = f(0) + F`, `g = g(0) + G`
@@ -774,7 +729,7 @@ impl Curve {
         h: Q,
         meter: &BudgetMeter,
     ) -> Result<Curve, CurveError> {
-        let pieces = conv_general_pieces(self, other, h, meter, &mut ConvScratch::new())?;
+        let pieces = conv_general_pieces(self, other, h, meter, &mut ConvScratch::default())?;
         Ok(Curve::new(pieces, Tail::Affine).expect("conv_upto produced an invalid curve"))
     }
 
@@ -851,23 +806,8 @@ impl Curve {
         u_cap: Q,
         meter: &BudgetMeter,
     ) -> Result<Curve, CurveError> {
-        self.try_deconv_upto_with(other, h, u_cap, meter, &mut ConvScratch::new(), true)
-    }
-
-    /// [`Curve::try_deconv_upto`] over a caller-owned scratch arena. With
-    /// `validate` off the result skips the `Curve::new` validation scan
-    /// (trusted pipeline interior) but is still normalized, so it is
-    /// byte-identical to the validated result.
-    pub(crate) fn try_deconv_upto_with(
-        &self,
-        other: &Curve,
-        h: Q,
-        u_cap: Q,
-        meter: &BudgetMeter,
-        scratch: &mut ConvScratch,
-        validate: bool,
-    ) -> Result<Curve, CurveError> {
         assert!(!h.is_negative() && !u_cap.is_negative());
+        let mut scratch = ConvScratch::default();
         parts_of_into(self, ck_add(h, u_cap)?, meter, &mut scratch.pa)?;
         parts_of_into(other, u_cap, meter, &mut scratch.pb)?;
         let ConvScratch {
@@ -877,7 +817,7 @@ impl Curve {
             events,
             lines,
             ..
-        } = scratch;
+        } = &mut scratch;
 
         // Up to four candidates per region pair (see below); reserving once
         // keeps the inner loop allocation-free.
@@ -933,11 +873,7 @@ impl Curve {
             return Ok(Curve::constant(self.eval(Q::ZERO) - other.eval(Q::ZERO)));
         }
         let pieces = envelope(cand, h, true, &Ticker::new(meter), events, lines)?;
-        Ok(if validate {
-            Curve::new(pieces, Tail::Affine).expect("deconv_upto produced an invalid curve")
-        } else {
-            Curve::raw(pieces, Tail::Affine).into_normalized()
-        })
+        Ok(Curve::new(pieces, Tail::Affine).expect("deconv_upto produced an invalid curve"))
     }
 
     /// (min,+) deconvolution with an automatically derived inner-supremum

@@ -12,7 +12,7 @@
 use crate::error::{ArithmeticError, CurveError};
 use crate::meter::BudgetMeter;
 use crate::ratio::Q;
-use crate::stream::PieceBuf;
+use crate::stream::{PieceBuf, Unroll};
 use std::sync::OnceLock;
 
 /// The overflow error value for `ok_or_else` sites in this module.
@@ -154,15 +154,6 @@ impl Curve {
         }
     }
 
-    /// Normalizes in place and returns the curve: the canonicalizing exit
-    /// of a fused [`crate::stream::Pipe`]. The pipeline stages build pieces
-    /// with trusted kernels (invariants hold by construction), so only the
-    /// colinear-merge pass of [`Curve::new`] is needed — not its
-    /// validation scan.
-    pub(crate) fn into_normalized(mut self) -> Curve {
-        self.normalize();
-        self
-    }
     /// Creates a curve from pieces and a tail descriptor, validating all
     /// representation invariants (non-empty, starts at 0, strictly
     /// increasing starts, non-decreasing values, consistent tail).
@@ -409,41 +400,7 @@ impl Curve {
     /// the periodic pattern. A huge horizon over a tiny period is the
     /// classic blow-up this guards (the unrolled list would be enormous).
     pub fn try_pieces_upto(&self, h: Q, meter: &BudgetMeter) -> Result<Vec<Piece>, CurveError> {
-        assert!(!h.is_negative(), "pieces_upto with negative horizon");
-        
-        match self.tail {
-            Tail::Affine => Ok(self.pieces.to_vec()),
-            Tail::Periodic {
-                pattern_start,
-                period,
-                increment,
-            } => {
-                let mut out = self.pieces.to_vec();
-                let s = self.pieces[pattern_start].start;
-                let pattern: Vec<Piece> = self.pieces[pattern_start..].to_vec();
-                let mut k: i128 = 1;
-                loop {
-                    let kq = Q::int(k);
-                    let shift = period.checked_mul(kq).ok_or_else(ovf)?;
-                    let lift = increment.checked_mul(kq).ok_or_else(ovf)?;
-                    if s.checked_add(shift).ok_or_else(ovf)? > h {
-                        break;
-                    }
-                    for p in &pattern {
-                        if !meter.tick_segment() {
-                            return Err(CurveError::Budget(
-                                meter.tripped().expect("tick returned false"),
-                            ));
-                        }
-                        let start = p.start.checked_add(shift).ok_or_else(ovf)?;
-                        let value = p.value.checked_add(lift).ok_or_else(ovf)?;
-                        out.push(Piece::new(start, value, p.slope));
-                    }
-                    k += 1;
-                }
-                Ok(out)
-            }
-        }
+        Unroll::new(self, h, meter).collect()
     }
 
     /// A line `b + r·t` with `f(t) ≥ b + r·t` for **all** `t ≥ 0`, where
@@ -491,46 +448,6 @@ impl Curve {
             b = b.min(p.eval(end) - r * end);
         }
         (b, r)
-    }
-
-    /// Returns an equivalent curve whose explicit pieces cover `[0, h]` and
-    /// whose tail start is `≥ h` alignment-wise — useful before combining
-    /// curves. The returned curve is equal to `self` everywhere.
-    pub fn unrolled_to(&self, h: Q) -> Curve {
-        match self.tail {
-            Tail::Affine => self.clone(),
-            Tail::Periodic {
-                pattern_start,
-                period,
-                increment,
-            } => {
-                let s = self.pieces[pattern_start].start;
-                if s >= h {
-                    return self.clone();
-                }
-                // Number of extra whole periods to unroll so the remaining
-                // pattern starts at or after `h`.
-                let k = ((h - s) / period).ceil().max(0);
-                let mut pieces = self.pieces.to_vec();
-                let pattern: Vec<Piece> = self.pieces[pattern_start..].to_vec();
-                for kk in 1..=k {
-                    let shift = period * Q::int(kk);
-                    let lift = increment * Q::int(kk);
-                    for p in &pattern {
-                        pieces.push(Piece::new(p.start + shift, p.value + lift, p.slope));
-                    }
-                }
-                let new_pattern_start = pattern_start + pattern.len() * k as usize;
-                Curve::raw(
-                    pieces,
-                    Tail::Periodic {
-                        pattern_start: new_pattern_start,
-                        period,
-                        increment,
-                    },
-                )
-            }
-        }
     }
 
     // ----- constructors ---------------------------------------------------
@@ -1029,17 +946,6 @@ mod tests {
         let rl = Curve::rate_latency(Q::int(2), Q::int(3));
         let (b, r) = rl.lower_line();
         assert_eq!(rl.eval(Q::int(10)), b + r * Q::int(10));
-    }
-
-    #[test]
-    fn unrolled_to_preserves_values() {
-        let s = Curve::staircase(Q::int(5), Q::int(2));
-        let u = s.unrolled_to(Q::int(23));
-        for i in 0..60 {
-            let t = q(i, 2);
-            assert_eq!(s.eval(t), u.eval(t), "mismatch at {t}");
-            assert_eq!(s.eval_left(t), u.eval_left(t), "left mismatch at {t}");
-        }
     }
 
     #[test]

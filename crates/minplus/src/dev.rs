@@ -18,7 +18,7 @@ use crate::extended::Ext;
 use crate::meter::{BudgetKind, BudgetMeter};
 use crate::ops::{ck_add, running_max_diff, try_common_period, TailInfo};
 use crate::ratio::Q;
-use crate::stream::{CurveStream, Unroll};
+use crate::stream::Unroll;
 
 impl Curve {
     /// Lower pseudo-inverse: `f⁻¹(w) = inf { t ≥ 0 : f(t) ≥ w }`.
@@ -215,8 +215,7 @@ impl Curve {
         // pseudo-inverse kinks). Both scans stream the unrolled pieces
         // instead of materializing them (same tick sequence).
         let mut cands: Vec<Q> = Vec::new();
-        let mut demand_stream = Unroll::new(self, h, meter);
-        while let Some(ev) = demand_stream.next_event() {
+        for ev in Unroll::new(self, h, meter) {
             let p = ev?;
             if p.start <= h {
                 cands.push(p.start);
@@ -230,15 +229,9 @@ impl Curve {
             Ext::Infinite => return Ok(Ext::Infinite),
         };
         let mut service_stream = Unroll::new(other, bh, meter);
-        let mut pending = match service_stream.next_event() {
-            Some(ev) => Some(ev?),
-            None => None,
-        };
+        let mut pending = service_stream.next().transpose()?;
         while let Some(p) = pending {
-            let next = match service_stream.next_event() {
-                Some(ev) => Some(ev?),
-                None => None,
-            };
+            let next = service_stream.next().transpose()?;
             // Both the piece's start value and its left limit at the next
             // breakpoint are levels where other's pseudo-inverse kinks.
             let levels = [Some(p.value), next.map(|n| p.eval(n.start))];

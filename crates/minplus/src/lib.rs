@@ -54,4 +54,3 @@ pub use meter::{
     Budget, BudgetKind, BudgetMeter, CancelToken, FaultKind, FaultPlan, CLOCK_STRIDE,
 };
 pub use ratio::{q, ParseQError, Q};
-pub use stream::{CurveStream, PieceBuf, Pipe, Unroll, INLINE_PIECES};

@@ -214,9 +214,7 @@ pub(crate) fn try_common_period(a: &TailInfo, b: &TailInfo) -> Result<Option<Q>,
 }
 
 /// The kernel behind the pointwise entry points: returns the combined
-/// pieces and tail descriptor *before* curve construction, so the
-/// validating entry points and the raw (fused-pipeline) variants share one
-/// implementation.
+/// pieces and tail descriptor *before* curve construction.
 fn try_pointwise_parts(
     a: &Curve,
     b: &Curve,
@@ -319,20 +317,6 @@ fn try_pointwise(
     Ok(Curve::new(pieces, tail).expect("pointwise result invalid"))
 }
 
-/// [`Curve::try_pointwise_min`] for fused pipelines: identical pieces, but
-/// the result skips the validating constructor (the kernel's output is
-/// valid by construction) and only runs the colinear-merge normalization —
-/// so the intermediate a [`crate::stream::Pipe`] carries is byte-identical
-/// to the materializing operator's output.
-pub(crate) fn try_pointwise_min_raw(
-    a: &Curve,
-    b: &Curve,
-    meter: &BudgetMeter,
-) -> Result<Curve, CurveError> {
-    let (pieces, tail) = try_pointwise_parts(a, b, PointOp::Min, meter)?;
-    Ok(Curve::raw(pieces, tail).into_normalized())
-}
-
 fn pointwise(a: &Curve, b: &Curve, op: PointOp) -> Curve {
     try_pointwise(a, b, op, &BudgetMeter::unlimited())
         .expect("unmetered pointwise operation failed")
@@ -382,24 +366,6 @@ impl Curve {
         try_pointwise(self, other, PointOp::Min, meter)
     }
 
-    /// Fallible, budgeted [`Curve::pointwise_max`].
-    pub fn try_pointwise_max(
-        &self,
-        other: &Curve,
-        meter: &BudgetMeter,
-    ) -> Result<Curve, CurveError> {
-        try_pointwise(self, other, PointOp::Max, meter)
-    }
-
-    /// Fallible, budgeted [`Curve::pointwise_add`].
-    pub fn try_pointwise_add(
-        &self,
-        other: &Curve,
-        meter: &BudgetMeter,
-    ) -> Result<Curve, CurveError> {
-        try_pointwise(self, other, PointOp::Add, meter)
-    }
-
     /// The non-decreasing clamped difference
     /// `t ↦ sup_{0≤s≤t} max(0, f(s) − g(s))`.
     ///
@@ -442,10 +408,8 @@ impl Curve {
 }
 
 /// The kernel behind [`Curve::try_sub_clamped_monotone`]: returns the
-/// result's pieces and tail descriptor before curve construction, shared
-/// by the validating entry point and the fused-pipeline stage (which skips
-/// the validation scan and only normalizes).
-pub(crate) fn try_sub_clamped_parts(
+/// result's pieces and tail descriptor before curve construction.
+fn try_sub_clamped_parts(
     f: &Curve,
     g: &Curve,
     meter: &BudgetMeter,

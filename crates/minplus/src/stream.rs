@@ -1,34 +1,16 @@
-//! Streaming breakpoint pipelines and small-segment storage.
-//!
-//! Three pieces live here:
+//! Small-segment storage and the lazy periodic unroll.
 //!
 //! * [`PieceBuf`] — the segment store backing [`Curve`]: up to
 //!   [`INLINE_PIECES`] pieces inline (no heap traffic for the small curves
 //!   that dominate real workloads), spilling to a `Vec` beyond that.
-//! * [`CurveStream`] / [`Unroll`] — a lazy breakpoint event source: yields
-//!   `(start, value, slope)` events of a curve unrolled to a horizon one at
-//!   a time, metering periodic lifts exactly like
-//!   [`Curve::try_pieces_upto`] without ever materializing the unrolled
-//!   list. The convolution kernels consume their operands through this.
-//! * [`Pipe`] — a fused operator pipeline over raw (trusted, unvalidated)
-//!   intermediate curves: convolution, pointwise min, and clamped
-//!   subtraction stages chain without intermediate validation scans or
-//!   shape-cache churn, sharing one scratch arena across stages; a
-//!   canonical [`Curve`] is collected only at the pipeline exits
-//!   ([`Pipe::finish`], [`Pipe::hdev_of`], [`Pipe::vdev_of`]).
-//!
-//! Every stage runs the *same* metered kernel cores as the materializing
-//! entry points, so budget trips, cancellation, and fault injection land on
-//! identical operation indices, and exit results are byte-identical to the
-//! materializing composition (the final normalization merges any colinear
-//! breakpoints an unnormalized intermediate may have introduced).
+//! * [`Unroll`] — the one periodic-lift loop: an iterator over the pieces
+//!   of a curve unrolled to a horizon, metering each lifted piece.
+//!   [`Curve::try_pieces_upto`] collects it; the convolution and deviation
+//!   kernels stream it.
 
-use crate::conv::ConvScratch;
 use crate::curve::{Curve, Piece, Tail};
 use crate::error::CurveError;
-use crate::extended::Ext;
 use crate::meter::BudgetMeter;
-use crate::ops::{try_pointwise_min_raw, try_sub_clamped_parts};
 use crate::ratio::Q;
 
 /// Number of pieces a [`PieceBuf`] stores without touching the heap.
@@ -105,8 +87,8 @@ impl PieceBuf {
     }
 
     /// Is the buffer currently stored inline (no heap allocation)?
-    #[inline]
-    pub fn is_inline(&self) -> bool {
+    #[cfg(test)]
+    fn is_inline(&self) -> bool {
         matches!(self.repr, Repr::Inline { .. })
     }
 }
@@ -179,22 +161,17 @@ impl std::fmt::Debug for PieceBuf {
     }
 }
 
-/// A lazy source of curve breakpoint events.
-///
-/// Implementors yield [`Piece`]s in strictly increasing `start` order;
-/// metered sources surface budget trips and arithmetic overflow as an
-/// `Err` event, after which the stream is exhausted.
-pub trait CurveStream {
-    /// The next breakpoint event, or `None` when the stream is exhausted.
-    fn next_event(&mut self) -> Option<Result<Piece, CurveError>>;
-}
-
 /// Lazy unroll of a curve's pieces so that explicit events cover `[0, h]`:
-/// the streaming counterpart of [`Curve::try_pieces_upto`], ticking the
-/// segment budget once per periodically lifted piece in the identical order
-/// — but yielding events one at a time instead of materializing the list.
+/// yields the explicit pieces, then the periodically lifted pattern
+/// instances one piece at a time, ticking the segment budget once per
+/// lifted piece. [`Curve::try_pieces_upto`] collects it; the convolution
+/// and deviation kernels consume it without materializing the list.
+///
+/// Pieces come in strictly increasing `start` order. A budget trip or
+/// `i128` overflow is yielded as one `Err`, after which the iterator is
+/// exhausted.
 #[derive(Debug)]
-pub struct Unroll<'a> {
+pub(crate) struct Unroll<'a> {
     curve: &'a Curve,
     h: Q,
     meter: &'a BudgetMeter,
@@ -216,7 +193,7 @@ impl<'a> Unroll<'a> {
     /// # Panics
     ///
     /// Panics if `h < 0`.
-    pub fn new(curve: &'a Curve, h: Q, meter: &'a BudgetMeter) -> Unroll<'a> {
+    pub(crate) fn new(curve: &'a Curve, h: Q, meter: &'a BudgetMeter) -> Unroll<'a> {
         assert!(!h.is_negative(), "Unroll with negative horizon");
         Unroll {
             curve,
@@ -238,8 +215,10 @@ impl<'a> Unroll<'a> {
     }
 }
 
-impl CurveStream for Unroll<'_> {
-    fn next_event(&mut self) -> Option<Result<Piece, CurveError>> {
+impl Iterator for Unroll<'_> {
+    type Item = Result<Piece, CurveError>;
+
+    fn next(&mut self) -> Option<Result<Piece, CurveError>> {
         const OVF: CurveError = CurveError::Arithmetic(crate::error::ArithmeticError::Overflow);
         if self.done {
             return None;
@@ -265,13 +244,9 @@ impl CurveStream for Unroll<'_> {
         loop {
             if !self.instance_ready {
                 let kq = Q::int(self.k);
-                let shift = match period.checked_mul(kq) {
-                    Some(v) => v,
-                    None => return self.fail(OVF),
-                };
-                let lift = match increment.checked_mul(kq) {
-                    Some(v) => v,
-                    None => return self.fail(OVF),
+                let [Some(shift), Some(lift)] = [period, increment].map(|x| x.checked_mul(kq))
+                else {
+                    return self.fail(OVF);
                 };
                 match s.checked_add(shift) {
                     Some(v) if v > self.h => {
@@ -312,138 +287,6 @@ impl CurveStream for Unroll<'_> {
     }
 }
 
-/// A fused (min,+) operator pipeline.
-///
-/// Stages transform an intermediate curve built by trusted kernels — the
-/// per-stage validation scan of [`Curve::new`] is skipped entirely, and a
-/// single scratch arena (candidate fragments, event grids, envelope lines)
-/// is reused across all convolution stages, so a chain like
-/// conv → min → hdev allocates O(1) intermediate buffers instead of a
-/// fresh set per operator. Each stage's pieces are byte-identical to the
-/// corresponding materializing operator's output, so [`Pipe::finish`] and
-/// the deviation exits ([`Pipe::hdev_of`] / [`Pipe::vdev_of`]) return
-/// exactly what the materializing composition returns — including the
-/// meter tick sequence, hence budget trips, cancellation, and injected
-/// faults land on identical operation indices.
-///
-/// # Examples
-///
-/// ```
-/// use srtw_minplus::{BudgetMeter, Curve, Ext, Pipe, Q};
-///
-/// let b1 = Curve::rate_latency(Q::int(2), Q::int(1));
-/// let b2 = Curve::rate_latency(Q::ONE, Q::int(2));
-/// let alpha = Curve::staircase(Q::int(4), Q::int(2));
-/// let meter = BudgetMeter::unlimited();
-///
-/// // Fused end-to-end service and delay bound …
-/// let delay = Pipe::new(b1.clone(), &meter)
-///     .conv_upto(&b2, Q::int(60))
-///     .unwrap()
-///     .hdev_of(&alpha)
-///     .unwrap();
-/// // … identical to the materializing composition.
-/// assert_eq!(delay, alpha.hdev(&b1.conv_upto(&b2, Q::int(60))));
-/// assert_eq!(delay, Ext::Finite(Q::int(5)));
-/// ```
-pub struct Pipe<'a> {
-    cur: Curve,
-    meter: &'a BudgetMeter,
-    scratch: ConvScratch,
-}
-
-impl std::fmt::Debug for Pipe<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Pipe").field("cur", &self.cur).finish()
-    }
-}
-
-impl<'a> Pipe<'a> {
-    /// Starts a pipeline from an initial curve.
-    pub fn new(start: Curve, meter: &'a BudgetMeter) -> Pipe<'a> {
-        Pipe {
-            cur: start,
-            meter,
-            scratch: ConvScratch::new(),
-        }
-    }
-
-    /// (min,+) convolution stage, exact on `[0, h]` — the fused counterpart
-    /// of [`Curve::try_conv_upto`], reusing the pipeline's scratch arena.
-    pub fn conv_upto(mut self, other: &Curve, h: Q) -> Result<Pipe<'a>, CurveError> {
-        self.cur = self
-            .cur
-            .try_conv_upto_raw(other, h, self.meter, &mut self.scratch)?;
-        Ok(self)
-    }
-
-    /// Pointwise-minimum stage — the fused counterpart of
-    /// [`Curve::try_pointwise_min`].
-    pub fn min(mut self, other: &Curve) -> Result<Pipe<'a>, CurveError> {
-        self.cur = try_pointwise_min_raw(&self.cur, other, self.meter)?;
-        Ok(self)
-    }
-
-    /// Clamped monotone subtraction stage `[self − other]⁺↑` — the fused
-    /// counterpart of [`Curve::try_sub_clamped_monotone`] (leftover
-    /// service).
-    pub fn sub_clamped(mut self, other: &Curve) -> Result<Pipe<'a>, CurveError> {
-        let (pieces, tail) = try_sub_clamped_parts(&self.cur, other, self.meter)?;
-        self.cur = Curve::raw(pieces, tail).into_normalized();
-        Ok(self)
-    }
-
-    /// (min,+) deconvolution stage `self ⊘ other`, exact on `[0, h]`, with
-    /// the inner supremum searched over `u ∈ [0, u_cap]` — the fused
-    /// counterpart of [`Curve::try_deconv_upto`] (output arrival-curve
-    /// propagation).
-    pub fn deconv_upto(mut self, other: &Curve, h: Q, u_cap: Q) -> Result<Pipe<'a>, CurveError> {
-        self.cur =
-            self.cur
-                .try_deconv_upto_with(other, h, u_cap, self.meter, &mut self.scratch, false)?;
-        Ok(self)
-    }
-
-    /// Delay-bound exit: `hdev(demand, current)` — the worst-case delay of
-    /// `demand` served by the pipeline's current curve.
-    pub fn hdev_of(self, demand: &Curve) -> Result<Ext, CurveError> {
-        demand.try_hdev(&self.cur, self.meter)
-    }
-
-    /// Delay-bound tap: `hdev(current, beta)` — the worst-case delay of the
-    /// pipeline's current curve (as demand) served by `beta`. A tap, not an
-    /// exit: the pipeline can keep flowing (e.g. per-hop tandem bounds
-    /// interleaved with [`Pipe::deconv_upto`] propagation).
-    pub fn hdev_against(&self, beta: &Curve) -> Result<Ext, CurveError> {
-        self.cur.try_hdev(beta, self.meter)
-    }
-
-    /// Backlog-bound tap: `vdev(current, beta)`.
-    pub fn vdev_against(&self, beta: &Curve) -> Result<Ext, CurveError> {
-        self.cur.try_vdev(beta, self.meter)
-    }
-
-    /// Backlog-bound exit: `vdev(demand, current)`.
-    pub fn vdev_of(self, demand: &Curve) -> Result<Ext, CurveError> {
-        demand.try_vdev(&self.cur, self.meter)
-    }
-
-    /// A view of the current (raw) intermediate curve. Values are final;
-    /// the representation may still contain unmerged colinear breakpoints
-    /// until [`Pipe::finish`] canonicalizes it.
-    pub fn current(&self) -> &Curve {
-        &self.cur
-    }
-
-    /// Collects the pipeline result into a canonical [`Curve`]:
-    /// normalization merges any colinear breakpoints left by the raw
-    /// stages, yielding exactly the curve the materializing composition
-    /// produces.
-    pub fn finish(self) -> Curve {
-        self.cur.into_normalized()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -478,93 +321,80 @@ mod tests {
         assert_eq!(h1.finish(), h2.finish());
     }
 
+    fn unrolled(c: &Curve, h: Q) -> Vec<Piece> {
+        Unroll::new(c, h, &BudgetMeter::unlimited())
+            .map(|ev| ev.expect("unmetered unroll cannot fail"))
+            .collect()
+    }
+
     #[test]
-    fn unroll_matches_pieces_upto() {
-        let meter = BudgetMeter::unlimited();
-        let curves = [
-            Curve::staircase(Q::int(5), Q::int(2)),
-            Curve::rate_latency(Q::int(2), Q::int(3)),
-            Curve::staircase_lower(q(3, 2), Q::ONE),
+    fn unroll_lifts_whole_pattern_instances_up_to_the_horizon() {
+        let pc = |s: Q, v: Q, r: Q| Piece::new(s, v, r);
+        let (z, one) = (Q::ZERO, Q::ONE);
+        let stairs = Curve::staircase(Q::int(5), Q::int(2));
+        assert_eq!(unrolled(&stairs, z), [pc(z, Q::int(2), z)]);
+        assert_eq!(
+            unrolled(&stairs, Q::int(12)),
+            [
+                pc(z, Q::int(2), z),
+                pc(Q::int(5), Q::int(4), z),
+                pc(Q::int(10), Q::int(6), z)
+            ]
+        );
+        // An affine tail has nothing to lift, whatever the horizon.
+        let rl = Curve::rate_latency(Q::int(2), Q::int(3));
+        assert_eq!(
+            unrolled(&rl, Q::int(40)),
+            [pc(z, z, z), pc(Q::int(3), z, Q::int(2))]
+        );
+        // Rational period: the instance starting at 9/2 lies past h = 4.
+        let lower = Curve::staircase_lower(q(3, 2), one);
+        assert_eq!(
+            unrolled(&lower, Q::int(4)),
+            [
+                pc(z, z, z),
+                pc(q(3, 2), one, z),
+                pc(Q::int(3), Q::int(2), z)
+            ]
+        );
+        // A transient prefix and a two-piece pattern starting at t = 1.
+        let tail = Tail::Periodic {
+            pattern_start: 1,
+            period: Q::int(2),
+            increment: one,
+        };
+        let c = Curve::new(
+            vec![pc(z, z, z), pc(one, one, one), pc(Q::int(2), Q::int(2), z)],
+            tail,
+        )
+        .unwrap();
+        let two_instances = [
+            pc(Q::int(3), Q::int(2), one),
+            pc(Q::int(4), Q::int(3), z),
+            pc(Q::int(5), Q::int(3), one),
+            pc(Q::int(6), Q::int(4), z),
         ];
-        for c in &curves {
-            for h in [Q::ZERO, Q::int(7), Q::int(40)] {
-                let mut got = Vec::new();
-                let mut s = Unroll::new(c, h, &meter);
-                while let Some(ev) = s.next_event() {
-                    got.push(ev.unwrap());
-                }
-                assert_eq!(got, c.pieces_upto(h), "curve {c} at h = {h}");
-            }
-        }
+        assert_eq!(unrolled(&c, Q::int(5))[..3], c.pieces()[..]);
+        assert_eq!(unrolled(&c, Q::int(5))[3..], two_instances);
+        assert_eq!(c.pieces_upto(Q::int(5)), unrolled(&c, Q::int(5)));
     }
 
     #[test]
-    fn unroll_ticks_like_pieces_upto() {
-        use crate::meter::Budget;
+    fn unroll_trips_the_segment_budget_then_stays_exhausted() {
+        use crate::meter::{Budget, BudgetKind};
         let c = Curve::staircase(Q::ONE, Q::ONE);
-        let h = Q::int(50);
-        // Same tick demand: a cap that trips the materializing unroll trips
-        // the stream at the same segment count.
-        let m1 = BudgetMeter::new(&Budget::default().with_max_segments(10));
-        let materialized = c.try_pieces_upto(h, &m1);
-        assert!(materialized.is_err());
-        let m2 = BudgetMeter::new(&Budget::default().with_max_segments(10));
-        let mut s = Unroll::new(&c, h, &m2);
-        let mut streamed_err = None;
-        let mut yielded = 0usize;
-        while let Some(ev) = s.next_event() {
-            match ev {
-                Ok(_) => yielded += 1,
-                Err(e) => {
-                    streamed_err = Some(e);
-                    break;
-                }
-            }
+        let meter = BudgetMeter::new(&Budget::default().with_max_segments(10));
+        let mut s = Unroll::new(&c, Q::int(50), &meter);
+        // The explicit piece (unmetered) plus the 10 budgeted lifts that
+        // passed, each one step up the staircase.
+        for k in 0..11 {
+            let p = s.next().expect("budget not yet spent").unwrap();
+            assert_eq!(p, Piece::new(Q::int(k), Q::int(k + 1), Q::ZERO));
         }
-        assert_eq!(streamed_err, materialized.err());
-        // Explicit prefix (1 piece) plus the 10 budgeted lifts that passed.
-        assert_eq!(yielded, 11);
-        assert!(s.next_event().is_none(), "stream is exhausted after error");
-    }
-
-    #[test]
-    fn pipe_matches_materializing_composition() {
-        let meter = BudgetMeter::unlimited();
-        let b1 = Curve::rate_latency(Q::int(2), Q::int(1));
-        let b2 = Curve::staircase(Q::int(3), Q::int(2));
-        let alpha = Curve::staircase(Q::int(4), Q::int(3));
-        let h = Q::int(40);
-
-        let fused = Pipe::new(b1.clone(), &meter)
-            .conv_upto(&b2, h)
-            .unwrap()
-            .min(&b2)
-            .unwrap()
-            .finish();
-        let materialized = b1.conv_upto(&b2, h).pointwise_min(&b2);
-        assert_eq!(fused, materialized);
-
-        let fused_delay = Pipe::new(b1.clone(), &meter)
-            .conv_upto(&b2, h)
-            .unwrap()
-            .hdev_of(&alpha)
-            .unwrap();
-        assert_eq!(fused_delay, alpha.hdev(&b1.conv_upto(&b2, h)));
-
-        let fused_left = Pipe::new(b1.clone(), &meter)
-            .sub_clamped(&alpha)
-            .unwrap()
-            .finish();
-        assert_eq!(fused_left, b1.sub_clamped_monotone(&alpha));
-    }
-
-    #[test]
-    fn pipe_respects_budget() {
-        use crate::meter::Budget;
-        let b1 = Curve::staircase(Q::ONE, Q::ONE);
-        let b2 = Curve::staircase(Q::int(2), Q::ONE);
-        let meter = BudgetMeter::new(&Budget::default().with_max_segments(5));
-        let got = Pipe::new(b1, &meter).conv_upto(&b2, Q::int(1000));
-        assert!(matches!(got, Err(CurveError::Budget(_))));
+        assert_eq!(
+            s.next(),
+            Some(Err(CurveError::Budget(BudgetKind::Segments)))
+        );
+        assert!(s.next().is_none(), "stream is exhausted after error");
     }
 }

@@ -9,7 +9,7 @@
 //! * [`leftover_chain`] — fixed-priority: each stream's leftover after all
 //!   higher-priority arrival curves are subtracted.
 
-use srtw_minplus::{BudgetMeter, Curve, Pipe, Q};
+use srtw_minplus::{Curve, Q};
 
 /// End-to-end service curve of a tandem of servers, exact on `[0, h]`.
 ///
@@ -26,19 +26,11 @@ use srtw_minplus::{BudgetMeter, Curve, Pipe, Q};
 /// assert_eq!(e2e.eval(Q::int(7)), Q::int(4));
 /// ```
 pub fn concatenate_upto(betas: &[Curve], h: Q) -> Curve {
-    let mut iter = betas.iter();
-    let first = iter
-        .next()
-        .expect("concatenate_upto needs at least one server")
-        .clone();
-    // Fused convolution chain: one scratch arena across all hops, no
-    // intermediate validation scans, canonicalized once at the exit.
-    let meter = BudgetMeter::unlimited();
-    iter.fold(Pipe::new(first, &meter), |acc, b| {
-        acc.conv_upto(b, h)
-            .expect("unmetered tandem concatenation failed")
-    })
-    .finish()
+    let (first, rest) = betas
+        .split_first()
+        .expect("concatenate_upto needs at least one server");
+    rest.iter()
+        .fold(first.clone(), |acc, b| acc.conv_upto(b, h))
 }
 
 /// Leftover (remaining) lower service curve under blind multiplexing:
@@ -55,15 +47,11 @@ pub fn leftover_blind(beta: &Curve, alpha: &Curve) -> Curve {
 /// streams.
 pub fn leftover_chain(beta: &Curve, alphas: &[Curve]) -> Vec<Curve> {
     let mut out = Vec::with_capacity(alphas.len());
-    // One fused subtraction chain; each level's published curve is a
-    // canonical snapshot of the pipeline interior.
-    let meter = BudgetMeter::unlimited();
-    let mut current = Pipe::new(beta.clone(), &meter);
+    let mut current = beta.clone();
     for alpha in alphas {
-        out.push(current.current().clone());
-        current = current
-            .sub_clamped(alpha)
-            .expect("unmetered leftover subtraction failed");
+        let next = current.sub_clamped_monotone(alpha);
+        out.push(current);
+        current = next;
     }
     out
 }

@@ -1,37 +1,29 @@
-//! Content-addressed result caching and cross-request rbf promotion.
+//! Content-addressed result caching.
 //!
-//! Two stores back the service's incremental paths:
+//! [`ResultCache`] is a sharded, byte-budgeted, LRU-evicting map from the
+//! 128-bit canonical system hash to the rendered `POST /analyze` response
+//! body plus the structured [`FifoReport`] behind it. Every hit
+//! **verifies** the stored canonical form and the presentation digest
+//! before replaying — hash collisions and canonicalization incompleteness
+//! degrade to misses, never to wrong bodies (see `srtw_workload::canon`
+//! for the soundness argument). Only exact (non-degraded), fault-free
+//! results are stored: an exact report is a pure function of the parsed
+//! system, so a replayed body is byte-identical to what a cold run would
+//! produce — modulo `runtime_secs`, the document's only nondeterministic
+//! field. A request's deadline is therefore not part of the key: a
+//! deadline that never tripped leaves no trace in an exact body, and a
+//! deadlined request that hits gets the exact answer instead of a
+//! possibly degraded recompute.
 //!
-//! * [`ResultCache`] — a sharded, byte-budgeted, LRU-evicting map from
-//!   the 128-bit canonical system hash to the rendered `POST /analyze`
-//!   response body plus the structured [`FifoReport`] behind it. Every
-//!   hit **verifies** the stored canonical form and the presentation
-//!   digest before replaying — hash collisions and canonicalization
-//!   incompleteness degrade to misses, never to wrong bodies (see
-//!   `srtw_workload::canon` for the soundness argument). Only exact
-//!   (non-degraded), fault-free results are stored: an exact report is a
-//!   pure function of the parsed system, so a replayed body is
-//!   byte-identical to what a cold run would produce — modulo
-//!   `runtime_secs`, the document's only nondeterministic field. A
-//!   request's deadline is therefore not part of the key: a deadline that
-//!   never tripped leaves no trace in an exact body, and a deadlined
-//!   request that hits gets the exact answer instead of a possibly
-//!   degraded recompute.
-//! * [`MemoStore`] — promoted exact rbfs keyed by *per-task* canonical
-//!   hash and horizon, used to pre-seed a request's
-//!   [`RbfMemo`]. Because only exact rbfs are promoted (pure functions
-//!   of `(task, horizon)`), a warm memo changes how fast an unmetered
-//!   analysis runs, never what it returns — and it keeps paying off
-//!   across *renamed or re-ordered* variants of a system, where the
-//!   rendered-body cache must recompute.
+//! Nothing else outlives a request: each analysis gets a fresh
+//! per-request rbf memo, exactly as on the CLI.
 //!
 //! Replicas under `--replicas N` are shared-nothing: each has its own
-//! independent stores (documented in the README); the parent aggregates
+//! independent cache (documented in the README); the parent aggregates
 //! the per-replica counters in `/stats`.
 
 use crate::report::FifoReport;
-use srtw_minplus::Q;
-use srtw_workload::{CanonicalForm, Rbf, RbfMemo};
+use srtw_workload::CanonicalForm;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -41,14 +33,6 @@ use std::sync::Mutex;
 /// `canon & (SHARDS - 1)` index, so a shard's spill file replays into the
 /// same shard it was written from.
 pub(crate) const SHARDS: usize = 8;
-
-/// Most promoted `(horizon, rbf)` entries kept per canonical task hash —
-/// mirrors the per-request memo's way count.
-const MEMO_WAYS: usize = 8;
-
-/// Most task groups the [`MemoStore`] retains before evicting the least
-/// recently used.
-const MEMO_TASK_CAP: usize = 1024;
 
 struct Entry {
     /// Full canonical form, compared on every hit (collision safety).
@@ -227,83 +211,6 @@ impl ResultCache {
     }
 }
 
-struct MemoGroup {
-    entries: Vec<(Q, Rbf)>,
-    last_used: u64,
-}
-
-/// Promoted cross-request store of exact rbfs (see module docs).
-#[derive(Default)]
-pub(crate) struct MemoStore {
-    map: Mutex<HashMap<u128, MemoGroup>>,
-    clock: AtomicU64,
-}
-
-impl std::fmt::Debug for MemoStore {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MemoStore").finish()
-    }
-}
-
-impl MemoStore {
-    /// An empty store.
-    pub fn new() -> MemoStore {
-        MemoStore::default()
-    }
-
-    /// A fresh per-request memo for `task_hashes[i] = canonical hash of
-    /// task i`, pre-seeded with every promoted rbf known for those tasks.
-    pub fn warm(&self, task_hashes: &[u128]) -> RbfMemo {
-        let memo = RbfMemo::new(task_hashes.len());
-        let mut map = self.map.lock().unwrap();
-        let now = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
-        for (i, h) in task_hashes.iter().enumerate() {
-            if let Some(group) = map.get_mut(h) {
-                group.last_used = now;
-                for (horizon, rbf) in &group.entries {
-                    memo.seed(i, *horizon, rbf.clone());
-                }
-            }
-        }
-        memo
-    }
-
-    /// Promotes the exact rbfs a finished request left in its memo back
-    /// into the store, bounded per task and across tasks (LRU on task
-    /// groups).
-    pub fn promote(&self, task_hashes: &[u128], memo: &RbfMemo) {
-        let snapshot = memo.snapshot();
-        if snapshot.is_empty() {
-            return;
-        }
-        let mut map = self.map.lock().unwrap();
-        let now = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
-        for (index, horizon, rbf) in snapshot {
-            let Some(&hash) = task_hashes.get(index) else {
-                continue;
-            };
-            let group = map.entry(hash).or_insert_with(|| MemoGroup {
-                entries: Vec::new(),
-                last_used: now,
-            });
-            group.last_used = now;
-            if group.entries.len() < MEMO_WAYS
-                && !group.entries.iter().any(|(h, _)| *h == horizon)
-            {
-                group.entries.push((horizon, rbf));
-            }
-        }
-        while map.len() > MEMO_TASK_CAP {
-            let victim = map
-                .iter()
-                .min_by_key(|(_, g)| g.last_used)
-                .map(|(k, _)| *k)
-                .expect("over cap implies non-empty");
-            map.remove(&victim);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -365,35 +272,5 @@ mod tests {
         assert!(!cache.insert(k, form.clone(), 1, "b".into(), Some(report)));
         assert!(cache.lookup(k, &form, 1).is_none());
         assert_eq!(cache.bytes(), 0);
-    }
-
-    #[test]
-    fn memo_store_round_trips_exact_rbfs() {
-        let mut b = DrtTaskBuilder::new("t");
-        let v = b.vertex("a", Q::int(2));
-        b.edge(v, v, Q::int(8));
-        let task = b.build().unwrap();
-        let hash = canonical_task_form(&task).hash();
-
-        let store = MemoStore::new();
-        let memo = RbfMemo::new(1);
-        let _ = memo.get_or_compute(
-            0,
-            &task,
-            Q::int(40),
-            &srtw_minplus::BudgetMeter::unlimited(),
-        );
-        assert_eq!(memo.computes(), 1);
-        store.promote(&[hash], &memo);
-
-        let warm = store.warm(&[hash]);
-        let _ = warm.get_or_compute(
-            0,
-            &task,
-            Q::int(40),
-            &srtw_minplus::BudgetMeter::unlimited(),
-        );
-        assert_eq!(warm.hits(), 1, "promoted rbf must be a warm hit");
-        assert_eq!(warm.computes(), 0);
     }
 }

@@ -30,8 +30,8 @@
 //! stream replays). Any failed check — or a metered request (wall
 //! deadline, injected fault, drain cancel), where budget ticks must
 //! replay exactly — falls back to re-analysing every stream
-//! (`delta_full_fallbacks` in `/stats`), still warm-started from the
-//! promoted rbf memo when unmetered.
+//! (`delta_full_fallbacks` in `/stats`). An unmetered fallback reuses
+//! the rbfs the request's own subset run left in its per-request memo.
 
 use crate::http::{Request, Response};
 use crate::report::{fifo_report, fifo_report_with_memo, FifoReport};
@@ -40,7 +40,7 @@ use srtw_core::textfmt::{parse_system, ServerSpec, SystemSpec};
 use srtw_core::{fifo_analysis, AnalysisConfig, AnalysisError, Json};
 use srtw_minplus::{Budget, BudgetMeter, CancelToken, Q};
 use srtw_supervisor::{contain, Contained};
-use srtw_workload::{canonical_task_form, DrtTaskBuilder, Rbf, RbfMemo};
+use srtw_workload::{DrtTaskBuilder, Rbf, RbfMemo};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -333,8 +333,7 @@ pub(crate) fn apply_edits(base: &SystemSpec, edits: &[Edit]) -> Result<AppliedDe
     edited_tasks.sort_unstable();
     edited_tasks.dedup();
 
-    // Rebuild edited tasks only; untouched tasks are shared as-is, which
-    // keeps their canonical task hashes (and thus memo promotion)
+    // Rebuild edited tasks only; untouched tasks are shared as-is,
     // byte-for-byte identical to the base parse.
     let mut tasks = base.tasks.clone();
     for &t in &edited_tasks {
@@ -411,7 +410,7 @@ fn run_delta_with_base_tasks(
     let base = base_report.expect("splice_possible implies a base report");
 
     // Re-analyse the edited streams (this also computes the edited
-    // system's busy window and all rbfs into the warm memo, and the
+    // system's busy window and all rbfs into the memo, and the
     // baseline from that busy window).
     let (subset, rtc) = fifo_analysis(&system.tasks, beta, cfg, memo, edited)?;
 
@@ -567,8 +566,8 @@ pub(crate) fn analyze_delta(shared: &Shared, req: &Request) -> Response {
 
     // Metered requests (wall deadline, injected fault, drain cancel) run
     // the fully cold path: budget ticks must land on the same operations
-    // as a cold `/analyze` of the edited system, so no warm memo and no
-    // splicing. That *is* the full fallback.
+    // as a cold `/analyze` of the edited system, so no splicing. That
+    // *is* the full fallback.
     let metered = deadline_ms.is_some() || shared.cfg.fault.is_some() || hard_cancel;
 
     let base_hit = if cacheable && !metered {
@@ -580,13 +579,7 @@ pub(crate) fn analyze_delta(shared: &Shared, req: &Request) -> Response {
         None
     };
 
-    let memo = Arc::new(if metered {
-        RbfMemo::new(0)
-    } else {
-        shared
-            .memo_store
-            .warm(&task_hashes(&system.tasks))
-    });
+    let memo = Arc::new(RbfMemo::new(system.tasks.len()));
     let contained = {
         let memo = Arc::clone(&memo);
         let tasks_base = base_sys.tasks.clone();
@@ -645,13 +638,8 @@ pub(crate) fn analyze_delta(shared: &Shared, req: &Request) -> Response {
                 shared.stats.completed.fetch_add(1, Ordering::Relaxed);
             }
             let body = format!("{}\n", outcome.report.to_json());
-            if !metered {
-                shared
-                    .memo_store
-                    .promote(&task_hashes(&system.tasks), &memo);
-                if cacheable && !outcome.report.degraded() {
-                    shared.cache_insert(canon, form, presentation, &body, outcome.report.clone());
-                }
+            if !metered && cacheable && !outcome.report.degraded() {
+                shared.cache_insert(canon, form, presentation, &body, outcome.report.clone());
             }
             let mut resp = Response::json(200, body);
             resp.headers.push((
@@ -694,9 +682,4 @@ pub(crate) fn analyze_delta(shared: &Shared, req: &Request) -> Response {
             Response::json(500, error_body(3, "internal", "could not spawn the analysis thread", vec![])),
         ),
     }
-}
-
-/// Per-task canonical hashes, in task order.
-pub(crate) fn task_hashes(tasks: &[srtw_workload::DrtTask]) -> Vec<u128> {
-    tasks.iter().map(|t| canonical_task_form(t).hash()).collect()
 }

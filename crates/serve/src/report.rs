@@ -33,14 +33,16 @@ pub fn fifo_report(
     fifo_report_with_memo(tasks, beta, cfg, &RbfMemo::new(tasks.len()))
 }
 
-/// [`fifo_report`] reusing a caller-provided warm [`RbfMemo`].
+/// [`fifo_report`] over a caller-provided per-request [`RbfMemo`], which
+/// may already hold rbfs from an earlier analysis of the same `tasks`
+/// (`POST /analyze/delta` runs the edited streams first).
 ///
 /// On an unmetered budget the document is byte-identical to
 /// [`fifo_report`] — the memo holds only exact rbfs, pure functions of
 /// `(task, horizon)` — it is merely computed faster. Callers that meter
 /// the run (wall deadlines, injected faults) should use [`fifo_report`]
-/// instead: a warm memo skips exploration ticks, so degraded outputs
-/// would not replay tick-for-tick.
+/// instead: a memo hit skips exploration ticks, so degraded outputs would
+/// not replay tick-for-tick.
 pub fn fifo_report_with_memo(
     tasks: &[DrtTask],
     beta: &Curve,

@@ -14,13 +14,13 @@
 //! serving. Keep-alive connections cycle back to the acceptor after each
 //! response instead of occupying a worker between requests.
 
-use crate::cache::{MemoStore, ResultCache};
+use crate::cache::ResultCache;
 use crate::fault::{ProcessFault, ProcessFaultArm, ProcessFaultKind};
 use crate::gate::Gate;
 use crate::http::{Request, RequestError, Response, MAX_HEAD_BYTES};
 use crate::mux::{self, ConnJob, MuxConfig, MuxHandle, ReturnedConn, Returner};
 use crate::pool::Pool;
-use crate::report::{fifo_report, fifo_report_with_memo, FifoReport};
+use crate::report::{fifo_report, FifoReport};
 use crate::stats::{Gauges, Stats};
 use crate::sys;
 use srtw_core::textfmt::{parse_system, ParseError, ParseErrorKind, MAX_INPUT_BYTES};
@@ -28,7 +28,7 @@ use srtw_core::{AnalysisConfig, Json};
 use srtw_minplus::{Budget, CancelToken, FaultPlan};
 use srtw_persist::{load_dir, PersistFault, Store};
 use srtw_supervisor::{contain, Contained, JournalFault};
-use srtw_workload::{CanonicalForm, RbfMemo};
+use srtw_workload::CanonicalForm;
 use std::io::{self, Read as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -175,9 +175,6 @@ pub(crate) struct Shared {
     /// Content-addressed `/analyze` result cache (per process — replicas
     /// are shared-nothing and each own an independent cache).
     pub(crate) cache: ResultCache,
-    /// Promoted exact rbfs reused across requests (and across renamed /
-    /// re-ordered variants the result cache cannot serve).
-    pub(crate) memo_store: MemoStore,
     /// Crash-safe spill store behind the result cache (`--persist DIR`).
     /// `None` when persistence is off or degraded cold after a failure.
     pub(crate) persist: Option<Store>,
@@ -327,7 +324,6 @@ impl Server {
         let shared = Arc::new(Shared {
             fault_arm: ProcessFaultArm::new(cfg.process_fault),
             cache,
-            memo_store: MemoStore::new(),
             persist,
             cfg,
             gate: Arc::clone(&gate),
@@ -758,18 +754,6 @@ fn analyze(shared: &Shared, req: &Request) -> Response {
         budget,
         ..Default::default()
     };
-    // Warm rbf memo only on unmetered requests: a memo hit skips the
-    // exploration's budget ticks, so a metered run (wall deadline, fault,
-    // drain cancel) must start cold to keep degraded outputs replaying
-    // tick-for-tick against the CLI.
-    let warm = cacheable && deadline_ms.is_none() && !hard_cancel;
-    let memo = Arc::new(if warm {
-        shared
-            .memo_store
-            .warm(&crate::delta::task_hashes(&sys.tasks))
-    } else {
-        RbfMemo::new(0)
-    });
     // The deadline is purely cooperative: the wall budget trips inside
     // the meter and the analysis winds down through the sound degradation
     // path, which does bounded (but nonzero) post-trip work to produce
@@ -778,35 +762,21 @@ fn analyze(shared: &Shared, req: &Request) -> Response {
     // stuck workers are bounded by the socket timeouts and the
     // drain-time cancel/abandon path instead.
     let tasks = sys.tasks;
-    let contained = {
-        let memo = Arc::clone(&memo);
-        contain(
-            "srtw-serve-analyze",
-            None,
-            shared.cfg.grace,
-            &token,
-            move || {
-                if warm {
-                    fifo_report_with_memo(&tasks, &beta, &cfg, &memo).map(|r| (r, tasks))
-                } else {
-                    fifo_report(&tasks, &beta, &cfg).map(|r| (r, tasks))
-                }
-            },
-        )
-    };
+    let contained = contain(
+        "srtw-serve-analyze",
+        None,
+        shared.cfg.grace,
+        &token,
+        move || fifo_report(&tasks, &beta, &cfg),
+    );
     shared.unregister(&token);
 
     match contained {
-        Contained::Completed(Ok((report, tasks))) => {
+        Contained::Completed(Ok(report)) => {
             if report.degraded() {
                 shared.stats.degraded.fetch_add(1, Ordering::Relaxed);
             } else {
                 shared.stats.completed.fetch_add(1, Ordering::Relaxed);
-            }
-            if warm {
-                shared
-                    .memo_store
-                    .promote(&crate::delta::task_hashes(&tasks), &memo);
             }
             let body = format!("{}\n", report.to_json());
             if cacheable && !report.degraded() {

@@ -53,7 +53,7 @@ struct Base {
 fn base() -> &'static Base {
     static BASE: OnceLock<Base> = OnceLock::new();
     BASE.get_or_init(|| {
-        let outcomes = vec![
+        let outcomes = [
             outcome("alpha", JobStatus::Exact),
             outcome("beta", JobStatus::Degraded),
             outcome("gamma", JobStatus::Failed),

@@ -321,7 +321,7 @@ const MEMO_WAYS: usize = 8;
 #[derive(Debug)]
 pub struct RbfMemo {
     slots: Vec<[OnceLock<(Q, Rbf)>; MEMO_WAYS]>,
-    /// Lookups answered from a cached slot (including seeded ones).
+    /// Lookups answered from a cached slot.
     hits: AtomicU64,
     /// Lookups that had to run the exploration.
     computes: AtomicU64,
@@ -337,44 +337,6 @@ impl RbfMemo {
             hits: AtomicU64::new(0),
             computes: AtomicU64::new(0),
         }
-    }
-
-    /// Pre-populates a slot with an rbf computed elsewhere (e.g. by a
-    /// previous request, promoted across requests by the service layer).
-    ///
-    /// Only **exact** rbfs are accepted — a truncated rbf depends on the
-    /// budget state of the run that produced it, an exact one is a pure
-    /// function of `(task, horizon)`, which is what makes cross-request
-    /// promotion sound. Returns `true` when the entry was stored.
-    pub fn seed(&self, index: usize, horizon: Q, rbf: Rbf) -> bool {
-        if rbf.truncated().is_some() {
-            return false;
-        }
-        if let Some(ways) = self.slots.get(index) {
-            for slot in ways {
-                if matches!(slot.get(), Some((h, _)) if *h == horizon) {
-                    return true;
-                }
-                if slot.set((horizon, rbf.clone())).is_ok() {
-                    return true;
-                }
-            }
-        }
-        false
-    }
-
-    /// Every cached `(index, horizon, rbf)` entry — used by the service
-    /// layer to promote exact rbfs into its cross-request store.
-    pub fn snapshot(&self) -> Vec<(usize, Q, Rbf)> {
-        let mut out = Vec::new();
-        for (index, ways) in self.slots.iter().enumerate() {
-            for slot in ways {
-                if let Some((h, rbf)) = slot.get() {
-                    out.push((index, *h, rbf.clone()));
-                }
-            }
-        }
-        out
     }
 
     /// Lookups answered from a cached slot.

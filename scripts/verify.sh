@@ -8,11 +8,14 @@
 #      registry — every dependency must be a workspace path crate;
 #   2. `cargo build --release` and `cargo test -q` with --offline
 #      (the workspace must build with no network and no vendored deps),
-#      plus `cargo clippy --workspace -- -D warnings` (lint-clean) and
+#      plus `cargo clippy --workspace --all-targets -- -D warnings`
+#      (lint-clean, tests/benches/examples included) and
 #      `cargo doc --workspace --no-deps` with rustdoc warnings denied
 #      (no broken or private intra-doc links);
 #   3. build all five examples;
-#   4. CLI smoke test on the shipped sample system;
+#   4. CLI smoke test on the shipped sample system, under the default
+#      FIFO scheduler and under fixed priority (the leftover-service
+#      chain);
 #   5. adversarial stress suite at elevated case counts (no-panic,
 #      budget-respecting, structural ≤ degraded ≤ RTC sandwich), plus
 #      the budgeted CLI run on systems/adversarial.srtw, plus the path
@@ -85,7 +88,7 @@ echo "ok: all dependencies are workspace path crates"
 
 echo "== 2/12 offline build + tests =="
 cargo build --release --offline --workspace
-cargo clippy --offline --workspace -- -D warnings
+cargo clippy --offline --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
 SRTW_BENCH_FAST=1 cargo test -q --offline --workspace
 
@@ -102,6 +105,12 @@ json=$(cargo run --release --offline -q --bin srtw -- analyze systems/decoder.sr
 case "$json" in
     "{"*"}") : ;;
     *) echo "error: --json output is not a JSON object" >&2; exit 1 ;;
+esac
+fp_json=$(cargo run --release --offline -q --bin srtw -- \
+    analyze systems/decoder.srtw --scheduler fp --json)
+case "$fp_json" in
+    *'"scheduler":"fp"'*) : ;;
+    *) echo "error: --scheduler fp --json output lacks \"scheduler\":\"fp\"" >&2; exit 1 ;;
 esac
 
 echo "== 5/12 adversarial stress suite =="

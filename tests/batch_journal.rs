@@ -214,10 +214,10 @@ impl Served {
                     admin = rest.trim().parse().ok();
                 }
             }
-            if public.is_some() && (admin.is_some() || !expect_admin) {
+            if let Some(public) = public.filter(|_| admin.is_some() || !expect_admin) {
                 return Served {
                     child,
-                    public: public.unwrap(),
+                    public,
                     admin,
                     log,
                 };

@@ -100,10 +100,10 @@ impl Served {
             }
             let replicated_ready = want_replicas == 0
                 || (admin.is_some() && replicas.len() >= want_replicas);
-            if public.is_some() && replicated_ready {
+            if let Some(public) = public.filter(|_| replicated_ready) {
                 return Served {
                     child,
-                    public: public.unwrap(),
+                    public,
                     admin,
                     replicas,
                     log,
