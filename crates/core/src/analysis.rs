@@ -37,13 +37,13 @@
 //! exactly to the RTC baseline, at `1` it is the full structural analysis —
 //! the knob the ablation experiment sweeps.
 
-use crate::busy::{busy_window, busy_window_metered, busy_window_metered_ext, BusyWindow};
+use crate::busy::{busy_window, busy_window_metered, BusyWindow};
 use crate::error::AnalysisError;
 use crate::report::{
     BoundQuality, Degradation, DelayAnalysis, Fallback, RtcReport, VertexBound, WitnessPath,
 };
 use srtw_minplus::{Budget, BudgetMeter, Curve, Ext, Q};
-use srtw_workload::{explore_metered, DrtTask, ExploreConfig, Rbf, RbfMemo};
+use srtw_workload::{explore_metered, DrtTask, ExploreConfig, Explorer, Rbf};
 use std::time::Instant;
 
 /// Configuration of the structural analysis.
@@ -120,14 +120,14 @@ pub(crate) fn structural_delay_at(
 ) -> Result<DelayAnalysis, AnalysisError> {
     let start = Instant::now();
     let meter = BudgetMeter::new(&cfg.budget);
-    let memo = RbfMemo::new(1);
     let result =
-        busy_window_metered_ext(std::slice::from_ref(task), beta, &meter, &memo).and_then(|bw| {
+        busy_window_metered(std::slice::from_ref(task), beta, &meter).and_then(|mut bw| {
+            let mut explorer = bw.explorers.pop().expect("one explorer per task");
             let horizon = horizon.unwrap_or(bw.bound);
             let ceiling = || rtc_report(&bw, beta).map(|rtc| rtc.bound);
             analyse_stream(
                 task,
-                0,
+                &mut explorer,
                 beta,
                 &bw,
                 horizon,
@@ -135,7 +135,6 @@ pub(crate) fn structural_delay_at(
                 &ceiling,
                 cfg,
                 &meter,
-                &memo,
                 start,
             )
         });
@@ -173,14 +172,15 @@ pub fn fifo_structural(
     beta: &Curve,
     cfg: &AnalysisConfig,
 ) -> Result<Vec<DelayAnalysis>, AnalysisError> {
-    let all: Vec<usize> = (0..tasks.len()).collect();
-    fifo_analysis(tasks, beta, cfg, &RbfMemo::new(tasks.len()), &all).map(|(per, _)| per)
+    fifo_analysis(tasks, beta, cfg, |_| (0..tasks.len()).collect()).map(|(per, _)| per)
 }
 
 /// The FIFO engine: one busy-window fixpoint for the whole multiplex, the
-/// structural analysis of the streams named by `streams` (results in the
-/// order given), and the RTC baseline of the multiplex — all from that one
-/// [`BusyWindow`] and one meter.
+/// structural analysis of the streams `streams` picks from that
+/// [`BusyWindow`] (results in the order given), and the RTC baseline of
+/// the multiplex — all from that one window and one meter. Each stream's
+/// analysis reads the exploration the fixpoint grew for it, so a request
+/// explores every stream once.
 ///
 /// The remaining tasks still contribute interference through their
 /// request-bound curves, so each returned [`DelayAnalysis`] is
@@ -188,36 +188,25 @@ pub fn fifo_structural(
 /// [`fifo_structural`] run: a stream's analysis depends only on its own
 /// task, the busy window and the other streams' rbfs. Analysing a subset
 /// is the incremental re-analysis primitive behind the service's
-/// `POST /analyze/delta`. The baseline equals [`fifo_rtc_with`] under
-/// `cfg.budget` — that function computes the same fixpoint from a fresh
-/// meter, which replays exactly the ticks this one spent on it — except
-/// that a wall-clock trip inside the fixpoint degrades the baseline too.
-///
-/// `memo` may already hold rbfs from an earlier analysis of the same
-/// `tasks` (the delta route re-runs a subset first). It caches only
-/// **exact** rbfs — pure functions of `(task, horizon)` — so a filled memo
-/// can only change *how fast* the result is computed, never *what* it is:
-/// on an unmetered budget the output is byte-identical to a run on a fresh
-/// memo. (Under an active budget a memo hit skips exploration ticks, which
-/// can only let the analysis complete *more* exactly; callers needing
-/// tick-exact reproducibility of degraded runs should pass a fresh memo.)
-/// The caller can read reuse provenance from the memo afterwards
-/// ([`RbfMemo::hits`] / [`RbfMemo::computes`]). `memo` must have one slot
-/// group per task, indexed consistently with `tasks`.
+/// `POST /analyze/delta`, which decides the subset from the window. The
+/// baseline equals [`fifo_rtc_with`] under `cfg.budget` — that function
+/// computes the same fixpoint from a fresh meter, which replays exactly
+/// the ticks this one spent on it — except that a wall-clock trip inside
+/// the fixpoint degrades the baseline too.
 pub fn fifo_analysis(
     tasks: &[DrtTask],
     beta: &Curve,
     cfg: &AnalysisConfig,
-    memo: &RbfMemo,
-    streams: &[usize],
+    streams: impl FnOnce(&BusyWindow) -> Vec<usize>,
 ) -> Result<(Vec<DelayAnalysis>, RtcReport), AnalysisError> {
     let meter = BudgetMeter::new(&cfg.budget);
-    let result = busy_window_metered_ext(tasks, beta, &meter, memo).and_then(|bw| {
+    let result = busy_window_metered(tasks, beta, &meter).and_then(|mut bw| {
         let rtc = rtc_report(&bw, beta)?;
         let ceiling = || Ok(rtc.bound);
-        let per = streams
-            .iter()
-            .map(|&i| {
+        let mut explorers = std::mem::take(&mut bw.explorers);
+        let per = streams(&bw)
+            .into_iter()
+            .map(|i| {
                 let start = Instant::now();
                 let others: Vec<&Rbf> = bw
                     .rbfs
@@ -227,7 +216,16 @@ pub fn fifo_analysis(
                     .map(|(_, r)| r)
                     .collect();
                 analyse_stream(
-                    &tasks[i], i, beta, &bw, bw.bound, &others, &ceiling, cfg, &meter, memo, start,
+                    &tasks[i],
+                    &mut explorers[i],
+                    beta,
+                    &bw,
+                    bw.bound,
+                    &others,
+                    &ceiling,
+                    cfg,
+                    &meter,
+                    start,
                 )
             })
             .collect::<Result<Vec<_>, _>>()?;
@@ -298,11 +296,14 @@ fn surface_injected_fault<T>(
 /// `horizon` when the fixpoint degraded): demand at spans from the exact
 /// cap up to `W` comes from the arrival-curve fallback, so a horizon
 /// below the busy window can cost tightness but never soundness, and
-/// such a result is never labelled exact.
+/// such a result is never labelled exact. Both the paths and the
+/// fallback rbf are read off `explorer`, grown further only where the
+/// fixpoint did not reach; `no_prune` explores its own unpruned arena,
+/// the oracle the pruned one is checked against.
 #[allow(clippy::too_many_arguments)]
 fn analyse_stream(
     task: &DrtTask,
-    index: usize,
+    explorer: &mut Explorer,
     beta: &Curve,
     bw: &BusyWindow,
     horizon: Q,
@@ -310,7 +311,6 @@ fn analyse_stream(
     ceiling: &dyn Fn() -> Result<Q, AnalysisError>,
     cfg: &AnalysisConfig,
     meter: &BudgetMeter,
-    memo: &RbfMemo,
     start: Instant,
 ) -> Result<DelayAnalysis, AnalysisError> {
     let mut degradations: Vec<Degradation> = Vec::new();
@@ -356,11 +356,12 @@ fn analyse_stream(
     let n = task.num_vertices();
     let mut best: Vec<Option<(Q, usize)>> = vec![None; n];
 
-    let mut ecfg = ExploreConfig::new(span_cap);
-    if cfg.no_prune {
-        ecfg = ecfg.without_pruning();
-    }
-    let ex = explore_metered(task, &ecfg, meter);
+    let ex = if cfg.no_prune {
+        explore_metered(task, &ExploreConfig::new(span_cap).without_pruning(), meter)
+    } else {
+        explorer.extend_to(span_cap, meter);
+        explorer.exploration(span_cap)
+    };
     if let Some(k) = ex.interrupted {
         degradations.push(Degradation {
             component: format!("exploration('{}')", task.name()),
@@ -401,7 +402,8 @@ fn analyse_stream(
     let mut fallback = Q::ZERO;
     let mut own_truncated = false;
     if fallback_active {
-        let own_rbf = memo.get_or_compute(index, task, window, meter);
+        explorer.extend_to(window, meter);
+        let own_rbf = explorer.rbf(window);
         if let Some(k) = own_rbf.truncated() {
             own_truncated = true;
             degradations.push(Degradation {
@@ -448,9 +450,10 @@ fn analyse_stream(
         }
     }
 
-    // The degraded candidates come from a separate, possibly *more*
-    // truncated rbf materialisation than the busy window's, so they can
-    // overshoot the stream-agnostic RTC baseline. That baseline is itself
+    // The degraded candidates can come from a wider window than the busy
+    // window's rbfs, or from the coarse tail of a search the stream's own
+    // exploration stopped early, so they can overshoot the
+    // stream-agnostic RTC baseline. That baseline is itself
     // a sound delay bound for every job of the multiplex, so cap the
     // fallback there — pinning the sandwich
     // `exact structural ≤ degraded ≤ RTC baseline`.
@@ -1022,7 +1025,9 @@ mod tests {
         use srtw_minplus::{ArithmeticError, Budget, FaultKind, FaultPlan};
         let task = branching();
         let beta = Curve::rate_latency(q(3, 4), Q::int(2));
-        for at_op in [1u64, 5, 50] {
+        // The run has 24 metered operations: 18 path pops (one search to
+        // the busy window) and one wall-clock check per fixpoint iteration.
+        for at_op in [1u64, 5, 24] {
             let cfg = AnalysisConfig {
                 budget: Budget::default()
                     .with_fault(FaultPlan::new(at_op, FaultKind::Overflow)),

@@ -8,10 +8,13 @@
 //! iteration `L ← β⁻¹(rbf_total(L))`. All path exploration and deviation
 //! suprema can then be restricted to `[0, L]` — the finitary argument that
 //! keeps every computation exact and finite.
+//!
+//! The fixpoint grows one [`Explorer`] per stream to each iterate and keeps
+//! it, so later reads (rbfs, paths, fallback rbfs) explore nothing twice.
 
 use crate::error::AnalysisError;
 use srtw_minplus::{BudgetKind, BudgetMeter, Curve, Ext, Q};
-use srtw_workload::{long_run_utilization, DrtTask, Rbf, RbfMemo};
+use srtw_workload::{long_run_utilization, DrtTask, ExploreConfig, Explorer, Rbf};
 
 /// The busy-window bound of a set of streams sharing a server, together
 /// with the per-stream request-bound functions materialized to that bound.
@@ -30,6 +33,8 @@ pub struct BusyWindow {
     /// bound then comes from the coarse affine demand lines (or the rbfs
     /// are truncated) and is sound but possibly pessimistic.
     pub degraded: Option<BudgetKind>,
+    /// Per-stream path searches, grown to the bound (or stopped).
+    pub(crate) explorers: Vec<Explorer>,
 }
 
 impl BusyWindow {
@@ -92,20 +97,6 @@ pub fn busy_window_metered(
     beta: &Curve,
     meter: &BudgetMeter,
 ) -> Result<BusyWindow, AnalysisError> {
-    busy_window_metered_ext(tasks, beta, meter, &RbfMemo::new(tasks.len()))
-}
-
-/// [`busy_window_metered`] with an explicit rbf memo.
-///
-/// The `memo` deduplicates repeated `(task, horizon)` materializations — most
-/// usefully shared with the caller's own per-stream analyses, which revisit
-/// the final fixpoint bound.
-pub fn busy_window_metered_ext(
-    tasks: &[DrtTask],
-    beta: &Curve,
-    meter: &BudgetMeter,
-    memo: &RbfMemo,
-) -> Result<BusyWindow, AnalysisError> {
     let utilization = tasks
         .iter()
         .map(long_run_utilization)
@@ -123,12 +114,8 @@ pub fn busy_window_metered_ext(
         });
     }
 
-    let mut horizon = Q::ONE;
-    let mut rbfs: Vec<Rbf> = tasks
-        .iter()
-        .enumerate()
-        .map(|(i, t)| memo.get_or_compute(i, t, horizon, meter))
-        .collect();
+    let cfg = ExploreConfig::new(Q::ZERO);
+    let mut explorers: Vec<Explorer> = tasks.iter().map(|t| Explorer::new(t, &cfg)).collect();
     let mut level = Q::ZERO;
     let mut iterations = 0usize;
     const CAP: usize = 100_000;
@@ -137,15 +124,19 @@ pub fn busy_window_metered_ext(
         if iterations > CAP {
             return Err(AnalysisError::BusyWindowDiverged { reached: level });
         }
+        for x in &mut explorers {
+            x.extend_to(level, meter);
+        }
+        let rbfs: Vec<Rbf> = explorers.iter().map(|x| x.rbf(level)).collect();
         // Exact iteration on truncated rbfs would chase the continuous
         // affine tail and never attain the fixpoint — switch to the
         // analytic finish as soon as anything trips.
         if !meter.check_wall() || rbfs.iter().any(|r| r.truncated().is_some()) {
-            return coarse_busy_window(beta, rbfs, utilization, iterations, meter);
+            return coarse_busy_window(beta, rbfs, explorers, utilization, iterations, meter);
         }
         let demand: Q = rbfs
             .iter()
-            .map(|r| r.eval(level.min(r.horizon())))
+            .map(|r| r.eval(level))
             .fold(Q::ZERO, |a, b| a + b);
         let next = match beta.pseudo_inverse(demand) {
             Ext::Finite(t) => t,
@@ -157,11 +148,10 @@ pub fn busy_window_metered_ext(
             // Materialize rbfs on the final bound. If that final pass
             // trips, the bound itself is still the exact fixpoint; only
             // the materialized rbfs are coarse.
-            let rbfs: Vec<Rbf> = tasks
-                .iter()
-                .enumerate()
-                .map(|(i, t)| memo.get_or_compute(i, t, bound, meter))
-                .collect();
+            for x in &mut explorers {
+                x.extend_to(bound, meter);
+            }
+            let rbfs: Vec<Rbf> = explorers.iter().map(|x| x.rbf(bound)).collect();
             let degraded = if rbfs.iter().any(|r| r.truncated().is_some()) {
                 meter.tripped()
             } else {
@@ -173,17 +163,10 @@ pub fn busy_window_metered_ext(
                 utilization,
                 iterations,
                 degraded,
+                explorers,
             });
         }
         level = next;
-        if level > horizon {
-            horizon = level + level; // grow geometrically to amortize
-            rbfs = tasks
-                .iter()
-                .enumerate()
-                .map(|(i, t)| memo.get_or_compute(i, t, horizon, meter))
-                .collect();
-        }
     }
 }
 
@@ -192,6 +175,7 @@ pub fn busy_window_metered_ext(
 fn coarse_busy_window(
     beta: &Curve,
     rbfs: Vec<Rbf>,
+    explorers: Vec<Explorer>,
     utilization: Q,
     iterations: usize,
     meter: &BudgetMeter,
@@ -216,6 +200,7 @@ fn coarse_busy_window(
         utilization,
         iterations,
         degraded: Some(tripped),
+        explorers,
     })
 }
 

@@ -12,7 +12,7 @@ use crate::busy::busy_window;
 use crate::error::AnalysisError;
 use crate::report::DelayAnalysis;
 use srtw_minplus::{BudgetMeter, Curve, Q};
-use srtw_workload::{DrtTask, Rbf};
+use srtw_workload::DrtTask;
 
 /// Structural per-job-type bounds for each task under preemptive
 /// fixed-priority scheduling (index 0 = highest priority).
@@ -56,19 +56,24 @@ pub fn fixed_priority_structural_with(
     // Joint busy window: bounds every priority level's busy window (the
     // leftover service of level i at the joint bound L still covers the
     // level's own demand: β_i(L) ≥ β(L) − Σ_{j<i} rbf_j(L) ≥ rbf_i(L)).
-    let bw = busy_window(tasks, beta)?;
+    let mut bw = busy_window(tasks, beta)?;
     let horizon = bw.bound;
     // Arrival curves must be exact well past the horizon so the leftover
-    // closure is exact wherever the analysis evaluates it.
+    // closure is exact wherever the analysis evaluates it: grow the joint
+    // window's explorations that far.
     let generous = horizon + horizon + Q::ONE;
-    let alphas: Vec<Curve> = tasks
-        .iter()
-        .map(|t| Rbf::compute(t, generous).curve())
+    let meter = BudgetMeter::unlimited();
+    let alphas: Vec<Curve> = bw
+        .explorers
+        .iter_mut()
+        .map(|x| {
+            x.extend_to(generous, &meter);
+            x.rbf(generous).curve()
+        })
         .collect();
 
     let mut out = Vec::with_capacity(tasks.len());
     // The leftover-service chain β → [β − rbf₀]⁺↑ → [… − rbf₁]⁺↑ → …
-    let meter = BudgetMeter::unlimited();
     let mut current = beta.clone();
     for (task, alpha) in tasks.iter().zip(alphas.iter()) {
         // Pin the horizon: the level's own busy-window estimate against

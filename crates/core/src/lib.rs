@@ -59,7 +59,7 @@ pub use analysis::{
     backlog_bound, fifo_analysis, fifo_rtc, fifo_rtc_with, fifo_structural, rtc_delay,
     rtc_delay_with, structural_delay, structural_delay_with, AnalysisConfig,
 };
-pub use busy::{busy_window, busy_window_metered, busy_window_metered_ext, BusyWindow};
+pub use busy::{busy_window, busy_window_metered, BusyWindow};
 pub use edf::{edf_schedulable, EdfReport};
 pub use fp::{fixed_priority_structural, fixed_priority_structural_with};
 pub use tandem::{tandem_backlog_at, tandem_delay, TandemReport};

@@ -15,8 +15,8 @@
 //! deadlined request that hits gets the exact answer instead of a
 //! possibly degraded recompute.
 //!
-//! Nothing else outlives a request: each analysis gets a fresh
-//! per-request rbf memo, exactly as on the CLI.
+//! Nothing else outlives a request: each analysis explores its streams
+//! afresh, exactly as on the CLI.
 //!
 //! Replicas under `--replicas N` are shared-nothing: each has its own
 //! independent cache (documented in the README); the parent aggregates

@@ -23,26 +23,25 @@
 //! (b) the system busy window, and (c) the *other* streams' rbfs over
 //! that window. An unedited stream may therefore reuse its cached
 //! analysis only when the edit provably left all three unchanged. The
-//! cut re-analyses the edited streams, then checks that the busy-window
-//! bound and utilization match the cached base run and that each edited
-//! task's rbf staircase is unchanged over the horizon (deadline edits
-//! are the canonical case: rbf-invariant, so everything but the edited
-//! stream replays). Any failed check — or a metered request (wall
-//! deadline, injected fault, drain cancel), where budget ticks must
-//! replay exactly — falls back to re-analysing every stream
-//! (`delta_full_fallbacks` in `/stats`). An unmetered fallback reuses
-//! the rbfs the request's own subset run left in its per-request memo.
+//! cut is decided on the edited system's busy window: the bound and
+//! utilization must match the cached base run, and each edited task's
+//! rbf staircase must be unchanged over the window (deadline edits are
+//! the canonical case: rbf-invariant, so everything but the edited
+//! stream replays). The same fixpoint then analyses the edited streams —
+//! or every stream when a check fails, and always for a metered request
+//! (wall deadline, injected fault, drain cancel), where budget ticks
+//! must replay exactly (`delta_full_fallbacks` in `/stats`). Either way
+//! a request runs one fixpoint.
 
 use crate::http::{Request, Response};
-use crate::report::{fifo_report, fifo_report_with_memo, FifoReport};
+use crate::report::{fifo_report, FifoReport};
 use crate::server::{error_body, parse_error_response, Shared};
 use srtw_core::textfmt::{parse_system, ServerSpec, SystemSpec};
 use srtw_core::{fifo_analysis, AnalysisConfig, AnalysisError, Json};
-use srtw_minplus::{Budget, BudgetMeter, CancelToken, Q};
+use srtw_minplus::{Budget, BudgetMeter, CancelToken, Curve, Q};
 use srtw_supervisor::{contain, Contained};
-use srtw_workload::{DrtTaskBuilder, Rbf, RbfMemo};
+use srtw_workload::{DrtTask, DrtTaskBuilder, Rbf};
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
 
 /// One parsed edit line.
 #[derive(Debug, Clone)]
@@ -361,9 +360,8 @@ pub(crate) fn apply_edits(base: &SystemSpec, edits: &[Edit]) -> Result<AppliedDe
     })
 }
 
-/// `true` when two rbfs bound the same staircase over the same horizon —
-/// compared on semantic content (points, horizon, exactness), not on the
-/// exploration statistics `PartialEq` would also require.
+/// `true` when two exact rbfs bound the same staircase over the same
+/// horizon (`PartialEq` would also compare their unused coarse tails).
 fn rbf_equal(a: &Rbf, b: &Rbf) -> bool {
     a.truncated().is_none()
         && b.truncated().is_none()
@@ -383,68 +381,62 @@ struct DeltaOutcome {
     full_fallback: bool,
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_delta_with_base_tasks(
     system: &SystemSpec,
-    base_tasks: &[srtw_workload::DrtTask],
-    beta: &srtw_minplus::Curve,
+    base_tasks: &[DrtTask],
+    beta: &Curve,
     cfg: &AnalysisConfig,
-    memo: &RbfMemo,
     base_report: Option<&FifoReport>,
     edited: &[usize],
     server_changed: bool,
 ) -> Result<DeltaOutcome, AnalysisError> {
     let n = system.tasks.len();
-    let full = |report: FifoReport| DeltaOutcome {
-        report,
-        reused: 0,
-        reanalysed: n,
-        full_fallback: true,
+    let base = base_report.filter(|base| {
+        !server_changed && base.per.len() == n && !edited.is_empty() && edited.len() < n
+    });
+
+    // Conservative cut, decided on the edited system's busy window:
+    // unedited streams may be spliced from the base report only when
+    // their analysis inputs provably match — same busy window, same
+    // utilization, and unchanged rbf staircases for every edited task
+    // over that window. The one fixpoint then analyses the edited
+    // streams, or every stream when the cut fails.
+    let mut cut_safe = false;
+    let (per, rtc) = fifo_analysis(&system.tasks, beta, cfg, |bw| {
+        cut_safe = base.is_some_and(|base| {
+            let anchor = &base.per[0];
+            bw.bound == anchor.busy_window
+                && bw.utilization == anchor.utilization
+                && edited.iter().all(|&i| {
+                    let meter = BudgetMeter::new(&cfg.budget);
+                    let base_rbf = Rbf::compute_metered(&base_tasks[i], bw.bound, &meter);
+                    rbf_equal(&bw.rbfs[i], &base_rbf)
+                })
+        });
+        if cut_safe {
+            edited.to_vec()
+        } else {
+            (0..n).collect()
+        }
+    })?;
+    let Some(base) = base.filter(|_| cut_safe) else {
+        return Ok(DeltaOutcome {
+            report: FifoReport { per, rtc },
+            reused: 0,
+            reanalysed: n,
+            full_fallback: true,
+        });
     };
-
-    let splice_possible = matches!(base_report, Some(base)
-        if !server_changed && base.per.len() == n && !edited.is_empty() && edited.len() < n);
-    if !splice_possible {
-        return Ok(full(fifo_report_with_memo(&system.tasks, beta, cfg, memo)?));
-    }
-    let base = base_report.expect("splice_possible implies a base report");
-
-    // Re-analyse the edited streams (this also computes the edited
-    // system's busy window and all rbfs into the memo, and the
-    // baseline from that busy window).
-    let (subset, rtc) = fifo_analysis(&system.tasks, beta, cfg, memo, edited)?;
-
-    // Conservative cut: unedited streams may be spliced from the base
-    // report only when their analysis inputs provably match — same busy
-    // window, same utilization, and unchanged rbf staircases for every
-    // edited task over that window.
-    let anchor = &base.per[0];
-    let cut_safe = subset.iter().all(|a| {
-        a.busy_window == anchor.busy_window && a.utilization == anchor.utilization
-    }) && {
-        let meter = BudgetMeter::new(&cfg.budget);
-        let horizon = subset[0].busy_window;
-        edited.iter().all(|&i| {
-            // `memo` already holds the edited task's rbf (the subset run
-            // computed it); the base task's rbf is recomputed fresh.
-            let edited_rbf = memo.get_or_compute(i, &system.tasks[i], horizon, &meter);
-            let base_rbf = Rbf::compute_metered(&base_tasks[i], horizon, &meter);
-            rbf_equal(&edited_rbf, &base_rbf)
-        })
-    };
-    if !cut_safe {
-        return Ok(full(fifo_report_with_memo(&system.tasks, beta, cfg, memo)?));
-    }
 
     // Splice: unedited streams from the cached base run, edited streams
     // and the baseline (which depends on the edited tasks' rbfs) from the
-    // subset re-analysis of the edited system.
-    let mut per = base.per.clone();
-    for (k, &i) in edited.iter().enumerate() {
-        per[i] = subset[k].clone();
+    // re-analysis of the edited system.
+    let mut spliced = base.per.clone();
+    for (a, &i) in per.into_iter().zip(edited) {
+        spliced[i] = a;
     }
     Ok(DeltaOutcome {
-        report: FifoReport { per, rtc },
+        report: FifoReport { per: spliced, rtc },
         reused: n - edited.len(),
         reanalysed: edited.len(),
         full_fallback: false,
@@ -579,9 +571,7 @@ pub(crate) fn analyze_delta(shared: &Shared, req: &Request) -> Response {
         None
     };
 
-    let memo = Arc::new(RbfMemo::new(system.tasks.len()));
     let contained = {
-        let memo = Arc::clone(&memo);
         let tasks_base = base_sys.tasks.clone();
         let system = SystemSpec {
             tasks: system.tasks.clone(),
@@ -614,7 +604,6 @@ pub(crate) fn analyze_delta(shared: &Shared, req: &Request) -> Response {
                     &tasks_base,
                     &beta,
                     &cfg,
-                    &memo,
                     base_report.as_ref(),
                     &edited,
                     server_changed,
@@ -645,11 +634,8 @@ pub(crate) fn analyze_delta(shared: &Shared, req: &Request) -> Response {
             resp.headers.push((
                 "X-Delta-Reuse",
                 format!(
-                    "reused={};reanalysed={};rbf_memo_hits={};full_fallback={}",
-                    outcome.reused,
-                    outcome.reanalysed,
-                    memo.hits(),
-                    outcome.full_fallback
+                    "reused={};reanalysed={};full_fallback={}",
+                    outcome.reused, outcome.reanalysed, outcome.full_fallback
                 ),
             ));
             resp

@@ -76,5 +76,5 @@ pub mod sys;
 pub use fault::{ProcessFault, ProcessFaultKind};
 pub use srtw_persist::{PersistError, PersistErrorKind, PersistFault, PersistFaultKind};
 pub use replica::{ReplicaConfig, Supervisor};
-pub use report::{fifo_report, fifo_report_with_memo, FifoReport};
+pub use report::{fifo_report, FifoReport};
 pub use server::{DrainReport, ServeConfig, Server};

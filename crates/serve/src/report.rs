@@ -8,7 +8,7 @@
 
 use srtw_core::{fifo_analysis, AnalysisConfig, AnalysisError, DelayAnalysis, Json, RtcReport};
 use srtw_minplus::Curve;
-use srtw_workload::{DrtTask, RbfMemo};
+use srtw_workload::DrtTask;
 
 /// The FIFO analysis of one system: per-stream structural bounds plus the
 /// stream-agnostic RTC baseline.
@@ -30,27 +30,7 @@ pub fn fifo_report(
     beta: &Curve,
     cfg: &AnalysisConfig,
 ) -> Result<FifoReport, AnalysisError> {
-    fifo_report_with_memo(tasks, beta, cfg, &RbfMemo::new(tasks.len()))
-}
-
-/// [`fifo_report`] over a caller-provided per-request [`RbfMemo`], which
-/// may already hold rbfs from an earlier analysis of the same `tasks`
-/// (`POST /analyze/delta` runs the edited streams first).
-///
-/// On an unmetered budget the document is byte-identical to
-/// [`fifo_report`] — the memo holds only exact rbfs, pure functions of
-/// `(task, horizon)` — it is merely computed faster. Callers that meter
-/// the run (wall deadlines, injected faults) should use [`fifo_report`]
-/// instead: a memo hit skips exploration ticks, so degraded outputs would
-/// not replay tick-for-tick.
-pub fn fifo_report_with_memo(
-    tasks: &[DrtTask],
-    beta: &Curve,
-    cfg: &AnalysisConfig,
-    memo: &RbfMemo,
-) -> Result<FifoReport, AnalysisError> {
-    let all: Vec<usize> = (0..tasks.len()).collect();
-    let (per, rtc) = fifo_analysis(tasks, beta, cfg, memo, &all)?;
+    let (per, rtc) = fifo_analysis(tasks, beta, cfg, |_| (0..tasks.len()).collect())?;
     Ok(FifoReport { per, rtc })
 }
 
@@ -119,8 +99,9 @@ mod tests {
     #[test]
     fn tripped_budget_reports_degradation_kinds() {
         let (tasks, beta) = small_system();
+        // One path is exactly what the system's single search needs.
         let cfg = AnalysisConfig {
-            budget: Budget::default().with_max_paths(1),
+            budget: Budget::default().with_max_paths(0),
             ..Default::default()
         };
         let r = fifo_report(&tasks, &beta, &cfg).unwrap();

@@ -10,8 +10,9 @@
 //! On top of the model the crate provides the analyses every delay bound
 //! builds upon:
 //!
-//! * [`explore`] — abstract-path enumeration with Pareto dominance pruning
-//!   (the demand-tuple technique),
+//! * [`explore`] / [`Explorer`] — abstract-path enumeration with Pareto
+//!   dominance pruning (the demand-tuple technique), one-shot or grown
+//!   through increasing horizons,
 //! * [`Rbf`] / [`Dbf`] — request- and demand-bound functions as exact
 //!   staircases,
 //! * [`long_run_utilization`] / [`critical_cycle`] — exact maximum cycle
@@ -63,7 +64,7 @@ pub use error::WorkloadError;
 pub use models::{
     Frame, MultiframeTask, PeriodicTask, RbNode, RecurringBranchingTask, SporadicTask,
 };
-pub use paths::{explore, explore_metered, ExploreConfig, Exploration, PathNode};
-pub use rbf::{rbf_samples, Rbf, RbfMemo};
+pub use paths::{explore, explore_metered, ExploreConfig, Exploration, Explorer, PathNode};
+pub use rbf::Rbf;
 pub use trace::{Release, ReleaseTrace};
 pub use utilization::{critical_cycle, long_run_utilization, CriticalCycle};

@@ -11,8 +11,15 @@
 //! classical demand-tuple technique of the DRT analysis literature and the
 //! engine behind both the request-bound function and the structural delay
 //! analysis.
+//!
+//! Candidates pop in ascending span, so a search to a horizon `h` is an
+//! exact prefix of a search to any `h′ > h` as long as the successors
+//! beyond `h` wait in the heap. An [`Explorer`] keeps them there: one
+//! search per task grows through increasing horizons, and every read at a
+//! horizon it reached equals a fresh [`explore_metered`] to that horizon.
 
 use crate::digraph::{DrtTask, VertexId};
+use crate::rbf::{packing_line, Rbf};
 use crate::weight::{Overflow, ScaledGraph, Weight};
 use srtw_minplus::{BudgetKind, BudgetMeter, Q};
 use std::cmp::Ordering;
@@ -38,9 +45,6 @@ pub struct PathNode {
 pub struct ExploreConfig {
     /// Only paths with `span ≤ horizon` are enumerated.
     pub horizon: Q,
-    /// Optional bound on the number of jobs per path (`None` = unbounded).
-    /// Used by the abstraction-depth ablation.
-    pub max_len: Option<usize>,
     /// Enable Pareto dominance pruning (disable only to measure its effect).
     pub prune: bool,
     /// Safety valve: stop retaining nodes beyond this count (default one
@@ -52,21 +56,13 @@ pub struct ExploreConfig {
 }
 
 impl ExploreConfig {
-    /// Standard configuration: given horizon, unbounded length, pruning on.
+    /// Standard configuration: given horizon, pruning on.
     pub fn new(horizon: Q) -> ExploreConfig {
         ExploreConfig {
             horizon,
-            max_len: None,
             prune: true,
             node_limit: 1_000_000,
         }
-    }
-
-    /// Limits the number of jobs per path.
-    #[must_use]
-    pub fn with_max_len(mut self, max_len: usize) -> ExploreConfig {
-        self.max_len = Some(max_len);
-        self
     }
 
     /// Disables dominance pruning.
@@ -88,8 +84,6 @@ pub struct Exploration {
     pub pruned: usize,
     /// The horizon the exploration ran to.
     pub horizon: Q,
-    /// Whether path length was capped (some continuations not explored).
-    pub truncated_by_len: bool,
     /// Spans **strictly below** this value are completely enumerated even
     /// if the exploration was interrupted. Candidates pop in ascending
     /// span order, so an interruption at span `s` leaves every span `< s`
@@ -117,11 +111,6 @@ impl Exploration {
         }
         rev.reverse();
         rev
-    }
-
-    /// Finds the arena index of a node (identity by value triple).
-    pub fn index_of(&self, node: &PathNode) -> Option<usize> {
-        self.nodes.iter().position(|n| n == node)
     }
 }
 
@@ -159,18 +148,149 @@ pub fn explore(task: &DrtTask, cfg: &ExploreConfig) -> Exploration {
 /// exclusive frontier; retained nodes at span `≥ s` are genuine paths too
 /// (sound for maximisation) but possibly not exhaustive.
 pub fn explore_metered(task: &DrtTask, cfg: &ExploreConfig, meter: &BudgetMeter) -> Exploration {
-    match explore_scaled(task, cfg, meter) {
-        Explored::Scaled(arena) => arena.into_exploration(),
-        Explored::Exact(arena) => arena.into_exploration(),
+    let mut explorer = Explorer::new(task, cfg);
+    explorer.extend_to(cfg.horizon, meter);
+    explorer.exploration(cfg.horizon)
+}
+
+/// A resumable [`explore_metered`]: one search of a task, grown through
+/// increasing horizons with [`Explorer::extend_to`].
+///
+/// Every read at a horizon the search reached equals a fresh
+/// [`explore_metered`] (or [`Rbf::compute_metered`]) to that horizon,
+/// parents and counters included: the pops up to a horizon are the same
+/// in both, and the successors beyond it wait in the heap. Each pop ticks
+/// the meter once, so a grown search ticks exactly as often as one search
+/// to its last horizon. A failed tick leaves its candidate in the heap and
+/// stops the search for good; reads at or beyond the stop report it like
+/// an interrupted run. Reads panic at a horizon the search neither reached
+/// nor stopped within. The search runs in scaled `i128` while a static
+/// bound proves every span and work fits, and in exact rationals from the
+/// first horizon that could leave `i128`.
+///
+/// ```
+/// use srtw_workload::{DrtTaskBuilder, ExploreConfig, Explorer, Rbf};
+/// use srtw_minplus::{BudgetMeter, Q};
+///
+/// let mut b = DrtTaskBuilder::new("loop");
+/// let v = b.vertex("v", Q::int(2));
+/// b.edge(v, v, Q::int(5));
+/// let task = b.build().unwrap();
+/// let mut x = Explorer::new(&task, &ExploreConfig::new(Q::ZERO));
+/// x.extend_to(Q::int(12), &BudgetMeter::unlimited());
+/// x.extend_to(Q::int(20), &BudgetMeter::unlimited());
+/// assert_eq!(x.exploration(Q::int(12)).nodes().len(), 3);
+/// assert_eq!(x.rbf(Q::int(20)), Rbf::compute(&task, Q::int(20)));
+/// ```
+#[derive(Debug, Clone)]
+pub struct Explorer {
+    search: Domain,
+    prune: bool,
+    node_limit: usize,
+    /// The largest horizon the search was extended to without stopping.
+    reach: Option<Q>,
+    /// The task's job-packing demand line (see [`Rbf::compute_metered`]).
+    packing: (Q, Q),
+}
+
+/// The search in the weight domain it currently runs in.
+#[derive(Debug, Clone)]
+enum Domain {
+    /// Over the task's weights scaled to integers.
+    Scaled(Search<i128>),
+    /// Over exact rationals: the scaled weights could leave `i128`.
+    Exact(Search<Q>),
+}
+
+/// Evaluates `$body` with `$s` bound to the search of either domain.
+macro_rules! on_search {
+    ($domain:expr, $s:ident => $body:expr) => {
+        match $domain {
+            Domain::Scaled($s) => $body,
+            Domain::Exact($s) => $body,
+        }
+    };
+}
+
+impl Explorer {
+    /// A search of `task` that has not popped anything yet, pruning and
+    /// limiting nodes as `cfg` says. The configuration's horizon is not
+    /// used: [`Explorer::extend_to`] sets how far the search reaches.
+    pub fn new(task: &DrtTask, cfg: &ExploreConfig) -> Explorer {
+        let search = match ScaledGraph::new(task) {
+            Some(g) => Domain::Scaled(Search::new(g)),
+            None => Domain::Exact(Search::new(ScaledGraph::exact(task))),
+        };
+        Explorer {
+            search,
+            prune: cfg.prune,
+            node_limit: cfg.node_limit,
+            reach: None,
+            packing: packing_line(task),
+        }
+    }
+
+    /// Pops every candidate of span `≤ horizon`, ticking `meter` once per
+    /// pop, unless the search already reached `horizon` or has stopped.
+    pub fn extend_to(&mut self, horizon: Q, meter: &BudgetMeter) {
+        if self.interrupted().is_some() || self.reach.is_some_and(|r| horizon <= r) {
+            return;
+        }
+        let (prune, limit) = (self.prune, self.node_limit);
+        match &mut self.search {
+            Domain::Scaled(s) => match scaled_horizon(&s.graph, horizon) {
+                Some(h) => s.run(h, prune, limit, meter),
+                None => {
+                    // Replay the pops so far over exact rationals, in the
+                    // same order and unmetered (they were ticked once).
+                    let mut exact = Search::new(s.graph.unscaled());
+                    if let Some(r) = self.reach {
+                        exact.run(r, prune, limit, &BudgetMeter::unlimited());
+                    }
+                    exact.run(horizon, prune, limit, meter);
+                    self.search = Domain::Exact(exact);
+                }
+            },
+            Domain::Exact(s) => s.run(horizon, prune, limit, meter),
+        }
+        if self.interrupted().is_none() {
+            self.reach = Some(horizon);
+        }
+    }
+
+    /// The budget dimension that stopped the search, if any.
+    fn interrupted(&self) -> Option<BudgetKind> {
+        on_search!(&self.search, s => s.stopped.map(|(_, kind)| kind))
+    }
+
+    /// The exploration to `horizon`, as [`explore_metered`] would return it.
+    pub fn exploration(&self, horizon: Q) -> Exploration {
+        self.assert_read(horizon);
+        on_search!(&self.search, s => s.exploration(horizon))
+    }
+
+    /// The request-bound function on `[0, horizon]`, as
+    /// [`Rbf::compute_metered`] would return it.
+    pub fn rbf(&self, horizon: Q) -> Rbf {
+        self.assert_read(horizon);
+        let (points, exact_span, truncated) = on_search!(&self.search, s => s.staircase(horizon));
+        Rbf::from_staircase(points, horizon, exact_span, truncated, self.packing)
+    }
+
+    fn assert_read(&self, horizon: Q) {
+        assert!(
+            self.interrupted().is_some() || self.reach.is_some_and(|r| horizon <= r),
+            "read at horizon {horizon} beyond the explored prefix"
+        );
     }
 }
 
 /// Heap entry ordered by ascending span (BinaryHeap is a max-heap, so the
 /// ordering is reversed). Popped entries become the arena's nodes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Candidate<W> {
-    pub(crate) span: W,
-    pub(crate) work: W,
+struct Candidate<W> {
+    span: W,
+    work: W,
     vertex: VertexId,
     len: usize,
     parent: Option<usize>,
@@ -248,80 +368,170 @@ impl<W: Weight> Frontier<W> {
     }
 }
 
-/// The raw result of one exploration, in the weight domain it ran in.
-#[derive(Debug)]
-pub(crate) struct Arena<W> {
+/// The state of one search in one weight domain.
+#[derive(Debug, Clone)]
+struct Search<W> {
+    graph: ScaledGraph<W>,
+    /// Candidates not popped yet, successors beyond the reach included.
+    heap: BinaryHeap<Candidate<W>>,
+    frontiers: Vec<Frontier<W>>,
     /// The retained nodes, in pop order (non-decreasing span).
-    pub(crate) nodes: Vec<Candidate<W>>,
-    generated: usize,
-    pub(crate) pruned: usize,
-    truncated_by_len: bool,
-    /// The scale of the weights (see [`Weight::unscale`]).
-    pub(crate) scale: i128,
-    pub(crate) horizon: Q,
-    /// Where and why the exploration stopped early: the span of the
-    /// candidate it stopped at, and the budget dimension.
-    pub(crate) stopped: Option<(W, BudgetKind)>,
+    nodes: Vec<Candidate<W>>,
+    /// The spans of the pops discarded as dominated (or, unpruned, as
+    /// exact duplicates), in pop order.
+    pruned: Vec<W>,
+    /// The rbf staircase of `nodes`: the running maximum of work in pop
+    /// order, strictly increasing in span and work.
+    steps: Vec<(W, W)>,
+    /// Where and why the search stopped: the span of the candidate it
+    /// stopped at (still in the heap), and the budget dimension.
+    stopped: Option<(W, BudgetKind)>,
 }
 
-impl<W: Weight> Arena<W> {
-    /// Spans strictly below this are completely enumerated (see
-    /// [`Exploration::complete_span`]).
-    pub(crate) fn complete_span(&self) -> Q {
-        match self.stopped {
-            Some((span, _)) => span.unscale(self.scale),
-            None => self.horizon,
+impl<W: Weight> Search<W> {
+    fn new(graph: ScaledGraph<W>) -> Search<W> {
+        let n = graph.wcets.len();
+        let heap = (0..n)
+            .map(|v| Candidate {
+                span: W::ZERO,
+                work: graph.wcets[v],
+                vertex: VertexId(v),
+                len: 1,
+                parent: None,
+            })
+            .collect();
+        Search {
+            graph,
+            heap,
+            frontiers: vec![Frontier::new(); n],
+            nodes: Vec::new(),
+            pruned: Vec::new(),
+            steps: Vec::new(),
+            stopped: None,
         }
     }
 
-    fn into_exploration(self) -> Exploration {
+    /// The exploration loop: pops candidates of span `≤ target` until the
+    /// heap holds none or the meter or node limit stops the search (which
+    /// must not have stopped before).
+    fn run(&mut self, target: W, prune: bool, limit: usize, meter: &BudgetMeter) {
+        let sum = |a: W, b: W| {
+            a.plus(b).unwrap_or_else(|Overflow| {
+                unreachable!("scaled spans and works are statically bounded")
+            })
+        };
+        while let Some(&c) = self.heap.peek() {
+            if c.span > target {
+                break;
+            }
+            if !meter.tick_path() {
+                self.stopped = Some((c.span, meter.tripped().unwrap_or(BudgetKind::Paths)));
+                break;
+            }
+            self.heap.pop();
+            let discard = if prune {
+                self.frontiers[c.vertex.index()].dominated(c.span, c.work)
+            } else {
+                // Even without pruning, drop exact duplicates to stay finite.
+                self.nodes.iter().any(|n| {
+                    n.vertex == c.vertex && n.span == c.span && n.work == c.work && n.len == c.len
+                })
+            };
+            if discard {
+                self.pruned.push(c.span);
+                continue;
+            }
+            let idx = self.nodes.len();
+            if idx >= limit {
+                self.heap.push(c);
+                self.stopped = Some((c.span, BudgetKind::Paths));
+                break;
+            }
+            self.nodes.push(c);
+            if prune {
+                self.frontiers[c.vertex.index()].insert(c.span, c.work, idx);
+            }
+            // A later node at the same span can only raise that span's
+            // value; keep strictly increasing work.
+            match self.steps.last_mut() {
+                Some(last) if last.0 == c.span => last.1 = last.1.max(c.work),
+                Some(last) if c.work <= last.1 => {}
+                _ => self.steps.push((c.span, c.work)),
+            }
+            for &(wcet, sep, to) in self.graph.out(c.vertex) {
+                self.heap.push(Candidate {
+                    span: sum(c.span, sep),
+                    work: sum(c.work, wcet),
+                    vertex: to,
+                    len: c.len + 1,
+                    parent: Some(idx),
+                });
+            }
+        }
+    }
+
+    /// Whether a weight of this domain stands for at most `horizon`.
+    fn within(&self, horizon: Q) -> impl Fn(W) -> bool {
+        let scale = self.graph.scale;
+        move |w: W| w.unscale(scale) <= horizon
+    }
+
+    fn exploration(&self, horizon: Q) -> Exploration {
+        let (within, scale) = (self.within(horizon), self.graph.scale);
+        let retained = self.nodes.partition_point(|c| within(c.span));
+        let pruned = self.pruned.partition_point(|&s| within(s));
+        // Uninterrupted, every candidate within the horizon was popped;
+        // interrupted, the ones still waiting were generated too.
+        let (complete_span, interrupted, waiting) = match self.stopped {
+            Some((s, kind)) if within(s) => (
+                s.unscale(scale),
+                Some(kind),
+                self.heap.iter().filter(|c| within(c.span)).count(),
+            ),
+            _ => (horizon, None, 0),
+        };
         Exploration {
-            complete_span: self.complete_span(),
-            interrupted: self.stopped.map(|(_, kind)| kind),
-            nodes: self.nodes.iter().map(|c| c.unscale(self.scale)).collect(),
-            generated: self.generated,
-            pruned: self.pruned,
-            horizon: self.horizon,
-            truncated_by_len: self.truncated_by_len,
+            nodes: self.nodes[..retained]
+                .iter()
+                .map(|c| c.unscale(scale))
+                .collect(),
+            generated: retained + pruned + waiting,
+            pruned,
+            horizon,
+            complete_span,
+            interrupted,
         }
     }
-}
 
-/// An exploration run in one of the two exact weight domains.
-pub(crate) enum Explored {
-    /// Over the task's weights scaled to integers.
-    Scaled(Arena<i128>),
-    /// Over exact rationals: the scaled weights could leave `i128`.
-    Exact(Arena<Q>),
-}
-
-/// Explores in scaled integers when a static bound proves that no span or
-/// work of the exploration can leave `i128`, and in exact rationals
-/// otherwise. The domain is chosen before the first meter tick, so one
-/// run never mixes the two (a mid-run fallback would tick the meter
-/// twice).
-pub(crate) fn explore_scaled(task: &DrtTask, cfg: &ExploreConfig, meter: &BudgetMeter) -> Explored {
-    let scaled = ScaledGraph::new(task).and_then(|g| Some((scaled_horizon(&g, cfg.horizon)?, g)));
-    match scaled {
-        Some((h, g)) => Explored::Scaled(run(task, &g, h, cfg, meter)),
-        None => Explored::Exact(run(
-            task,
-            &ScaledGraph::exact(task),
-            cfg.horizon,
-            cfg,
-            meter,
-        )),
+    /// The rbf breakpoints to `horizon`, its exact span and truncation:
+    /// past a stop only the spans strictly below it are exact.
+    fn staircase(&self, horizon: Q) -> (Vec<(Q, Q)>, Q, Option<BudgetKind>) {
+        let (within, scale) = (self.within(horizon), self.graph.scale);
+        let (end, exact_span, truncated) = match self.stopped {
+            Some((s, kind)) if within(s) => (
+                self.steps.partition_point(|p| p.0 < s),
+                s.unscale(scale),
+                Some(kind),
+            ),
+            _ => (self.steps.partition_point(|p| within(p.0)), horizon, None),
+        };
+        let points = self.steps[..end]
+            .iter()
+            .map(|&(s, w)| (s.unscale(scale), w.unscale(scale)))
+            .collect();
+        (points, exact_span, truncated)
     }
 }
 
-/// `⌊horizon·D⌋` when every span and work of an exploration to `horizon`
+/// `⌊horizon·D⌋` when every span and work of a search grown to `horizon`
 /// provably fits `i128` at scale `D`, `None` otherwise.
 ///
 /// For an integer span `s`, `s > horizon·D` iff `s > ⌊horizon·D⌋`, so the
-/// scaled horizon test is exact. Every expanded node has span at most
+/// scaled horizon test is exact. Every popped node has span at most
 /// `H = max(⌊horizon·D⌋, 0)`, so a successor's span is at most
 /// `H + max sep`; a path within `H` has at most `H / min sep + 1` jobs,
-/// so its work is at most that times the largest WCET.
+/// and a successor one more, so every work is at most `H / min sep + 2`
+/// times the largest WCET.
 fn scaled_horizon(g: &ScaledGraph<i128>, horizon: Q) -> Option<i128> {
     let h = horizon.checked_mul(Q::int(g.scale))?.floor();
     let reach = h.max(0);
@@ -329,105 +539,9 @@ fn scaled_horizon(g: &ScaledGraph<i128>, horizon: Q) -> Option<i128> {
     reach.checked_add(seps().max().unwrap_or(0))?;
     let jobs = seps()
         .min()
-        .map_or(Some(1), |s| (reach / s).checked_add(1))?;
+        .map_or(Some(1), |s| (reach / s).checked_add(2))?;
     jobs.checked_mul(g.wcets.iter().copied().max().unwrap_or(0))?;
     Some(h)
-}
-
-/// The exploration loop, generic over the weight domain: `g` holds the
-/// task's weights and `horizon` the configuration's horizon in it.
-fn run<W: Weight>(
-    task: &DrtTask,
-    g: &ScaledGraph<W>,
-    horizon: W,
-    cfg: &ExploreConfig,
-    meter: &BudgetMeter,
-) -> Arena<W> {
-    let sum = |a: W, b: W| {
-        a.plus(b).unwrap_or_else(|Overflow| {
-            unreachable!("scaled spans and works are statically bounded")
-        })
-    };
-    let mut nodes: Vec<Candidate<W>> = Vec::new();
-    let mut frontiers: Vec<Frontier<W>> = vec![Frontier::new(); task.num_vertices()];
-    let mut heap: BinaryHeap<Candidate<W>> = BinaryHeap::new();
-    let mut generated = 0usize;
-    let mut pruned = 0usize;
-    let mut truncated_by_len = false;
-    let mut stopped = None;
-
-    for v in task.vertex_ids() {
-        generated += 1;
-        heap.push(Candidate {
-            span: W::ZERO,
-            work: g.wcets[v.index()],
-            vertex: v,
-            len: 1,
-            parent: None,
-        });
-    }
-
-    while let Some(c) = heap.pop() {
-        if !meter.tick_path() {
-            stopped = Some((c.span, meter.tripped().unwrap_or(BudgetKind::Paths)));
-            break;
-        }
-        if cfg.prune && frontiers[c.vertex.index()].dominated(c.span, c.work) {
-            pruned += 1;
-            continue;
-        }
-        if !cfg.prune {
-            // Even without pruning, drop exact duplicates to stay finite.
-            if nodes
-                .iter()
-                .any(|n| n.vertex == c.vertex && n.span == c.span && n.work == c.work && n.len == c.len)
-            {
-                pruned += 1;
-                continue;
-            }
-        }
-        let idx = nodes.len();
-        if idx >= cfg.node_limit {
-            stopped = Some((c.span, BudgetKind::Paths));
-            break;
-        }
-        nodes.push(c);
-        if cfg.prune {
-            frontiers[c.vertex.index()].insert(c.span, c.work, idx);
-        }
-        if let Some(ml) = cfg.max_len {
-            if c.len >= ml {
-                if !task.out_edges(c.vertex).is_empty() {
-                    truncated_by_len = true;
-                }
-                continue;
-            }
-        }
-        for (e, &(wcet, sep)) in task.out_edges(c.vertex).iter().zip(g.out(c.vertex)) {
-            let span = sum(c.span, sep);
-            if span > horizon {
-                continue;
-            }
-            generated += 1;
-            heap.push(Candidate {
-                span,
-                work: sum(c.work, wcet),
-                vertex: e.to,
-                len: c.len + 1,
-                parent: Some(idx),
-            });
-        }
-    }
-
-    Arena {
-        nodes,
-        generated,
-        pruned,
-        truncated_by_len,
-        scale: g.scale,
-        horizon: cfg.horizon,
-        stopped,
-    }
 }
 
 #[cfg(test)]
@@ -502,19 +616,6 @@ mod tests {
             .map(|&v| task.vertex(v).label.as_str())
             .collect();
         assert_eq!(labels, vec!["a", "c", "d"]);
-    }
-
-    #[test]
-    fn max_len_truncation_flag() {
-        let mut b = DrtTaskBuilder::new("loop");
-        let v = b.vertex("v", Q::ONE);
-        b.edge(v, v, Q::ONE);
-        let task = b.build().unwrap();
-        let ex = explore(&task, &ExploreConfig::new(Q::int(50)).with_max_len(3));
-        assert!(ex.truncated_by_len);
-        assert!(ex.nodes().iter().all(|n| n.len <= 3));
-        let full = explore(&task, &ExploreConfig::new(Q::int(50)));
-        assert!(!full.truncated_by_len);
     }
 
     #[test]
@@ -648,19 +749,14 @@ mod tests {
         }};
     }
 
-    /// Default, length-capped, unpruned (kept finite by a node limit) and
-    /// node-limited configurations at horizon `h`.
-    fn configs(h: Q) -> [ExploreConfig; 4] {
+    /// Default, unpruned (kept finite by a node limit) and node-limited
+    /// configurations at horizon `h`.
+    fn configs(h: Q) -> [ExploreConfig; 3] {
         let mut raw = ExploreConfig::new(h).without_pruning();
         raw.node_limit = 300;
         let mut small = ExploreConfig::new(h);
         small.node_limit = 7;
-        [
-            ExploreConfig::new(h),
-            ExploreConfig::new(h).with_max_len(3),
-            raw,
-            small,
-        ]
+        [ExploreConfig::new(h), raw, small]
     }
 
     const MAX_PATHS: [Option<u64>; 7] = [
@@ -686,33 +782,40 @@ mod tests {
         assert_eq!(a.pruned, b.pruned, "pruned");
         assert_eq!(a.complete_span, b.complete_span, "complete span");
         assert_eq!(a.interrupted, b.interrupted, "interrupted");
-        assert_eq!(a.truncated_by_len, b.truncated_by_len, "truncated by len");
         assert_eq!(a.horizon, b.horizon, "horizon");
     }
 
-    /// Runs the loop in scaled `i128` and in exact `Q` under every
+    fn is_scaled(x: &Explorer) -> bool {
+        matches!(x.search, Domain::Scaled(_))
+    }
+
+    /// An explorer forced into the exact-rational domain.
+    fn exact_explorer(task: &DrtTask, cfg: &ExploreConfig) -> Explorer {
+        let mut x = Explorer::new(task, cfg);
+        x.search = Domain::Exact(Search::new(ScaledGraph::exact(task)));
+        x
+    }
+
+    /// Runs the search in scaled `i128` and in exact `Q` under every
     /// configuration and path cap, and asserts identical explorations
     /// (parents included) and identical rbfs.
     fn assert_domains_agree(task: &DrtTask, horizons: &[Q]) {
         let scaled = ScaledGraph::new(task).expect("task scales to i128");
-        let exact = ScaledGraph::exact(task);
         for &h in horizons {
-            let hd = scaled_horizon(&scaled, h).expect("scaled horizon fits");
-            let auto = explore_scaled(task, &ExploreConfig::new(h), &BudgetMeter::unlimited());
-            assert!(
-                matches!(auto, Explored::Scaled(_)),
-                "expected the i128 domain"
-            );
+            assert!(scaled_horizon(&scaled, h).is_some(), "scaled horizon fits");
             for cfg in configs(h) {
                 for mp in MAX_PATHS {
-                    let int = run(task, &scaled, hd, &cfg, &meter(mp));
-                    let rat = run(task, &exact, h, &cfg, &meter(mp));
+                    let mut int = Explorer::new(task, &cfg);
+                    int.extend_to(h, &meter(mp));
+                    assert!(is_scaled(&int), "expected the i128 domain");
+                    let mut rat = exact_explorer(task, &cfg);
+                    rat.extend_to(h, &meter(mp));
                     assert_eq!(
-                        Rbf::from_arena(task, &int),
-                        Rbf::from_arena(task, &rat),
+                        int.rbf(h),
+                        rat.rbf(h),
                         "rbf at horizon {h}, cap {mp:?}, {cfg:?}"
                     );
-                    assert_same(&int.into_exploration(), &rat.into_exploration());
+                    assert_same(&int.exploration(h), &rat.exploration(h));
                 }
             }
         }
@@ -779,31 +882,35 @@ mod tests {
         let task = b.build().unwrap();
         assert!(ScaledGraph::new(&task).is_none(), "D must overflow");
         let cfg = ExploreConfig::new(Q::int(40));
-        let auto = explore_scaled(&task, &cfg, &BudgetMeter::unlimited());
-        assert!(matches!(auto, Explored::Exact(_)), "expected the Q domain");
+        assert!(
+            !is_scaled(&Explorer::new(&task, &cfg)),
+            "expected the Q domain"
+        );
         let ex = explore(&task, &cfg);
         // Spans 0, 10, 20, 30, 40 on v0; 0, 11, 22, 33 on v1; …
         assert_eq!(ex.nodes().len(), 5 + 4 + 4 + 4);
         assert_consistent(&task, &ex);
     }
 
-    #[test]
-    fn oversized_scaled_horizon_explores_in_exact_rationals() {
-        // D = p·p' ≈ 2^80 fits, but horizon·D ≈ 2^130 does not.
+    /// `x →1 y` with WCET denominators primes just above 2^40: the scale
+    /// `D = p·p' ≈ 2^80` fits `i128`, but `2^50·D ≈ 2^130` does not.
+    fn wide() -> DrtTask {
         let mut b = DrtTaskBuilder::new("wide");
         let x = b.vertex("x", Q::new(1, 1_099_511_627_791));
         let y = b.vertex("y", Q::new(1, 1_099_511_627_803));
         b.edge(x, y, Q::ONE);
-        let task = b.build().unwrap();
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn oversized_scaled_horizon_explores_in_exact_rationals() {
+        let task = wide();
         let g = ScaledGraph::new(&task).expect("D fits");
         let horizon = Q::int(1 << 50);
         assert_eq!(scaled_horizon(&g, horizon), None);
-        let auto = explore_scaled(
-            &task,
-            &ExploreConfig::new(horizon),
-            &BudgetMeter::unlimited(),
-        );
-        assert!(matches!(auto, Explored::Exact(_)), "expected the Q domain");
+        let mut auto = Explorer::new(&task, &ExploreConfig::new(horizon));
+        auto.extend_to(horizon, &BudgetMeter::unlimited());
+        assert!(!is_scaled(&auto), "expected the Q domain");
         let ex = explore(&task, &ExploreConfig::new(horizon));
         assert_eq!(ex.nodes().len(), 3);
         assert_consistent(&task, &ex);
@@ -815,6 +922,92 @@ mod tests {
         let g = ScaledGraph::new(&heavy).expect("integers scale");
         assert_eq!(scaled_horizon(&g, Q::int(1 << 20)), Some(1 << 20));
         assert_eq!(scaled_horizon(&g, Q::int(1 << 30)), None);
+    }
+
+    /// Reads of `x` at every horizon it can answer — reached, or any once
+    /// stopped — equal fresh runs under the same configuration and path
+    /// cap; so do its rbfs under the default configuration.
+    fn assert_reads_fresh(
+        task: &DrtTask,
+        x: &Explorer,
+        horizons: &[Q],
+        cfg: &ExploreConfig,
+        mp: Option<u64>,
+    ) {
+        for &h in horizons {
+            if x.interrupted().is_none() && x.reach.is_none_or(|r| h > r) {
+                continue;
+            }
+            let cfg = ExploreConfig {
+                horizon: h,
+                ..cfg.clone()
+            };
+            assert_same(&x.exploration(h), &explore_metered(task, &cfg, &meter(mp)));
+            if cfg.prune && cfg.node_limit == ExploreConfig::new(h).node_limit {
+                assert_eq!(
+                    x.rbf(h),
+                    Rbf::compute_metered(task, h, &meter(mp)),
+                    "rbf at {h}, cap {mp:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn explorer_grown_vs_fresh() {
+        srtw_detrand::prop::forall("explorer_grown_vs_fresh", rational_task, |task| {
+            let horizons = [Q::ZERO, q(5, 3), q(37, 2), Q::int(60), q(301, 2)];
+            for cfg in configs(Q::ZERO) {
+                for mp in MAX_PATHS {
+                    let m = meter(mp);
+                    let mut x = Explorer::new(task, &cfg);
+                    for &h in &horizons {
+                        x.extend_to(h, &m);
+                        assert_reads_fresh(task, &x, &horizons, &cfg, mp);
+                    }
+                    let last = horizons[horizons.len() - 1];
+                    let cfg = ExploreConfig {
+                        horizon: last,
+                        ..cfg.clone()
+                    };
+                    assert_same(
+                        &x.exploration(last),
+                        &explore_metered(task, &cfg, &meter(mp)),
+                    );
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn explorer_promotes_to_exact_rationals_mid_growth() {
+        let task = wide();
+        let meter = BudgetMeter::unlimited();
+        let (low, high) = (Q::int(7), Q::int(1 << 50));
+        let mut x = Explorer::new(&task, &ExploreConfig::new(low));
+        x.extend_to(low, &meter);
+        assert!(is_scaled(&x), "expected the i128 domain at {low}");
+        assert_same(
+            &x.exploration(low),
+            &explore(&task, &ExploreConfig::new(low)),
+        );
+        x.extend_to(high, &meter);
+        assert!(!is_scaled(&x), "expected the Q domain at {high}");
+        for h in [low, high] {
+            let fresh = explore(&task, &ExploreConfig::new(h));
+            assert_same(&x.exploration(h), &fresh);
+            assert_consistent(&task, &fresh);
+            assert_eq!(x.rbf(h), Rbf::compute(&task, h), "rbf at {h}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond the explored prefix")]
+    fn reading_past_the_reach_panics() {
+        let task = diamond();
+        let mut x = Explorer::new(&task, &ExploreConfig::new(Q::ZERO));
+        x.extend_to(Q::int(5), &BudgetMeter::unlimited());
+        let _ = x.exploration(Q::int(6));
     }
 
     #[test]

@@ -11,11 +11,8 @@
 //! (see [`crate::paths`]) and returned as a right-continuous staircase.
 
 use crate::digraph::DrtTask;
-use crate::paths::{explore_scaled, Arena, ExploreConfig, Explored};
-use crate::weight::Weight;
+use crate::paths::{ExploreConfig, Explorer};
 use srtw_minplus::{BudgetKind, BudgetMeter, Curve, Piece, Q, Tail};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
 
 /// The request-bound function of a task, materialized up to a horizon.
 ///
@@ -53,10 +50,6 @@ pub struct Rbf {
     tail_base: Q,
     /// Rate of the coarse affine tail.
     tail_rate: Q,
-    /// Number of retained abstract paths during computation.
-    pub paths_retained: usize,
-    /// Number of candidates pruned by dominance.
-    pub paths_pruned: usize,
 }
 
 impl Rbf {
@@ -83,75 +76,34 @@ impl Rbf {
     /// edgeless task). Either way the truncated rbf **dominates** the true
     /// rbf everywhere, so any delay bound computed from it is sound.
     pub fn compute_metered(task: &DrtTask, horizon: Q, meter: &BudgetMeter) -> Rbf {
-        match explore_scaled(task, &ExploreConfig::new(horizon), meter) {
-            Explored::Scaled(arena) => Rbf::from_arena(task, &arena),
-            Explored::Exact(arena) => Rbf::from_arena(task, &arena),
-        }
+        let mut explorer = Explorer::new(task, &ExploreConfig::new(horizon));
+        explorer.extend_to(horizon, meter);
+        explorer.rbf(horizon)
     }
 
-    /// The rbf read off an exploration arena: the running maximum of work
-    /// over the nodes in pop order (ascending span), folded in the arena's
-    /// weight domain. Only the staircase points leave it.
-    pub(crate) fn from_arena<W: Weight>(task: &DrtTask, arena: &Arena<W>) -> Rbf {
-        let horizon = arena.horizon;
-        let exact_span = arena.complete_span();
-        let truncated = arena.stopped.map(|(_, kind)| kind);
-        let stop = arena.stopped.map(|(span, _)| span);
-        // Keep strictly increasing work; a later node at the same span
-        // can only raise that span's value.
-        let mut steps: Vec<(W, W)> = Vec::new();
-        for n in arena
-            .nodes
-            .iter()
-            .take_while(|n| stop.is_none_or(|s| n.span < s))
-        {
-            match steps.last_mut() {
-                Some(last) if last.0 == n.span => {
-                    if n.work > last.1 {
-                        last.1 = n.work;
-                    }
-                }
-                Some(last) if n.work <= last.1 => {}
-                _ => steps.push((n.span, n.work)),
-            }
-        }
-        let points: Vec<(Q, Q)> = steps
-            .into_iter()
-            .map(|(s, w)| (s.unscale(arena.scale), w.unscale(arena.scale)))
-            .collect();
+    /// The rbf with the given exact staircase `points` (spans below
+    /// `exact_span`) and the task's [`packing_line`].
+    pub(crate) fn from_staircase(
+        points: Vec<(Q, Q)>,
+        horizon: Q,
+        exact_span: Q,
+        truncated: Option<BudgetKind>,
+        packing: (Q, Q),
+    ) -> Rbf {
         // Coarse affine tail dominating the true rbf everywhere (only used
-        // when truncated; see the doc comment for the soundness argument).
-        // Both the subadditive line (from the exact prefix) and the
-        // job-packing line dominate the rbf globally; keep the one with
-        // the smaller rate — a short exact prefix makes the subadditive
-        // rate `W/S` arbitrarily steep, while the packing rate never
-        // exceeds `e_max/p_min`.
-        let packing = {
-            let e_max = task
-                .vertex_ids()
-                .map(|v| task.wcet(v))
-                .fold(Q::ZERO, Q::max);
-            let p_min = task
-                .vertex_ids()
-                .flat_map(|v| task.out_edges(v).iter().map(|e| e.separation))
-                .fold(None, |acc: Option<Q>, s| {
-                    Some(acc.map_or(s, |a| a.min(s)))
-                });
-            match p_min {
-                Some(p) => (e_max, e_max / p),
-                None => (e_max, Q::ZERO),
-            }
+        // when truncated; see `compute_metered` for the soundness
+        // argument). Both the subadditive line (from the exact prefix) and
+        // the job-packing line dominate the rbf globally; keep the one
+        // with the smaller rate — a short exact prefix makes the
+        // subadditive rate `W/S` arbitrarily steep (or leaves `Q`), while
+        // the packing rate never exceeds `e_max/p_min`.
+        let subadditive = match points.last() {
+            Some(&(_, w)) if exact_span.is_positive() => w.checked_div(exact_span).map(|r| (w, r)),
+            _ => None,
         };
-        let (tail_base, tail_rate) = if exact_span.is_positive() && !points.is_empty() {
-            let w = points.last().expect("non-empty").1;
-            let subadd = (w, w / exact_span);
-            if subadd.1 <= packing.1 {
-                subadd
-            } else {
-                packing
-            }
-        } else {
-            packing
+        let (tail_base, tail_rate) = match subadditive {
+            Some(line) if line.1 <= packing.1 => line,
+            _ => packing,
         };
         Rbf {
             points,
@@ -160,8 +112,6 @@ impl Rbf {
             truncated,
             tail_base,
             tail_rate,
-            paths_retained: arena.nodes.len(),
-            paths_pruned: arena.pruned,
         }
     }
 
@@ -212,9 +162,9 @@ impl Rbf {
             "rbf({t}) beyond computed horizon {}",
             self.horizon
         );
-        match self.points.iter().rev().find(|p| p.0 <= t) {
-            Some(&(_, w)) => w,
-            None => Q::ZERO,
+        match self.points.partition_point(|p| p.0 <= t) {
+            0 => Q::ZERO,
+            i => self.points[i - 1].1,
         }
     }
 
@@ -288,117 +238,16 @@ impl Rbf {
             }
         }
     }
-
-    /// The total demand bound at the horizon (of the exact prefix for
-    /// truncated rbfs).
-    pub fn max_work(&self) -> Q {
-        self.points.last().map(|p| p.1).unwrap_or(Q::ZERO)
-    }
 }
 
-/// How many `(horizon, rbf)` entries the memo keeps per task. The
-/// busy-window fixpoint revisits only a handful of horizons per task
-/// (initial probe, geometric growth levels, final bound), so a small
-/// fixed way-count covers the useful hits without unbounded growth.
-const MEMO_WAYS: usize = 8;
-
-/// A per-analysis memo for [`Rbf`] computations, keyed by
-/// `(task index, horizon)`.
-///
-/// The busy-window fixpoint and the per-stream delay analyses repeatedly
-/// materialize the *same* rbf at the *same* horizon (most prominently: the
-/// final fixpoint bound, recomputed once by the fixpoint itself and once
-/// per stream). The memo deduplicates that work.
-///
-/// Reads are lock-free: each slot is a [`OnceLock`], so lookups never
-/// block and the structure can be shared by reference across analysis
-/// shards. Writes race benignly — whichever thread initializes a slot
-/// first wins, and since **only exact results are cached** (a truncated
-/// rbf depends on the budget state at computation time, an exact one is a
-/// pure function of `(task, horizon)`), the cached value is independent
-/// of the winner. Cache hits skip the exploration's budget ticks, which
-/// can only make a budgeted analysis complete *more* exactly, never less.
-#[derive(Debug)]
-pub struct RbfMemo {
-    slots: Vec<[OnceLock<(Q, Rbf)>; MEMO_WAYS]>,
-    /// Lookups answered from a cached slot.
-    hits: AtomicU64,
-    /// Lookups that had to run the exploration.
-    computes: AtomicU64,
-}
-
-impl RbfMemo {
-    /// A memo with one slot group per task of the analysed system.
-    pub fn new(num_tasks: usize) -> RbfMemo {
-        RbfMemo {
-            slots: (0..num_tasks)
-                .map(|_| std::array::from_fn(|_| OnceLock::new()))
-                .collect(),
-            hits: AtomicU64::new(0),
-            computes: AtomicU64::new(0),
-        }
+/// The job-packing line `(e_max, e_max/p_min)` of `task` over its largest
+/// WCET and smallest separation (flat `e_max` without edges).
+pub(crate) fn packing_line(task: &DrtTask) -> (Q, Q) {
+    let e_max = task.max_wcet();
+    match task.min_separation() {
+        Some(p) => (e_max, e_max / p),
+        None => (e_max, Q::ZERO),
     }
-
-    /// Lookups answered from a cached slot.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Lookups that ran the exploration.
-    pub fn computes(&self) -> u64 {
-        self.computes.load(Ordering::Relaxed)
-    }
-
-    /// Returns the cached rbf for `(index, horizon)` or computes it with
-    /// [`Rbf::compute_metered`], caching exact results.
-    ///
-    /// `index` must consistently identify `task` across calls; an index
-    /// beyond the memo's size disables caching for that call.
-    pub fn get_or_compute(
-        &self,
-        index: usize,
-        task: &DrtTask,
-        horizon: Q,
-        meter: &BudgetMeter,
-    ) -> Rbf {
-        if let Some(ways) = self.slots.get(index) {
-            for slot in ways {
-                if let Some((h, rbf)) = slot.get() {
-                    if *h == horizon {
-                        self.hits.fetch_add(1, Ordering::Relaxed);
-                        return rbf.clone();
-                    }
-                }
-            }
-        }
-        self.computes.fetch_add(1, Ordering::Relaxed);
-        let rbf = Rbf::compute_metered(task, horizon, meter);
-        if rbf.truncated().is_none() {
-            if let Some(ways) = self.slots.get(index) {
-                for slot in ways {
-                    if slot.set((horizon, rbf.clone())).is_ok() {
-                        break;
-                    }
-                    // Occupied: if it now holds our key (a racing writer
-                    // beat us to it), stop probing; otherwise try the next
-                    // way. A full group simply skips caching.
-                    if matches!(slot.get(), Some((h, _)) if *h == horizon) {
-                        break;
-                    }
-                }
-            }
-        }
-        rbf
-    }
-}
-
-/// Convenience: computes `rbf` values of a task at integer steps — used by
-/// tests and experiment harnesses.
-pub fn rbf_samples(task: &DrtTask, horizon: i128) -> Vec<(Q, Q)> {
-    let rbf = Rbf::compute(task, Q::int(horizon));
-    (0..=horizon)
-        .map(|t| (Q::int(t), rbf.eval(Q::int(t))))
-        .collect()
 }
 
 #[cfg(test)]
@@ -453,20 +302,29 @@ mod tests {
         b.build().unwrap()
     }
 
+    /// Every breakpoint of `rbf` and a point just below each one.
+    fn breakpoint_probes(rbf: &Rbf) -> Vec<Q> {
+        rbf.points()
+            .iter()
+            .flat_map(|p| [p.0, p.0 - q(1, 1000)])
+            .filter(|t| !t.is_negative())
+            .collect()
+    }
+
     #[test]
     fn rbf_matches_brute_force() {
         let task = branching();
         let rbf = Rbf::compute(&task, Q::int(40));
-        for i in 0..=80 {
-            let t = q(i, 2);
+        let grid = (0..=80).map(|i| q(i, 2));
+        for t in grid.chain(breakpoint_probes(&rbf)) {
             assert_eq!(rbf.eval(t), brute_rbf(&task, t), "rbf({t})");
         }
         // Rational separations: probe on a grid finer than every
-        // separation denominator, plus every breakpoint itself.
+        // separation denominator, plus every breakpoint and just below.
         let task = rational_branching();
         let rbf = Rbf::compute(&task, Q::int(24));
         let grid = (0..=24 * 120).map(|i| q(i, 120));
-        for t in grid.chain(rbf.points().iter().map(|p| p.0)) {
+        for t in grid.chain(breakpoint_probes(&rbf)) {
             assert_eq!(rbf.eval(t), brute_rbf(&task, t), "rbf({t})");
         }
     }
@@ -539,7 +397,6 @@ mod tests {
         assert_eq!(rbf.eval(Q::int(4)), Q::int(3)); // single heaviest job
         assert_eq!(rbf.eval(Q::int(5)), Q::int(5)); // a then b
         assert_eq!(rbf.eval(Q::int(100)), Q::int(5)); // no more work exists
-        assert_eq!(rbf.max_work(), Q::int(5));
     }
 
     #[test]
@@ -548,14 +405,6 @@ mod tests {
         let task = branching();
         let rbf = Rbf::compute(&task, Q::int(10));
         let _ = rbf.eval(Q::int(11));
-    }
-
-    #[test]
-    fn rbf_samples_helper() {
-        let task = branching();
-        let s = rbf_samples(&task, 10);
-        assert_eq!(s.len(), 11);
-        assert_eq!(s[0].1, Q::int(3));
     }
 
     #[test]

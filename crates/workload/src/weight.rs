@@ -47,21 +47,37 @@ impl Weight for Q {
 }
 
 /// The task's weights scaled by `scale`: per vertex `scale·wcet`, and per
-/// edge (in `out_edges` order, source by source) the pair
-/// `(scale·wcet(target), scale·separation)`.
+/// edge (in `out_edges` order, source by source) the triple
+/// `(scale·wcet(target), scale·separation, target)`.
+#[derive(Debug, Clone)]
 pub(crate) struct ScaledGraph<W> {
     /// The common scale: `D` for `i128` weights, 1 for exact rationals.
     pub(crate) scale: i128,
     pub(crate) wcets: Vec<W>,
-    pub(crate) edges: Vec<(W, W)>,
+    pub(crate) edges: Vec<(W, W, VertexId)>,
     /// `edges[first[v]..first[v + 1]]` are the out-edges of vertex `v`.
     first: Vec<usize>,
 }
 
 impl<W: Weight> ScaledGraph<W> {
-    /// The scaled `(wcet(target), separation)` of `v`'s out-edges.
-    pub(crate) fn out(&self, v: VertexId) -> &[(W, W)] {
+    /// The scaled `(wcet(target), separation, target)` of `v`'s out-edges.
+    pub(crate) fn out(&self, v: VertexId) -> &[(W, W, VertexId)] {
         &self.edges[self.first[v.index()]..self.first[v.index() + 1]]
+    }
+
+    /// The same graph over exact rationals (`scale` 1).
+    pub(crate) fn unscaled(&self) -> ScaledGraph<Q> {
+        let q = |w: W| w.unscale(self.scale);
+        ScaledGraph {
+            scale: 1,
+            wcets: self.wcets.iter().map(|&w| q(w)).collect(),
+            edges: self
+                .edges
+                .iter()
+                .map(|&(w, s, to)| (q(w), q(s), to))
+                .collect(),
+            first: self.first.clone(),
+        }
     }
 
     fn build(task: &DrtTask, scale: i128, f: impl Fn(Q) -> Option<W>) -> Option<ScaledGraph<W>> {
@@ -70,7 +86,7 @@ impl<W: Weight> ScaledGraph<W> {
         for v in task.vertex_ids() {
             first.push(edges.len());
             for e in task.out_edges(v) {
-                edges.push((f(task.wcet(e.to))?, f(e.separation)?));
+                edges.push((f(task.wcet(e.to))?, f(e.separation)?, e.to));
             }
         }
         first.push(edges.len());
@@ -116,7 +132,7 @@ impl ScaledGraph<i128> {
         let (p, q) = (lambda.numer(), lambda.denom());
         self.edges
             .iter()
-            .map(|&(w, s)| q.checked_mul(w)?.checked_sub(p.checked_mul(s)?))
+            .map(|&(w, s, _)| q.checked_mul(w)?.checked_sub(p.checked_mul(s)?))
             .collect()
     }
 }

@@ -18,9 +18,12 @@
 #      chain);
 #   5. adversarial stress suite at elevated case counts (no-panic,
 #      budget-respecting, structural ≤ degraded ≤ RTC sandwich), plus
-#      the budgeted CLI run on systems/adversarial.srtw, plus the path
-#      explorer's differential property (scaled-integer vs exact-rational
-#      instantiation: identical arenas and rbfs) at 1024 cases;
+#      the budgeted CLI run on systems/adversarial.srtw (exit 0,
+#      degraded, and done within 5 s under its 1 s budget), plus the path
+#      explorer's two differential properties at 1024 cases each:
+#      scaled-integer vs exact-rational instantiation (identical arenas
+#      and rbfs), and a search grown through increasing horizons vs fresh
+#      searches to each of them;
 #   6. supervised batch smoke test: the shipped systems under a 2 s
 #      watchdog must come back degraded-not-failed (exit 0), and a
 #      fault-injected batch must exhaust the ladder and exit 4;
@@ -121,15 +124,27 @@ SRTW_PROP_CASES=256 cargo test -q --release --offline --test stress
 # the same arena, counters and rbf on every seeded rational task.
 SRTW_PROP_CASES=1024 cargo test -q --release --offline -p srtw-workload --lib \
     paths::tests::scaled_and_exact_explorations_agree
+# A search grown level by level must read exactly like fresh searches to
+# each level: arenas, parents, counters and rbfs, under every path cap.
+SRTW_PROP_CASES=1024 cargo test -q --release --offline -p srtw-workload --lib \
+    paths::tests::explorer_grown_vs_fresh
 # The shipped adversarial system must degrade gracefully under a 1 s wall
-# budget: exit 0, a degradation warning on stderr, "degraded":true in JSON.
+# budget: exit 0, a degradation warning on stderr, "degraded":true in JSON,
+# and no more than 5 s of wall time (post-budget work is bounded too).
+cargo build --release --offline -q --bin srtw
 adv_err=$(mktemp)
-adv_json=$(cargo run --release --offline -q --bin srtw -- \
+adv_start=$(date +%s%N)
+adv_json=$(target/release/srtw \
     analyze systems/adversarial.srtw --json --budget-ms 1000 2>"$adv_err") || {
     echo "error: budgeted adversarial run failed (exit $?)" >&2
     cat "$adv_err" >&2
     exit 1
 }
+adv_ms=$(( ($(date +%s%N) - adv_start) / 1000000 ))
+if [ "$adv_ms" -gt 5000 ]; then
+    echo "error: budgeted adversarial run took ${adv_ms} ms (limit 5000 ms)" >&2
+    exit 1
+fi
 case "$adv_json" in
     *'"degraded":true'*) : ;;
     *) echo 'error: adversarial run not flagged "degraded":true' >&2; exit 1 ;;

@@ -92,8 +92,7 @@ pub use srtw_sim::{
     simulate_preemptive, witness_trace, JobRecord, SchedPolicy, ServiceProcess, SimOutcome,
 };
 pub use srtw_workload::{
-    critical_cycle, explore, explore_metered, long_run_utilization, rbf_samples, Dbf, DrtTask,
-    DrtTaskBuilder, ExploreConfig, Exploration, MultiframeTask, PathNode, PeriodicTask, Rbf,
-    RbfMemo, RbNode, RecurringBranchingTask, ReleaseTrace, SporadicTask, VertexId,
-    WorkloadError,
+    critical_cycle, explore, explore_metered, long_run_utilization, Dbf, DrtTask, DrtTaskBuilder,
+    ExploreConfig, Exploration, Explorer, MultiframeTask, PathNode, PeriodicTask, Rbf, RbNode,
+    RecurringBranchingTask, ReleaseTrace, SporadicTask, VertexId, WorkloadError,
 };

@@ -1,11 +1,12 @@
 //! Cross-crate integration tests: analysis theorems and simulation
 //! soundness over randomized workloads and servers.
 
+use srtw::textfmt::parse_system;
 use srtw::{
     backlog_bound, busy_window, earliest_random_walk, fifo_rtc, fifo_structural, generate_drt,
     generate_task_set, lazy_random_walk, q, rtc_delay, simulate_fifo, structural_delay,
-    structural_delay_with, witness_trace, AnalysisConfig, Curve, DrtGenConfig, PeriodicTask, Q,
-    RateLatencyServer, Server, ServiceProcess, TdmaServer,
+    structural_delay_with, witness_trace, AnalysisConfig, Curve, DrtGenConfig, DrtTask,
+    PeriodicResource, PeriodicTask, Q, RateLatencyServer, Server, ServiceProcess, TdmaServer,
 };
 
 fn gen_cfg(vertices: usize, u: Q) -> DrtGenConfig {
@@ -101,33 +102,77 @@ fn simulation_on_tdma_process_respects_tdma_analysis() {
     }
 }
 
-#[test]
-fn witness_replay_meets_bound_on_fluid_server() {
-    // Replaying the witness on the *rate-only* fluid server (zero latency)
-    // must reach a delay between 0 and the bound; with latency folded in it
-    // stays sound.
-    let task = generate_drt(&gen_cfg(5, q(1, 2)), 31);
-    let rate = q(3, 4);
-    let beta = Curve::affine(Q::ZERO, rate);
-    let analysis = structural_delay(&task, &beta).unwrap();
-    for vb in &analysis.per_vertex {
-        let w = vb.witness.as_ref().unwrap();
-        let trace = witness_trace(&task, &w.vertices);
+/// The witness certificate of every exact, non-fallback bound of `task`
+/// on `beta`, replayed at the minimum separations on `service`: the
+/// observed delay of the witness's last job type is at most the bound,
+/// and equal to it when `tight`. Returns how many witnesses it replayed.
+fn replay_witnesses(task: &DrtTask, beta: &Curve, service: &ServiceProcess, tight: bool) -> usize {
+    let analysis = structural_delay(task, beta).unwrap();
+    if !analysis.quality.is_exact() {
+        return 0;
+    }
+    let mut replayed = 0;
+    for vb in analysis.per_vertex.iter().filter(|vb| !vb.from_fallback) {
+        let w = vb.witness.as_ref().expect("exact bounds carry witnesses");
+        let trace = witness_trace(task, &w.vertices);
         let out = simulate_fifo(
-            std::slice::from_ref(&task),
+            std::slice::from_ref(task),
             std::slice::from_ref(&trace),
-            &ServiceProcess::fluid(rate),
+            service,
         );
         let observed = out.max_delay_of(0, vb.vertex);
-        assert!(observed <= vb.bound);
-        // On a fluid server the witness exactly achieves its bound: the
-        // busy period never breaks (witness paths are left-saturated).
-        assert_eq!(
-            observed, vb.bound,
-            "witness should be tight on the fluid server for {}",
-            vb.label
+        assert!(
+            observed <= vb.bound,
+            "{} on {}: witness replay {observed} above bound {}",
+            vb.label,
+            service.label(),
+            vb.bound
         );
+        if tight {
+            assert_eq!(
+                observed,
+                vb.bound,
+                "{} on {}: witness should be tight",
+                vb.label,
+                service.label()
+            );
+        }
+        replayed += 1;
     }
+    replayed
+}
+
+#[test]
+fn witness_replay_meets_bound_on_fluid_server() {
+    // Replaying a witness on the *rate-only* fluid server (zero latency)
+    // reaches exactly its bound: the busy period never breaks (witness
+    // paths are left-saturated). On the worst-case process of a
+    // latency-rate, TDMA or periodic-resource lower curve it stays sound.
+    let path = format!("{}/systems/decoder.srtw", env!("CARGO_MANIFEST_DIR"));
+    let decoder = parse_system(&std::fs::read_to_string(path).unwrap()).unwrap();
+    let corpus = decoder.tasks.into_iter().chain(
+        (0..64u64).map(|seed| generate_drt(&gen_cfg(3 + (seed as usize % 5), q(1, 2)), seed)),
+    );
+    let rate = q(3, 4);
+    let curves = [
+        RateLatencyServer::new(Q::ONE, Q::int(2)).unwrap().beta_lower(),
+        TdmaServer::new(Q::int(3), Q::int(5), Q::ONE)
+            .unwrap()
+            .beta_lower(),
+        PeriodicResource::new(Q::int(5), Q::int(4))
+            .unwrap()
+            .beta_lower(),
+    ];
+    let (mut fluid, mut worst_case) = (0, 0);
+    for task in corpus {
+        let beta = Curve::affine(Q::ZERO, rate);
+        fluid += replay_witnesses(&task, &beta, &ServiceProcess::fluid(rate), true);
+        for beta in &curves {
+            let service = ServiceProcess::from_curve("lower curve", beta.clone());
+            worst_case += replay_witnesses(&task, beta, &service, false);
+        }
+    }
+    assert!(fluid >= 65 && worst_case >= 3 * 65, "{fluid} / {worst_case} witnesses");
 }
 
 #[test]

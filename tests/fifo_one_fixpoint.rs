@@ -4,12 +4,16 @@
 //! `fifo_structural` for the streams and `fifo_rtc_with` for the
 //! baseline, each on its own meter — under every kind of budget that
 //! replays deterministically: unlimited, path caps, and injected
-//! budget trips and overflows at a sweep of metered operations.
+//! budget trips and overflows at a sweep of metered operations. It also
+//! pins that an exact report explores each stream once: its path ticks
+//! are exactly the candidates of one exploration per stream to the
+//! busy-window bound.
 
 use srtw::textfmt::{parse_system, ServerSpec};
 use srtw::{
-    fifo_report, fifo_rtc_with, fifo_structural, generate_task_set, q, AnalysisConfig, Budget,
-    Curve, DrtGenConfig, DrtTask, FaultKind, FaultPlan, FifoReport, Q,
+    busy_window, explore, fifo_report, fifo_rtc_with, fifo_structural, generate_task_set, q,
+    AnalysisConfig, AnalysisError, Budget, Curve, DrtGenConfig, DrtTask, ExploreConfig, FaultKind,
+    FaultPlan, FifoReport, Q,
 };
 
 /// Fault-injection points: the first few metered operations one by one,
@@ -155,4 +159,41 @@ fn one_fixpoint_report_matches_the_two_fixpoint_composition() {
 fn adversarial_system_matches_under_path_caps() {
     let (tasks, beta) = shipped("adversarial.srtw");
     assert_one_fixpoint_matches("adversarial.srtw", &tasks, &beta, &max_paths_budgets());
+}
+
+/// The exact report needs exactly `G` path ticks, where `G` counts the
+/// candidates one exploration per stream to the busy-window bound
+/// generates: with `G` it is exact (and equals the unbudgeted document),
+/// with `G − 1` it is not. The missing pop lands inside the fixpoint's
+/// last iteration, so the window is finished on the coarse demand lines:
+/// a degraded document, or `BudgetExhausted` where those lines saturate
+/// the service.
+#[test]
+fn exact_report_ticks_one_exploration_per_stream() {
+    let systems = std::iter::once(shipped("decoder.srtw")).chain((0..64).map(generated));
+    for (k, (tasks, beta)) in systems.enumerate() {
+        let bound = busy_window(&tasks, &beta).unwrap().bound;
+        let g: usize = tasks
+            .iter()
+            .map(|t| explore(t, &ExploreConfig::new(bound)).generated)
+            .sum();
+        let capped = |n: usize| {
+            let cfg = AnalysisConfig {
+                budget: Budget::default().with_max_paths(n as u64),
+                ..AnalysisConfig::default()
+            };
+            fifo_report(&tasks, &beta, &cfg)
+        };
+        let exact = normalised(fifo_report(&tasks, &beta, &AnalysisConfig::default()));
+        assert_eq!(
+            normalised(capped(g)),
+            exact,
+            "system {k}: exact under {g} paths"
+        );
+        match capped(g - 1) {
+            Ok(short) => assert!(short.degraded(), "system {k}: exact under {} paths", g - 1),
+            Err(AnalysisError::BudgetExhausted { .. }) => {}
+            Err(e) => panic!("system {k}: {e}"),
+        }
+    }
 }
