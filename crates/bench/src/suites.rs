@@ -474,15 +474,14 @@ pub fn fused_pipeline_suite(t: &Timer) -> Vec<Sample> {
 /// scanning and CRC-checking a populated journal.
 pub fn journal_overhead_suite(t: &Timer) -> Vec<Sample> {
     use srtw_supervisor::journal::{recover, JournalRecord, JournalWriter};
-    use srtw_supervisor::{
-        run_batch, run_batch_observed, BatchConfig, JobSpec, JobStatus, OutcomeObserver,
-    };
-    use std::sync::{Arc, Mutex};
+    use srtw_supervisor::{run_batch, run_batch_observed, BatchConfig, JobSpec, JobStatus};
+    use std::sync::Mutex;
 
     let dir = std::env::temp_dir();
     let pid = std::process::id();
     let path_for = |tag: &str| dir.join(format!("srtw-bench-journal-{tag}-{pid}.wal"));
     let record = JournalRecord {
+        position: 0,
         name: "bench-job".into(),
         status: JobStatus::Exact,
         rung: Some("exact".into()),
@@ -508,6 +507,7 @@ pub fn journal_overhead_suite(t: &Timer) -> Vec<Sample> {
     let mut writer = JournalWriter::create(&recover_path, 0xB10).expect("create bench journal");
     for i in 0..200 {
         let mut r = record.clone();
+        r.position = i;
         r.name = format!("bench-job-{i}");
         writer.append(&r).expect("prefill bench journal");
     }
@@ -533,22 +533,20 @@ pub fn journal_overhead_suite(t: &Timer) -> Vec<Sample> {
         .collect();
     let cfg = BatchConfig::default();
     out.push(t.bench("journal_overhead", "run_batch/unjournaled/8_jobs", || {
-        let report = run_batch(specs.clone(), &cfg);
-        assert_eq!(report.jobs.len(), 8);
-        black_box(report);
+        let outcomes = run_batch(specs.clone(), &cfg);
+        assert_eq!(outcomes.len(), 8);
+        black_box(outcomes);
     }));
     let batch_path = path_for("batch");
     out.push(t.bench("journal_overhead", "run_batch/journaled/8_jobs", || {
         let writer = JournalWriter::create(&batch_path, 0xB10).expect("create bench journal");
-        let shared = Arc::new(Mutex::new(writer));
-        let sink = Arc::clone(&shared);
-        let observer: OutcomeObserver = Arc::new(move |_, outcome| {
+        let sink = Mutex::new(writer);
+        let outcomes = run_batch_observed(specs.clone(), &cfg, &|_, outcome| {
             let rec = JournalRecord::from_outcome(outcome);
             sink.lock().unwrap().append(&rec).expect("bench append");
         });
-        let report = run_batch_observed(specs.clone(), &cfg, Some(observer));
-        assert_eq!(report.jobs.len(), 8);
-        black_box(report);
+        assert_eq!(outcomes.len(), 8);
+        black_box(outcomes);
     }));
     let _ = std::fs::remove_file(&batch_path);
     out

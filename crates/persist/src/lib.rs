@@ -2,13 +2,12 @@
 //!
 //! `srtw-persist` spills every cached `/analyze` result to disk so a
 //! restarted process (or a respawned replica) starts warm instead of
-//! cold. The store is an append-only *spill file per cache shard*,
-//! reusing the journal's framing discipline from
-//! [`srtw_supervisor::journal`]: each record is `u32 LE len | u32 LE
-//! CRC-32 | payload`, written with a single `write` call in append mode
-//! and `sync_data`'d before the append is reported durable. Reopening a
-//! file truncates any torn tail first; recovery skips CRC-mismatched
-//! records with a warning and never panics.
+//! cold. The store is an append-only *spill file per cache shard*, each
+//! a [`srtw_supervisor::framed`] log — the one CRC-framed, fsync'd-per-
+//! record format the batch journal is written in too. Reopening a file
+//! truncates any torn tail first; recovery skips CRC-mismatched records
+//! with a warning and never panics. This crate keeps only the spill
+//! format's magic, version, record codec and record policy.
 //!
 //! ## On-disk format
 //!
@@ -35,13 +34,15 @@
 //! class and a thread count) fail the version check and load cold with
 //! one warning; the writer then recreates them as version 2.
 //!
-//! ## Sharing discipline
+//! ## Record policy
 //!
-//! Replicas share one spill directory: each replica writes only its own
-//! shard files (`r{replica}.s*`), but loads *every* replica's files at
-//! startup. Writes stay shared-nothing (no cross-process file is ever
-//! appended by two writers), while a respawned replica inherits the
-//! whole fleet's warm set.
+//! Of several records with one key (canonical hash and presentation
+//! digest), across every file, the latest generation wins. Replicas share
+//! one spill directory: each replica writes only its own shard files
+//! (`r{replica}.s*`), but loads *every* replica's files at startup.
+//! Writes stay shared-nothing (no cross-process file is ever appended by
+//! two writers), while a respawned replica inherits the whole fleet's
+//! warm set.
 //!
 //! ## Failure policy
 //!
@@ -52,10 +53,11 @@
 //! carry the file path and byte offset and are printed with a uniform
 //! `srtw-persist:` prefix so replica logs are machine-greppable.
 
-use srtw_supervisor::journal::{crc32, frame, FrameScanner, ScannedFrame};
+use srtw_supervisor::framed::{self, put_str, Cursor, LogFormat, LogWarning, WriteFault};
+use std::collections::HashMap;
 use std::fmt;
-use std::fs::{self, File, OpenOptions};
-use std::io::{self, Write};
+use std::fs::{self, File};
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -66,8 +68,13 @@ pub const SPILL_MAGIC: &[u8; 8] = b"SRTWSPIL";
 pub const SPILL_VERSION: u32 = 2;
 /// Header size: magic + version.
 pub const SPILL_HEADER_BYTES: usize = 8 + 4;
-/// Upper bound on a single spill payload (mirrors the journal's cap).
-const MAX_SPILL_BYTES: usize = 1 << 26;
+
+const FORMAT: LogFormat = LogFormat {
+    name: "spill",
+    magic: SPILL_MAGIC,
+    version: SPILL_VERSION,
+    header_len: SPILL_HEADER_BYTES,
+};
 
 /// How a persistence failure is classified for the typed warning.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -107,10 +114,9 @@ pub struct PersistError {
 impl PersistError {
     /// Classifies an `io::Error` against the path it hit.
     pub fn classify(path: &Path, err: &io::Error) -> PersistError {
-        let kind = match err.raw_os_error() {
-            Some(28) => PersistErrorKind::NoSpace, // ENOSPC
-            Some(13) | Some(1) => PersistErrorKind::Denied, // EACCES / EPERM
-            _ if err.kind() == io::ErrorKind::PermissionDenied => PersistErrorKind::Denied,
+        let kind = match err.kind() {
+            io::ErrorKind::StorageFull => PersistErrorKind::NoSpace,
+            io::ErrorKind::PermissionDenied => PersistErrorKind::Denied,
             _ => PersistErrorKind::Io,
         };
         PersistError {
@@ -130,91 +136,6 @@ impl fmt::Display for PersistError {
             self.kind.as_str(),
             self.detail
         )
-    }
-}
-
-/// One recovery warning from loading a spill directory, pinned to the
-/// file and byte offset where the damage was found. Displays with the
-/// uniform machine-greppable prefix:
-/// `srtw-persist: PATH: byte OFFSET: MESSAGE`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpillWarning {
-    /// The spill file involved.
-    pub path: PathBuf,
-    /// Byte offset in the file where the problem starts.
-    pub offset: usize,
-    /// What was skipped or truncated.
-    pub message: String,
-}
-
-impl fmt::Display for SpillWarning {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "srtw-persist: {}: byte {}: {}",
-            self.path.display(),
-            self.offset,
-            self.message
-        )
-    }
-}
-
-/// Which way an injected persistence fault breaks the append.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PersistFaultKind {
-    /// Truncate the record mid-frame (a crash between `write` and the
-    /// record's final byte): the spill tail is torn.
-    Torn,
-    /// Flip one payload byte before writing the full frame: framing is
-    /// intact but the CRC no longer matches.
-    Corrupt,
-    /// Report `ENOSPC` without writing anything: the disk "fills up" at
-    /// exactly this append.
-    Enospc,
-}
-
-/// Deterministic spill-write fault: breaks the `at_record`-th append
-/// (1-based, counted across all shards) and disables the store, exactly
-/// as a real failure would. Parsed from `pers-torn@N` / `pers-corrupt@N`
-/// / `pers-enospc@N`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PersistFault {
-    /// Which append (1-based) to break.
-    pub at_record: u64,
-    /// How to break it.
-    pub kind: PersistFaultKind,
-}
-
-impl PersistFault {
-    /// Parses `pers-torn@N` / `pers-corrupt@N` / `pers-enospc@N`. Returns
-    /// `None` when the spec is not persist-fault grammar at all (so other
-    /// fault layers can claim it), `Some(Err)` when it is but the count
-    /// is malformed.
-    pub fn parse(spec: &str) -> Option<Result<PersistFault, String>> {
-        let (kind_str, n) = spec.split_once('@')?;
-        let kind = match kind_str {
-            "pers-torn" => PersistFaultKind::Torn,
-            "pers-corrupt" => PersistFaultKind::Corrupt,
-            "pers-enospc" => PersistFaultKind::Enospc,
-            _ => return None,
-        };
-        Some(match n.parse::<u64>() {
-            Ok(at) if at >= 1 => Ok(PersistFault { at_record: at, kind }),
-            _ => Err(format!(
-                "bad persist fault '{spec}': expected {kind_str}@N with N >= 1"
-            )),
-        })
-    }
-}
-
-impl fmt::Display for PersistFault {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let kind = match self.kind {
-            PersistFaultKind::Torn => "pers-torn",
-            PersistFaultKind::Corrupt => "pers-corrupt",
-            PersistFaultKind::Enospc => "pers-enospc",
-        };
-        write!(f, "{kind}@{}", self.at_record)
     }
 }
 
@@ -246,71 +167,28 @@ impl SpillRecord {
         for lane in &self.form {
             out.extend_from_slice(&lane.to_le_bytes());
         }
-        out.extend_from_slice(&(self.body.len() as u32).to_le_bytes());
-        out.extend_from_slice(self.body.as_bytes());
+        put_str(&mut out, &self.body);
         out
     }
 
     fn decode(payload: &[u8]) -> Option<SpillRecord> {
-        let mut cur = Cursor {
-            buf: payload,
-            pos: 0,
-        };
+        let mut cur = Cursor::new(payload);
         let generation = cur.take_u64()?;
         let canon = cur.take_u128()?;
         let presentation = cur.take_u64()?;
         let lanes = cur.take_u32()? as usize;
-        if lanes > MAX_SPILL_BYTES / 8 {
+        if lanes > framed::MAX_RECORD_BYTES / 8 {
             return None;
         }
-        let mut form = Vec::with_capacity(lanes);
-        for _ in 0..lanes {
-            form.push(cur.take_u64()?);
-        }
-        let blen = cur.take_u32()? as usize;
-        if blen > MAX_SPILL_BYTES {
-            return None;
-        }
-        let body = String::from_utf8(cur.take(blen)?.to_vec()).ok()?;
-        if cur.pos != payload.len() {
-            return None;
-        }
-        Some(SpillRecord {
+        let form = (0..lanes).map(|_| cur.take_u64()).collect::<Option<Vec<u64>>>()?;
+        let rec = SpillRecord {
             generation,
             canon,
             presentation,
             form,
-            body,
-        })
-    }
-}
-
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl Cursor<'_> {
-    fn take(&mut self, n: usize) -> Option<&[u8]> {
-        let end = self.pos.checked_add(n)?;
-        if end > self.buf.len() {
-            return None;
-        }
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Some(s)
-    }
-
-    fn take_u32(&mut self) -> Option<u32> {
-        Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?))
-    }
-
-    fn take_u64(&mut self) -> Option<u64> {
-        Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
-    }
-
-    fn take_u128(&mut self) -> Option<u128> {
-        Some(u128::from_le_bytes(self.take(16)?.try_into().ok()?))
+            body: cur.take_str()?,
+        };
+        cur.at_end().then_some(rec)
     }
 }
 
@@ -322,7 +200,7 @@ pub struct SpillLoad {
     /// so replaying them in order reconstructs LRU recency.
     pub records: Vec<SpillRecord>,
     /// Recovery warnings — anything skipped, truncated, or unreadable.
-    pub warnings: Vec<SpillWarning>,
+    pub warnings: Vec<LogWarning>,
 }
 
 /// Reads every `*.spill` file in `dir`, salvaging every intact record.
@@ -336,11 +214,8 @@ pub fn load_dir(dir: &Path) -> SpillLoad {
         Ok(e) => e,
         Err(err) if err.kind() == io::ErrorKind::NotFound => return load,
         Err(err) => {
-            load.warnings.push(SpillWarning {
-                path: dir.to_path_buf(),
-                offset: 0,
-                message: format!("cannot list spill directory: {err}"),
-            });
+            let message = format!("cannot list spill directory: {err}");
+            load.warnings.push(LogWarning::new(dir, 0, message));
             return load;
         }
     };
@@ -350,108 +225,31 @@ pub fn load_dir(dir: &Path) -> SpillLoad {
         .filter(|p| p.extension().is_some_and(|x| x == "spill"))
         .collect();
     paths.sort();
-    let mut best: std::collections::HashMap<(u128, u64), SpillRecord> = Default::default();
+    let mut best: HashMap<(u128, u64), SpillRecord> = HashMap::new();
     for path in paths {
         let bytes = match fs::read(&path) {
             Ok(b) => b,
             Err(err) => {
-                load.warnings.push(SpillWarning {
-                    path: path.clone(),
-                    offset: 0,
-                    message: format!("cannot read spill file: {err}"),
-                });
+                let message = format!("cannot read spill file: {err}");
+                load.warnings.push(LogWarning::new(&path, 0, message));
                 continue;
             }
         };
-        scan_spill(&path, &bytes, &mut best, &mut load.warnings);
+        let items = framed::scan(&path, &bytes, &FORMAT, &mut load.warnings, SpillRecord::decode);
+        for (_, rec) in items.into_iter().flatten() {
+            let key = (rec.canon, rec.presentation);
+            if best.get(&key).is_none_or(|have| have.generation < rec.generation) {
+                best.insert(key, rec);
+            }
+        }
     }
     load.records = best.into_values().collect();
     load.records.sort_by_key(|r| r.generation);
     load
 }
 
-fn scan_spill(
-    path: &Path,
-    bytes: &[u8],
-    best: &mut std::collections::HashMap<(u128, u64), SpillRecord>,
-    warnings: &mut Vec<SpillWarning>,
-) {
-    if bytes.len() < SPILL_HEADER_BYTES || &bytes[..8] != SPILL_MAGIC {
-        warnings.push(SpillWarning {
-            path: path.to_path_buf(),
-            offset: 0,
-            message: "spill header missing or malformed; file ignored".into(),
-        });
-        return;
-    }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-    if version != SPILL_VERSION {
-        warnings.push(SpillWarning {
-            path: path.to_path_buf(),
-            offset: 0,
-            message: format!(
-                "spill format version {version}, expected {SPILL_VERSION}; file ignored"
-            ),
-        });
-        return;
-    }
-    let mut index = 0u64;
-    for item in FrameScanner::new(bytes, SPILL_HEADER_BYTES) {
-        index += 1;
-        match item {
-            ScannedFrame::Trailing {
-                offset,
-                bytes: rest,
-            } => warnings.push(SpillWarning {
-                path: path.to_path_buf(),
-                offset,
-                message: format!(
-                    "torn tail: {rest} trailing byte(s) after record {} — dropped",
-                    index - 1
-                ),
-            }),
-            ScannedFrame::Torn {
-                offset,
-                declared,
-                available,
-            } => warnings.push(SpillWarning {
-                path: path.to_path_buf(),
-                offset,
-                message: format!(
-                    "torn or corrupt frame at record {index} (declared {declared} bytes, \
-                     {available} available) — spill truncated here"
-                ),
-            }),
-            ScannedFrame::BadCrc { offset } => warnings.push(SpillWarning {
-                path: path.to_path_buf(),
-                offset,
-                message: format!("CRC mismatch on record {index} — record skipped"),
-            }),
-            ScannedFrame::Payload { offset, payload } => match SpillRecord::decode(payload) {
-                Some(rec) => {
-                    let key = (rec.canon, rec.presentation);
-                    match best.get(&key) {
-                        Some(have) if have.generation >= rec.generation => {}
-                        _ => {
-                            best.insert(key, rec);
-                        }
-                    }
-                }
-                None => warnings.push(SpillWarning {
-                    path: path.to_path_buf(),
-                    offset,
-                    message: format!(
-                        "record {index} has a valid CRC but does not decode — record skipped"
-                    ),
-                }),
-            },
-        }
-    }
-}
-
 /// The crash-safe spill store: one append-only file per cache shard,
-/// owned exclusively by this replica. Appends are framed, CRC'd, written
-/// in one call, and `sync_data`'d. The first append error (real or
+/// owned exclusively by this replica. The first append error (real or
 /// injected) disables the store permanently — the in-memory cache keeps
 /// serving, cold for new entries.
 #[derive(Debug)]
@@ -461,7 +259,7 @@ pub struct Store {
     shards: Vec<Mutex<Option<File>>>,
     generation: AtomicU64,
     appends: AtomicU64,
-    fault: Option<PersistFault>,
+    fault: Option<WriteFault>,
     disabled: AtomicBool,
 }
 
@@ -474,14 +272,15 @@ impl Store {
     /// Opens the store for `replica` over `dir` with `shard_count` shard
     /// files, creating the directory if needed. `next_generation` seeds
     /// the insertion clock (pass max loaded generation + 1 so recency
-    /// keeps advancing across restarts). Fails typed when the directory
-    /// cannot be created — the caller warns and runs cold.
+    /// keeps advancing across restarts). `fault` counts appends across
+    /// all shards. Fails typed when the directory cannot be created — the
+    /// caller warns and runs cold.
     pub fn open(
         dir: &Path,
         replica: usize,
         shard_count: usize,
         next_generation: u64,
-        fault: Option<PersistFault>,
+        fault: Option<WriteFault>,
     ) -> Result<Store, PersistError> {
         fs::create_dir_all(dir).map_err(|e| PersistError::classify(dir, &e))?;
         Ok(Store {
@@ -524,114 +323,37 @@ impl Store {
             form: form.to_vec(),
             body: body.to_string(),
         };
-        let path = Store::shard_path(&self.dir, self.replica, shard % self.shards.len());
-        let result = self.append_record(shard % self.shards.len(), &path, &rec);
+        let shard = shard % self.shards.len();
+        let path = Store::shard_path(&self.dir, self.replica, shard);
+        let mut file = self.shards[shard].lock().unwrap();
+        let result = match &mut *file {
+            Some(file) => Ok(file),
+            None => framed::open_append(&path, &FORMAT.header_prefix()).map(|f| file.insert(f)),
+        }
+        .and_then(|file| {
+            let n = self.appends.fetch_add(1, Ordering::Relaxed) + 1;
+            framed::append(file, &rec.encode(), self.fault, n)
+        })
+        .map_err(|e| PersistError::classify(&path, &e));
         if result.is_err() {
             self.disabled.store(true, Ordering::Relaxed);
         }
         result
     }
-
-    fn append_record(&self, shard: usize, path: &Path, rec: &SpillRecord) -> Result<(), PersistError> {
-        let mut guard = self.shards[shard].lock().unwrap();
-        if guard.is_none() {
-            *guard = Some(open_shard(path).map_err(|e| PersistError::classify(path, &e))?);
-        }
-        let file = guard.as_mut().unwrap();
-        let payload = rec.encode();
-        let mut framed = frame(&payload);
-        let n = self.appends.fetch_add(1, Ordering::Relaxed) + 1;
-        if let Some(fault) = self.fault {
-            if fault.at_record == n {
-                match fault.kind {
-                    PersistFaultKind::Torn => {
-                        // Stop mid-frame: keep the length word and roughly
-                        // half the payload, like a crash between write()
-                        // and the final byte reaching the disk.
-                        let cut = (8 + payload.len() / 2).min(framed.len() - 1);
-                        framed.truncate(cut);
-                    }
-                    PersistFaultKind::Corrupt => {
-                        framed[8 + payload.len() / 2] ^= 0x20;
-                    }
-                    PersistFaultKind::Enospc => {
-                        return Err(PersistError {
-                            kind: PersistErrorKind::NoSpace,
-                            path: path.to_path_buf(),
-                            detail: format!("injected persist fault {fault} fired on append {n}"),
-                        });
-                    }
-                }
-                let write = file
-                    .write_all(&framed)
-                    .and_then(|()| file.sync_data())
-                    .map_err(|e| PersistError::classify(path, &e));
-                return write.and(Err(PersistError {
-                    kind: PersistErrorKind::Io,
-                    path: path.to_path_buf(),
-                    detail: format!("injected persist fault {fault} fired on append {n}"),
-                }));
-            }
-        }
-        file.write_all(&framed)
-            .and_then(|()| file.sync_data())
-            .map_err(|e| PersistError::classify(path, &e))
-    }
-}
-
-/// Opens (or creates) one shard spill file for appending. An existing
-/// file gets its torn tail truncated first — recovery stops scanning at a
-/// torn frame, so appending after one would write records no future load
-/// can see. A file with a malformed header is recreated from scratch:
-/// spill data is a cache, so losing it is always safe.
-fn open_shard(path: &Path) -> io::Result<File> {
-    match fs::read(path) {
-        Err(err) if err.kind() == io::ErrorKind::NotFound => {
-            let mut file = OpenOptions::new().append(true).create(true).open(path)?;
-            let mut header = Vec::with_capacity(SPILL_HEADER_BYTES);
-            header.extend_from_slice(SPILL_MAGIC);
-            header.extend_from_slice(&SPILL_VERSION.to_le_bytes());
-            file.write_all(&header)?;
-            file.sync_data()?;
-            Ok(file)
-        }
-        Err(err) => Err(err),
-        Ok(bytes) => {
-            let keep = if bytes.len() < SPILL_HEADER_BYTES
-                || &bytes[..8] != SPILL_MAGIC
-                || u32::from_le_bytes(bytes[8..12].try_into().unwrap()) != SPILL_VERSION
-            {
-                0
-            } else {
-                FrameScanner::valid_end(&bytes, SPILL_HEADER_BYTES)
-            };
-            if keep < bytes.len() || keep == 0 {
-                let trunc = OpenOptions::new().write(true).open(path)?;
-                trunc.set_len(keep as u64)?;
-                trunc.sync_data()?;
-            }
-            let mut file = OpenOptions::new().append(true).open(path)?;
-            if keep == 0 {
-                let mut header = Vec::with_capacity(SPILL_HEADER_BYTES);
-                header.extend_from_slice(SPILL_MAGIC);
-                header.extend_from_slice(&SPILL_VERSION.to_le_bytes());
-                file.write_all(&header)?;
-                file.sync_data()?;
-            }
-            Ok(file)
-        }
-    }
-}
-
-/// Exposes [`crc32`] so fuzz harnesses can re-frame mutated payloads
-/// without reaching into `srtw-supervisor` directly.
-pub fn payload_crc(bytes: &[u8]) -> u32 {
-    crc32(bytes)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use srtw_supervisor::framed::{FaultLog, WriteFaultKind};
+
+    fn spill_fault(kind: WriteFaultKind, at_record: u64) -> Option<WriteFault> {
+        Some(WriteFault {
+            log: FaultLog::Spill,
+            kind,
+            at_record,
+        })
+    }
 
     fn tmpdir(name: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
@@ -762,7 +484,7 @@ mod tests {
         // not be read, whatever it holds.
         let mut old = SPILL_MAGIC.to_vec();
         old.extend_from_slice(&1u32.to_le_bytes());
-        old.extend_from_slice(&frame(&rec(1, 4, "old\n").encode()));
+        old.extend_from_slice(&framed::frame(&rec(1, 4, "old\n").encode()));
         fs::write(&path, &old).unwrap();
         let load = load_dir(&dir);
         assert!(load.records.is_empty());
@@ -800,41 +522,9 @@ mod tests {
     }
 
     #[test]
-    fn fault_parse_grammar() {
-        assert!(matches!(
-            PersistFault::parse("pers-torn@3"),
-            Some(Ok(PersistFault {
-                at_record: 3,
-                kind: PersistFaultKind::Torn
-            }))
-        ));
-        assert!(matches!(
-            PersistFault::parse("pers-enospc@1"),
-            Some(Ok(PersistFault {
-                at_record: 1,
-                kind: PersistFaultKind::Enospc
-            }))
-        ));
-        assert!(PersistFault::parse("pers-torn@0").unwrap().is_err());
-        assert!(PersistFault::parse("pers-corrupt@x").unwrap().is_err());
-        assert!(PersistFault::parse("torn@1").is_none());
-        assert!(PersistFault::parse("abort").is_none());
-    }
-
-    #[test]
     fn torn_fault_disables_store_and_leaves_recoverable_file() {
         let dir = tmpdir("fault-torn");
-        let store = Store::open(
-            &dir,
-            0,
-            1,
-            1,
-            Some(PersistFault {
-                at_record: 2,
-                kind: PersistFaultKind::Torn,
-            }),
-        )
-        .unwrap();
+        let store = Store::open(&dir, 0, 1, 1, spill_fault(WriteFaultKind::Torn, 2)).unwrap();
         store.append(0, 1, 11, &[1], "one\n").unwrap();
         let err = store.append(0, 2, 22, &[2], "two\n").unwrap_err();
         assert_eq!(err.kind, PersistErrorKind::Io);
@@ -851,17 +541,7 @@ mod tests {
     #[test]
     fn enospc_fault_yields_typed_error() {
         let dir = tmpdir("fault-enospc");
-        let store = Store::open(
-            &dir,
-            0,
-            1,
-            1,
-            Some(PersistFault {
-                at_record: 1,
-                kind: PersistFaultKind::Enospc,
-            }),
-        )
-        .unwrap();
+        let store = Store::open(&dir, 0, 1, 1, spill_fault(WriteFaultKind::Enospc, 1)).unwrap();
         let err = store.append(0, 1, 11, &[1], "one\n").unwrap_err();
         assert_eq!(err.kind, PersistErrorKind::NoSpace);
         assert!(err.to_string().contains("enospc"));

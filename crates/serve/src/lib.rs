@@ -29,11 +29,11 @@
 //!   let in-flight work finish up to the drain window, then cancel
 //!   stragglers through their tokens — they still answer, degraded.
 //! - **Durable streaming batch** (`POST /batch`): a manifest body runs
-//!   under the full supervision ladder, streaming one ndjson line per
-//!   job (HTTP/1.1 chunked) as it finishes; a client hangup cancels the
-//!   remaining jobs, and with a journal configured every outcome is
-//!   fsync'd before it is streamed, so a replica killed mid-batch
-//!   replays completed jobs instead of recomputing them.
+//!   through the same batch runner as `srtw batch`, streaming one ndjson
+//!   line per job (HTTP/1.1 chunked) in manifest order; a client hangup
+//!   cancels the remaining jobs, and with a journal configured every
+//!   outcome is fsync'd before it is streamed, so a replica killed
+//!   mid-batch replays completed jobs instead of recomputing them.
 //! - **Content-addressed caching** (`cache` + `delta`): `POST /analyze`
 //!   results are cached under a vertex-order- and name-insensitive
 //!   canonical hash of the parsed system (verified byte-for-byte on
@@ -74,7 +74,7 @@ pub mod stats;
 pub mod sys;
 
 pub use fault::{ProcessFault, ProcessFaultKind};
-pub use srtw_persist::{PersistError, PersistErrorKind, PersistFault, PersistFaultKind};
+pub use srtw_persist::{PersistError, PersistErrorKind};
 pub use replica::{ReplicaConfig, Supervisor};
 pub use report::{fifo_report, FifoReport};
 pub use server::{DrainReport, ServeConfig, Server};

@@ -26,8 +26,8 @@ use crate::sys;
 use srtw_core::textfmt::{parse_system, ParseError, ParseErrorKind, MAX_INPUT_BYTES};
 use srtw_core::{AnalysisConfig, Json};
 use srtw_minplus::{Budget, CancelToken, FaultPlan};
-use srtw_persist::{load_dir, PersistFault, Store};
-use srtw_supervisor::{contain, Contained, JournalFault};
+use srtw_persist::{load_dir, Store};
+use srtw_supervisor::{contain, Contained, WriteFault};
 use srtw_workload::CanonicalForm;
 use std::io::{self, Read as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -91,7 +91,7 @@ pub struct ServeConfig {
     /// process — durability is load-bearing, so its failure is treated
     /// exactly like a crash, which under `--replicas` drives the
     /// supervision tree's restart + resume path.
-    pub journal_fault: Option<JournalFault>,
+    pub journal_fault: Option<WriteFault>,
     /// Byte budget of the content-addressed result cache (`0` disables
     /// caching). Each replica owns an independent cache of this size.
     pub cache_bytes: usize,
@@ -109,7 +109,7 @@ pub struct ServeConfig {
     /// faults, a fired persist fault does *not* crash anything: the store
     /// disables itself and the service continues cold, which is the
     /// degradation contract under test.
-    pub persist_fault: Option<PersistFault>,
+    pub persist_fault: Option<WriteFault>,
 }
 
 impl Default for ServeConfig {
@@ -1000,6 +1000,31 @@ mod tests {
         let (_, _, stats) = client_roundtrip(&addr, "GET", "/stats", &[], b"").unwrap();
         assert!(stats.contains("\"batch_jobs\":2"), "{stats}");
         assert!(stats.contains("\"batch_replayed\":2"), "{stats}");
+        assert!(server.shutdown().clean());
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn batch_lines_stream_in_manifest_order() {
+        // A pre-failed entry between two fresh jobs must wait for the
+        // first of them: lines come out in manifest order, not in the
+        // order their outcomes are known.
+        let (dir, _) = batch_fixture("order", 2);
+        let manifest = format!(
+            "{}\n/nonexistent/missing.srtw\n{}\n",
+            dir.join("sys-0.srtw").display(),
+            dir.join("sys-1.srtw").display()
+        );
+        let server = spawn_small(ServeConfig::default());
+        let (status, _, body) =
+            client_roundtrip(&server.addr(), "POST", "/batch", &[], manifest.as_bytes()).unwrap();
+        assert_eq!(status, 200, "{body}");
+        let names: Vec<&str> = body
+            .lines()
+            .filter_map(|l| l.strip_prefix("{\"name\":\""))
+            .map(|l| &l[..l.find('"').unwrap()])
+            .collect();
+        assert_eq!(names, ["sys-0", "missing", "sys-1"], "{body}");
         assert!(server.shutdown().clean());
         let _ = std::fs::remove_dir_all(dir);
     }

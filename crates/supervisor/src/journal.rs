@@ -3,89 +3,52 @@
 //! The journal makes a batch run crash-recoverable: every finished job is
 //! appended as one self-contained record and fsync'd before the batch
 //! moves on, so a `kill -9` (or an injected fault) loses at most the job
-//! that was in flight. A later `--resume` replays the journal, skips the
+//! that was in flight. A later resume replays the journal, skips the
 //! already-completed jobs, and produces a final report byte-identical to
 //! an uninterrupted run — each record carries the job's rendered JSON
 //! subtree verbatim, and `srtw_core::Json` rendering is context-free, so
 //! splicing replayed text next to freshly rendered text is exact.
 //!
-//! ## On-disk format
+//! The file is a [`framed`] log (header check, CRC
+//! framing, torn-tail truncation and recovery warnings live there):
 //!
 //! ```text
-//! header: b"SRTWJRNL" | u32 LE version | u64 LE manifest digest
+//! header: b"SRTWJRNL" | u32 LE version (2) | u64 LE manifest digest
 //! record: u32 LE payload length | u32 LE CRC-32 of payload | payload
 //! ```
 //!
 //! The payload is a length-prefixed binary encoding of the outcome's
-//! replay-relevant fields (name, status, rung display, attempt count,
-//! wall-clock bits, error, rendered JSON). Records are written with a
-//! single `write` call in append mode so concurrent appenders (replicas
-//! sharing one journal) interleave whole frames, then `sync_data`'d.
+//! replay-relevant fields: manifest position, name, status, rung display,
+//! attempt count, wall-clock bits, error, rendered JSON.
 //!
-//! ## Recovery policy
+//! ## Record policy
 //!
-//! Recovery never panics and never invents a completion:
-//!
-//! - missing or malformed header → empty recovery plus a warning;
-//! - a frame whose declared length overruns the file → torn tail: stop,
-//!   warn, keep everything before it;
-//! - a CRC mismatch with intact framing → skip that record, warn, keep
-//!   scanning (a flipped bit loses one job, not the journal);
-//! - an undecodable payload with a valid CRC → skip and warn;
-//! - duplicate job names → keep the first (records are immutable facts;
-//!   a re-run of an already-journaled job changes nothing).
+//! A record is keyed by its **manifest position**, not its job name: two
+//! entries of one manifest may share a file stem (`a/sys.srtw`,
+//! `b/sys.srtw`) or be the same file twice, and each must replay its own
+//! outcome. The header's digest binds the journal to one manifest, so a
+//! position names one entry. Recovery keeps the first record per position
+//! (records are immutable facts; a re-run of an already-journaled entry
+//! changes nothing). Version 1 journals (keyed by name) fail the header
+//! check and a resume starts fresh with one warning.
 
+use crate::framed::{self, put_opt_str, put_str, Cursor, LogFormat, LogWarning, WriteFault};
 use crate::job::{JobOutcome, JobStatus};
-use crate::report::{BatchCounts, BatchStatus};
-use std::fmt;
-use std::fs::{self, File, OpenOptions};
-use std::io::{self, Write};
+use std::fs::File;
+use std::io;
 use std::path::Path;
-use std::time::Duration;
 
 /// Magic bytes opening every journal file.
 pub const JOURNAL_MAGIC: &[u8; 8] = b"SRTWJRNL";
 /// Current on-disk format version.
-pub const JOURNAL_VERSION: u32 = 1;
-/// Header size: magic + version + manifest digest.
-const HEADER_BYTES: usize = 8 + 4 + 8;
-/// Upper bound on a single record payload; larger declared lengths are
-/// treated as corruption (a random 4-byte length would otherwise make
-/// recovery "wait" for gigabytes that never existed).
-const MAX_RECORD_BYTES: usize = 1 << 26;
+pub const JOURNAL_VERSION: u32 = 2;
 
-/// CRC-32 (IEEE, reflected, polynomial `0xEDB88320`) lookup table,
-/// computed at compile time so the crate stays dependency-free.
-static CRC_TABLE: [u32; 256] = crc_table();
-
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-}
-
-/// CRC-32 checksum of `bytes` (IEEE polynomial, as used by gzip/zip).
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
-}
+const FORMAT: LogFormat = LogFormat {
+    name: "journal",
+    magic: JOURNAL_MAGIC,
+    version: JOURNAL_VERSION,
+    header_len: 8 + 4 + 8,
+};
 
 /// 64-bit FNV-1a digest, used to key a journal to its manifest: resuming
 /// against a journal written for a different job list is refused.
@@ -98,129 +61,10 @@ pub fn digest64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Frames a payload for append: `u32 LE len | u32 LE CRC-32 | payload`.
-/// This is the journal's (and the persist store's) shared wire discipline
-/// — one frame per `write` call, `sync_data`'d before the append is
-/// reported durable.
-pub fn frame(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
+fn header(digest: u64) -> Vec<u8> {
+    let mut out = FORMAT.header_prefix().to_vec();
+    out.extend_from_slice(&digest.to_le_bytes());
     out
-}
-
-/// One scanned frame from a `len | crc | payload` byte stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScannedFrame<'a> {
-    /// A structurally whole frame whose CRC matches.
-    Payload {
-        /// Byte offset of the frame's length word in the scanned image.
-        offset: usize,
-        /// The frame's payload bytes.
-        payload: &'a [u8],
-    },
-    /// A structurally whole frame whose CRC does not match: skip one
-    /// record, keep scanning — framing is still trustworthy.
-    BadCrc {
-        /// Byte offset of the frame's length word.
-        offset: usize,
-    },
-    /// A frame whose declared length overruns the image (or is absurd):
-    /// either a torn tail or a corrupt length word. Frame boundaries are
-    /// unrecoverable from here; scanning stops after this item.
-    Torn {
-        /// Byte offset where the broken frame starts.
-        offset: usize,
-        /// The length the frame claimed.
-        declared: usize,
-        /// Payload bytes actually available past the frame header.
-        available: usize,
-    },
-    /// Fewer than 8 trailing bytes — not even a frame header. Scanning
-    /// stops after this item.
-    Trailing {
-        /// Byte offset of the trailing fragment.
-        offset: usize,
-        /// How many bytes were left over.
-        bytes: usize,
-    },
-}
-
-/// Iterator over the `len | crc | payload` frames of an on-disk image,
-/// starting after a caller-validated header. Shared by journal recovery
-/// and the `srtw-persist` spill store so both speak one framing dialect.
-#[derive(Debug)]
-pub struct FrameScanner<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    stopped: bool,
-}
-
-impl<'a> FrameScanner<'a> {
-    /// Scans `bytes` starting at `start` (typically the header length).
-    pub fn new(bytes: &'a [u8], start: usize) -> FrameScanner<'a> {
-        FrameScanner {
-            bytes,
-            pos: start,
-            stopped: false,
-        }
-    }
-
-    /// Byte length of the structurally valid prefix from `start`: every
-    /// whole frame, stopping where scanning would stop (torn or trailing
-    /// tail). CRC-mismatched frames are structurally whole and count.
-    pub fn valid_end(bytes: &[u8], start: usize) -> usize {
-        let mut end = start;
-        for item in FrameScanner::new(bytes, start) {
-            match item {
-                ScannedFrame::Payload { offset, payload } => end = offset + 8 + payload.len(),
-                ScannedFrame::BadCrc { offset } => {
-                    // Length is re-read to advance past the skipped frame.
-                    let len =
-                        u32::from_le_bytes(bytes[offset..offset + 4].try_into().unwrap()) as usize;
-                    end = offset + 8 + len;
-                }
-                ScannedFrame::Torn { .. } | ScannedFrame::Trailing { .. } => break,
-            }
-        }
-        end
-    }
-}
-
-impl<'a> Iterator for FrameScanner<'a> {
-    type Item = ScannedFrame<'a>;
-
-    fn next(&mut self) -> Option<ScannedFrame<'a>> {
-        if self.stopped || self.pos >= self.bytes.len() {
-            return None;
-        }
-        let offset = self.pos;
-        let rest = self.bytes.len() - offset;
-        if rest < 8 {
-            self.stopped = true;
-            return Some(ScannedFrame::Trailing {
-                offset,
-                bytes: rest,
-            });
-        }
-        let len = u32::from_le_bytes(self.bytes[offset..offset + 4].try_into().unwrap()) as usize;
-        let crc = u32::from_le_bytes(self.bytes[offset + 4..offset + 8].try_into().unwrap());
-        if len > MAX_RECORD_BYTES || len > rest - 8 {
-            self.stopped = true;
-            return Some(ScannedFrame::Torn {
-                offset,
-                declared: len,
-                available: rest - 8,
-            });
-        }
-        let payload = &self.bytes[offset + 8..offset + 8 + len];
-        self.pos = offset + 8 + len;
-        if crc32(payload) != crc {
-            return Some(ScannedFrame::BadCrc { offset });
-        }
-        Some(ScannedFrame::Payload { offset, payload })
-    }
 }
 
 fn status_code(status: JobStatus) -> u8 {
@@ -246,7 +90,9 @@ fn status_from_code(code: u8) -> Option<JobStatus> {
 /// outcome's rendered JSON subtree stored verbatim for byte-exact replay.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JournalRecord {
-    /// The job's name (the replay key).
+    /// The entry's 0-based position in its manifest (the replay key).
+    pub position: u32,
+    /// The job's name.
     pub name: String,
     /// Final classification.
     pub status: JobStatus,
@@ -264,9 +110,11 @@ pub struct JournalRecord {
 }
 
 impl JournalRecord {
-    /// Captures a finished outcome as a journal record.
+    /// Captures a finished outcome as a journal record at position 0 (the
+    /// batch runner stamps the real position before appending).
     pub fn from_outcome(outcome: &JobOutcome) -> JournalRecord {
         JournalRecord {
+            position: 0,
             name: outcome.name.clone(),
             status: outcome.status,
             rung: outcome.rung.map(|r| format!("{r}")),
@@ -282,31 +130,9 @@ impl JournalRecord {
         f64::from_bits(self.wall_bits)
     }
 
-    /// The job's line in the human-readable batch report, identical to
-    /// [`crate::BatchReport`]'s `Display` rendering of the same outcome.
-    pub fn display_line(&self) -> String {
-        let rung = match &self.rung {
-            Some(r) => format!(" [{r}]"),
-            None => String::new(),
-        };
-        let detail = match &self.error {
-            Some(e) => format!(": {e}"),
-            None => String::new(),
-        };
-        format!(
-            "{:<9} {}{} ({} attempt{}, {:.1} ms){}",
-            self.status.as_str(),
-            self.name,
-            rung,
-            self.attempts,
-            if self.attempts == 1 { "" } else { "s" },
-            self.wall_secs() * 1e3,
-            detail
-        )
-    }
-
     fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(64 + self.json.len());
+        out.extend_from_slice(&self.position.to_le_bytes());
         put_str(&mut out, &self.name);
         out.push(status_code(self.status));
         put_opt_str(&mut out, self.rung.as_deref());
@@ -318,141 +144,18 @@ impl JournalRecord {
     }
 
     fn decode(payload: &[u8]) -> Option<JournalRecord> {
-        let mut cur = Cursor {
-            buf: payload,
-            pos: 0,
+        let mut cur = Cursor::new(payload);
+        let rec = JournalRecord {
+            position: cur.take_u32()?,
+            name: cur.take_str()?,
+            status: status_from_code(cur.take_u8()?)?,
+            rung: cur.take_opt_str()?,
+            attempts: cur.take_u32()?,
+            wall_bits: cur.take_u64()?,
+            error: cur.take_opt_str()?,
+            json: cur.take_str()?,
         };
-        let name = cur.take_str()?;
-        let status = status_from_code(cur.take_u8()?)?;
-        let rung = cur.take_opt_str()?;
-        let attempts = cur.take_u32()?;
-        let wall_bits = cur.take_u64()?;
-        let error = cur.take_opt_str()?;
-        let json = cur.take_str()?;
-        if cur.pos != payload.len() {
-            return None;
-        }
-        Some(JournalRecord {
-            name,
-            status,
-            rung,
-            attempts,
-            wall_bits,
-            error,
-            json,
-        })
-    }
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn put_opt_str(out: &mut Vec<u8>, s: Option<&str>) {
-    match s {
-        Some(s) => {
-            out.push(1);
-            put_str(out, s);
-        }
-        None => out.push(0),
-    }
-}
-
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl Cursor<'_> {
-    fn take(&mut self, n: usize) -> Option<&[u8]> {
-        let end = self.pos.checked_add(n)?;
-        if end > self.buf.len() {
-            return None;
-        }
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Some(s)
-    }
-
-    fn take_u8(&mut self) -> Option<u8> {
-        Some(self.take(1)?[0])
-    }
-
-    fn take_u32(&mut self) -> Option<u32> {
-        Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?))
-    }
-
-    fn take_u64(&mut self) -> Option<u64> {
-        Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
-    }
-
-    fn take_str(&mut self) -> Option<String> {
-        let len = self.take_u32()? as usize;
-        if len > MAX_RECORD_BYTES {
-            return None;
-        }
-        String::from_utf8(self.take(len)?.to_vec()).ok()
-    }
-
-    fn take_opt_str(&mut self) -> Option<Option<String>> {
-        match self.take_u8()? {
-            0 => Some(None),
-            1 => Some(Some(self.take_str()?)),
-            _ => None,
-        }
-    }
-}
-
-/// Which way an injected journal fault breaks the write.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JournalFaultKind {
-    /// Truncate the record mid-frame (a crash between `write` and the
-    /// record's final byte): the tail of the journal is torn.
-    Torn,
-    /// Flip one payload byte before writing the full frame: framing is
-    /// intact but the CRC no longer matches.
-    Corrupt,
-}
-
-/// Deterministic journal-write fault: breaks the `at_record`-th append
-/// (1-based) and then reports the write as failed, simulating a crash at
-/// exactly that point. Parsed from `torn@N` / `jcorrupt@N`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct JournalFault {
-    /// Which append (1-based) to break.
-    pub at_record: u64,
-    /// How to break it.
-    pub kind: JournalFaultKind,
-}
-
-impl JournalFault {
-    /// Parses `torn@N` / `jcorrupt@N`. Returns `None` when the spec is not
-    /// journal-fault grammar at all (so other fault layers can claim it),
-    /// `Some(Err)` when it is but the count is malformed.
-    pub fn parse(spec: &str) -> Option<Result<JournalFault, String>> {
-        let (kind_str, n) = spec.split_once('@')?;
-        let kind = match kind_str {
-            "torn" => JournalFaultKind::Torn,
-            "jcorrupt" => JournalFaultKind::Corrupt,
-            _ => return None,
-        };
-        Some(match n.parse::<u64>() {
-            Ok(at) if at >= 1 => Ok(JournalFault { at_record: at, kind }),
-            _ => Err(format!(
-                "bad journal fault '{spec}': expected {kind_str}@N with N >= 1"
-            )),
-        })
-    }
-}
-
-impl fmt::Display for JournalFault {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let kind = match self.kind {
-            JournalFaultKind::Torn => "torn",
-            JournalFaultKind::Corrupt => "jcorrupt",
-        };
-        write!(f, "{kind}@{}", self.at_record)
+        cur.at_end().then_some(rec)
     }
 }
 
@@ -464,338 +167,116 @@ impl fmt::Display for JournalFault {
 pub struct JournalWriter {
     file: File,
     appended: u64,
-    fault: Option<JournalFault>,
+    fault: Option<WriteFault>,
 }
 
 impl JournalWriter {
     /// Creates (or truncates) a journal for the given manifest digest and
     /// writes the header durably.
     pub fn create(path: &Path, digest: u64) -> io::Result<JournalWriter> {
-        let file = OpenOptions::new()
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(path)?;
-        let mut w = JournalWriter {
-            file,
-            appended: 0,
-            fault: None,
-        };
-        let mut header = Vec::with_capacity(HEADER_BYTES);
-        header.extend_from_slice(JOURNAL_MAGIC);
-        header.extend_from_slice(&JOURNAL_VERSION.to_le_bytes());
-        header.extend_from_slice(&digest.to_le_bytes());
-        w.file.write_all(&header)?;
-        w.file.sync_data()?;
-        Ok(w)
+        Ok(JournalWriter::new(framed::create(path, &header(digest))?))
     }
 
-    /// Opens an existing journal for appending (the header is assumed to
-    /// have been validated by [`recover`]).
-    ///
-    /// A torn tail — a partial frame left by a crash mid-write — is cut
-    /// off first. Recovery stops scanning at a torn frame, so anything
-    /// appended after one would be durable on disk yet invisible to every
-    /// future resume. Structurally whole frames with bad CRCs are kept:
-    /// recovery skips past those individually.
-    pub fn open_append(path: &Path) -> io::Result<JournalWriter> {
-        let bytes = fs::read(path)?;
-        let keep = valid_prefix_len(&bytes) as u64;
-        if keep < bytes.len() as u64 {
-            let trunc = OpenOptions::new().write(true).open(path)?;
-            trunc.set_len(keep)?;
-            trunc.sync_data()?;
-        }
-        let file = OpenOptions::new().append(true).open(path)?;
-        Ok(JournalWriter {
+    /// Opens the journal of the manifest with `digest` for appending,
+    /// cutting a torn tail first. A missing journal, or one written for
+    /// another manifest or version, is created afresh.
+    pub fn open_append(path: &Path, digest: u64) -> io::Result<JournalWriter> {
+        Ok(JournalWriter::new(framed::open_append(
+            path,
+            &header(digest),
+        )?))
+    }
+
+    fn new(file: File) -> JournalWriter {
+        JournalWriter {
             file,
             appended: 0,
             fault: None,
-        })
+        }
     }
 
     /// Arms a deterministic write fault. The counter is per-writer: a
     /// resumed run starts counting from its own first append, so
     /// `torn@1` on a resume breaks the first *new* record.
-    pub fn set_fault(&mut self, fault: Option<JournalFault>) {
+    pub fn set_fault(&mut self, fault: Option<WriteFault>) {
         self.fault = fault;
     }
 
-    /// Appends one record durably. On success the record is framed,
-    /// written in one call, and `sync_data`'d. An armed fault breaks this
-    /// append as specified and returns an error — callers treat any
-    /// append error as a crash (the journal's contents up to the failure
-    /// are exactly what a real crash would leave behind).
+    /// Appends one record durably. An armed fault breaks this append as
+    /// specified and returns an error — callers treat any append error as
+    /// a crash (the journal's contents up to the failure are exactly what
+    /// a real crash would leave behind).
     pub fn append(&mut self, record: &JournalRecord) -> io::Result<()> {
-        let payload = record.encode();
-        let mut frame = frame(&payload);
         self.appended += 1;
-        if let Some(fault) = self.fault {
-            if fault.at_record == self.appended {
-                match fault.kind {
-                    JournalFaultKind::Torn => {
-                        // Stop mid-frame: keep the length word and roughly
-                        // half the payload, exactly like a crash between
-                        // write() and the final byte reaching the disk.
-                        let cut = (8 + payload.len() / 2).min(frame.len() - 1);
-                        frame.truncate(cut);
-                    }
-                    JournalFaultKind::Corrupt => {
-                        let idx = 8 + payload.len() / 2;
-                        frame[idx] ^= 0x20;
-                    }
-                }
-                self.file.write_all(&frame)?;
-                self.file.sync_data()?;
-                return Err(io::Error::other(format!(
-                    "injected journal fault {fault} fired on record {}",
-                    self.appended
-                )));
-            }
-        }
-        self.file.write_all(&frame)?;
-        self.file.sync_data()?;
-        Ok(())
-    }
-}
-
-/// One recovery warning, pinned to the byte offset where the damage was
-/// found so replica logs are machine-greppable. Displays as
-/// `byte OFFSET: MESSAGE`; callers prepend the uniform `srtw-persist:`
-/// prefix and the file path.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RecoveryWarning {
-    /// Byte offset in the file where the problem starts.
-    pub offset: usize,
-    /// What was skipped or truncated.
-    pub message: String,
-}
-
-impl fmt::Display for RecoveryWarning {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "byte {}: {}", self.offset, self.message)
+        framed::append(&mut self.file, &record.encode(), self.fault, self.appended)
     }
 }
 
 /// What [`recover`] salvaged from a journal.
 #[derive(Debug, Clone, Default)]
 pub struct Recovery {
-    /// The manifest digest from the header (0 when the header was bad).
-    pub digest: u64,
-    /// Every intact record, de-duplicated keep-first by job name, in
-    /// journal order.
+    /// The manifest digest from the header (`None` when the header was
+    /// rejected).
+    pub digest: Option<u64>,
+    /// Every intact record, de-duplicated keep-first by manifest
+    /// position, in journal order.
     pub records: Vec<JournalRecord>,
     /// Notes about anything skipped or truncated, each pinned to the byte
     /// offset where the damage was found.
-    pub warnings: Vec<RecoveryWarning>,
-}
-
-impl Recovery {
-    /// Looks up the journaled outcome of a job by name.
-    pub fn find(&self, name: &str) -> Option<&JournalRecord> {
-        self.records.iter().find(|r| r.name == name)
-    }
-
-    /// True when every name in `names` has a journaled record — the
-    /// journal fully covers the manifest, so a replay can skip the
-    /// supervisor entirely.
-    pub fn covers<'n>(&self, names: impl IntoIterator<Item = &'n str>) -> bool {
-        names.into_iter().all(|n| self.find(n).is_some())
-    }
+    pub warnings: Vec<LogWarning>,
 }
 
 /// Reads a journal back, salvaging every intact record. Tolerates torn
-/// tails, truncated records, and bit corruption per the module policy;
-/// never panics. I/O errors reading the file itself are returned.
+/// tails, truncated records, and bit corruption per the
+/// [`framed`] policy; never panics. I/O errors reading the
+/// file itself are returned.
 pub fn recover(path: &Path) -> io::Result<Recovery> {
     let bytes = std::fs::read(path)?;
-    Ok(recover_bytes(&bytes))
+    Ok(recover_image(path, &bytes))
 }
 
 /// [`recover`], but over an in-memory image (the fuzz suite's entry
 /// point).
 pub fn recover_bytes(bytes: &[u8]) -> Recovery {
+    recover_image(Path::new(""), bytes)
+}
+
+fn recover_image(path: &Path, bytes: &[u8]) -> Recovery {
     let mut rec = Recovery::default();
-    if bytes.len() < HEADER_BYTES
-        || &bytes[..8] != JOURNAL_MAGIC
-        || u32::from_le_bytes(bytes[8..12].try_into().unwrap()) != JOURNAL_VERSION
-    {
-        rec.warnings.push(RecoveryWarning {
-            offset: 0,
-            message: "journal header missing or malformed; treating journal as empty".into(),
-        });
+    let Some(items) = framed::scan(
+        path,
+        bytes,
+        &FORMAT,
+        &mut rec.warnings,
+        JournalRecord::decode,
+    ) else {
         return rec;
-    }
-    rec.digest = u64::from_le_bytes(bytes[12..HEADER_BYTES].try_into().unwrap());
-    let mut index = 0u64;
-    for item in FrameScanner::new(bytes, HEADER_BYTES) {
-        index += 1;
-        match item {
-            ScannedFrame::Trailing { offset, bytes } => {
-                rec.warnings.push(RecoveryWarning {
-                    offset,
-                    message: format!(
-                        "torn tail: {bytes} trailing byte(s) after record {} — dropped",
-                        index - 1
-                    ),
-                });
-            }
-            ScannedFrame::Torn {
+    };
+    rec.digest = Some(u64::from_le_bytes(bytes[12..20].try_into().unwrap()));
+    for (offset, r) in items {
+        if rec.records.iter().any(|have| have.position == r.position) {
+            rec.warnings.push(LogWarning::new(
+                path,
                 offset,
-                declared,
-                available,
-            } => {
-                rec.warnings.push(RecoveryWarning {
-                    offset,
-                    message: format!(
-                        "torn or corrupt frame at record {index} (declared {declared} bytes, \
-                         {available} available) — journal truncated here"
-                    ),
-                });
-            }
-            ScannedFrame::BadCrc { offset } => {
-                rec.warnings.push(RecoveryWarning {
-                    offset,
-                    message: format!("CRC mismatch on record {index} — record skipped"),
-                });
-            }
-            ScannedFrame::Payload { offset, payload } => match JournalRecord::decode(payload) {
-                Some(r) => {
-                    if rec.records.iter().any(|have| have.name == r.name) {
-                        rec.warnings.push(RecoveryWarning {
-                            offset,
-                            message: format!(
-                                "duplicate record for job '{}' at record {index} — first kept",
-                                r.name
-                            ),
-                        });
-                    } else {
-                        rec.records.push(r);
-                    }
-                }
-                None => rec.warnings.push(RecoveryWarning {
-                    offset,
-                    message: format!(
-                        "record {index} has a valid CRC but does not decode — record skipped"
-                    ),
-                }),
-            },
+                format!(
+                    "duplicate record for manifest position {} ('{}') — first kept",
+                    r.position, r.name
+                ),
+            ));
+        } else {
+            rec.records.push(r);
         }
     }
     rec
 }
 
-/// Byte length of the journal's structurally valid prefix: the header
-/// plus every whole frame, stopping where [`recover_bytes`] would stop
-/// scanning (a torn or length-corrupt tail). CRC-mismatched frames are
-/// structurally whole and count toward the prefix — recovery skips them
-/// record-by-record without losing its place. A missing or malformed
-/// header keeps the whole file: the callers that hit that case rebuild
-/// the journal from scratch, and truncating here would destroy evidence.
-fn valid_prefix_len(bytes: &[u8]) -> usize {
-    if bytes.len() < HEADER_BYTES
-        || &bytes[..8] != JOURNAL_MAGIC
-        || u32::from_le_bytes(bytes[8..12].try_into().unwrap()) != JOURNAL_VERSION
-    {
-        return bytes.len();
-    }
-    FrameScanner::valid_end(bytes, HEADER_BYTES)
-}
-
-/// A batch report assembled from journal records (replayed and fresh
-/// alike). Renders byte-identically to [`crate::BatchReport`] over the
-/// same outcomes — the unit tests pin this equivalence — so a resumed
-/// run's output matches an uninterrupted run's.
-#[derive(Debug, Clone)]
-pub struct JournaledReport {
-    /// One record per input job, in input order.
-    pub jobs: Vec<JournalRecord>,
-    /// Wall-clock time of the (resumed) batch run.
-    pub wall: Duration,
-}
-
-impl JournaledReport {
-    /// Tallies the job outcomes.
-    pub fn counts(&self) -> BatchCounts {
-        let mut c = BatchCounts::default();
-        for job in &self.jobs {
-            match job.status {
-                JobStatus::Exact => c.exact += 1,
-                JobStatus::Degraded => c.degraded += 1,
-                JobStatus::Failed => c.failed += 1,
-                JobStatus::Skipped => c.skipped += 1,
-            }
-        }
-        c
-    }
-
-    /// Overall classification (drives the CLI exit code).
-    pub fn status(&self) -> BatchStatus {
-        let c = self.counts();
-        if c.failed > 0 || c.skipped > 0 {
-            BatchStatus::SomeFailed
-        } else if c.degraded > 0 {
-            BatchStatus::SomeDegraded
-        } else {
-            BatchStatus::AllExact
-        }
-    }
-
-    /// The report as JSON text, splicing each record's stored rendering
-    /// verbatim into the `jobs` array.
-    pub fn to_json_text(&self) -> String {
-        let c = self.counts();
-        let mut out = String::from("{\"jobs\":[");
-        for (i, job) in self.jobs.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&job.json);
-        }
-        out.push_str("],\"summary\":");
-        let summary = srtw_core::Json::object(vec![
-            ("status", srtw_core::Json::str(self.status().as_str())),
-            ("total", srtw_core::Json::Int(self.jobs.len() as i128)),
-            ("exact", srtw_core::Json::Int(c.exact as i128)),
-            ("degraded", srtw_core::Json::Int(c.degraded as i128)),
-            ("failed", srtw_core::Json::Int(c.failed as i128)),
-            ("skipped", srtw_core::Json::Int(c.skipped as i128)),
-            (
-                "wall_ms",
-                srtw_core::Json::Float(self.wall.as_secs_f64() * 1e3),
-            ),
-        ]);
-        out.push_str(&format!("{summary}"));
-        out.push('}');
-        out
-    }
-}
-
-impl fmt::Display for JournaledReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for job in &self.jobs {
-            writeln!(f, "{}", job.display_line())?;
-        }
-        let c = self.counts();
-        write!(
-            f,
-            "batch: {} job(s) — {} exact, {} degraded, {} failed, {} skipped in {:.1} ms",
-            self.jobs.len(),
-            c.exact,
-            c.degraded,
-            c.failed,
-            c.skipped,
-            self.wall.as_secs_f64() * 1e3
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::framed::{FaultLog, WriteFaultKind};
     use crate::job::{Attempt, AttemptStatus, Rung};
-    use crate::report::BatchReport;
     use std::path::PathBuf;
+    use std::time::Duration;
 
     fn tmp(name: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
@@ -861,11 +342,31 @@ mod tests {
         ]
     }
 
+    /// The record of `outcomes[i]` at manifest position `i`.
+    fn record(outcomes: &[JobOutcome], i: usize) -> JournalRecord {
+        JournalRecord {
+            position: i as u32,
+            ..JournalRecord::from_outcome(&outcomes[i])
+        }
+    }
+
     fn write_journal(path: &Path, outcomes: &[JobOutcome]) {
         let mut w = JournalWriter::create(path, 42).unwrap();
-        for o in outcomes {
-            w.append(&JournalRecord::from_outcome(o)).unwrap();
+        for i in 0..outcomes.len() {
+            w.append(&record(outcomes, i)).unwrap();
         }
+    }
+
+    fn names(rec: &Recovery) -> Vec<&str> {
+        rec.records.iter().map(|r| r.name.as_str()).collect()
+    }
+
+    fn journal_fault(kind: WriteFaultKind, at_record: u64) -> Option<WriteFault> {
+        Some(WriteFault {
+            log: FaultLog::Journal,
+            kind,
+            at_record,
+        })
     }
 
     #[test]
@@ -875,33 +376,16 @@ mod tests {
         write_journal(&path, &outcomes);
         let rec = recover(&path).unwrap();
         std::fs::remove_file(&path).unwrap();
-        assert_eq!(rec.digest, 42);
+        assert_eq!(rec.digest, Some(42));
         assert!(rec.warnings.is_empty(), "{:?}", rec.warnings);
         assert_eq!(rec.records.len(), outcomes.len());
-        for (r, o) in rec.records.iter().zip(&outcomes) {
+        for (i, (r, o)) in rec.records.iter().zip(&outcomes).enumerate() {
+            assert_eq!(r.position, i as u32);
             assert_eq!(r.name, o.name);
             assert_eq!(r.status, o.status);
             assert_eq!(r.attempts as usize, o.attempts.len());
             assert_eq!(r.json, format!("{}", o.to_json()));
         }
-    }
-
-    #[test]
-    fn report_matches_batch_report_byte_for_byte() {
-        let outcomes = sample_outcomes();
-        let wall = Duration::from_micros(987_654);
-        let batch = BatchReport {
-            jobs: outcomes.clone(),
-            wall,
-        };
-        let journaled = JournaledReport {
-            jobs: outcomes.iter().map(JournalRecord::from_outcome).collect(),
-            wall,
-        };
-        assert_eq!(journaled.to_json_text(), format!("{}", batch.to_json()));
-        assert_eq!(format!("{journaled}"), format!("{batch}"));
-        assert_eq!(journaled.counts(), batch.counts());
-        assert_eq!(journaled.status(), batch.status());
     }
 
     #[test]
@@ -914,10 +398,8 @@ mod tests {
         std::fs::write(&path, &full[..full.len() - 5]).unwrap();
         let rec = recover(&path).unwrap();
         std::fs::remove_file(&path).unwrap();
-        assert_eq!(rec.records.len(), outcomes.len() - 1);
+        assert_eq!(names(&rec), ["alpha", "beta", "gamma"]);
         assert!(!rec.warnings.is_empty());
-        assert!(rec.find("delta").is_none());
-        assert!(rec.find("gamma").is_some());
     }
 
     #[test]
@@ -927,12 +409,12 @@ mod tests {
         write_journal(&path, &outcomes);
         let mut bytes = std::fs::read(&path).unwrap();
         // Flip one byte inside the first record's payload.
-        bytes[HEADER_BYTES + 8 + 2] ^= 0x01;
+        bytes[FORMAT.header_len + 8 + 2] ^= 0x01;
         std::fs::write(&path, &bytes).unwrap();
         let rec = recover(&path).unwrap();
         std::fs::remove_file(&path).unwrap();
-        assert!(rec.find("alpha").is_none(), "corrupt record must be dropped");
-        assert!(rec.find("beta").is_some(), "later records must survive");
+        // The corrupt first record is dropped; later records survive.
+        assert_eq!(names(&rec), ["beta", "gamma", "delta"]);
         assert!(rec.warnings.iter().any(|w| w.message.contains("CRC")));
     }
 
@@ -940,21 +422,43 @@ mod tests {
     fn rejects_bad_header() {
         let rec = recover_bytes(b"NOTAJRNL rest of garbage");
         assert!(rec.records.is_empty());
+        assert_eq!(rec.digest, None);
         assert!(!rec.warnings.is_empty());
     }
 
     #[test]
-    fn dedups_keep_first() {
+    fn version_one_journal_is_ignored_with_one_warning() {
+        let mut old = JOURNAL_MAGIC.to_vec();
+        old.extend_from_slice(&1u32.to_le_bytes());
+        old.extend_from_slice(&42u64.to_le_bytes());
+        old.extend_from_slice(&framed::frame(b"a name-keyed record"));
+        let rec = recover_bytes(&old);
+        assert!(rec.records.is_empty());
+        assert_eq!(rec.digest, None);
+        assert_eq!(rec.warnings.len(), 1, "{:?}", rec.warnings);
+        assert!(rec.warnings[0].message.contains("version 1"));
+    }
+
+    #[test]
+    fn dedups_keep_first_by_position_not_name() {
         let path = tmp("dedup");
         let mut w = JournalWriter::create(&path, 1).unwrap();
-        let first = JournalRecord::from_outcome(&outcome("same", JobStatus::Exact));
-        w.append(&first).unwrap();
-        let dup = JournalRecord::from_outcome(&outcome("same", JobStatus::Failed));
-        w.append(&dup).unwrap();
+        let exact = JournalRecord::from_outcome(&outcome("same", JobStatus::Exact));
+        let failed = JournalRecord::from_outcome(&outcome("same", JobStatus::Failed));
+        w.append(&exact).unwrap();
+        // A second record for position 0 is a duplicate and loses.
+        w.append(&failed).unwrap();
+        // The same name at another position is another entry and stays.
+        w.append(&JournalRecord {
+            position: 1,
+            ..failed
+        })
+        .unwrap();
         let rec = recover(&path).unwrap();
         std::fs::remove_file(&path).unwrap();
-        assert_eq!(rec.records.len(), 1);
-        assert_eq!(rec.records[0].status, JobStatus::Exact);
+        let kept: Vec<(u32, JobStatus)> =
+            rec.records.iter().map(|r| (r.position, r.status)).collect();
+        assert_eq!(kept, [(0, JobStatus::Exact), (1, JobStatus::Failed)]);
         assert!(rec.warnings.iter().any(|w| w.message.contains("duplicate")));
     }
 
@@ -963,14 +467,9 @@ mod tests {
         let path = tmp("fault-torn");
         let outcomes = sample_outcomes();
         let mut w = JournalWriter::create(&path, 7).unwrap();
-        w.set_fault(Some(JournalFault {
-            at_record: 2,
-            kind: JournalFaultKind::Torn,
-        }));
-        w.append(&JournalRecord::from_outcome(&outcomes[0])).unwrap();
-        let err = w
-            .append(&JournalRecord::from_outcome(&outcomes[1]))
-            .unwrap_err();
+        w.set_fault(journal_fault(WriteFaultKind::Torn, 2));
+        w.append(&record(&outcomes, 0)).unwrap();
+        let err = w.append(&record(&outcomes, 1)).unwrap_err();
         assert!(err.to_string().contains("torn@2"));
         drop(w);
         let rec = recover(&path).unwrap();
@@ -985,13 +484,8 @@ mod tests {
         let path = tmp("fault-corrupt");
         let outcomes = sample_outcomes();
         let mut w = JournalWriter::create(&path, 7).unwrap();
-        w.set_fault(Some(JournalFault {
-            at_record: 1,
-            kind: JournalFaultKind::Corrupt,
-        }));
-        let err = w
-            .append(&JournalRecord::from_outcome(&outcomes[0]))
-            .unwrap_err();
+        w.set_fault(journal_fault(WriteFaultKind::Corrupt, 1));
+        let err = w.append(&record(&outcomes, 0)).unwrap_err();
         assert!(err.to_string().contains("jcorrupt@1"));
         drop(w);
         let rec = recover(&path).unwrap();
@@ -1001,40 +495,15 @@ mod tests {
     }
 
     #[test]
-    fn fault_parse_grammar() {
-        assert!(matches!(
-            JournalFault::parse("torn@3"),
-            Some(Ok(JournalFault {
-                at_record: 3,
-                kind: JournalFaultKind::Torn
-            }))
-        ));
-        assert!(matches!(
-            JournalFault::parse("jcorrupt@1"),
-            Some(Ok(JournalFault {
-                at_record: 1,
-                kind: JournalFaultKind::Corrupt
-            }))
-        ));
-        assert!(JournalFault::parse("torn@0").unwrap().is_err());
-        assert!(JournalFault::parse("torn@x").unwrap().is_err());
-        assert!(JournalFault::parse("overflow@1").is_none());
-        assert!(JournalFault::parse("abort").is_none());
-    }
-
-    #[test]
     fn resume_after_fault_counts_from_own_appends() {
         // A writer opened for append with torn@1 breaks its own first
         // append, not the file's first record.
         let path = tmp("fault-resume");
         let outcomes = sample_outcomes();
         write_journal(&path, &outcomes[..2]);
-        let mut w = JournalWriter::open_append(&path).unwrap();
-        w.set_fault(Some(JournalFault {
-            at_record: 1,
-            kind: JournalFaultKind::Torn,
-        }));
-        assert!(w.append(&JournalRecord::from_outcome(&outcomes[2])).is_err());
+        let mut w = JournalWriter::open_append(&path, 42).unwrap();
+        w.set_fault(journal_fault(WriteFaultKind::Torn, 1));
+        assert!(w.append(&record(&outcomes, 2)).is_err());
         drop(w);
         let rec = recover(&path).unwrap();
         std::fs::remove_file(&path).unwrap();
@@ -1049,24 +518,16 @@ mod tests {
         let path = tmp("torn-tail-reopen");
         let outcomes = sample_outcomes();
         write_journal(&path, &outcomes[..1]);
-        let mut w = JournalWriter::open_append(&path).unwrap();
-        w.set_fault(Some(JournalFault {
-            at_record: 1,
-            kind: JournalFaultKind::Torn,
-        }));
-        assert!(w.append(&JournalRecord::from_outcome(&outcomes[1])).is_err());
+        let mut w = JournalWriter::open_append(&path, 42).unwrap();
+        w.set_fault(journal_fault(WriteFaultKind::Torn, 1));
+        assert!(w.append(&record(&outcomes, 1)).is_err());
         drop(w);
-        let mut w = JournalWriter::open_append(&path).unwrap();
-        w.append(&JournalRecord::from_outcome(&outcomes[2])).unwrap();
+        let mut w = JournalWriter::open_append(&path, 42).unwrap();
+        w.append(&record(&outcomes, 2)).unwrap();
         drop(w);
         let rec = recover(&path).unwrap();
         std::fs::remove_file(&path).unwrap();
-        let names: Vec<&str> = rec.records.iter().map(|r| r.name.as_str()).collect();
-        let want = [
-            JournalRecord::from_outcome(&outcomes[0]).name,
-            JournalRecord::from_outcome(&outcomes[2]).name,
-        ];
-        assert_eq!(names, want);
+        assert_eq!(names(&rec), ["alpha", "gamma"]);
         assert!(
             rec.warnings.is_empty(),
             "torn tail should be gone after reopen: {:?}",

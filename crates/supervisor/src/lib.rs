@@ -29,15 +29,20 @@
 //!   tree rule that a crash-looping child eventually signals a systemic
 //!   fault instead of being restarted forever.
 //! * **Durability** — an append-only write-ahead [`journal`] of per-job
-//!   outcomes (length+CRC framing, fsync'd record-at-a-time) makes a
-//!   batch crash-recoverable: recovery tolerates torn tails and bit
-//!   corruption, and replay is idempotent (keep-first by job name), so
-//!   `srtw batch --journal PATH --resume` skips completed jobs and still
-//!   renders a report byte-identical to an uninterrupted run.
+//!   outcomes, written in the one CRC-framed, fsync'd-per-record log
+//!   format of [`framed`] (shared with the `srtw-persist` spill store),
+//!   makes a batch crash-recoverable: recovery tolerates torn tails and
+//!   bit corruption, and replay is idempotent (keep-first by manifest
+//!   position), so `srtw batch --journal PATH --resume` skips completed
+//!   jobs and still renders a report byte-identical to an uninterrupted
+//!   run.
+//! * **One batch runner** — [`BatchPlan`] sits behind both `srtw batch`
+//!   and `POST /batch`: it loads manifest entries ([`BatchEntry`]),
+//!   resumes a [`BatchJournal`], runs the fresh jobs on the pool, and
+//!   returns the records in manifest order.
 //! * **Provenance** — a [`JobOutcome`] records every attempt (rung,
-//!   status, wall time, degradation records), and a [`BatchReport`]
-//!   aggregates them with a machine-readable JSON rendering for the
-//!   `srtw batch` CLI.
+//!   status, wall time, degradation records), and a [`JournaledReport`]
+//!   renders a batch's records as text or JSON.
 //!
 //! Failure paths are testable, not theoretical: a deterministic
 //! [`srtw_minplus::FaultPlan`] can trip the budget, inject a synthetic
@@ -65,6 +70,7 @@
 #![warn(missing_debug_implementations)]
 #![forbid(unsafe_code)]
 
+pub mod framed;
 mod job;
 pub mod journal;
 mod ladder;
@@ -74,12 +80,14 @@ mod restart;
 mod supervise;
 
 pub use job::{AnalysisOutput, Attempt, AttemptStatus, JobOutcome, JobSpec, JobStatus, Rung};
-pub use journal::{
-    JournalFault, JournalFaultKind, JournalRecord, JournalWriter, JournaledReport, Recovery,
-};
+pub use framed::{FaultLog, LogWarning, WriteFault, WriteFaultKind};
+pub use journal::{JournalRecord, JournalWriter, Recovery};
 pub use ladder::{run_supervised, SupervisorConfig};
-pub use pool::{run_batch, run_batch_observed, BatchConfig, OutcomeObserver};
-pub use report::{BatchCounts, BatchReport, BatchStatus};
+pub use pool::{
+    manifest_lines, run_batch, run_batch_observed, BatchConfig, BatchEntry, BatchJournal,
+    BatchPlan, JournalPolicy, OutcomeObserver,
+};
+pub use report::{BatchCounts, BatchStatus, JournaledReport};
 pub use restart::{RestartDecision, RestartPolicy, RestartTracker};
 pub use supervise::{contain, panic_message, Contained};
 

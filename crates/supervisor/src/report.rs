@@ -1,6 +1,7 @@
-//! Batch-level aggregation and rendering of job outcomes.
+//! The batch report: counts, overall status and the one renderer.
 
-use crate::job::{JobOutcome, JobStatus};
+use crate::job::JobStatus;
+use crate::journal::JournalRecord;
 use srtw_core::Json;
 use std::fmt;
 use std::time::Duration;
@@ -16,6 +17,33 @@ pub struct BatchCounts {
     pub failed: usize,
     /// Jobs never attempted (`--fail-fast`).
     pub skipped: usize,
+}
+
+impl BatchCounts {
+    /// Tallies job statuses.
+    pub fn of(statuses: impl IntoIterator<Item = JobStatus>) -> BatchCounts {
+        let mut c = BatchCounts::default();
+        for status in statuses {
+            match status {
+                JobStatus::Exact => c.exact += 1,
+                JobStatus::Degraded => c.degraded += 1,
+                JobStatus::Failed => c.failed += 1,
+                JobStatus::Skipped => c.skipped += 1,
+            }
+        }
+        c
+    }
+
+    /// Overall classification (drives the CLI exit code).
+    pub fn status(&self) -> BatchStatus {
+        if self.failed > 0 || self.skipped > 0 {
+            BatchStatus::SomeFailed
+        } else if self.degraded > 0 {
+            BatchStatus::SomeDegraded
+        } else {
+            BatchStatus::AllExact
+        }
+    }
 }
 
 /// Overall classification of a batch, in increasing severity. Maps to the
@@ -43,70 +71,54 @@ impl BatchStatus {
     }
 }
 
-/// Everything a batch run produced, in input order.
+/// A batch report assembled from journal records, replayed and fresh
+/// alike: each record carries its outcome's rendering verbatim, so a
+/// resumed run's report is byte-identical to an uninterrupted run's.
 #[derive(Debug, Clone)]
-pub struct BatchReport {
-    /// One outcome per input job, in input order.
-    pub jobs: Vec<JobOutcome>,
-    /// Wall-clock time of the whole batch.
+pub struct JournaledReport {
+    /// One record per manifest entry, in manifest order.
+    pub jobs: Vec<JournalRecord>,
+    /// Wall-clock time of the (resumed) batch run.
     pub wall: Duration,
 }
 
-impl BatchReport {
+impl JournaledReport {
     /// Tallies the job outcomes.
     pub fn counts(&self) -> BatchCounts {
-        let mut c = BatchCounts::default();
-        for job in &self.jobs {
-            match job.status {
-                JobStatus::Exact => c.exact += 1,
-                JobStatus::Degraded => c.degraded += 1,
-                JobStatus::Failed => c.failed += 1,
-                JobStatus::Skipped => c.skipped += 1,
+        BatchCounts::of(self.jobs.iter().map(|j| j.status))
+    }
+
+    /// The report as JSON text, splicing each record's stored rendering
+    /// verbatim into the `jobs` array.
+    pub fn to_json_text(&self) -> String {
+        let c = self.counts();
+        let mut out = String::from("{\"jobs\":[");
+        for (i, job) in self.jobs.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
             }
+            out.push_str(&job.json);
         }
-        c
-    }
-
-    /// Overall classification (drives the CLI exit code).
-    pub fn status(&self) -> BatchStatus {
-        let c = self.counts();
-        if c.failed > 0 || c.skipped > 0 {
-            BatchStatus::SomeFailed
-        } else if c.degraded > 0 {
-            BatchStatus::SomeDegraded
-        } else {
-            BatchStatus::AllExact
-        }
-    }
-
-    /// The report as a JSON value.
-    pub fn to_json(&self) -> Json {
-        let c = self.counts();
-        Json::object(vec![
-            (
-                "jobs",
-                Json::Array(self.jobs.iter().map(JobOutcome::to_json).collect()),
-            ),
-            (
-                "summary",
-                Json::object(vec![
-                    ("status", Json::str(self.status().as_str())),
-                    ("total", Json::Int(self.jobs.len() as i128)),
-                    ("exact", Json::Int(c.exact as i128)),
-                    ("degraded", Json::Int(c.degraded as i128)),
-                    ("failed", Json::Int(c.failed as i128)),
-                    ("skipped", Json::Int(c.skipped as i128)),
-                    ("wall_ms", Json::Float(self.wall.as_secs_f64() * 1e3)),
-                ]),
-            ),
-        ])
+        out.push_str("],\"summary\":");
+        let summary = Json::object(vec![
+            ("status", Json::str(c.status().as_str())),
+            ("total", Json::Int(self.jobs.len() as i128)),
+            ("exact", Json::Int(c.exact as i128)),
+            ("degraded", Json::Int(c.degraded as i128)),
+            ("failed", Json::Int(c.failed as i128)),
+            ("skipped", Json::Int(c.skipped as i128)),
+            ("wall_ms", Json::Float(self.wall.as_secs_f64() * 1e3)),
+        ]);
+        out.push_str(&format!("{summary}"));
+        out.push('}');
+        out
     }
 }
 
-impl fmt::Display for BatchReport {
+impl fmt::Display for JournaledReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         for job in &self.jobs {
-            let rung = match job.rung {
+            let rung = match &job.rung {
                 Some(r) => format!(" [{r}]"),
                 None => String::new(),
             };
@@ -120,9 +132,9 @@ impl fmt::Display for BatchReport {
                 job.status.as_str(),
                 job.name,
                 rung,
-                job.attempts.len(),
-                if job.attempts.len() == 1 { "" } else { "s" },
-                job.wall.as_secs_f64() * 1e3,
+                job.attempts,
+                if job.attempts == 1 { "" } else { "s" },
+                job.wall_secs() * 1e3,
                 detail
             )?;
         }

@@ -10,7 +10,8 @@
 //!    must be byte-identical (name and stored JSON alike) to one that
 //!    was genuinely journaled — a job that was never written can never
 //!    come back marked complete;
-//! 3. replay stays idempotent — no duplicate job names survive recovery.
+//! 3. replay stays idempotent — no two records for one manifest position
+//!    survive recovery.
 //!
 //! Case counts follow `SRTW_PROP_CASES` (default 64); failures print a
 //! `SRTW_PROP_REPLAY=<seed>:<size>` handle for exact reproduction.
@@ -59,8 +60,14 @@ fn base() -> &'static Base {
             outcome("gamma", JobStatus::Failed),
             outcome("delta", JobStatus::Exact),
         ];
-        let records: Vec<JournalRecord> =
-            outcomes.iter().map(JournalRecord::from_outcome).collect();
+        let records: Vec<JournalRecord> = outcomes
+            .iter()
+            .enumerate()
+            .map(|(i, o)| JournalRecord {
+                position: i as u32,
+                ..JournalRecord::from_outcome(o)
+            })
+            .collect();
         let mut frames = Vec::new();
         let mut header = Vec::new();
         for (i, r) in records.iter().enumerate() {
@@ -160,12 +167,12 @@ fn mutated_journals_recover_without_panics_or_invented_completions() {
                 r.name
             );
         }
-        // Invariant 3: replay idempotence — keep-first dedup by name.
+        // Invariant 3: replay idempotence — keep-first dedup by position.
         for (i, r) in rec.records.iter().enumerate() {
             assert!(
-                rec.records[..i].iter().all(|prev| prev.name != r.name),
-                "duplicate job '{}' survived recovery",
-                r.name
+                rec.records[..i].iter().all(|prev| prev.position != r.position),
+                "duplicate record for position {} survived recovery",
+                r.position
             );
         }
     });

@@ -18,10 +18,14 @@ use srtw_detrand::Rng;
 use srtw_gen::{adversarial_coprime, adversarial_deep_chain, adversarial_dense, rescale_utilization};
 use srtw_minplus::{Curve, FaultKind, FaultPlan, Q};
 use srtw_supervisor::{
-    run_batch, run_supervised, AnalysisOutput, AttemptStatus, BatchConfig, BatchStatus, JobSpec,
-    JobStatus, Rung, SupervisorConfig,
+    run_batch, run_supervised, AnalysisOutput, AttemptStatus, BatchConfig, BatchCounts,
+    BatchStatus, JobOutcome, JobSpec, JobStatus, Rung, SupervisorConfig,
 };
 use std::time::Duration;
+
+fn counts(outcomes: &[JobOutcome]) -> BatchCounts {
+    BatchCounts::of(outcomes.iter().map(|o| o.status))
+}
 
 fn q(n: i128, d: i128) -> Q {
     Q::new(n, d)
@@ -218,13 +222,13 @@ fn batch_preserves_input_order_and_counts_accurately() {
     };
     let report = run_batch(specs, &cfg);
     assert_eq!(
-        report.jobs.iter().map(|j| j.name.as_str()).collect::<Vec<_>>(),
+        report.iter().map(|j| j.name.as_str()).collect::<Vec<_>>(),
         vec!["a", "b", "c", "d"]
     );
-    let c = report.counts();
+    let c = counts(&report);
     assert_eq!(c.exact + c.degraded + c.failed + c.skipped, 4);
     assert_eq!(c.exact, 4);
-    assert_eq!(report.status(), BatchStatus::AllExact);
+    assert_eq!(c.status(), BatchStatus::AllExact);
 }
 
 #[test]
@@ -239,10 +243,10 @@ fn batch_with_poisoned_jobs_reports_failure_without_panicking() {
         fail_fast: false,
     };
     let report = run_batch(specs, &cfg);
-    assert_eq!(report.status(), BatchStatus::SomeFailed);
-    assert_eq!(report.counts().failed, 2);
-    let json = report.to_json().render();
-    assert!(json.contains("\"some_failed\""), "json: {json}");
+    let c = counts(&report);
+    assert_eq!(c.status(), BatchStatus::SomeFailed);
+    assert_eq!(c.failed, 2);
+    assert_eq!(c.status().as_str(), "some_failed");
 }
 
 #[test]
@@ -257,12 +261,12 @@ fn fail_fast_skips_unclaimed_jobs() {
         fail_fast: true,
     };
     let report = run_batch(specs, &cfg);
-    let c = report.counts();
+    let c = counts(&report);
     assert_eq!(c.failed, 1, "first job fails, cursor stops");
     assert_eq!(c.skipped, 5);
-    assert_eq!(report.status(), BatchStatus::SomeFailed);
-    assert_eq!(report.jobs[1].status, JobStatus::Skipped);
-    assert!(report.jobs[1].error.as_deref().unwrap().contains("fail-fast"));
+    assert_eq!(c.status(), BatchStatus::SomeFailed);
+    assert_eq!(report[1].status, JobStatus::Skipped);
+    assert!(report[1].error.as_deref().unwrap().contains("fail-fast"));
 }
 
 #[test]
@@ -277,7 +281,7 @@ fn batch_status_maps_degraded_batches_to_a_warning_not_a_failure() {
         fail_fast: false,
     };
     let report = run_batch(specs, &cfg);
-    assert_ne!(report.status(), BatchStatus::SomeFailed);
-    let c = report.counts();
+    let c = counts(&report);
+    assert_ne!(c.status(), BatchStatus::SomeFailed);
     assert_eq!(c.failed + c.skipped, 0);
 }

@@ -11,7 +11,10 @@
 #      plus `cargo clippy --workspace --all-targets -- -D warnings`
 #      (lint-clean, tests/benches/examples included) and
 #      `cargo doc --workspace --no-deps` with rustdoc warnings denied
-#      (no broken or private intra-doc links);
+#      (no broken or private intra-doc links), plus the `benchmark/`
+#      crate's own build and tests (a separate workspace: it compiles
+#      against the public items it uses, so breaking one fails here, not
+#      first in a benchmark run);
 #   3. build all five examples;
 #   4. CLI smoke test on the shipped sample system, under the default
 #      FIFO scheduler and under fixed priority (the leftover-service
@@ -94,6 +97,7 @@ cargo build --release --offline --workspace
 cargo clippy --offline --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
 SRTW_BENCH_FAST=1 cargo test -q --offline --workspace
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
 echo "== 3/12 examples build =="
 cargo build --release --offline --examples

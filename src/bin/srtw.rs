@@ -95,19 +95,20 @@
 //! "message": …}}`. A batch failure (exit 4) is not an error document —
 //! the batch report itself, listing the failed jobs, is the document.
 
-use srtw::supervisor::journal::{self, JournalRecord, JournalWriter, JournaledReport};
+use srtw::supervisor::journal;
 use srtw::supervisor::{
-    run_batch_observed, BatchConfig, BatchStatus, JobOutcome, JobSpec, JournalFault,
-    OutcomeObserver, RestartPolicy,
+    manifest_lines, BatchConfig, BatchEntry, BatchJournal, BatchPlan, BatchStatus, FaultLog,
+    JournalPolicy, RestartPolicy, WriteFault,
 };
 use srtw::textfmt::{parse_system, SystemSpec};
-use srtw::serve::{signal, PersistFault, ProcessFault, ReplicaConfig, ServeConfig, Server, Supervisor};
+use srtw::serve::{signal, ProcessFault, ReplicaConfig, ServeConfig, Server, Supervisor};
 use srtw::{
     earliest_random_walk, edf_schedulable, fifo_report, fifo_structural,
     fixed_priority_structural_with, simulate_fifo, AnalysisConfig, Budget, Curve, DelayAnalysis,
     FaultPlan, Json, Q, Rbf, ServiceProcess, SupervisorConfig,
 };
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::catch_unwind;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
@@ -210,20 +211,11 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
     .map(|()| ExitCode::SUCCESS)
 }
 
-/// One queued batch entry: either a parsed job or its pre-run failure
-/// (unreadable file, parse error, missing server).
-// One short-lived entry per input file; boxing the job would buy nothing.
-#[allow(clippy::large_enum_variant)]
-enum QueueEntry {
-    Job(JobSpec),
-    PreFailed(JobOutcome),
-}
-
 /// Collects the `.srtw` queue from a directory (sorted by file name) or a
 /// manifest file (one path per line, `#` comments, resolved relative to
 /// the manifest's directory).
-fn collect_queue(path: &str) -> Result<Vec<std::path::PathBuf>, CliError> {
-    let p = std::path::Path::new(path);
+fn collect_queue(path: &str) -> Result<Vec<PathBuf>, CliError> {
+    let p = Path::new(path);
     if p.is_dir() {
         let mut files: Vec<_> = std::fs::read_dir(p)
             .map_err(|e| input(format!("cannot read directory {path}: {e}")))?
@@ -238,49 +230,19 @@ fn collect_queue(path: &str) -> Result<Vec<std::path::PathBuf>, CliError> {
     }
     let text =
         std::fs::read_to_string(p).map_err(|e| input(format!("cannot read {path}: {e}")))?;
-    let base = p.parent().unwrap_or_else(|| std::path::Path::new("."));
-    let files: Vec<_> = text
-        .lines()
-        .map(str::trim)
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        .map(|l| base.join(l))
-        .collect();
+    let base = p.parent().unwrap_or_else(|| Path::new("."));
+    let files: Vec<_> = manifest_lines(&text).map(|l| base.join(l)).collect();
     if files.is_empty() {
         return Err(input(format!("manifest {path} lists no systems")));
     }
     Ok(files)
 }
 
-/// Loads one queued file into a job, containing parse panics and turning
-/// every pre-run failure into reportable provenance instead of aborting
-/// the batch.
-fn load_job(file: &std::path::Path) -> QueueEntry {
-    let name = file
-        .file_stem()
-        .map(|s| s.to_string_lossy().into_owned())
-        .unwrap_or_else(|| file.display().to_string());
-    let text = match std::fs::read_to_string(file) {
-        Ok(t) => t,
-        Err(e) => {
-            return QueueEntry::PreFailed(JobOutcome::pre_failed(
-                name,
-                format!("cannot read {}: {e}", file.display()),
-            ))
-        }
-    };
-    let loaded = catch_unwind(AssertUnwindSafe(|| -> Result<JobSpec, String> {
-        let sys = parse_system(&text).map_err(|e| format!("{}: {e}", file.display()))?;
-        let server = sys.server.as_ref().ok_or_else(|| {
-            format!("{}: the system file declares no server", file.display())
-        })?;
-        let beta = server.beta_lower().map_err(|e| e.to_string())?;
-        Ok(JobSpec::new(name.clone(), sys.tasks, beta))
-    }));
-    match loaded {
-        Ok(Ok(spec)) => QueueEntry::Job(spec),
-        Ok(Err(e)) => QueueEntry::PreFailed(JobOutcome::pre_failed(name, e)),
-        Err(_) => QueueEntry::PreFailed(JobOutcome::pre_failed(name, "panic while parsing")),
-    }
+/// A failed journal append ends the run like a crash (exit 3), which is
+/// exactly what the injected `torn@N` / `jcorrupt@N` faults simulate.
+fn exit_on_journal_failure(path: &Path, e: &std::io::Error) -> ! {
+    eprintln!("internal error: journal write failed ({}): {e}", path.display());
+    std::process::exit(3);
 }
 
 fn batch(path: &str, opts: &[String]) -> Result<ExitCode, CliError> {
@@ -321,15 +283,16 @@ fn batch(path: &str, opts: &[String]) -> Result<ExitCode, CliError> {
     let mut journal_fault = None;
     let fault = match opt_value(opts, "--fault") {
         None => None,
-        Some(v) => match JournalFault::parse(&v) {
-            Some(Ok(f)) => {
-                if journal_path.is_none() {
-                    return Err(input(
-                        "journal faults (torn@N | jcorrupt@N) require --journal PATH",
-                    ));
-                }
+        Some(v) => match WriteFault::parse(&v) {
+            Some(Ok(f)) if f.log == FaultLog::Journal && journal_path.is_some() => {
                 journal_fault = Some(f);
                 None
+            }
+            Some(Ok(_)) => {
+                return Err(input(
+                    "write faults on a batch are journal faults (torn@N | jcorrupt@N) and \
+                     require --journal PATH",
+                ))
             }
             Some(Err(e)) => return Err(input(e)),
             None => Some(FaultPlan::parse(&v).map_err(CliError::Input)?),
@@ -337,74 +300,29 @@ fn batch(path: &str, opts: &[String]) -> Result<ExitCode, CliError> {
     };
 
     let queue = collect_queue(path)?;
-    let entries: Vec<QueueEntry> = queue.iter().map(|f| load_job(f)).collect();
+    let entries: Vec<BatchEntry> = queue.iter().map(|f| BatchEntry::load(f)).collect();
 
-    // With --fail-fast a pre-run failure stops the queue exactly like a
-    // failed run: jobs after the first pre-failure never start.
-    let cut = if fail_fast {
-        entries
-            .iter()
-            .position(|e| matches!(e, QueueEntry::PreFailed(_)))
-            .map(|i| i + 1)
-            .unwrap_or(entries.len())
-    } else {
-        entries.len()
-    };
-
-    // The journal is keyed to the queue's identity: resuming against a
+    // The journal is keyed to the queue's identity — its resolved paths,
+    // not its job names, which two files may share: resuming against a
     // journal written for a different job list must start fresh, not
     // splice unrelated results.
-    let names: Vec<&str> = entries
-        .iter()
-        .map(|e| match e {
-            QueueEntry::Job(spec) => spec.name.as_str(),
-            QueueEntry::PreFailed(out) => out.name.as_str(),
-        })
-        .collect();
-    let digest = journal::digest64(names.join("\n").as_bytes());
-
-    // Recover the journal (on --resume) and open it for appending. Only
-    // supervised runs are journaled: pre-run failures and --fail-fast
-    // skips are recomputed deterministically from the queue itself.
-    let mut replay: std::collections::HashMap<String, JournalRecord> = Default::default();
-    let writer = match &journal_path {
+    let paths: Vec<String> = queue.iter().map(|f| f.display().to_string()).collect();
+    let digest = journal::digest64(paths.join("\n").as_bytes());
+    let journal = match &journal_path {
         None => None,
         Some(jp) => {
-            let jpath = std::path::Path::new(jp);
-            let mut fresh = true;
-            if resume {
-                match journal::recover(jpath) {
-                    Ok(rec) => {
-                        for w in &rec.warnings {
-                            eprintln!("srtw-persist: {jp}: {w}");
-                        }
-                        if rec.digest != digest {
-                            eprintln!(
-                                "warning: journal {jp} was written for a different job list \
-                                 (digest mismatch); starting fresh"
-                            );
-                        } else {
-                            for r in rec.records {
-                                replay.insert(r.name.clone(), r);
-                            }
-                            fresh = false;
-                        }
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                        eprintln!("warning: journal {jp} does not exist; starting fresh");
-                    }
-                    Err(e) => return Err(input(format!("cannot read journal {jp}: {e}"))),
-                }
-            }
-            let mut w = if fresh {
-                JournalWriter::create(jpath, digest)
-                    .map_err(|e| input(format!("cannot create journal {jp}: {e}")))?
-            } else {
-                JournalWriter::open_append(jpath)
-                    .map_err(|e| input(format!("cannot open journal {jp}: {e}")))?
+            let policy = JournalPolicy {
+                resume,
+                pre_failed: false,
+                fault: journal_fault,
+                on_failure: exit_on_journal_failure,
             };
-            w.set_fault(journal_fault);
-            Some(std::sync::Arc::new(std::sync::Mutex::new(w)))
+            let (journal, warnings) = BatchJournal::open(Path::new(jp), digest, policy)
+                .map_err(|e| input(format!("cannot open journal {jp}: {e}")))?;
+            for w in warnings {
+                eprintln!("{w}");
+            }
+            Some(journal)
         }
     };
 
@@ -420,79 +338,16 @@ fn batch(path: &str, opts: &[String]) -> Result<ExitCode, CliError> {
         },
         fail_fast,
     };
-    let specs: Vec<JobSpec> = entries
-        .iter()
-        .take(cut)
-        .filter_map(|e| match e {
-            QueueEntry::Job(spec) if !replay.contains_key(&spec.name) => Some(spec.clone()),
-            _ => None,
-        })
-        .collect();
+    let plan = BatchPlan::new(entries, journal, cfg);
     if resume {
-        let replayed = entries
-            .iter()
-            .take(cut)
-            .filter(|e| matches!(e, QueueEntry::Job(s) if replay.contains_key(&s.name)))
-            .count();
         eprintln!(
-            "journal: replayed {replayed} completed job(s); running {} fresh",
-            specs.len()
+            "journal: replayed {} completed job(s); running {} fresh",
+            plan.replayed(),
+            plan.fresh()
         );
     }
-    // Each outcome is appended and fsync'd on the worker thread that
-    // produced it, *before* the batch moves on. A failed append means the
-    // journal can no longer honour its durability promise, so the run
-    // dies like a crash (exit 3) — which is exactly what the injected
-    // torn@N/jcorrupt@N faults simulate.
-    let observer: Option<OutcomeObserver> = writer.as_ref().map(|w| {
-        let w = std::sync::Arc::clone(w);
-        let jp = journal_path.clone().unwrap_or_default();
-        std::sync::Arc::new(move |_i: usize, outcome: &JobOutcome| {
-            let mut guard = w.lock().unwrap();
-            if let Err(e) = guard.append(&JournalRecord::from_outcome(outcome)) {
-                eprintln!("internal error: journal write failed ({jp}): {e}");
-                std::process::exit(3);
-            }
-        }) as OutcomeObserver
-    });
-    let ran = run_batch_observed(specs, &cfg, observer);
-
-    // Re-assemble in input order: replayed journal records splice in
-    // verbatim, supervised outcomes fill the remaining job slots,
-    // pre-failures keep theirs, and everything past the --fail-fast cut
-    // is skipped. Rendering a JournalRecord is byte-identical to
-    // rendering the outcome it was captured from, so a resumed run's
-    // report matches an uninterrupted run's.
-    let mut supervised = ran.jobs.into_iter();
-    let merged: Vec<JournalRecord> = entries
-        .into_iter()
-        .enumerate()
-        .map(|(i, e)| match e {
-            QueueEntry::PreFailed(out) => Ok(JournalRecord::from_outcome(&out)),
-            QueueEntry::Job(spec) if i >= cut => {
-                Ok(JournalRecord::from_outcome(&JobOutcome::skipped(spec.name)))
-            }
-            QueueEntry::Job(spec) => match replay.remove(&spec.name) {
-                Some(rec) => Ok(rec),
-                None => supervised
-                    .next()
-                    .map(|o| JournalRecord::from_outcome(&o))
-                    .ok_or_else(|| {
-                        // A supervisor bug, not a user error: surface it
-                        // through the typed exit-3 path (and the --json
-                        // error document), never as a process abort.
-                        CliError::Internal(format!(
-                            "batch supervisor returned no outcome for queued job '{}'",
-                            spec.name
-                        ))
-                    }),
-            },
-        })
-        .collect::<Result<_, CliError>>()?;
-    let report = JournaledReport {
-        jobs: merged,
-        wall: started.elapsed(),
-    };
+    let mut report = plan.run(&|_| {});
+    report.wall = started.elapsed();
 
     if json {
         println!("{}", report.to_json_text());
@@ -500,7 +355,7 @@ fn batch(path: &str, opts: &[String]) -> Result<ExitCode, CliError> {
         println!("{report}");
     }
     let counts = report.counts();
-    match report.status() {
+    match counts.status() {
         BatchStatus::AllExact => Ok(ExitCode::SUCCESS),
         BatchStatus::SomeDegraded => {
             eprintln!(
@@ -684,12 +539,11 @@ fn serve(opts: &[String]) -> Result<ExitCode, CliError> {
     };
     let addr = opt_value(opts, "--addr").unwrap_or_else(|| "127.0.0.1:7878".into());
 
-    // One --fault flag serves four layers: process-level specs
+    // One --fault flag serves three layers: process-level specs
     // (abort@N | stall@N:MS | closefd@N) drive the supervision tree,
-    // journal specs (torn@N | jcorrupt@N) break batch durability,
-    // persistence specs (pers-torn@N | pers-corrupt@N | pers-enospc@N)
-    // break the spill store, and anything else is the metered FaultPlan
-    // grammar.
+    // write faults break batch durability (journal: torn@N | jcorrupt@N)
+    // or the spill store (pers-torn@N | pers-corrupt@N | pers-enospc@N),
+    // and anything else is the metered FaultPlan grammar.
     let fault_spec = opt_value(opts, "--fault");
     let journal = opt_value(opts, "--journal");
     let persist = opt_value(opts, "--persist");
@@ -701,16 +555,11 @@ fn serve(opts: &[String]) -> Result<ExitCode, CliError> {
         match ProcessFault::parse(spec) {
             Some(Ok(f)) => process_fault = Some(f),
             Some(Err(e)) => return Err(input(e)),
-            None => match JournalFault::parse(spec) {
-                Some(Ok(f)) => journal_fault = Some(f),
+            None => match WriteFault::parse(spec) {
+                Some(Ok(f)) if f.log == FaultLog::Journal => journal_fault = Some(f),
+                Some(Ok(f)) => persist_fault = Some(f),
                 Some(Err(e)) => return Err(input(e)),
-                None => match PersistFault::parse(spec) {
-                    Some(Ok(f)) => persist_fault = Some(f),
-                    Some(Err(e)) => return Err(input(e)),
-                    None => {
-                        meter_fault = Some(FaultPlan::parse(spec).map_err(CliError::Input)?)
-                    }
-                },
+                None => meter_fault = Some(FaultPlan::parse(spec).map_err(CliError::Input)?),
             },
         }
     }

@@ -80,7 +80,7 @@ pub use srtw_minplus::{q, CancelToken, Curve, CurveError, Ext, FaultKind, FaultP
 // resource-model `Server` trait.
 pub use srtw_serve::{fifo_report, DrainReport, FifoReport, ServeConfig};
 pub use srtw_supervisor::{
-    contain, run_batch, run_supervised, BatchConfig, BatchReport, BatchStatus, Contained,
+    contain, run_batch, run_supervised, BatchConfig, BatchStatus, Contained, JournaledReport,
     JobOutcome, JobSpec, JobStatus, Rung, SupervisorConfig,
 };
 pub use srtw_resource::{

@@ -417,3 +417,245 @@ fn disconnecting_batch_client_cancels_the_remaining_jobs() {
     }
     served.stop();
 }
+
+/// The `jobs[]` entries of a `srtw batch --json` report, as text.
+fn job_entries(report: &str) -> Vec<String> {
+    let body = report.strip_prefix("{\"jobs\":[").expect("a batch report");
+    let mut out = Vec::new();
+    let (mut depth, mut start) = (0usize, 0usize);
+    let (mut in_str, mut escaped) = (false, false);
+    for (i, c) in body.char_indices() {
+        if in_str {
+            match c {
+                _ if escaped => escaped = false,
+                '\\' => escaped = true,
+                '"' => in_str = false,
+                _ => {}
+            }
+            continue;
+        }
+        match c {
+            '"' => in_str = true,
+            '{' | '[' => {
+                if depth == 0 {
+                    start = i;
+                }
+                depth += 1;
+            }
+            '}' | ']' if depth == 0 => break,
+            '}' | ']' => {
+                depth -= 1;
+                if depth == 0 {
+                    out.push(body[start..=i].to_string());
+                }
+            }
+            _ => {}
+        }
+    }
+    out
+}
+
+/// The `"total":…,"skipped":N` run of a batch summary (CLI or `/batch`).
+fn summary_counts(text: &str) -> String {
+    let from = text.rfind("\"total\":").expect("a summary");
+    let skipped = from + text[from..].find("\"skipped\":").expect("skipped count");
+    let end = skipped + "\"skipped\":".len();
+    let digits = text[end..].find(|c: char| !c.is_ascii_digit()).unwrap();
+    text[from..end + digits].to_string()
+}
+
+/// Writes `text` to `dir/rel`, creating parent directories.
+fn put(dir: &Path, rel: &str, text: &str) -> PathBuf {
+    let path = dir.join(rel);
+    std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+    std::fs::write(&path, text).unwrap();
+    path
+}
+
+/// `systems/decoder.srtw` and a copy whose server latency is 9 instead
+/// of 2: same job name wherever the two share a file stem, different
+/// bounds (15 and 22).
+fn decoder_pair() -> (String, String) {
+    let seed = Path::new(env!("CARGO_MANIFEST_DIR")).join("systems/decoder.srtw");
+    let text = std::fs::read_to_string(seed).expect("read decoder.srtw");
+    let slow = text.replace("latency=2", "latency=9");
+    assert_ne!(text, slow);
+    (text, slow)
+}
+
+/// The normalized `srtw batch --json` entry of one system run alone.
+fn cold_entry(dir: &Path, system: &Path) -> String {
+    let manifest = put(dir, "cold.txt", &format!("{}\n", system.display()));
+    let out = srtw(&["batch", manifest.to_str().unwrap(), "--json"]);
+    let report = normalize(&String::from_utf8(out.stdout).unwrap());
+    let mut jobs = job_entries(&report);
+    assert_eq!(jobs.len(), 1, "{report}");
+    jobs.pop().unwrap()
+}
+
+/// A scratch directory holding `a/sys.srtw` (decoder) and `b/sys.srtw`
+/// (decoder, latency 9), plus each system's cold entry.
+struct SameStems {
+    fx: Fixture,
+    a: PathBuf,
+    b: PathBuf,
+    cold_a: String,
+    cold_b: String,
+}
+
+impl SameStems {
+    fn new(tag: &str) -> SameStems {
+        let fx = Fixture::new(tag, "decoder.srtw", 0);
+        let (fast, slow) = decoder_pair();
+        let a = put(&fx.dir, "a/sys.srtw", &fast);
+        let b = put(&fx.dir, "b/sys.srtw", &slow);
+        let cold_a = cold_entry(&fx.dir, &a);
+        let cold_b = cold_entry(&fx.dir, &b);
+        assert_ne!(cold_a, cold_b, "the two systems' bounds must differ");
+        SameStems {
+            fx,
+            a,
+            b,
+            cold_a,
+            cold_b,
+        }
+    }
+
+    /// `[a/sys, b/sys, a/sys]`: two files sharing a stem, and one file
+    /// twice. Returns the manifest text and each entry's cold line.
+    fn manifest(&self) -> (String, Vec<String>) {
+        let text = [&self.a, &self.b, &self.a]
+            .iter()
+            .map(|p| format!("{}\n", p.display()))
+            .collect();
+        let cold = vec![self.cold_a.clone(), self.cold_b.clone(), self.cold_a.clone()];
+        (text, cold)
+    }
+}
+
+#[test]
+fn duplicate_stems_resume_each_entry_from_its_own_record() {
+    let same = SameStems::new("stems-cli");
+    let (text, cold) = same.manifest();
+    let manifest = put(&same.fx.dir, "stems.txt", &text);
+    let manifest = manifest.to_str().unwrap();
+    let journal = same.fx.dir.join("stems.journal");
+    let journal = journal.to_str().unwrap();
+    let entries = |out: &Output| job_entries(&normalize(&String::from_utf8_lossy(&out.stdout)));
+
+    let clean = srtw(&["batch", manifest, "--json", "--journal", journal]);
+    assert!(clean.status.success(), "{clean:?}");
+    assert_eq!(entries(&clean), cold, "a completed run");
+
+    let resumed = srtw(&["batch", manifest, "--json", "--journal", journal, "--resume"]);
+    let stderr = String::from_utf8_lossy(&resumed.stderr);
+    assert!(resumed.status.success(), "{stderr}");
+    assert!(stderr.contains("replayed 3 completed job(s); running 0 fresh"), "{stderr}");
+    assert_eq!(entries(&resumed), cold, "a resume of the completed journal");
+
+    for n in 1..=3u32 {
+        let fault = format!("torn@{n}");
+        let crashed = srtw(&["batch", manifest, "--json", "--journal", journal, "--fault", &fault]);
+        assert_eq!(crashed.status.code(), Some(3), "{fault}: {crashed:?}");
+        let resumed = srtw(&["batch", manifest, "--json", "--journal", journal, "--resume"]);
+        let stderr = String::from_utf8_lossy(&resumed.stderr);
+        assert!(resumed.status.success(), "{fault}: {stderr}");
+        assert!(
+            stderr.contains(&format!("replayed {} completed job(s)", n - 1)),
+            "{fault}: {stderr}"
+        );
+        assert_eq!(entries(&resumed), cold, "{fault}: resumed entries");
+    }
+}
+
+#[test]
+fn duplicate_stems_replay_each_entry_from_its_own_record_over_http() {
+    let same = SameStems::new("stems-http");
+    let (text, cold) = same.manifest();
+    let prefix = same.fx.dir.join("serve.journal");
+    let prefix = prefix.to_str().unwrap();
+    let post = |served: &Served, body: &str| -> (Vec<String>, String) {
+        let (status, _, body) =
+            client_roundtrip(&served.public, "POST", "/batch", &[], body.as_bytes()).unwrap();
+        assert_eq!(status, 200, "{body}");
+        let summary = body.lines().last().unwrap().to_string();
+        (job_lines(&normalize(&body)), summary)
+    };
+
+    // A completed run, then a re-POST that replays every line.
+    let served = Served::spawn(&["--addr", "127.0.0.1:0", "--journal", prefix], false);
+    let (lines, summary) = post(&served, &text);
+    assert_eq!(lines, cold, "a completed run");
+    assert!(summary.contains("\"replayed\":0"), "{summary}");
+    let (lines, summary) = post(&served, &text);
+    assert_eq!(lines, cold, "a full replay");
+    assert!(summary.contains("\"replayed\":3"), "{summary}");
+    served.stop();
+
+    // A torn@N crash at every N, then a fault-free server resumes. A
+    // comment line gives each N its own manifest digest.
+    for n in 1..=3u32 {
+        let body = format!("# crash at {n}\n{text}");
+        let fault = format!("torn@{n}");
+        let crashed = Served::spawn(
+            &["--addr", "127.0.0.1:0", "--journal", prefix, "--fault", &fault],
+            false,
+        );
+        // The abort ends the stream before its summary, or before any
+        // usable response at all.
+        if let Ok((_, _, partial)) =
+            client_roundtrip(&crashed.public, "POST", "/batch", &[], body.as_bytes())
+        {
+            assert!(!partial.contains("{\"summary\""), "{fault}: {partial}");
+        }
+        drop(crashed);
+        let served = Served::spawn(&["--addr", "127.0.0.1:0", "--journal", prefix], false);
+        let (lines, summary) = post(&served, &body);
+        assert_eq!(lines, cold, "{fault}: resumed lines");
+        assert!(summary.contains(&format!("\"replayed\":{}", n - 1)), "{fault}: {summary}");
+        served.stop();
+    }
+}
+
+#[test]
+fn cli_and_http_batches_agree_line_for_line() {
+    // Two good systems, a missing path, an unparsable file, a system
+    // with no server line, and a stem shared by two files.
+    let fx = Fixture::new("routes", "decoder.srtw", 0);
+    let (fast, slow) = decoder_pair();
+    let no_server: String = fast
+        .lines()
+        .filter(|l| !l.starts_with("server"))
+        .map(|l| format!("{l}\n"))
+        .collect();
+    let files = [
+        put(&fx.dir, "one.srtw", &fast),
+        put(&fx.dir, "two.srtw", &slow),
+        fx.dir.join("missing.srtw"),
+        put(&fx.dir, "broken.srtw", "task t\nvertex a wcet=\n"),
+        put(&fx.dir, "no-server.srtw", &no_server),
+        put(&fx.dir, "dup/one.srtw", &slow),
+    ];
+    let text: String = files.iter().map(|p| format!("{}\n", p.display())).collect();
+    let manifest = put(&fx.dir, "routes.txt", &text);
+
+    let cli = srtw(&["batch", manifest.to_str().unwrap(), "--json"]);
+    assert_eq!(cli.status.code(), Some(4), "three entries fail: {cli:?}");
+    let cli = normalize(&String::from_utf8(cli.stdout).unwrap());
+
+    let served = Served::spawn(&["--addr", "127.0.0.1:0"], false);
+    let (status, _, http) =
+        client_roundtrip(&served.public, "POST", "/batch", &[], text.as_bytes()).unwrap();
+    served.stop();
+    assert_eq!(status, 200, "{http}");
+    let http = normalize(&http);
+
+    let lines = job_lines(&http);
+    assert_eq!(lines.len(), files.len(), "{http}");
+    assert_eq!(job_entries(&cli), lines);
+    assert_eq!(summary_counts(&cli), summary_counts(&http));
+    assert_eq!(
+        summary_counts(&cli),
+        "\"total\":6,\"exact\":3,\"degraded\":0,\"failed\":3,\"skipped\":0"
+    );
+}
