@@ -172,40 +172,29 @@ pub fn fifo_structural(
     beta: &Curve,
     cfg: &AnalysisConfig,
 ) -> Result<Vec<DelayAnalysis>, AnalysisError> {
-    fifo_analysis(tasks, beta, cfg, |_| (0..tasks.len()).collect()).map(|(per, _)| per)
+    fifo_analysis(tasks, beta, cfg).map(|(per, _)| per)
 }
 
 /// The FIFO engine: one busy-window fixpoint for the whole multiplex, the
-/// structural analysis of the streams `streams` picks from that
-/// [`BusyWindow`] (results in the order given), and the RTC baseline of
-/// the multiplex — all from that one window and one meter. Each stream's
-/// analysis reads the exploration the fixpoint grew for it, so a request
-/// explores every stream once.
-///
-/// The remaining tasks still contribute interference through their
-/// request-bound curves, so each returned [`DelayAnalysis`] is
-/// byte-identical (modulo runtime) to the corresponding entry of a full
-/// [`fifo_structural`] run: a stream's analysis depends only on its own
-/// task, the busy window and the other streams' rbfs. Analysing a subset
-/// is the incremental re-analysis primitive behind the service's
-/// `POST /analyze/delta`, which decides the subset from the window. The
-/// baseline equals [`fifo_rtc_with`] under `cfg.budget` — that function
-/// computes the same fixpoint from a fresh meter, which replays exactly
-/// the ticks this one spent on it — except that a wall-clock trip inside
-/// the fixpoint degrades the baseline too.
+/// structural analysis of every stream (in task order), and the RTC
+/// baseline of the multiplex — all from that one window and one meter.
+/// Each stream's analysis reads the exploration the fixpoint grew for it,
+/// so a request explores every stream once. The baseline equals
+/// [`fifo_rtc_with`] under `cfg.budget` — that function computes the same
+/// fixpoint from a fresh meter, which replays exactly the ticks this one
+/// spent on it — except that a wall-clock trip inside the fixpoint
+/// degrades the baseline too.
 pub fn fifo_analysis(
     tasks: &[DrtTask],
     beta: &Curve,
     cfg: &AnalysisConfig,
-    streams: impl FnOnce(&BusyWindow) -> Vec<usize>,
 ) -> Result<(Vec<DelayAnalysis>, RtcReport), AnalysisError> {
     let meter = BudgetMeter::new(&cfg.budget);
     let result = busy_window_metered(tasks, beta, &meter).and_then(|mut bw| {
         let rtc = rtc_report(&bw, beta)?;
         let ceiling = || Ok(rtc.bound);
         let mut explorers = std::mem::take(&mut bw.explorers);
-        let per = streams(&bw)
-            .into_iter()
+        let per = (0..tasks.len())
             .map(|i| {
                 let start = Instant::now();
                 let others: Vec<&Rbf> = bw

@@ -18,7 +18,9 @@
 //!   the batch journals to `<prefix>.<digest>`, keyed by the digest of
 //!   the request *body*: the same manifest re-POSTed after a crash lands
 //!   on the same file and replays its journaled lines verbatim
-//!   (byte-identical, original wall times), recomputing only the rest.
+//!   (byte-identical, original wall times), recomputing only the rest —
+//!   and every entry whose file changed since its record was written,
+//!   since the runner replays a record only onto the same input bytes.
 //!   Pre-run failures are journaled too, so a complete journal answers
 //!   the whole report with no supervised job, cancel token or watcher.
 //! - **Disconnect cancellation** — a watcher thread polls the socket

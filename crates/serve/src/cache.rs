@@ -2,7 +2,7 @@
 //!
 //! [`ResultCache`] is a sharded, byte-budgeted, LRU-evicting map from the
 //! 128-bit canonical system hash to the rendered `POST /analyze` response
-//! body plus the structured [`FifoReport`] behind it. Every hit
+//! body. Every hit
 //! **verifies** the stored canonical form and the presentation digest
 //! before replaying — hash collisions and canonicalization incompleteness
 //! degrade to misses, never to wrong bodies (see `srtw_workload::canon`
@@ -16,13 +16,14 @@
 //! possibly degraded recompute.
 //!
 //! Nothing else outlives a request: each analysis explores its streams
-//! afresh, exactly as on the CLI.
+//! afresh, exactly as on the CLI, and `POST /analyze/delta` reads the
+//! cache only through the edited system's own key. An entry warm-loaded
+//! from a spill file has the same shape as one computed in this process.
 //!
 //! Replicas under `--replicas N` are shared-nothing: each has its own
 //! independent cache (documented in the README); the parent aggregates
 //! the per-replica counters in `/stats`.
 
-use crate::report::FifoReport;
 use srtw_workload::CanonicalForm;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -43,24 +44,10 @@ struct Entry {
     presentation: u64,
     /// The rendered 200 body, exactly as first sent.
     body: String,
-    /// The structured report behind the body (delta re-uses per-stream
-    /// analyses from it). `None` for entries warm-loaded from a spill
-    /// file: the body replays verbatim, but delta splicing falls back to
-    /// a full recompute until a fresh analysis refills the report.
-    report: Option<FifoReport>,
     /// Approximate retained bytes.
     bytes: usize,
     /// LRU clock value of the last touch.
     last_used: u64,
-}
-
-/// What a [`ResultCache::lookup`] found.
-pub(crate) struct CacheHit {
-    /// The stored body (byte-identical to the original response).
-    pub body: String,
-    /// The structured report (for delta stream reuse); `None` on entries
-    /// warm-loaded from disk.
-    pub report: Option<FifoReport>,
 }
 
 /// Sharded, byte-budgeted response cache (see module docs).
@@ -82,19 +69,9 @@ impl std::fmt::Debug for ResultCache {
     }
 }
 
-/// Estimates the retained size of one entry. The body and form dominate;
-/// the structured report (absent on warm-loaded entries) is approximated
-/// from its vertex counts.
-fn entry_bytes(form: &CanonicalForm, body: &str, report: Option<&FifoReport>) -> usize {
-    let report_bytes: usize = report
-        .map(|r| {
-            r.per
-                .iter()
-                .map(|a| 256 + a.per_vertex.len() * 160 + a.degradations.len() * 96)
-                .sum()
-        })
-        .unwrap_or(0);
-    body.len() + form.approx_bytes() + report_bytes + 128
+/// Estimates the retained size of one entry: the body and the form.
+fn entry_bytes(form: &CanonicalForm, body: &str) -> usize {
+    body.len() + form.approx_bytes() + 128
 }
 
 impl ResultCache {
@@ -129,9 +106,10 @@ impl ResultCache {
         self.shard_budget == 0
     }
 
-    /// Looks up a stored result, verifying both the canonical form and
-    /// the presentation digest. A verified hit refreshes LRU recency.
-    pub fn lookup(&self, canon: u128, form: &CanonicalForm, presentation: u64) -> Option<CacheHit> {
+    /// Looks up a stored body, verifying both the canonical form and the
+    /// presentation digest. A verified hit refreshes LRU recency and
+    /// returns the body byte-identical to the original response.
+    pub fn lookup(&self, canon: u128, form: &CanonicalForm, presentation: u64) -> Option<String> {
         if self.disabled() {
             return None;
         }
@@ -141,30 +119,25 @@ impl ResultCache {
             return None;
         }
         entry.last_used = self.tick();
-        Some(CacheHit {
-            body: entry.body.clone(),
-            report: entry.report.clone(),
-        })
+        Some(entry.body.clone())
     }
 
     /// Stores a result, evicting least-recently-used entries from the
     /// key's shard until the entry fits its byte budget. An entry larger
     /// than the whole shard budget is not stored at all. Returns `true`
     /// when the entry was actually stored — the persist layer only spills
-    /// entries the in-memory cache accepted. `report` is `None` for
-    /// entries warm-loaded from disk.
+    /// entries the in-memory cache accepted.
     pub fn insert(
         &self,
         canon: u128,
         form: CanonicalForm,
         presentation: u64,
         body: String,
-        report: Option<FifoReport>,
     ) -> bool {
         if self.disabled() {
             return false;
         }
-        let bytes = entry_bytes(&form, &body, report.as_ref());
+        let bytes = entry_bytes(&form, &body);
         if bytes > self.shard_budget {
             return false;
         }
@@ -192,7 +165,6 @@ impl ResultCache {
                 form,
                 presentation,
                 body,
-                report,
                 bytes,
                 last_used: self.tick(),
             },
@@ -214,34 +186,23 @@ impl ResultCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use srtw_core::{fifo_rtc, fifo_structural, AnalysisConfig};
-    use srtw_minplus::{Curve, Q};
+    use srtw_minplus::Q;
     use srtw_workload::{canonical_task_form, combine_forms, DrtTaskBuilder};
 
-    fn tiny_report() -> (CanonicalForm, FifoReport) {
+    fn tiny_form() -> CanonicalForm {
         let mut b = DrtTaskBuilder::new("t");
         let v = b.vertex("a", Q::int(2));
         b.edge(v, v, Q::int(8));
-        let task = b.build().unwrap();
-        let beta = Curve::affine(Q::ZERO, Q::ONE);
-        let per = fifo_structural(
-            std::slice::from_ref(&task),
-            &beta,
-            &AnalysisConfig::default(),
-        )
-        .unwrap();
-        let rtc = fifo_rtc(std::slice::from_ref(&task), &beta).unwrap();
-        let form = combine_forms(vec![canonical_task_form(&task)], &[]);
-        (form, FifoReport { per, rtc })
+        combine_forms(vec![canonical_task_form(&b.build().unwrap())], &[])
     }
 
     #[test]
     fn hit_requires_form_and_presentation_match() {
-        let (form, report) = tiny_report();
+        let form = tiny_form();
         let cache = ResultCache::new(1 << 20);
         let k = form.hash();
-        assert!(cache.insert(k, form.clone(), 7, "body\n".into(), Some(report)));
-        assert!(cache.lookup(k, &form, 7).is_some());
+        assert!(cache.insert(k, form.clone(), 7, "body\n".into()));
+        assert_eq!(cache.lookup(k, &form, 7).as_deref(), Some("body\n"));
         // Same key, different presentation: a miss, not a wrong body.
         assert!(cache.lookup(k, &form, 8).is_none());
         // Different form under the same key (a collision): a miss.
@@ -251,12 +212,12 @@ mod tests {
 
     #[test]
     fn byte_budget_evicts_lru() {
-        let (form, report) = tiny_report();
+        let form = tiny_form();
         // Budget sized so a shard holds roughly one entry.
-        let one = entry_bytes(&form, "b", Some(&report));
+        let one = entry_bytes(&form, "b");
         let cache = ResultCache::new(one * SHARDS + SHARDS);
         for k in 0..64u128 {
-            cache.insert(k, form.clone(), 1, "b".into(), Some(report.clone()));
+            cache.insert(k, form.clone(), 1, "b".into());
         }
         assert!(cache.evictions() > 0);
         assert!(cache.bytes() <= (one as u64 + 1) * SHARDS as u64 + SHARDS as u64);
@@ -266,10 +227,10 @@ mod tests {
 
     #[test]
     fn zero_budget_disables_the_cache() {
-        let (form, report) = tiny_report();
+        let form = tiny_form();
         let cache = ResultCache::new(0);
         let k = form.hash();
-        assert!(!cache.insert(k, form.clone(), 1, "b".into(), Some(report)));
+        assert!(!cache.insert(k, form.clone(), 1, "b".into()));
         assert!(cache.lookup(k, &form, 1).is_none());
         assert_eq!(cache.bytes(), 0);
     }

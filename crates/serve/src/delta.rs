@@ -1,4 +1,4 @@
-//! `POST /analyze/delta` — incremental re-analysis of an edited system.
+//! `POST /analyze/delta` — analysis of an edited system.
 //!
 //! The body is a base `.srtw` system, a separator line `@delta`, and an
 //! edit script, one edit per line:
@@ -12,36 +12,21 @@
 //! server KIND key=value …     # swap the service curve
 //! ```
 //!
-//! The response **body** is byte-identical (modulo `runtime_secs`) to a
-//! cold `POST /analyze` of the edited system — incrementality is purely
-//! an execution strategy, surfaced only in the `X-Delta-Reuse` response
-//! header and the `/stats` counters.
-//!
-//! # The conservative dependency cut
-//!
-//! In the FIFO analysis a stream's result depends on (a) its own task,
-//! (b) the system busy window, and (c) the *other* streams' rbfs over
-//! that window. An unedited stream may therefore reuse its cached
-//! analysis only when the edit provably left all three unchanged. The
-//! cut is decided on the edited system's busy window: the bound and
-//! utilization must match the cached base run, and each edited task's
-//! rbf staircase must be unchanged over the window (deadline edits are
-//! the canonical case: rbf-invariant, so everything but the edited
-//! stream replays). The same fixpoint then analyses the edited streams —
-//! or every stream when a check fails, and always for a metered request
-//! (wall deadline, injected fault, drain cancel), where budget ticks
-//! must replay exactly (`delta_full_fallbacks` in `/stats`). Either way
-//! a request runs one fixpoint.
+//! This module parses the base, applies the edit script (malformed or
+//! inapplicable edits are typed 400s carrying `edit_line`), and hands the
+//! edited system to the `/analyze` route — cache lookup and insert
+//! included — so the response body is byte-identical (modulo
+//! `runtime_secs`) to a cold `POST /analyze` of the edited system. The
+//! `X-Delta-Reuse` header says where the body came from:
+//! `reused=0;reanalysed=N;full_fallback=true` for a computed answer,
+//! `reused=N;reanalysed=0;full_fallback=false;source=cache` for a hit.
 
 use crate::http::{Request, Response};
-use crate::report::{fifo_report, FifoReport};
-use crate::server::{error_body, parse_error_response, Shared};
+use crate::server::{analyze_system, bad_input, fail, parse_error_response, Shared};
 use srtw_core::textfmt::{parse_system, ServerSpec, SystemSpec};
-use srtw_core::{fifo_analysis, AnalysisConfig, AnalysisError, Json};
-use srtw_minplus::{Budget, BudgetMeter, CancelToken, Curve, Q};
-use srtw_supervisor::{contain, Contained};
-use srtw_workload::{DrtTask, DrtTaskBuilder, Rbf};
-use std::sync::atomic::Ordering;
+use srtw_core::Json;
+use srtw_minplus::Q;
+use srtw_workload::DrtTaskBuilder;
 
 /// One parsed edit line.
 #[derive(Debug, Clone)]
@@ -189,7 +174,8 @@ pub(crate) fn parse_edits(text: &str) -> Result<Vec<Edit>, DeltaError> {
                 ))
             }
         };
-        if words.next().is_some() {
+        // A `server` line's words are the server grammar's to judge.
+        if kw != "server" && words.next().is_some() {
             return Err(DeltaError::at(lineno, format!("trailing words after {kw}")));
         }
         edits.push(edit);
@@ -200,19 +186,9 @@ pub(crate) fn parse_edits(text: &str) -> Result<Vec<Edit>, DeltaError> {
     Ok(edits)
 }
 
-/// The result of applying an edit script to a parsed base system.
-pub(crate) struct AppliedDelta {
-    /// The edited system.
-    pub system: SystemSpec,
-    /// Sorted, deduplicated indices of tasks an edit touched.
-    pub edited_tasks: Vec<usize>,
-    /// `true` when a `server` edit changed the service curve.
-    pub server_changed: bool,
-}
-
 /// Applies `edits` to `base`, rebuilding each touched task through
 /// [`DrtTaskBuilder`] (so edited tasks revalidate all model invariants).
-pub(crate) fn apply_edits(base: &SystemSpec, edits: &[Edit]) -> Result<AppliedDelta, DeltaError> {
+pub(crate) fn apply_edits(base: &SystemSpec, edits: &[Edit]) -> Result<SystemSpec, DeltaError> {
     // Mutable task representation: (label, wcet, deadline) + edge list.
     struct Draft {
         vertices: Vec<(String, Q, Option<Q>)>,
@@ -239,7 +215,6 @@ pub(crate) fn apply_edits(base: &SystemSpec, edits: &[Edit]) -> Result<AppliedDe
 
     let mut edited_tasks = Vec::new();
     let mut server = base.server;
-    let mut server_changed = false;
 
     for (i, edit) in edits.iter().enumerate() {
         let lineno = i + 1;
@@ -323,10 +298,7 @@ pub(crate) fn apply_edits(base: &SystemSpec, edits: &[Edit]) -> Result<AppliedDe
                 }
                 edited_tasks.push(t);
             }
-            Edit::Server(spec) => {
-                server_changed = server_changed || server != Some(*spec);
-                server = Some(*spec);
-            }
+            Edit::Server(spec) => server = Some(*spec),
         }
     }
     edited_tasks.sort_unstable();
@@ -353,319 +325,46 @@ pub(crate) fn apply_edits(base: &SystemSpec, edits: &[Edit]) -> Result<AppliedDe
             .build()
             .map_err(|e| DeltaError::at(1, format!("edited task is invalid: {e}")))?;
     }
-    Ok(AppliedDelta {
-        system: SystemSpec { tasks, server },
-        edited_tasks,
-        server_changed,
-    })
-}
-
-/// `true` when two exact rbfs bound the same staircase over the same
-/// horizon (`PartialEq` would also compare their unused coarse tails).
-fn rbf_equal(a: &Rbf, b: &Rbf) -> bool {
-    a.truncated().is_none()
-        && b.truncated().is_none()
-        && a.horizon() == b.horizon()
-        && a.points() == b.points()
-}
-
-/// What the contained delta computation produced.
-struct DeltaOutcome {
-    report: FifoReport,
-    /// Streams spliced from the cached base report.
-    reused: usize,
-    /// Streams re-analysed this request.
-    reanalysed: usize,
-    /// `true` when the conservative cut could not prove reuse safe and
-    /// every stream was re-analysed.
-    full_fallback: bool,
-}
-
-fn run_delta_with_base_tasks(
-    system: &SystemSpec,
-    base_tasks: &[DrtTask],
-    beta: &Curve,
-    cfg: &AnalysisConfig,
-    base_report: Option<&FifoReport>,
-    edited: &[usize],
-    server_changed: bool,
-) -> Result<DeltaOutcome, AnalysisError> {
-    let n = system.tasks.len();
-    let base = base_report.filter(|base| {
-        !server_changed && base.per.len() == n && !edited.is_empty() && edited.len() < n
-    });
-
-    // Conservative cut, decided on the edited system's busy window:
-    // unedited streams may be spliced from the base report only when
-    // their analysis inputs provably match — same busy window, same
-    // utilization, and unchanged rbf staircases for every edited task
-    // over that window. The one fixpoint then analyses the edited
-    // streams, or every stream when the cut fails.
-    let mut cut_safe = false;
-    let (per, rtc) = fifo_analysis(&system.tasks, beta, cfg, |bw| {
-        cut_safe = base.is_some_and(|base| {
-            let anchor = &base.per[0];
-            bw.bound == anchor.busy_window
-                && bw.utilization == anchor.utilization
-                && edited.iter().all(|&i| {
-                    let meter = BudgetMeter::new(&cfg.budget);
-                    let base_rbf = Rbf::compute_metered(&base_tasks[i], bw.bound, &meter);
-                    rbf_equal(&bw.rbfs[i], &base_rbf)
-                })
-        });
-        if cut_safe {
-            edited.to_vec()
-        } else {
-            (0..n).collect()
-        }
-    })?;
-    let Some(base) = base.filter(|_| cut_safe) else {
-        return Ok(DeltaOutcome {
-            report: FifoReport { per, rtc },
-            reused: 0,
-            reanalysed: n,
-            full_fallback: true,
-        });
-    };
-
-    // Splice: unedited streams from the cached base run, edited streams
-    // and the baseline (which depends on the edited tasks' rbfs) from the
-    // re-analysis of the edited system.
-    let mut spliced = base.per.clone();
-    for (a, &i) in per.into_iter().zip(edited) {
-        spliced[i] = a;
-    }
-    Ok(DeltaOutcome {
-        report: FifoReport { per: spliced, rtc },
-        reused: n - edited.len(),
-        reanalysed: edited.len(),
-        full_fallback: false,
-    })
+    Ok(SystemSpec { tasks, server })
 }
 
 pub(crate) fn analyze_delta(shared: &Shared, req: &Request) -> Response {
-    let fail = |shared: &Shared, resp: Response| {
-        shared.stats.failed.fetch_add(1, Ordering::Relaxed);
-        resp
-    };
-    let bad = |shared: &Shared, message: &str, extra: Vec<(&str, Json)>| {
-        fail(
-            shared,
-            Response::json(400, error_body(2, "input", message, extra)),
-        )
-    };
-
     let Ok(text) = std::str::from_utf8(&req.body) else {
-        return bad(shared, "request body is not UTF-8", vec![]);
-    };
-    let deadline_ms = match req.header("x-deadline-ms") {
-        None => shared.cfg.default_deadline_ms,
-        Some(v) => match v.parse::<u64>() {
-            Ok(ms) => Some(ms),
-            Err(_) => {
-                return bad(
-                    shared,
-                    &format!("bad X-Deadline-Ms '{v}': expected milliseconds"),
-                    vec![],
-                )
-            }
-        },
+        return bad_input(shared, "request body is not UTF-8", vec![]);
     };
     let Some((base_text, edit_text)) = split_delta(text) else {
-        return bad(
+        return bad_input(
             shared,
             "delta body needs a '@delta' line separating the base system from the edits",
             vec![],
         );
     };
-    let base_sys = match parse_system(base_text) {
+    let base = match parse_system(base_text) {
         Ok(sys) => sys,
         Err(e) => return fail(shared, parse_error_response(&e)),
     };
-    let edits = match parse_edits(edit_text) {
-        Ok(edits) => edits,
-        Err(e) => {
-            return bad(
+    let edited = parse_edits(edit_text)
+        .map_err(|e| ("bad edit script", e))
+        .and_then(|edits| apply_edits(&base, &edits).map_err(|e| ("edit does not apply", e)));
+    let system = match edited {
+        Ok(system) => system,
+        Err((what, e)) => {
+            return bad_input(
                 shared,
-                &format!("bad edit script: {}", e.message),
+                &format!("{what}: {}", e.message),
                 vec![("edit_line", Json::Int(e.line as i128))],
             )
         }
     };
-    let applied = match apply_edits(&base_sys, &edits) {
-        Ok(applied) => applied,
-        Err(e) => {
-            return bad(
-                shared,
-                &format!("edit does not apply: {}", e.message),
-                vec![("edit_line", Json::Int(e.line as i128))],
-            )
-        }
-    };
-    let system = applied.system;
-    let beta = match &system.server {
-        None => {
-            return bad(
-                shared,
-                "the edited system declares no server (add a 'server …' line or edit)",
-                vec![],
-            )
-        }
-        Some(s) => match s.beta_lower() {
-            Ok(beta) => beta,
-            Err(e) => return fail(shared, parse_error_response(&e)),
-        },
-    };
-
-    let form = system.canonical_form();
-    let presentation = system.presentation_digest();
-    let canon = form.hash();
-    let cacheable = shared.cfg.fault.is_none();
-
-    // Fast path: the edited system itself is already cached.
-    if cacheable {
-        if let Some(hit) = shared.cache.lookup(canon, &form, presentation) {
-            shared.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-            shared.stats.completed.fetch_add(1, Ordering::Relaxed);
-            let n = system.tasks.len();
-            let mut resp = Response::json(200, hit.body);
-            resp.headers.push((
-                "X-Delta-Reuse",
-                format!("reused={n};reanalysed=0;full_fallback=false;source=cache"),
-            ));
-            return resp;
-        }
-        shared.stats.cache_misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    let token = CancelToken::new();
-    let hard_cancel = shared.hard_cancel.load(Ordering::Relaxed);
-    if hard_cancel {
-        token.cancel();
-    }
-    shared.register(token.clone());
-    let mut budget = Budget::default().with_cancel(token.clone());
-    if let Some(ms) = deadline_ms {
-        budget = budget.with_wall_ms(ms);
-    }
-    if let Some(f) = shared.cfg.fault {
-        budget = budget.with_fault(f);
-    }
-    let cfg = AnalysisConfig {
-        budget,
-        ..Default::default()
-    };
-
-    // Metered requests (wall deadline, injected fault, drain cancel) run
-    // the fully cold path: budget ticks must land on the same operations
-    // as a cold `/analyze` of the edited system, so no splicing. That
-    // *is* the full fallback.
-    let metered = deadline_ms.is_some() || shared.cfg.fault.is_some() || hard_cancel;
-
-    let base_hit = if cacheable && !metered {
-        let base_form = base_sys.canonical_form();
-        shared
-            .cache
-            .lookup(base_form.hash(), &base_form, base_sys.presentation_digest())
-    } else {
-        None
-    };
-
-    let contained = {
-        let tasks_base = base_sys.tasks.clone();
-        let system = SystemSpec {
-            tasks: system.tasks.clone(),
-            server: system.server,
+    let n = system.tasks.len();
+    let (mut resp, cached) = analyze_system(shared, req, system);
+    if resp.status == 200 {
+        let reuse = if cached {
+            format!("reused={n};reanalysed=0;full_fallback=false;source=cache")
+        } else {
+            format!("reused=0;reanalysed={n};full_fallback=true")
         };
-        let beta = beta.clone();
-        let cfg = cfg.clone();
-        let edited = applied.edited_tasks.clone();
-        let server_changed = applied.server_changed;
-        // A warm-loaded base entry has a verbatim body but no structured
-        // report; splicing then falls back to a full recompute, which is
-        // byte-identical by construction.
-        let base_report = base_hit.as_ref().and_then(|h| h.report.clone());
-        contain(
-            "srtw-serve-delta",
-            None,
-            shared.cfg.grace,
-            &token,
-            move || {
-                if metered {
-                    return fifo_report(&system.tasks, &beta, &cfg).map(|report| DeltaOutcome {
-                        reused: 0,
-                        reanalysed: system.tasks.len(),
-                        full_fallback: true,
-                        report,
-                    });
-                }
-                run_delta_with_base_tasks(
-                    &system,
-                    &tasks_base,
-                    &beta,
-                    &cfg,
-                    base_report.as_ref(),
-                    &edited,
-                    server_changed,
-                )
-            },
-        )
-    };
-    shared.unregister(&token);
-
-    match contained {
-        Contained::Completed(Ok(outcome)) => {
-            if outcome.full_fallback {
-                shared
-                    .stats
-                    .delta_full_fallbacks
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            if outcome.report.degraded() {
-                shared.stats.degraded.fetch_add(1, Ordering::Relaxed);
-            } else {
-                shared.stats.completed.fetch_add(1, Ordering::Relaxed);
-            }
-            let body = format!("{}\n", outcome.report.to_json());
-            if !metered && cacheable && !outcome.report.degraded() {
-                shared.cache_insert(canon, form, presentation, &body, outcome.report.clone());
-            }
-            let mut resp = Response::json(200, body);
-            resp.headers.push((
-                "X-Delta-Reuse",
-                format!(
-                    "reused={};reanalysed={};full_fallback={}",
-                    outcome.reused, outcome.reanalysed, outcome.full_fallback
-                ),
-            ));
-            resp
-        }
-        Contained::Completed(Err(e)) => fail(
-            shared,
-            Response::json(500, error_body(3, "internal", &e.to_string(), vec![])),
-        ),
-        Contained::Panicked { message } => fail(
-            shared,
-            Response::json(
-                500,
-                error_body(3, "panic", &format!("analysis panicked: {message}"), vec![]),
-            ),
-        ),
-        Contained::HardTimeout => fail(
-            shared,
-            Response::json(
-                500,
-                error_body(
-                    3,
-                    "internal",
-                    "hard timeout: request abandoned by the watchdog",
-                    vec![],
-                ),
-            ),
-        ),
-        Contained::SpawnFailed => fail(
-            shared,
-            Response::json(500, error_body(3, "internal", "could not spawn the analysis thread", vec![])),
-        ),
+        resp.headers.push(("X-Delta-Reuse", reuse));
     }
+    resp
 }

@@ -37,9 +37,9 @@
 //! - **Content-addressed caching** (`cache` + `delta`): `POST /analyze`
 //!   results are cached under a vertex-order- and name-insensitive
 //!   canonical hash of the parsed system (verified byte-for-byte on
-//!   every hit), and `POST /analyze/delta` re-analyses only the streams
-//!   an edit can provably reach — both answering byte-identically to a
-//!   cold run, only faster.
+//!   every hit), and `POST /analyze/delta` applies an edit script to a
+//!   base system and answers as `/analyze` of the edited system would,
+//!   cache included — byte-identical to a cold run of it.
 //! - **Crash-safe persistence** ([`srtw_persist`] wired through
 //!   [`server`] and `batch`): `--persist DIR` spills every cached
 //!   result to an append-only, CRC-framed shard file and warm-loads the

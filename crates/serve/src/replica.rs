@@ -107,7 +107,6 @@ struct Scraped {
     cache_misses: u64,
     cache_evictions: u64,
     cache_bytes: u64,
-    delta_full_fallbacks: u64,
     persist_loaded: u64,
     persist_stored: u64,
     persist_errors: u64,
@@ -461,7 +460,6 @@ impl Supervisor {
                 total.cache_misses += s.cache_misses;
                 total.cache_evictions += s.cache_evictions;
                 total.cache_bytes += s.cache_bytes;
-                total.delta_full_fallbacks += s.delta_full_fallbacks;
                 total.persist_loaded += s.persist_loaded;
                 total.persist_stored += s.persist_stored;
                 total.persist_errors += s.persist_errors;
@@ -483,10 +481,6 @@ impl Supervisor {
                 ("cache_misses", Json::Int(s.cache_misses as i128)),
                 ("cache_evictions", Json::Int(s.cache_evictions as i128)),
                 ("cache_bytes", Json::Int(s.cache_bytes as i128)),
-                (
-                    "delta_full_fallbacks",
-                    Json::Int(s.delta_full_fallbacks as i128),
-                ),
                 ("persist_loaded", Json::Int(s.persist_loaded as i128)),
                 ("persist_stored", Json::Int(s.persist_stored as i128)),
                 ("persist_errors", Json::Int(s.persist_errors as i128)),
@@ -520,10 +514,6 @@ impl Supervisor {
                     ("cache_misses", Json::Int(total.cache_misses as i128)),
                     ("cache_evictions", Json::Int(total.cache_evictions as i128)),
                     ("cache_bytes", Json::Int(total.cache_bytes as i128)),
-                    (
-                        "delta_full_fallbacks",
-                        Json::Int(total.delta_full_fallbacks as i128),
-                    ),
                     ("persist_loaded", Json::Int(total.persist_loaded as i128)),
                     ("persist_stored", Json::Int(total.persist_stored as i128)),
                     ("persist_errors", Json::Int(total.persist_errors as i128)),
@@ -640,7 +630,6 @@ fn scrape_stats(addr: &SocketAddr) -> Option<Scraped> {
         cache_misses: scrape_u64(&body, "cache_misses").unwrap_or(0),
         cache_evictions: scrape_u64(&body, "cache_evictions").unwrap_or(0),
         cache_bytes: scrape_u64(&body, "cache_bytes").unwrap_or(0),
-        delta_full_fallbacks: scrape_u64(&body, "delta_full_fallbacks").unwrap_or(0),
         persist_loaded: scrape_u64(&body, "persist_loaded").unwrap_or(0),
         persist_stored: scrape_u64(&body, "persist_stored").unwrap_or(0),
         persist_errors: scrape_u64(&body, "persist_errors").unwrap_or(0),

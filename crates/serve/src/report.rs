@@ -30,7 +30,7 @@ pub fn fifo_report(
     beta: &Curve,
     cfg: &AnalysisConfig,
 ) -> Result<FifoReport, AnalysisError> {
-    let (per, rtc) = fifo_analysis(tasks, beta, cfg, |_| (0..tasks.len()).collect())?;
+    let (per, rtc) = fifo_analysis(tasks, beta, cfg)?;
     Ok(FifoReport { per, rtc })
 }
 

@@ -20,10 +20,10 @@ use crate::gate::Gate;
 use crate::http::{Request, RequestError, Response, MAX_HEAD_BYTES};
 use crate::mux::{self, ConnJob, MuxConfig, MuxHandle, ReturnedConn, Returner};
 use crate::pool::Pool;
-use crate::report::{fifo_report, FifoReport};
+use crate::report::fifo_report;
 use crate::stats::{Gauges, Stats};
 use crate::sys;
-use srtw_core::textfmt::{parse_system, ParseError, ParseErrorKind, MAX_INPUT_BYTES};
+use srtw_core::textfmt::{parse_system, ParseError, ParseErrorKind, SystemSpec, MAX_INPUT_BYTES};
 use srtw_core::{AnalysisConfig, Json};
 use srtw_minplus::{Budget, CancelToken, FaultPlan};
 use srtw_persist::{load_dir, Store};
@@ -197,16 +197,11 @@ impl Shared {
         form: CanonicalForm,
         presentation: u64,
         body: &str,
-        report: FifoReport,
     ) {
-        let stored = self.cache.insert(
-            canon,
-            form.clone(),
-            presentation,
-            body.to_string(),
-            Some(report),
-        );
-        if !stored {
+        if !self
+            .cache
+            .insert(canon, form.clone(), presentation, body.to_string())
+        {
             return;
         }
         if let Some(store) = &self.persist {
@@ -298,10 +293,9 @@ impl Server {
                         );
                         continue;
                     }
-                    // Warm entries replay their body verbatim but carry no
-                    // structured report; ascending generation order
-                    // reconstructs LRU recency under `cache_bytes`.
-                    if cache.insert(rec.canon, form, rec.presentation, rec.body, None) {
+                    // Ascending generation order reconstructs LRU recency
+                    // under `cache_bytes`.
+                    if cache.insert(rec.canon, form, rec.presentation, rec.body) {
                         stats.persist_loaded.fetch_add(1, Ordering::Relaxed);
                     }
                 }
@@ -655,63 +649,54 @@ pub(crate) fn parse_error_response(e: &ParseError) -> Response {
     )
 }
 
-fn analyze(shared: &Shared, req: &Request) -> Response {
-    let fail = |shared: &Shared, resp: Response| {
-        shared.stats.failed.fetch_add(1, Ordering::Relaxed);
-        resp
-    };
+/// Counts a failed request and passes its response on.
+pub(crate) fn fail(shared: &Shared, resp: Response) -> Response {
+    shared.stats.failed.fetch_add(1, Ordering::Relaxed);
+    resp
+}
 
+/// A typed `400` input error.
+pub(crate) fn bad_input(shared: &Shared, message: &str, extra: Vec<(&str, Json)>) -> Response {
+    fail(
+        shared,
+        Response::json(400, error_body(2, "input", message, extra)),
+    )
+}
+
+fn analyze(shared: &Shared, req: &Request) -> Response {
     let Ok(text) = std::str::from_utf8(&req.body) else {
-        return fail(
-            shared,
-            Response::json(
-                400,
-                error_body(2, "input", "request body is not UTF-8", vec![]),
-            ),
-        );
+        return bad_input(shared, "request body is not UTF-8", vec![]);
     };
+    match parse_system(text) {
+        Ok(sys) => analyze_system(shared, req, sys).0,
+        Err(e) => fail(shared, parse_error_response(&e)),
+    }
+}
+
+/// The `/analyze` route from a parsed system on, shared with
+/// `POST /analyze/delta` (which hands it the edited system): the
+/// `X-Deadline-Ms` header, the cache lookup, the supervised analysis and
+/// the cache insert. Returns the response and `true` when its body was
+/// replayed from the cache.
+pub(crate) fn analyze_system(shared: &Shared, req: &Request, sys: SystemSpec) -> (Response, bool) {
     let deadline_ms = match req.header("x-deadline-ms") {
         None => shared.cfg.default_deadline_ms,
         Some(v) => match v.parse::<u64>() {
             Ok(ms) => Some(ms),
             Err(_) => {
-                return fail(
-                    shared,
-                    Response::json(
-                        400,
-                        error_body(
-                            2,
-                            "input",
-                            &format!("bad X-Deadline-Ms '{v}': expected milliseconds"),
-                            vec![],
-                        ),
-                    ),
-                )
+                let message = format!("bad X-Deadline-Ms '{v}': expected milliseconds");
+                return (bad_input(shared, &message, vec![]), false);
             }
         },
     };
-    let sys = match parse_system(text) {
-        Ok(sys) => sys,
-        Err(e) => return fail(shared, parse_error_response(&e)),
-    };
     let beta = match &sys.server {
         None => {
-            return fail(
-                shared,
-                Response::json(
-                    400,
-                    error_body(
-                        2,
-                        "input",
-                        "the system declares no server (add a 'server …' line)",
-                        vec![],
-                    ),
-                ),
-            )
+            let message = "the system declares no server (add a 'server …' line)";
+            return (bad_input(shared, message, vec![]), false);
         }
         Some(s) => match s.beta_lower() {
             Ok(beta) => beta,
-            Err(e) => return fail(shared, parse_error_response(&e)),
+            Err(e) => return (fail(shared, parse_error_response(&e)), false),
         },
     };
 
@@ -728,10 +713,10 @@ fn analyze(shared: &Shared, req: &Request) -> Response {
     let presentation = sys.presentation_digest();
     let canon = form.hash();
     if cacheable {
-        if let Some(hit) = shared.cache.lookup(canon, &form, presentation) {
+        if let Some(body) = shared.cache.lookup(canon, &form, presentation) {
             shared.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
             shared.stats.completed.fetch_add(1, Ordering::Relaxed);
-            return Response::json(200, hit.body);
+            return (Response::json(200, body), true);
         }
         shared.stats.cache_misses.fetch_add(1, Ordering::Relaxed);
     }
@@ -771,7 +756,10 @@ fn analyze(shared: &Shared, req: &Request) -> Response {
     );
     shared.unregister(&token);
 
-    match contained {
+    let internal = |kind: &str, message: &str| {
+        fail(shared, Response::json(500, error_body(3, kind, message, vec![])))
+    };
+    let response = match contained {
         Contained::Completed(Ok(report)) => {
             if report.degraded() {
                 shared.stats.degraded.fetch_add(1, Ordering::Relaxed);
@@ -780,41 +768,20 @@ fn analyze(shared: &Shared, req: &Request) -> Response {
             }
             let body = format!("{}\n", report.to_json());
             if cacheable && !report.degraded() {
-                shared.cache_insert(canon, form, presentation, &body, report);
+                shared.cache_insert(canon, form, presentation, &body);
             }
             Response::json(200, body)
         }
-        Contained::Completed(Err(e)) => fail(
-            shared,
-            Response::json(500, error_body(3, "internal", &e.to_string(), vec![])),
-        ),
-        Contained::Panicked { message } => fail(
-            shared,
-            Response::json(
-                500,
-                error_body(3, "panic", &format!("analysis panicked: {message}"), vec![]),
-            ),
-        ),
-        Contained::HardTimeout => fail(
-            shared,
-            Response::json(
-                500,
-                error_body(
-                    3,
-                    "internal",
-                    "hard timeout: request abandoned by the watchdog",
-                    vec![],
-                ),
-            ),
-        ),
-        Contained::SpawnFailed => fail(
-            shared,
-            Response::json(
-                500,
-                error_body(3, "internal", "could not spawn the analysis thread", vec![]),
-            ),
-        ),
-    }
+        Contained::Completed(Err(e)) => internal("internal", &e.to_string()),
+        Contained::Panicked { message } => {
+            internal("panic", &format!("analysis panicked: {message}"))
+        }
+        Contained::HardTimeout => {
+            internal("internal", "hard timeout: request abandoned by the watchdog")
+        }
+        Contained::SpawnFailed => internal("internal", "could not spawn the analysis thread"),
+    };
+    (response, false)
 }
 
 #[cfg(test)]

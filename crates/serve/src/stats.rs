@@ -79,9 +79,6 @@ pub struct Stats {
     pub cache_hits: AtomicU64,
     /// Cache-eligible requests that had to run the analysis.
     pub cache_misses: AtomicU64,
-    /// `/analyze/delta` requests where the conservative cut could not
-    /// prove reuse safe and every stream was re-analysed.
-    pub delta_full_fallbacks: AtomicU64,
     /// Cache entries warm-loaded from the spill store at startup.
     pub persist_loaded: AtomicU64,
     /// Cache entries spilled durably to disk.
@@ -109,7 +106,6 @@ impl Default for Stats {
             batch_replayed: AtomicU64::new(0),
             cache_hits: AtomicU64::new(0),
             cache_misses: AtomicU64::new(0),
-            delta_full_fallbacks: AtomicU64::new(0),
             persist_loaded: AtomicU64::new(0),
             persist_stored: AtomicU64::new(0),
             persist_errors: AtomicU64::new(0),
@@ -201,7 +197,6 @@ impl Stats {
             ("cache_misses", count(&self.cache_misses)),
             ("cache_evictions", Json::Int(g.cache_evictions as i128)),
             ("cache_bytes", Json::Int(g.cache_bytes as i128)),
-            ("delta_full_fallbacks", count(&self.delta_full_fallbacks)),
             ("persist_loaded", count(&self.persist_loaded)),
             ("persist_stored", count(&self.persist_stored)),
             ("persist_errors", count(&self.persist_errors)),
@@ -303,7 +298,6 @@ mod tests {
             "\"cache_misses\":0",
             "\"cache_evictions\":0",
             "\"cache_bytes\":9",
-            "\"delta_full_fallbacks\":0",
             "\"persist_loaded\":0",
             "\"persist_stored\":0",
             "\"persist_errors\":0",

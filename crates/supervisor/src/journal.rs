@@ -13,24 +13,29 @@
 //! framing, torn-tail truncation and recovery warnings live there):
 //!
 //! ```text
-//! header: b"SRTWJRNL" | u32 LE version (2) | u64 LE manifest digest
+//! header: b"SRTWJRNL" | u32 LE version (3) | u64 LE manifest digest
 //! record: u32 LE payload length | u32 LE CRC-32 of payload | payload
 //! ```
 //!
 //! The payload is a length-prefixed binary encoding of the outcome's
-//! replay-relevant fields: manifest position, name, status, rung display,
-//! attempt count, wall-clock bits, error, rendered JSON.
+//! replay-relevant fields: manifest position, input digest, name, status,
+//! rung display, attempt count, wall-clock bits, error, rendered JSON.
 //!
 //! ## Record policy
 //!
-//! A record is keyed by its **manifest position**, not its job name: two
-//! entries of one manifest may share a file stem (`a/sys.srtw`,
-//! `b/sys.srtw`) or be the same file twice, and each must replay its own
-//! outcome. The header's digest binds the journal to one manifest, so a
-//! position names one entry. Recovery keeps the first record per position
-//! (records are immutable facts; a re-run of an already-journaled entry
-//! changes nothing). Version 1 journals (keyed by name) fail the header
-//! check and a resume starts fresh with one warning.
+//! A record is keyed by its **manifest position** and its **input
+//! digest**, not its job name: two entries of one manifest may share a
+//! file stem (`a/sys.srtw`, `b/sys.srtw`) or be the same file twice, and
+//! each must replay its own outcome. The header's digest binds the
+//! journal to one manifest, so a position names one entry; the input
+//! digest ([`digest64`] of the bytes the entry was loaded from, or
+//! [`MISSING_INPUT`]) binds the record to that entry's contents, so a
+//! file edited since the record was written runs fresh instead of
+//! replaying a stale bound. Recovery keeps the first record per
+//! (position, input) pair (records are immutable facts; a re-run of an
+//! already-journaled entry changes nothing). Journals of earlier versions
+//! (1: keyed by name, 2: by position alone) fail the header check and a
+//! resume starts fresh with one warning.
 
 use crate::framed::{self, put_opt_str, put_str, Cursor, LogFormat, LogWarning, WriteFault};
 use crate::job::{JobOutcome, JobStatus};
@@ -41,7 +46,7 @@ use std::path::Path;
 /// Magic bytes opening every journal file.
 pub const JOURNAL_MAGIC: &[u8; 8] = b"SRTWJRNL";
 /// Current on-disk format version.
-pub const JOURNAL_VERSION: u32 = 2;
+pub const JOURNAL_VERSION: u32 = 3;
 
 const FORMAT: LogFormat = LogFormat {
     name: "journal",
@@ -50,8 +55,12 @@ const FORMAT: LogFormat = LogFormat {
     header_len: 8 + 4 + 8,
 };
 
-/// 64-bit FNV-1a digest, used to key a journal to its manifest: resuming
-/// against a journal written for a different job list is refused.
+/// The input digest of an entry whose file could not be read.
+pub const MISSING_INPUT: u64 = 0;
+
+/// 64-bit FNV-1a digest, used to key a journal to its manifest (resuming
+/// against a journal written for a different job list is refused) and a
+/// record to the bytes of its input.
 pub fn digest64(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
@@ -92,6 +101,9 @@ fn status_from_code(code: u8) -> Option<JobStatus> {
 pub struct JournalRecord {
     /// The entry's 0-based position in its manifest (the replay key).
     pub position: u32,
+    /// [`digest64`] of the bytes the entry was loaded from, or
+    /// [`MISSING_INPUT`]: a record replays only onto the same bytes.
+    pub input: u64,
     /// The job's name.
     pub name: String,
     /// Final classification.
@@ -110,11 +122,13 @@ pub struct JournalRecord {
 }
 
 impl JournalRecord {
-    /// Captures a finished outcome as a journal record at position 0 (the
-    /// batch runner stamps the real position before appending).
+    /// Captures a finished outcome as a journal record at position 0 with
+    /// input digest [`MISSING_INPUT`] (the batch runner stamps the entry's
+    /// real position and input before appending).
     pub fn from_outcome(outcome: &JobOutcome) -> JournalRecord {
         JournalRecord {
             position: 0,
+            input: MISSING_INPUT,
             name: outcome.name.clone(),
             status: outcome.status,
             rung: outcome.rung.map(|r| format!("{r}")),
@@ -133,6 +147,7 @@ impl JournalRecord {
     fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(64 + self.json.len());
         out.extend_from_slice(&self.position.to_le_bytes());
+        out.extend_from_slice(&self.input.to_le_bytes());
         put_str(&mut out, &self.name);
         out.push(status_code(self.status));
         put_opt_str(&mut out, self.rung.as_deref());
@@ -147,6 +162,7 @@ impl JournalRecord {
         let mut cur = Cursor::new(payload);
         let rec = JournalRecord {
             position: cur.take_u32()?,
+            input: cur.take_u64()?,
             name: cur.take_str()?,
             status: status_from_code(cur.take_u8()?)?,
             rung: cur.take_opt_str()?,
@@ -218,8 +234,8 @@ pub struct Recovery {
     /// The manifest digest from the header (`None` when the header was
     /// rejected).
     pub digest: Option<u64>,
-    /// Every intact record, de-duplicated keep-first by manifest
-    /// position, in journal order.
+    /// Every intact record, de-duplicated keep-first by manifest position
+    /// and input digest, in journal order.
     pub records: Vec<JournalRecord>,
     /// Notes about anything skipped or truncated, each pinned to the byte
     /// offset where the damage was found.
@@ -254,12 +270,17 @@ fn recover_image(path: &Path, bytes: &[u8]) -> Recovery {
     };
     rec.digest = Some(u64::from_le_bytes(bytes[12..20].try_into().unwrap()));
     for (offset, r) in items {
-        if rec.records.iter().any(|have| have.position == r.position) {
+        if rec
+            .records
+            .iter()
+            .any(|have| (have.position, have.input) == (r.position, r.input))
+        {
             rec.warnings.push(LogWarning::new(
                 path,
                 offset,
                 format!(
-                    "duplicate record for manifest position {} ('{}') — first kept",
+                    "duplicate record for manifest position {} ('{}') and the same input — \
+                     first kept",
                     r.position, r.name
                 ),
             ));
@@ -427,20 +448,22 @@ mod tests {
     }
 
     #[test]
-    fn version_one_journal_is_ignored_with_one_warning() {
-        let mut old = JOURNAL_MAGIC.to_vec();
-        old.extend_from_slice(&1u32.to_le_bytes());
-        old.extend_from_slice(&42u64.to_le_bytes());
-        old.extend_from_slice(&framed::frame(b"a name-keyed record"));
-        let rec = recover_bytes(&old);
-        assert!(rec.records.is_empty());
-        assert_eq!(rec.digest, None);
-        assert_eq!(rec.warnings.len(), 1, "{:?}", rec.warnings);
-        assert!(rec.warnings[0].message.contains("version 1"));
+    fn earlier_version_journals_are_ignored_with_one_warning() {
+        for version in [1u32, 2] {
+            let mut old = JOURNAL_MAGIC.to_vec();
+            old.extend_from_slice(&version.to_le_bytes());
+            old.extend_from_slice(&42u64.to_le_bytes());
+            old.extend_from_slice(&framed::frame(b"a record without an input digest"));
+            let rec = recover_bytes(&old);
+            assert!(rec.records.is_empty());
+            assert_eq!(rec.digest, None);
+            assert_eq!(rec.warnings.len(), 1, "{:?}", rec.warnings);
+            assert!(rec.warnings[0].message.contains(&format!("version {version}")));
+        }
     }
 
     #[test]
-    fn dedups_keep_first_by_position_not_name() {
+    fn dedups_keep_first_by_position_and_input_not_name() {
         let path = tmp("dedup");
         let mut w = JournalWriter::create(&path, 1).unwrap();
         let exact = JournalRecord::from_outcome(&outcome("same", JobStatus::Exact));
@@ -451,14 +474,26 @@ mod tests {
         // The same name at another position is another entry and stays.
         w.append(&JournalRecord {
             position: 1,
-            ..failed
+            ..failed.clone()
         })
         .unwrap();
+        // Position 0 loaded from other bytes is another fact and stays.
+        w.append(&JournalRecord { input: 9, ..failed }).unwrap();
         let rec = recover(&path).unwrap();
         std::fs::remove_file(&path).unwrap();
-        let kept: Vec<(u32, JobStatus)> =
-            rec.records.iter().map(|r| (r.position, r.status)).collect();
-        assert_eq!(kept, [(0, JobStatus::Exact), (1, JobStatus::Failed)]);
+        let kept: Vec<(u32, u64, JobStatus)> = rec
+            .records
+            .iter()
+            .map(|r| (r.position, r.input, r.status))
+            .collect();
+        assert_eq!(
+            kept,
+            [
+                (0, MISSING_INPUT, JobStatus::Exact),
+                (1, MISSING_INPUT, JobStatus::Failed),
+                (0, 9, JobStatus::Failed)
+            ]
+        );
         assert!(rec.warnings.iter().any(|w| w.message.contains("duplicate")));
     }
 

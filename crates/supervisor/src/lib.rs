@@ -33,9 +33,10 @@
 //!   format of [`framed`] (shared with the `srtw-persist` spill store),
 //!   makes a batch crash-recoverable: recovery tolerates torn tails and
 //!   bit corruption, and replay is idempotent (keep-first by manifest
-//!   position), so `srtw batch --journal PATH --resume` skips completed
-//!   jobs and still renders a report byte-identical to an uninterrupted
-//!   run.
+//!   position and input digest, so a record replays only onto the bytes
+//!   it was written for), and `srtw batch --journal PATH --resume` skips
+//!   completed jobs and still renders a report byte-identical to an
+//!   uninterrupted run.
 //! * **One batch runner** — [`BatchPlan`] sits behind both `srtw batch`
 //!   and `POST /batch`: it loads manifest entries ([`BatchEntry`]),
 //!   resumes a [`BatchJournal`], runs the fresh jobs on the pool, and

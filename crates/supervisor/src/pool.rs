@@ -7,14 +7,15 @@
 //! claim cursor; jobs never claimed are reported as skipped.
 //!
 //! A [`BatchPlan`] resolves every manifest entry before anything runs: a
-//! record replayed from the journal (keyed by manifest position), a
-//! pre-run failure, a `--fail-fast` skip, or a fresh job for the pool.
+//! record replayed from the journal (keyed by manifest position and the
+//! digest of the entry's input bytes), a pre-run failure, a `--fail-fast`
+//! skip, or a fresh job for the pool.
 //! [`BatchPlan::run`] journals each new record (fsync'd) before it becomes
 //! visible and hands records to the caller strictly in manifest order.
 
 use crate::framed::{LogWarning, WriteFault};
 use crate::job::{JobOutcome, JobSpec, JobStatus};
-use crate::journal::{recover, JournalRecord, JournalWriter};
+use crate::journal::{digest64, recover, JournalRecord, JournalWriter, MISSING_INPUT};
 use crate::ladder::{run_supervised, SupervisorConfig};
 use crate::report::JournaledReport;
 use srtw_core::textfmt::parse_system;
@@ -112,13 +113,18 @@ pub fn manifest_lines(text: &str) -> impl Iterator<Item = &str> {
 }
 
 /// One manifest entry: a job to run, or the outcome that stands in for a
-/// system that could not be loaded.
+/// system that could not be loaded, and the digest of the bytes it was
+/// loaded from.
 #[derive(Debug)]
-pub enum BatchEntry {
-    /// A loaded system, ready for the supervised ladder.
-    Job(Box<JobSpec>),
-    /// Unreadable file, parse error, or no `server` line.
-    PreFailed(JobOutcome),
+pub struct BatchEntry {
+    /// [`digest64`] of the file's bytes, or [`MISSING_INPUT`] when it
+    /// could not be read: a journal record replays onto this entry only
+    /// when it was written for the same bytes.
+    input: u64,
+    /// The loaded system, ready for the supervised ladder; or the failed
+    /// outcome of an unreadable file, a parse error or a missing `server`
+    /// line.
+    job: Result<Box<JobSpec>, JobOutcome>,
 }
 
 impl BatchEntry {
@@ -130,12 +136,19 @@ impl BatchEntry {
             .file_stem()
             .map(|s| s.to_string_lossy().into_owned())
             .unwrap_or_else(|| file.display().to_string());
-        let text = match std::fs::read_to_string(file) {
-            Ok(t) => t,
-            Err(e) => {
-                let error = format!("cannot read {}: {e}", file.display());
-                return BatchEntry::PreFailed(JobOutcome::pre_failed(name, error));
-            }
+        let pre_failed = |input, error: String| BatchEntry {
+            input,
+            job: Err(JobOutcome::pre_failed(name.clone(), error)),
+        };
+        let cannot_read =
+            |why: &dyn std::fmt::Display| format!("cannot read {}: {why}", file.display());
+        let bytes = match std::fs::read(file) {
+            Ok(bytes) => bytes,
+            Err(e) => return pre_failed(MISSING_INPUT, cannot_read(&e)),
+        };
+        let input = digest64(&bytes);
+        let Ok(text) = String::from_utf8(bytes) else {
+            return pre_failed(input, cannot_read(&"stream did not contain valid UTF-8"));
         };
         let loaded = catch_unwind(AssertUnwindSafe(|| -> Result<JobSpec, String> {
             let sys = parse_system(&text).map_err(|e| format!("{}: {e}", file.display()))?;
@@ -147,9 +160,12 @@ impl BatchEntry {
             Ok(JobSpec::new(name.clone(), sys.tasks, beta))
         }));
         match loaded {
-            Ok(Ok(spec)) => BatchEntry::Job(Box::new(spec)),
-            Ok(Err(e)) => BatchEntry::PreFailed(JobOutcome::pre_failed(name, e)),
-            Err(_) => BatchEntry::PreFailed(JobOutcome::pre_failed(name, "panic while parsing")),
+            Ok(Ok(spec)) => BatchEntry {
+                input,
+                job: Ok(Box::new(spec)),
+            },
+            Ok(Err(e)) => pre_failed(input, e),
+            Err(_) => pre_failed(input, "panic while parsing".into()),
         }
     }
 }
@@ -173,12 +189,12 @@ pub struct JournalPolicy {
 }
 
 /// A batch journal open for append, plus the records an earlier run of
-/// the same manifest left in it, by manifest position.
+/// the same manifest left in it, by manifest position and input digest.
 #[derive(Debug)]
 pub struct BatchJournal {
     path: PathBuf,
     writer: Mutex<JournalWriter>,
-    replay: HashMap<u32, JournalRecord>,
+    replay: HashMap<(u32, u64), JournalRecord>,
     policy: JournalPolicy,
 }
 
@@ -202,7 +218,11 @@ impl BatchJournal {
                     warnings = rec.warnings;
                     match rec.digest {
                         Some(d) if d == digest => {
-                            replay = rec.records.into_iter().map(|r| (r.position, r)).collect();
+                            replay = rec
+                                .records
+                                .into_iter()
+                                .map(|r| ((r.position, r.input), r))
+                                .collect();
                         }
                         Some(_) => warnings.push(LogWarning::new(
                             path,
@@ -243,8 +263,8 @@ enum Slot {
     /// Known already: a replayed record, a pre-run failure or a
     /// `--fail-fast` skip; `append` when it still has to be journaled.
     Done { record: JournalRecord, append: bool },
-    /// A fresh job for the supervised pool.
-    Run(Box<JobSpec>),
+    /// A fresh job for the supervised pool, with its input digest.
+    Run(u64, Box<JobSpec>),
 }
 
 /// A manifest ready to run: every entry resolved to a replayed record, a
@@ -265,9 +285,7 @@ impl BatchPlan {
         mut journal: Option<BatchJournal>,
         cfg: BatchConfig,
     ) -> BatchPlan {
-        let first_failed = entries
-            .iter()
-            .position(|e| matches!(e, BatchEntry::PreFailed(_)));
+        let first_failed = entries.iter().position(|e| e.job.is_err());
         let cut = match first_failed {
             Some(i) if cfg.fail_fast => i + 1,
             _ => entries.len(),
@@ -278,13 +296,16 @@ impl BatchPlan {
             .into_iter()
             .enumerate()
             .map(|(i, entry)| {
-                let position = i as u32;
+                let (position, input) = (i as u32, entry.input);
                 let at = |outcome: &JobOutcome| JournalRecord {
                     position,
+                    input,
                     ..JournalRecord::from_outcome(outcome)
                 };
-                let replay = journal.as_mut().and_then(|j| j.replay.remove(&position));
-                match (entry, replay) {
+                let replay = journal
+                    .as_mut()
+                    .and_then(|j| j.replay.remove(&(position, input)));
+                match (entry.job, replay) {
                     (_, Some(record)) if i < cut => {
                         replayed += 1;
                         Slot::Done {
@@ -292,15 +313,15 @@ impl BatchPlan {
                             append: false,
                         }
                     }
-                    (BatchEntry::PreFailed(outcome), _) => Slot::Done {
+                    (Err(outcome), _) => Slot::Done {
                         record: at(&outcome),
                         append: pre_failed,
                     },
-                    (BatchEntry::Job(spec), _) if i >= cut => Slot::Done {
+                    (Ok(spec), _) if i >= cut => Slot::Done {
                         record: at(&JobOutcome::skipped(spec.name)),
                         append: false,
                     },
-                    (BatchEntry::Job(spec), _) => Slot::Run(spec),
+                    (Ok(spec), _) => Slot::Run(input, spec),
                 }
             })
             .collect();
@@ -321,7 +342,7 @@ impl BatchPlan {
     pub fn fresh(&self) -> usize {
         self.slots
             .iter()
-            .filter(|s| matches!(s, Slot::Run(_)))
+            .filter(|s| matches!(s, Slot::Run(..)))
             .count()
     }
 
@@ -346,7 +367,7 @@ impl BatchPlan {
             state: Mutex::new((0, slots.iter().map(|_| None).collect())),
             on_line,
         };
-        let mut positions = Vec::new();
+        let mut keys = Vec::new();
         let mut specs = Vec::new();
         for (i, slot) in slots.into_iter().enumerate() {
             match slot {
@@ -356,24 +377,25 @@ impl BatchPlan {
                     }
                     lines.fill(i, || record);
                 }
-                Slot::Run(spec) => {
-                    positions.push(i);
+                Slot::Run(input, spec) => {
+                    keys.push((i, input));
                     specs.push(*spec);
                 }
             }
         }
         let to_record = |k: usize, outcome: &JobOutcome| JournalRecord {
-            position: positions[k] as u32,
+            position: keys[k].0 as u32,
+            input: keys[k].1,
             ..JournalRecord::from_outcome(outcome)
         };
         let outcomes = run_batch_observed(specs, &cfg, &|k, outcome| {
             let record = to_record(k, outcome);
             journal_append(&record);
-            lines.fill(positions[k], || record);
+            lines.fill(keys[k].0, || record);
         });
         // Jobs the pool never claimed (`--fail-fast`) were not observed.
         for (k, outcome) in outcomes.iter().enumerate() {
-            lines.fill(positions[k], || to_record(k, outcome));
+            lines.fill(keys[k].0, || to_record(k, outcome));
         }
         let (_, jobs) = lines.state.into_inner().unwrap();
         JournaledReport {

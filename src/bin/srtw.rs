@@ -65,8 +65,8 @@
 //! stragglers had to be cancelled). Repeats answer from a bounded
 //! content-addressed result cache (`--cache-bytes`, canonical-form
 //! keyed, byte-identical replay), and `POST /analyze/delta` (base
-//! system + `@delta` edit script) re-analyses only the streams an edit
-//! can reach, splicing the rest from the cached base run.
+//! system + `@delta` edit script) answers as `/analyze` of the edited
+//! system would.
 //!
 //! `--persist DIR` makes the result cache crash-safe: every stored
 //! result is also spilled to an append-only, CRC-framed shard file

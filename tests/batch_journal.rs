@@ -659,3 +659,87 @@ fn cli_and_http_batches_agree_line_for_line() {
         "\"total\":6,\"exact\":3,\"degraded\":0,\"failed\":3,\"skipped\":0"
     );
 }
+
+/// A journaled record replays only onto the bytes it was written for:
+/// `--resume` after the listed file changed runs that entry fresh (at the
+/// parent of this rule it replayed bound 15 where the edited file's exact
+/// bound is 22), an unchanged file still replays, and restoring the old
+/// bytes replays the old record.
+#[test]
+fn resume_after_an_edit_reruns_the_edited_entry() {
+    let fx = Fixture::new("edit-cli", "decoder.srtw", 0);
+    let (fast, slow) = decoder_pair();
+    let sys = put(&fx.dir, "sys.srtw", &fast);
+    let cold_fast = cold_entry(&fx.dir, &sys);
+    put(&fx.dir, "sys.srtw", &slow);
+    let cold_slow = cold_entry(&fx.dir, &sys);
+    put(&fx.dir, "sys.srtw", &fast);
+    let manifest = put(&fx.dir, "edit.txt", &format!("{}\n", sys.display()));
+    let manifest = manifest.to_str().unwrap();
+    let journal = fx.dir.join("edit.journal");
+    let journal = journal.to_str().unwrap();
+    let resume = |expect_replayed: usize, cold: &str, why: &str| {
+        let out = srtw(&["batch", manifest, "--json", "--journal", journal, "--resume"]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{why}: {stderr}");
+        let fresh = 1 - expect_replayed;
+        assert!(
+            stderr.contains(&format!(
+                "replayed {expect_replayed} completed job(s); running {fresh} fresh"
+            )),
+            "{why}: {stderr}"
+        );
+        let report = normalize(&String::from_utf8_lossy(&out.stdout));
+        assert_eq!(job_entries(&report), [cold], "{why}");
+    };
+
+    let first = srtw(&["batch", manifest, "--json", "--journal", journal]);
+    assert!(first.status.success(), "{first:?}");
+    resume(1, &cold_fast, "an unchanged file");
+    put(&fx.dir, "sys.srtw", &slow);
+    resume(0, &cold_slow, "an edited file");
+    resume(1, &cold_slow, "the edited file, unchanged since");
+    put(&fx.dir, "sys.srtw", &fast);
+    resume(1, &cold_fast, "the original bytes again");
+}
+
+/// The `/batch` twin: re-POSTing an unchanged manifest to `serve
+/// --journal` after editing a listed file, and after creating a listed
+/// file that was missing, runs both entries fresh; a further re-POST
+/// replays both.
+#[test]
+fn repost_after_an_edit_reruns_the_edited_entries_over_http() {
+    let fx = Fixture::new("edit-http", "decoder.srtw", 0);
+    let (fast, slow) = decoder_pair();
+    let sys = put(&fx.dir, "sys.srtw", &slow);
+    let cold_slow = cold_entry(&fx.dir, &sys);
+    put(&fx.dir, "sys.srtw", &fast);
+    let cold_fast = cold_entry(&fx.dir, &sys);
+    let later = fx.dir.join("later.srtw");
+    let text = format!("{}\n{}\n", sys.display(), later.display());
+    let prefix = fx.dir.join("serve.journal");
+    let served = Served::spawn(&["--addr", "127.0.0.1:0", "--journal", prefix.to_str().unwrap()], false);
+    let post = || -> (Vec<String>, String) {
+        let (status, _, body) =
+            client_roundtrip(&served.public, "POST", "/batch", &[], text.as_bytes()).unwrap();
+        assert_eq!(status, 200, "{body}");
+        let summary = body.lines().last().unwrap().to_string();
+        (job_lines(&normalize(&body)), summary)
+    };
+
+    let (lines, summary) = post();
+    assert_eq!(lines[0], cold_fast);
+    assert!(lines[1].contains("\"status\":\"failed\""), "{}", lines[1]);
+    assert!(summary.contains("\"replayed\":0"), "{summary}");
+
+    put(&fx.dir, "sys.srtw", &slow);
+    put(&fx.dir, "later.srtw", &fast);
+    let (lines, summary) = post();
+    assert_eq!(lines, [cold_slow.clone(), cold_fast.replace("\"sys\"", "\"later\"")]);
+    assert!(summary.contains("\"replayed\":0"), "{summary}");
+
+    let (again, summary) = post();
+    assert_eq!(again, lines, "an unchanged re-POST replays every line");
+    assert!(summary.contains("\"replayed\":2"), "{summary}");
+    served.stop();
+}
