@@ -15,7 +15,7 @@
 //! exact value and a ready-made float.
 
 use srtw_minplus::Q;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A JSON value tree.
 #[derive(Debug, Clone, PartialEq)]
@@ -63,71 +63,91 @@ impl Json {
 
     /// Renders the value as a compact JSON document.
     pub fn render(&self) -> String {
-        self.to_string()
+        let mut out = String::new();
+        self.write_to(&mut out);
+        out
+    }
+
+    /// Appends the compact rendering to `out`: the one writer behind
+    /// [`Json::render`] and `Display`.
+    fn write_to(&self, out: &mut String) {
+        match self {
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            // Writing into a `String` cannot fail.
+            Json::Int(i) => {
+                let _ = write!(out, "{i}");
+            }
+            Json::Float(x) => {
+                if !x.is_finite() {
+                    out.push_str("null");
+                } else if *x == x.trunc() && x.abs() < 1e15 {
+                    // Keep integral floats recognisably float-typed.
+                    let _ = write!(out, "{x:.1}");
+                } else {
+                    let _ = write!(out, "{x}");
+                }
+            }
+            Json::Str(s) => push_escaped(out, s),
+            Json::Array(xs) => {
+                out.push('[');
+                for (i, x) in xs.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    x.write_to(out);
+                }
+                out.push(']');
+            }
+            Json::Object(members) => {
+                out.push('{');
+                for (i, (k, v)) in members.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    push_escaped(out, k);
+                    out.push(':');
+                    v.write_to(out);
+                }
+                out.push('}');
+            }
+        }
     }
 }
 
 impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Json::Null => f.write_str("null"),
-            Json::Bool(b) => f.write_str(if *b { "true" } else { "false" }),
-            Json::Int(i) => write!(f, "{i}"),
-            Json::Float(x) => {
-                if x.is_finite() {
-                    if *x == x.trunc() && x.abs() < 1e15 {
-                        // Keep integral floats recognisably float-typed.
-                        write!(f, "{x:.1}")
-                    } else {
-                        write!(f, "{x}")
-                    }
-                } else {
-                    f.write_str("null")
-                }
-            }
-            Json::Str(s) => write_escaped(f, s),
-            Json::Array(xs) => {
-                f.write_str("[")?;
-                for (i, x) in xs.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write!(f, "{x}")?;
-                }
-                f.write_str("]")
-            }
-            Json::Object(members) => {
-                f.write_str("{")?;
-                for (i, (k, v)) in members.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write_escaped(f, k)?;
-                    f.write_str(":")?;
-                    write!(f, "{v}")?;
-                }
-                f.write_str("}")
-            }
-        }
+        f.write_str(&self.render())
     }
 }
 
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\u{08}' => f.write_str("\\b")?,
-            '\u{0C}' => f.write_str("\\f")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
+/// Appends `s` as a quoted JSON string, copying each run of bytes that
+/// needs no escape with one `push_str`. Every byte of a multi-byte UTF-8
+/// sequence is ≥ 0x80, so runs only ever end on character boundaries.
+fn push_escaped(out: &mut String, s: &str) {
+    out.push('"');
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            0x08 => out.push_str("\\b"),
+            0x0C => out.push_str("\\f"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
         }
     }
-    f.write_str("\"")
+    out.push_str(&s[run..]);
+    out.push('"');
 }
 
 #[cfg(test)]
@@ -180,6 +200,43 @@ mod tests {
             Json::rational(Q::int(5)).render(),
             r#"{"num":5,"den":1,"approx":5.0}"#
         );
+    }
+
+    #[test]
+    fn multi_byte_text_next_to_escapes_keeps_its_bytes() {
+        assert_eq!(
+            Json::str("→\"é\\😀\"").render(),
+            r#""→\"é\\😀\"""#
+        );
+        assert_eq!(Json::str("\\→").render(), r#""\\→""#);
+        assert_eq!(Json::str("😀\n").render(), r#""😀\n""#);
+        assert_eq!(Json::str("a→b").render(), "\"a→b\"");
+    }
+
+    #[test]
+    fn every_control_character_escapes_and_del_does_not() {
+        let controls: String = (0u8..0x20).map(char::from).chain(['\u{7f}']).collect();
+        assert_eq!(
+            Json::str(controls).render(),
+            concat!(
+                r#""\u0000\u0001\u0002\u0003\u0004\u0005\u0006\u0007"#,
+                r#"\b\t\n\u000b\f\r\u000e\u000f"#,
+                r#"\u0010\u0011\u0012\u0013\u0014\u0015\u0016\u0017"#,
+                r#"\u0018\u0019\u001a\u001b\u001c\u001d\u001e\u001f"#,
+                "\u{7f}\""
+            )
+        );
+    }
+
+    #[test]
+    fn empty_strings_and_escaped_keys() {
+        assert_eq!(Json::str("").render(), r#""""#);
+        let v = Json::Object(vec![
+            (String::new(), Json::str("")),
+            ("é\"\\\u{1}".to_owned(), Json::Array(vec![Json::str("\t")])),
+        ]);
+        assert_eq!(v.render(), r#"{"":"","é\"\\\u0001":["\t"]}"#);
+        assert_eq!(v.to_string(), v.render());
     }
 
     #[test]

@@ -96,6 +96,10 @@ pub struct Curve {
     /// look at `pieces` and `tail` only, so two equal curves compare equal
     /// whether or not their shapes have been classified yet.
     shape: OnceLock<Shape>,
+    /// Lazily computed reach table behind [`Curve::pseudo_inverse`]: each
+    /// explicit piece's left limit at its end. Like `shape`, a derived
+    /// cache outside the curve's identity.
+    reach: OnceLock<Box<[Q]>>,
 }
 
 /// Shape class of a curve, computed once and cached on the [`Curve`].
@@ -116,7 +120,8 @@ pub(crate) enum Shape {
     Both,
 }
 
-// `shape` is a derived cache, not state: identity is (pieces, tail).
+// `shape` and `reach` are derived caches, not state: identity is
+// (pieces, tail).
 impl PartialEq for Curve {
     fn eq(&self, other: &Curve) -> bool {
         self.pieces == other.pieces && self.tail == other.tail
@@ -144,13 +149,14 @@ impl std::fmt::Debug for Curve {
 impl Curve {
     /// Internal constructor for pieces/tails whose invariants the caller
     /// guarantees (every call site below builds from an already-valid
-    /// curve). Starts with an empty shape cache.
+    /// curve). Starts with empty shape and reach caches.
     #[inline]
     pub(crate) fn raw(pieces: Vec<Piece>, tail: Tail) -> Curve {
         Curve {
             pieces: pieces.into(),
             tail,
             shape: OnceLock::new(),
+            reach: OnceLock::new(),
         }
     }
 
@@ -579,6 +585,32 @@ impl Curve {
                 (false, true) => Shape::Concave,
                 (false, false) => Shape::General,
             }
+        })
+    }
+
+    /// Each explicit piece's reach, its left limit at the end of its
+    /// extent, computed on first use and cached. A piece with no end (the
+    /// last piece under an affine tail) has no entry; under a periodic
+    /// tail the last entry is the maximum of the pattern's first
+    /// instance. Reaches are non-decreasing (the curve is), so
+    /// [`Curve::pseudo_inverse`] binary-searches them.
+    pub(crate) fn reach(&self) -> &[Q] {
+        self.reach.get_or_init(|| {
+            let pieces = &self.pieces;
+            let pattern_end = match self.tail {
+                Tail::Affine => None,
+                Tail::Periodic {
+                    pattern_start,
+                    period,
+                    ..
+                } => Some(pieces[pattern_start].start + period),
+            };
+            (0..pieces.len())
+                .map_while(|i| {
+                    let end = pieces.get(i + 1).map(|n| n.start).or(pattern_end)?;
+                    Some(pieces[i].eval(end))
+                })
+                .collect()
         })
     }
 

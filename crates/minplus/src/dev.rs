@@ -12,7 +12,7 @@
 //! finiteness (a demand rate exceeding the service rate yields
 //! [`Ext::Infinite`]).
 
-use crate::curve::{Curve, Tail};
+use crate::curve::{Curve, Piece, Tail};
 use crate::error::CurveError;
 use crate::extended::Ext;
 use crate::meter::{BudgetKind, BudgetMeter};
@@ -36,70 +36,34 @@ impl Curve {
     /// assert_eq!(flat.pseudo_inverse(Q::int(2)), Ext::Infinite);
     /// ```
     pub fn pseudo_inverse(&self, w: Q) -> Ext {
-        if self.eval(Q::ZERO) >= w {
-            return Ext::Finite(Q::ZERO);
-        }
-        // Scan the explicit pieces first.
-        if let Some(t) = scan_pieces_for(self, w, 0, self.pieces().len(), Q::ZERO, Q::ZERO) {
-            return Ext::Finite(t);
-        }
-        match self.tail() {
-            Tail::Affine => {
-                let last = *self.pieces().last().expect("non-empty");
-                if last.slope.is_positive() {
-                    // Solve value + slope·(t − start) = w.
-                    Ext::Finite(last.start + (w - last.value) / last.slope)
-                } else {
-                    Ext::Infinite
-                }
-            }
+        // Pieces before the first whose reach attains `w` end below it; a
+        // piece starting at or above `w` answers with its start, any
+        // other one reaching `w` crosses it on its (positive) slope, and
+        // an affine tail's last piece (no reach) may never reach it.
+        let pieces = self.pieces();
+        let reach = self.reach();
+        let i = reach.partition_point(|&r| r < w);
+        let t = match self.tail() {
+            // Only under a periodic tail can `w` lie above every reach:
+            // above the first pattern instance's maximum. The first
+            // instance `k ≥ 1` whose lifted maximum reaches `w` is then
+            // searched at `w` lowered by `k` increments.
             Tail::Periodic {
                 pattern_start,
                 period,
                 increment,
-            } => {
+            } if i == pieces.len() => {
                 if increment.is_zero() {
-                    // The pattern repeats without growth; the explicit scan
-                    // already covered one full period.
                     return Ext::Infinite;
                 }
-                // Highest value reached within the first pattern instance
-                // (left limits included via the wrap point).
-                let s = self.pieces()[pattern_start].start;
-                let mut pmax = self.pieces()[pattern_start].value;
-                for i in pattern_start..self.pieces().len() {
-                    let p = self.pieces()[i];
-                    let end = self
-                        .pieces()
-                        .get(i + 1)
-                        .map(|n| n.start)
-                        .unwrap_or(s + period);
-                    pmax = pmax.max(p.eval(end));
-                }
-                // First period instance k whose lifted pattern can reach w.
-                let k = ((w - pmax) / increment).ceil().max(0);
-                for kk in k..=k + 1 {
-                    let lift = increment * Q::int(kk);
-                    let shift = period * Q::int(kk);
-                    if let Some(t) = scan_pieces_for(
-                        self,
-                        w,
-                        pattern_start,
-                        self.pieces().len(),
-                        shift,
-                        lift,
-                    ) {
-                        return Ext::Finite(t);
-                    }
-                    // Wrap point of instance kk: start of instance kk+1.
-                    let wrap_v = self.pieces()[pattern_start].value + increment * Q::int(kk + 1);
-                    if wrap_v >= w {
-                        return Ext::Finite(s + period * Q::int(kk + 1));
-                    }
-                }
-                unreachable!("periodic pseudo-inverse must land within two instances")
+                let k = Q::int(((w - reach[i - 1]) / increment).ceil());
+                let target = w - increment * k;
+                let j = pattern_start + reach[pattern_start..].partition_point(|&r| r < target);
+                first_reaching(pieces[j], target).map(|t| t + period * k)
             }
-        }
+            _ => first_reaching(pieces[i], w),
+        };
+        t.map_or(Ext::Infinite, Ext::Finite)
     }
 
     /// Vertical deviation `sup_t (self(t) − other(t))`, clamped at 0.
@@ -297,41 +261,123 @@ impl Curve {
 /// Scans pieces `[from, to)` of `c`, each shifted right by `shift` and up by
 /// `lift`, for the first time the curve reaches `w`. Returns the exact
 /// crossing time if found.
-fn scan_pieces_for(c: &Curve, w: Q, from: usize, to: usize, shift: Q, lift: Q) -> Option<Q> {
-    let pieces = c.pieces();
-    for i in from..to {
-        let p = pieces[i];
-        let start = p.start + shift;
-        let value = p.value + lift;
-        if value >= w {
-            return Some(start);
-        }
-        let end = match pieces.get(i + 1) {
-            Some(n) => Some(n.start + shift),
-            None => match c.tail() {
-                Tail::Affine => None,
-                Tail::Periodic {
-                    pattern_start,
-                    period,
-                    ..
-                } => Some(pieces[pattern_start].start + period + shift),
-            },
-        };
-        if p.slope.is_positive() {
-            let t = start + (w - value) / p.slope;
-            match end {
-                Some(e) if t >= e => {}
-                _ => return Some(t),
-            }
-        }
+/// The earliest time at which `p`, extended affinely, reaches `w`, if
+/// it ever does (`None` for a flat piece below `w`).
+fn first_reaching(p: Piece, w: Q) -> Option<Q> {
+    if p.value >= w {
+        Some(p.start)
+    } else if p.slope.is_positive() {
+        Some(p.start + (w - p.value) / p.slope)
+    } else {
+        None
     }
-    None
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ratio::q;
+
+    /// The pseudo-inverse as a linear scan of the pieces that recomputes
+    /// the pattern maximum per query: the reference oracle for the reach
+    /// table behind [`Curve::pseudo_inverse`].
+    fn scan_inverse(c: &Curve, w: Q) -> Ext {
+        if c.eval(Q::ZERO) >= w {
+            return Ext::Finite(Q::ZERO);
+        }
+        // Scan the explicit pieces first.
+        if let Some(t) = scan_pieces_for(c, w, 0, c.pieces().len(), Q::ZERO, Q::ZERO) {
+            return Ext::Finite(t);
+        }
+        match c.tail() {
+            Tail::Affine => {
+                let last = *c.pieces().last().expect("non-empty");
+                if last.slope.is_positive() {
+                    // Solve value + slope·(t − start) = w.
+                    Ext::Finite(last.start + (w - last.value) / last.slope)
+                } else {
+                    Ext::Infinite
+                }
+            }
+            Tail::Periodic {
+                pattern_start,
+                period,
+                increment,
+            } => {
+                if increment.is_zero() {
+                    // The pattern repeats without growth; the explicit scan
+                    // already covered one full period.
+                    return Ext::Infinite;
+                }
+                // Highest value reached within the first pattern instance
+                // (left limits included via the wrap point).
+                let s = c.pieces()[pattern_start].start;
+                let mut pmax = c.pieces()[pattern_start].value;
+                for i in pattern_start..c.pieces().len() {
+                    let p = c.pieces()[i];
+                    let end = c
+                        .pieces()
+                        .get(i + 1)
+                        .map(|n| n.start)
+                        .unwrap_or(s + period);
+                    pmax = pmax.max(p.eval(end));
+                }
+                // First period instance k whose lifted pattern can reach w.
+                let k = ((w - pmax) / increment).ceil().max(0);
+                for kk in k..=k + 1 {
+                    let lift = increment * Q::int(kk);
+                    let shift = period * Q::int(kk);
+                    if let Some(t) = scan_pieces_for(
+                        c,
+                        w,
+                        pattern_start,
+                        c.pieces().len(),
+                        shift,
+                        lift,
+                    ) {
+                        return Ext::Finite(t);
+                    }
+                    // Wrap point of instance kk: start of instance kk+1.
+                    let wrap_v = c.pieces()[pattern_start].value + increment * Q::int(kk + 1);
+                    if wrap_v >= w {
+                        return Ext::Finite(s + period * Q::int(kk + 1));
+                    }
+                }
+                unreachable!("periodic pseudo-inverse must land within two instances")
+            }
+        }
+    }
+
+    fn scan_pieces_for(c: &Curve, w: Q, from: usize, to: usize, shift: Q, lift: Q) -> Option<Q> {
+        let pieces = c.pieces();
+        for i in from..to {
+            let p = pieces[i];
+            let start = p.start + shift;
+            let value = p.value + lift;
+            if value >= w {
+                return Some(start);
+            }
+            let end = match pieces.get(i + 1) {
+                Some(n) => Some(n.start + shift),
+                None => match c.tail() {
+                    Tail::Affine => None,
+                    Tail::Periodic {
+                        pattern_start,
+                        period,
+                        ..
+                    } => Some(pieces[pattern_start].start + period + shift),
+                },
+            };
+            if p.slope.is_positive() {
+                let t = start + (w - value) / p.slope;
+                match end {
+                    Some(e) if t >= e => {}
+                    _ => return Some(t),
+                }
+            }
+        }
+        None
+    }
 
     /// Brute-force pseudo-inverse on a fine grid.
     fn brute_inverse(f: &Curve, w: Q, h: Q, den: i128) -> Option<Q> {
@@ -414,6 +460,119 @@ mod tests {
             let brute = brute_inverse(&c, w, Q::int(100), 4);
             assert_eq!(got, brute, "at w = {w}");
         }
+    }
+
+    /// A small rational `num/den` with `num` in `lo..=hi` and `den` in 1..=3.
+    fn small(rng: &mut srtw_detrand::Rng, lo: i128, hi: i128) -> Q {
+        Q::new(rng.random_range(lo..=hi), rng.random_range(1..=3i128))
+    }
+
+    /// A random valid curve: 1–6 pieces with flat stretches and jumps, and
+    /// an affine tail (flat or rising) or a periodic one (growing, or a
+    /// flat pattern with zero increment).
+    fn inverse_curve(rng: &mut srtw_detrand::Rng, size: u32) -> Curve {
+        let n = rng.random_range(1..=2 + size as usize / 20);
+        let (periodic, zero_increment) = match rng.random_range(0u32..4) {
+            0 => (false, false),
+            1 | 2 => (true, false),
+            _ => (true, true),
+        };
+        let pattern_start = rng.random_range(0..n);
+        let mut pieces: Vec<Piece> = Vec::with_capacity(n);
+        for i in 0..n {
+            let flat_pattern = zero_increment && i >= pattern_start;
+            let (start, floor) = match pieces.last() {
+                None => (Q::ZERO, Q::ZERO),
+                Some(prev) => {
+                    let start = prev.start + small(rng, 1, 6);
+                    (start, prev.eval(start))
+                }
+            };
+            let jump = if (flat_pattern && i > pattern_start) || rng.random_bool() {
+                Q::ZERO
+            } else {
+                small(rng, 0, 5)
+            };
+            let slope = if flat_pattern || rng.random_bool() {
+                Q::ZERO
+            } else {
+                small(rng, 1, 4)
+            };
+            pieces.push(Piece::new(start, floor + jump, slope));
+        }
+        let tail = if periodic {
+            let last = pieces[n - 1];
+            let s = pieces[pattern_start].start;
+            let period = last.start - s + small(rng, 1, 6);
+            let wrap_gap = last.eval(s + period) - pieces[pattern_start].value;
+            let extra = if zero_increment || rng.random_bool() {
+                Q::ZERO
+            } else {
+                small(rng, 1, 4)
+            };
+            Tail::Periodic {
+                pattern_start,
+                period,
+                increment: wrap_gap + extra,
+            }
+        } else {
+            Tail::Affine
+        };
+        Curve::new(pieces, tail).expect("generated curves are valid")
+    }
+
+    /// Queries at every reach and piece value (lifted up to five periods
+    /// out under a periodic tail), at the curve's values on breakpoints
+    /// several periods out, just above and below each of those, and at a
+    /// few random levels.
+    fn inverse_queries(c: &Curve, rng: &mut srtw_detrand::Rng) -> Vec<Q> {
+        let (period, increment) = match c.tail() {
+            Tail::Periodic {
+                period, increment, ..
+            } => (period, increment),
+            Tail::Affine => (Q::ZERO, Q::ZERO),
+        };
+        let mut exact = Vec::new();
+        for k in 0..=5 {
+            let (shift, lift) = (period * Q::int(k), increment * Q::int(k));
+            exact.extend(c.reach().iter().map(|&r| r + lift));
+            for p in c.pieces() {
+                exact.push(p.value + lift);
+                exact.push(c.eval(p.start + shift));
+                exact.push(c.eval_left(p.start + shift));
+            }
+        }
+        let eps = q(1, 7);
+        let mut ws: Vec<Q> = exact.iter().flat_map(|&w| [w, w - eps, w + eps]).collect();
+        ws.extend((0..4).map(|_| small(rng, -2, 90)));
+        ws
+    }
+
+    #[test]
+    fn pseudo_inverse_table_matches_scan_and_brute() {
+        // The grid search finds the first multiple of 1/DEN at or after the
+        // exact answer, when one lies within the horizon.
+        const DEN: i128 = 6;
+        srtw_detrand::prop::forall(
+            "pseudo_inverse_table_vs_scan",
+            |rng, size| {
+                let c = inverse_curve(rng, size);
+                let ws = inverse_queries(&c, rng);
+                (c, ws)
+            },
+            |(c, ws)| {
+                let h = c.tail_start() + Q::int(40);
+                for &w in ws {
+                    let got = c.pseudo_inverse(w);
+                    assert_eq!(got, scan_inverse(c, w), "table vs scan at w = {w}");
+                    let on_grid = got
+                        .finite()
+                        .map(|t| q((t * Q::int(DEN)).ceil(), DEN))
+                        .filter(|&t| t <= h);
+                    assert_eq!(brute_inverse(c, w, h, DEN), on_grid, "brute at w = {w}");
+                }
+            },
+        );
     }
 
     /// Brute-force horizontal deviation.

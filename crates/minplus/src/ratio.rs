@@ -405,6 +405,14 @@ impl Ord for Q {
         if self.den == other.den {
             return self.num.cmp(&other.num);
         }
+        // Both denominators are positive, so cross products order the
+        // values; they fit `i128` for all but huge operands.
+        if let (Some(lhs), Some(rhs)) = (
+            self.num.checked_mul(other.den),
+            other.num.checked_mul(self.den),
+        ) {
+            return lhs.cmp(&rhs);
+        }
         // Compare a/b vs c/d by (a/g1)*(d/g2) vs (c/g1)*(b/g2),
         // reducing by cross-gcds first to avoid overflow.
         let g1 = gcd(self.num, other.num).max(1);
@@ -809,6 +817,19 @@ mod tests {
         let mut v = vec![q(3, 2), Q::ZERO, q(-5, 4), Q::ONE];
         v.sort();
         assert_eq!(v, vec![q(-5, 4), Q::ZERO, Q::ONE, q(3, 2)]);
+    }
+
+    #[test]
+    fn ordering_past_the_cross_product_range() {
+        // Cross products of these leave `i128`; the comparison reduces by
+        // the cross gcds instead and stays exact.
+        let n = i128::MAX / 3;
+        let (a, b) = (q(n, 1_000_003), q(n, 1_000_033));
+        assert!(a.numer().checked_mul(b.denom()).is_none());
+        assert_eq!((a.cmp(&b), b.cmp(&a)), (Ordering::Greater, Ordering::Less));
+        assert!(-a < -b);
+        assert!(q(n - 1, 1_000_003) < a);
+        assert_eq!(a.cmp(&q(n, 1_000_003)), Ordering::Equal);
     }
 
     #[test]

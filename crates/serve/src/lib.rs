@@ -20,8 +20,10 @@
 //!   monotone truncation guarantees exact ≤ degraded ≤ RTC — rather than
 //!   timing out with nothing.
 //! - **Crash isolation** ([`pool`] + [`srtw_supervisor::contain`]): each
-//!   analysis runs on a supervised thread behind `catch_unwind`; a panic
-//!   becomes a typed `500` and the worker pool self-heals by respawn.
+//!   analysis runs on its pool worker behind `catch_unwind`, so a panic
+//!   becomes a typed `500` and the worker serves on; a panic in the
+//!   server's own code kills only its worker, and the pool self-heals by
+//!   respawn.
 //! - **Hardened parsing** ([`http`] + `srtw_core::textfmt`): explicit caps
 //!   on the request head and body, and the same 11-kind typed parse errors
 //!   as the CLI (`400`/`413` with `parse_kind` in the error body).

@@ -6,7 +6,7 @@
 //! hostile clients are bounded by per-connection deadlines (`408`), head
 //! caps (`431`), the connection cap and the bounded [`Gate`] (`503` with
 //! an adaptive `Retry-After`), never by worker starvation. A pool worker
-//! then routes the request; `/analyze` runs behind
+//! then routes the request; `/analyze` runs inline on that worker behind
 //! [`srtw_supervisor::contain`] with a per-request [`CancelToken`] and an
 //! optional `X-Deadline-Ms` wall budget, so an adversarial system
 //! degrades soundly to the RTC bound instead of stalling the worker, and
@@ -443,7 +443,9 @@ pub(crate) fn error_body(code: i128, kind: &str, message: &str, extra: Vec<(&str
         ("message", Json::str(message)),
     ];
     members.extend(extra);
-    format!("{}\n", Json::object(vec![("error", Json::object(members))]))
+    let mut body = Json::object(vec![("error", Json::object(members))]).render();
+    body.push('\n');
+    body
 }
 
 /// One blocking request/response exchange on the trusted admin plane.
@@ -743,9 +745,10 @@ pub(crate) fn analyze_system(shared: &Shared, req: &Request, sys: SystemSpec) ->
     // the meter and the analysis winds down through the sound degradation
     // path, which does bounded (but nonzero) post-trip work to produce
     // the RTC fallback. A hard watchdog here would race that wind-down
-    // and turn sound degradation into failure — so none is armed; truly
-    // stuck workers are bounded by the socket timeouts and the
-    // drain-time cancel/abandon path instead.
+    // and turn sound degradation into failure — so none is armed, and
+    // `contain` runs the analysis inline on this pool worker behind
+    // `catch_unwind`; truly stuck workers are bounded by the socket
+    // timeouts and the pool's drain-time cancel/abandon path instead.
     let tasks = sys.tasks;
     let contained = contain(
         "srtw-serve-analyze",
@@ -766,7 +769,8 @@ pub(crate) fn analyze_system(shared: &Shared, req: &Request, sys: SystemSpec) ->
             } else {
                 shared.stats.completed.fetch_add(1, Ordering::Relaxed);
             }
-            let body = format!("{}\n", report.to_json());
+            let mut body = report.to_json().render();
+            body.push('\n');
             if cacheable && !report.degraded() {
                 shared.cache_insert(canon, form, presentation, &body);
             }
@@ -776,10 +780,10 @@ pub(crate) fn analyze_system(shared: &Shared, req: &Request, sys: SystemSpec) ->
         Contained::Panicked { message } => {
             internal("panic", &format!("analysis panicked: {message}"))
         }
-        Contained::HardTimeout => {
-            internal("internal", "hard timeout: request abandoned by the watchdog")
+        // Only a deadline arms the watchdog or spawns a thread.
+        Contained::HardTimeout | Contained::SpawnFailed => {
+            unreachable!("contain without a deadline runs inline")
         }
-        Contained::SpawnFailed => internal("internal", "could not spawn the analysis thread"),
     };
     (response, false)
 }

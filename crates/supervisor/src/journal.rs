@@ -135,7 +135,7 @@ impl JournalRecord {
             attempts: outcome.attempts.len() as u32,
             wall_bits: outcome.wall.as_secs_f64().to_bits(),
             error: outcome.error.clone(),
-            json: format!("{}", outcome.to_json()),
+            json: outcome.to_json().render(),
         }
     }
 

@@ -1,12 +1,13 @@
 //! The supervised retry/degrade ladder for one job.
 //!
-//! An attempt runs on its own thread behind `catch_unwind`; the
+//! An attempt runs behind `catch_unwind` ([`contain`]). With a hard
+//! deadline (`--timeout-ms`) it runs on its own thread and the
 //! supervising thread doubles as the watchdog: it waits for the result
 //! with a timeout, raises the attempt's [`CancelToken`] when the hard
 //! deadline passes, and abandons the thread if it does not wind down
 //! within the grace period (safe Rust cannot kill a thread — an abandoned
 //! attempt keeps its core busy until it next polls its meter, but the
-//! batch moves on).
+//! batch moves on). Without one it runs inline on the batch worker.
 
 use crate::job::{
     AnalysisOutput, Attempt, AttemptStatus, JobOutcome, JobSpec, JobStatus, Rung,
@@ -161,7 +162,7 @@ fn strip_output(a: RawAttempt) -> Attempt {
 }
 
 /// Runs one attempt at one rung behind the shared containment primitive
-/// ([`contain`]), acting as its watchdog.
+/// ([`contain`]), acting as its watchdog when it has a deadline.
 fn run_attempt(spec: &Arc<JobSpec>, rung: Rung, cfg: &SupervisorConfig) -> RawAttempt {
     let token = CancelToken::new();
     let mut budget = cfg.base_budget(rung).with_cancel(token.clone());

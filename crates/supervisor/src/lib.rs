@@ -4,10 +4,11 @@
 //! supplies the supervision *around* runs that a service analysing many
 //! systems needs:
 //!
-//! * **Isolation** — every attempt executes on its own thread behind
-//!   `catch_unwind`, so one pathological system (a residual panic, an
-//!   arithmetic overflow, an analysis that will not finish) cannot take
-//!   down the batch ([`run_supervised`]).
+//! * **Isolation** — every attempt executes behind `catch_unwind`
+//!   ([`contain`]), on its own thread when it has a deadline to enforce
+//!   and inline otherwise, so one pathological system (a residual panic,
+//!   an arithmetic overflow, an analysis that will not finish) cannot
+//!   take down the batch ([`run_supervised`]).
 //! * **Hard deadlines** — a watchdog enforces a wall-clock timeout per
 //!   attempt by raising a [`CancelToken`] threaded into the analysis'
 //!   [`srtw_minplus::BudgetMeter`]. Every hot loop the meter already

@@ -1,14 +1,20 @@
 //! The reusable crash-containment primitive underneath the ladder.
 //!
-//! [`contain`] runs a closure on a dedicated thread behind `catch_unwind`
-//! while the calling thread doubles as its watchdog: when the hard
-//! deadline passes it raises the attempt's [`CancelToken`] (tripping the
-//! closure's [`srtw_minplus::BudgetMeter`] at its next metered
-//! operation), waits out the grace period, and abandons the thread if it
-//! still has not wound down. The batch ladder ([`crate::run_supervised`])
-//! and the analysis service (`srtw-serve`) both build on this one
-//! primitive, so "a panicking analysis cannot take the process down"
-//! holds identically for a batch job and for an HTTP request.
+//! [`contain`] runs a closure behind `catch_unwind`, so a panic comes
+//! back as [`Contained::Panicked`] instead of unwinding into the caller.
+//! Without a deadline the closure runs on the calling thread: nothing has
+//! to watch it, and a thread per call is a fixed cost next to an analysis
+//! that often takes about a millisecond.
+//! With a deadline it runs on a dedicated thread while the calling thread
+//! doubles as its watchdog: when the hard deadline passes it raises the
+//! attempt's [`CancelToken`] (tripping the closure's
+//! [`srtw_minplus::BudgetMeter`] at its next metered operation), waits
+//! out the grace period, and abandons the thread if it still has not
+//! wound down. The batch ladder ([`crate::run_supervised`]) and the
+//! analysis service (`srtw-serve`, which passes no deadline) both contain
+//! their analyses with this one primitive, so "a panicking analysis
+//! cannot take the process down" holds identically for a batch job and
+//! for an HTTP request.
 
 use srtw_minplus::CancelToken;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -22,8 +28,8 @@ pub enum Contained<T> {
     /// The closure ran to completion. Containment is orthogonal to the
     /// closure's own result type: `T` may well be a `Result`.
     Completed(T),
-    /// The closure panicked; the payload is rendered as text and the
-    /// worker thread is gone (the unwind was caught).
+    /// The closure panicked; the payload is rendered as text (the unwind
+    /// was caught, on whichever thread ran the closure).
     Panicked {
         /// The panic payload, downcast to text where possible.
         message: String,
@@ -32,7 +38,8 @@ pub enum Contained<T> {
     /// down within the grace period; it was abandoned (detached) and
     /// keeps a core busy until it next polls its meter.
     HardTimeout,
-    /// The OS refused to spawn the worker thread.
+    /// The OS refused to spawn the worker thread (only a call with a
+    /// deadline spawns one).
     SpawnFailed,
 }
 
@@ -46,11 +53,13 @@ impl<T> Contained<T> {
     }
 }
 
-/// Runs `f` on its own named thread behind `catch_unwind`, supervised by
-/// the calling thread.
+/// Runs `f` behind `catch_unwind`; with a deadline, on its own named
+/// thread supervised by the calling thread.
 ///
-/// * `timeout` is the hard wall-clock deadline; `None` waits forever
-///   (the closure can then only end cooperatively).
+/// * `timeout` is the hard wall-clock deadline. `None` runs `f` inline on
+///   the calling thread (no thread is spawned, `name` and `grace` are
+///   unused, and the closure can only end cooperatively); the result is
+///   then [`Contained::Completed`] or [`Contained::Panicked`].
 /// * On timeout the watchdog calls `token.cancel()` — the closure is
 ///   expected to poll that token through a meter — and allows `grace`
 ///   for it to wind down to a clean (degraded-but-sound) result, which
@@ -86,6 +95,14 @@ where
     T: Send + 'static,
     F: FnOnce() -> T + Send + 'static,
 {
+    let Some(deadline) = timeout else {
+        return match catch_unwind(AssertUnwindSafe(f)) {
+            Ok(v) => Contained::Completed(v),
+            Err(payload) => Contained::Panicked {
+                message: panic_message(payload.as_ref()),
+            },
+        };
+    };
     let (tx, rx) = mpsc::channel();
     let spawned = thread::Builder::new()
         .name(name.to_string())
@@ -98,20 +115,17 @@ where
         return Contained::SpawnFailed;
     }
 
-    let received = match timeout {
-        None => rx.recv().ok(),
-        Some(deadline) => match rx.recv_timeout(deadline) {
-            Ok(r) => Some(r),
-            Err(mpsc::RecvTimeoutError::Disconnected) => None,
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                // Watchdog fires: cancellation trips the meter at the
-                // closure's next metered operation; give it the grace
-                // period to wind down to a sound degraded result, then
-                // abandon it.
-                token.cancel();
-                rx.recv_timeout(grace).ok()
-            }
-        },
+    let received = match rx.recv_timeout(deadline) {
+        Ok(r) => Some(r),
+        Err(mpsc::RecvTimeoutError::Disconnected) => None,
+        Err(mpsc::RecvTimeoutError::Timeout) => {
+            // Watchdog fires: cancellation trips the meter at the
+            // closure's next metered operation; give it the grace
+            // period to wind down to a sound degraded result, then
+            // abandon it.
+            token.cancel();
+            rx.recv_timeout(grace).ok()
+        }
     };
     match received {
         None => Contained::HardTimeout,
@@ -155,6 +169,36 @@ mod tests {
         match out {
             Contained::Panicked { message } => assert_eq!(message, "deliberate 7"),
             other => panic!("expected Panicked, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn only_a_deadline_spawns_a_thread() {
+        let token = CancelToken::new();
+        let caller = std::thread::current().id();
+        let inline = contain("inline", None, Duration::ZERO, &token, || {
+            std::thread::current().id()
+        });
+        assert_eq!(inline, Contained::Completed(caller));
+        let watched = contain(
+            "watched",
+            Some(Duration::from_secs(60)),
+            Duration::ZERO,
+            &token,
+            || std::thread::current().id(),
+        );
+        assert!(matches!(watched, Contained::Completed(id) if id != caller));
+        for timeout in [None, Some(Duration::from_secs(60))] {
+            let out: Contained<()> = contain("boom", timeout, Duration::ZERO, &token, || {
+                panic!("on either thread")
+            });
+            assert_eq!(
+                out,
+                Contained::Panicked {
+                    message: "on either thread".into()
+                },
+                "timeout {timeout:?}"
+            );
         }
     }
 

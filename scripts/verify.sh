@@ -26,7 +26,8 @@
 #      explorer's two differential properties at 1024 cases each:
 #      scaled-integer vs exact-rational instantiation (identical arenas
 #      and rbfs), and a search grown through increasing horizons vs fresh
-#      searches to each of them;
+#      searches to each of them, plus the pseudo-inverse's reach table
+#      vs the linear-scan reference and a grid search at 1024 cases;
 #   6. supervised batch smoke test: the shipped systems under a 2 s
 #      watchdog must come back degraded-not-failed (exit 0), and a
 #      fault-injected batch must exhaust the ladder and exit 4;
@@ -132,6 +133,11 @@ SRTW_PROP_CASES=1024 cargo test -q --release --offline -p srtw-workload --lib \
 # each level: arenas, parents, counters and rbfs, under every path cap.
 SRTW_PROP_CASES=1024 cargo test -q --release --offline -p srtw-workload --lib \
     paths::tests::explorer_grown_vs_fresh
+# Every delay bound goes through β⁻¹: the reach-table lookup must equal the
+# linear scan it replaced and a grid search, on seeded curves with jumps,
+# flat pieces, affine and periodic (also zero-increment) tails.
+SRTW_PROP_CASES=1024 cargo test -q --release --offline -p srtw-minplus --lib \
+    dev::tests::pseudo_inverse_table_matches_scan_and_brute
 # The shipped adversarial system must degrade gracefully under a 1 s wall
 # budget: exit 0, a degradation warning on stderr, "degraded":true in JSON,
 # and no more than 5 s of wall time (post-budget work is bounded too).

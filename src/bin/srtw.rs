@@ -39,10 +39,10 @@
 //! `srtw batch` runs every `.srtw` system of a directory (sorted by file
 //! name) or of a manifest (one path per line, `#` comments, resolved
 //! relative to the manifest) on a pool of `--jobs` supervised workers.
-//! Each job runs on its own thread behind `catch_unwind` under a watchdog
-//! that enforces `--timeout-ms` by hard cancellation, and retries down the
-//! degrade ladder exact → budgeted (halving `--budget-ms`, `--retries`
-//! times) → RTC baseline. Per-job provenance (attempts, rung, degradation
+//! Each job runs behind `catch_unwind` (on its own thread under a watchdog
+//! that enforces `--timeout-ms` by hard cancellation, when given), and
+//! retries down the degrade ladder exact → budgeted (halving
+//! `--budget-ms`, `--retries` times) → RTC baseline. Per-job provenance (attempts, rung, degradation
 //! records, wall time) lands in the batch report. `--fault` injects a
 //! deterministic fault into every attempt (testing the failure paths).
 //!

@@ -122,7 +122,10 @@ fn injected_overflow_fault_is_a_typed_500_and_the_server_survives() {
 #[test]
 fn injected_panic_fault_is_contained_to_a_typed_500() {
     let text = std::fs::read_to_string("systems/decoder.srtw").expect("shipped system");
+    // One worker: every panic is caught on the worker that ran the
+    // analysis, so the same worker must go on serving.
     let server = spawn(ServeConfig {
+        workers: 1,
         fault: Some(FaultPlan::parse("panic@1").unwrap()),
         ..Default::default()
     });
@@ -132,12 +135,15 @@ fn injected_panic_fault_is_contained_to_a_typed_500() {
         assert!(body.contains("\"kind\":\"panic\""), "{body}");
         assert!(body.contains("injected fault"), "{body}");
     }
-    let (status, _, _) = client_roundtrip(&server.addr(), "GET", "/healthz", &[], b"").unwrap();
-    assert_eq!(status, 200);
+    for path in ["/healthz", "/stats"] {
+        let (status, _, body) = client_roundtrip(&server.addr(), "GET", path, &[], b"").unwrap();
+        assert_eq!(status, 200, "{path}: {body:?}");
+    }
     let report = server.shutdown();
     assert_eq!(
-        report.abandoned, 0,
-        "contained panics must not leak threads: {report:?}"
+        (report.respawned, report.abandoned),
+        (0, 0),
+        "contained panics must neither kill the worker nor leak threads: {report:?}"
     );
 }
 
