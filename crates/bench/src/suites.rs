@@ -282,18 +282,34 @@ pub fn parallel_suite(t: &Timer) -> Vec<Sample> {
 /// B7 — service-mode throughput: full TCP round-trips against an
 /// in-process `srtw serve` instance, measuring the service-layer overhead
 /// (request parse, admission, supervised worker, response) on top of the
-/// bare analysis B3 measures.
+/// bare analysis B3 measures. `batch_roundtrip/4_jobs` streams a
+/// journaled `POST /batch` of four copies of the same system; each
+/// iteration's manifest opens with a distinct comment line, so it gets a
+/// journal of its own and runs all four jobs fresh (fsync'd records
+/// included) instead of replaying.
 pub fn server_throughput_suite(t: &Timer) -> Vec<Sample> {
     use srtw_serve::http::client_roundtrip;
     use srtw_serve::{ServeConfig, Server};
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     const SYSTEM: &str = "task dec\nvertex i wcet=4 deadline=30\nvertex p wcet=2\n\
                           edge i p sep=9\nedge p i sep=9\n\
                           task tel\nvertex t wcet=1\nedge t t sep=11\n\
                           server rate-latency rate=1 latency=2\n";
 
+    let dir = std::env::temp_dir().join(format!("srtw-bench-batch-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create the batch bench directory");
+    let manifest: String = (0..4)
+        .map(|i| {
+            let path = dir.join(format!("job-{i}.srtw"));
+            std::fs::write(&path, SYSTEM).expect("write a batch bench system");
+            format!("{}\n", path.display())
+        })
+        .collect();
     let server = Server::spawn(ServeConfig {
         workers: 2,
+        journal: Some(dir.join("batch.journal").display().to_string()),
         ..Default::default()
     })
     .expect("bind an ephemeral port for the throughput bench");
@@ -318,8 +334,18 @@ pub fn server_throughput_suite(t: &Timer) -> Vec<Sample> {
         let (status, _, _) = client_roundtrip(&addr, "POST", "/analyze", &[], b"task\n").unwrap();
         assert_eq!(status, 400);
     }));
+    let seq = AtomicU64::new(0);
+    out.push(t.bench("server_throughput", "batch_roundtrip/4_jobs", || {
+        let body = format!("# {}\n{manifest}", seq.fetch_add(1, Ordering::Relaxed));
+        let (status, _, body) =
+            client_roundtrip(&addr, "POST", "/batch", &[], body.as_bytes()).unwrap();
+        assert_eq!(status, 200);
+        assert!(body.ends_with("\"replayed\":0}}\n"), "{body}");
+        black_box(body);
+    }));
     let report = server.shutdown();
     assert!(report.clean(), "bench server failed to drain: {report:?}");
+    let _ = std::fs::remove_dir_all(&dir);
     out
 }
 
@@ -813,7 +839,7 @@ mod tests {
         assert_eq!(simulation_suite(&t).len(), 6);
         assert_eq!(budgeted_suite(&t).len(), 6);
         assert_eq!(parallel_suite(&t).len(), 4);
-        assert_eq!(server_throughput_suite(&t).len(), 3);
+        assert_eq!(server_throughput_suite(&t).len(), 4);
         assert_eq!(fused_pipeline_suite(&t).len(), 2);
         assert_eq!(server_connections_suite(&t).len(), 3);
         assert_eq!(journal_overhead_suite(&t).len(), 4);

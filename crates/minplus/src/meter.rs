@@ -40,6 +40,13 @@ pub const CLOCK_STRIDE: u32 = 256;
 /// meter degrades exactly like a wall-clock trip: the analysis winds down
 /// at a clean prefix and reports a sound, degraded bound.
 ///
+/// A [`CancelToken::child`] has a flag of its own and reads as cancelled
+/// once its own flag or any ancestor's is raised, while cancelling it
+/// leaves the parent alone. A supervised attempt runs under a child of
+/// the batch-wide token: the watchdog cancels just the attempt, and a
+/// batch-wide cancel reaches every attempt's meter at its next metered
+/// operation, with no thread relaying one flag into the other.
+///
 /// # Examples
 ///
 /// ```
@@ -50,9 +57,23 @@ pub const CLOCK_STRIDE: u32 = 256;
 /// token.cancel();
 /// assert!(!meter.tick_path());
 /// assert_eq!(meter.tripped(), Some(BudgetKind::Cancelled));
+///
+/// let batch = CancelToken::new();
+/// let attempt = batch.child();
+/// attempt.cancel();
+/// assert!(!batch.is_cancelled());
+/// batch.cancel();
+/// assert!(batch.child().is_cancelled());
 /// ```
 #[derive(Debug, Clone, Default)]
-pub struct CancelToken(Arc<AtomicBool>);
+pub struct CancelToken(Arc<Flag>);
+
+/// One token's own flag, and the token whose cancellation it inherits.
+#[derive(Debug, Default)]
+struct Flag {
+    raised: AtomicBool,
+    parent: Option<CancelToken>,
+}
 
 impl CancelToken {
     /// A fresh, not-yet-cancelled token.
@@ -60,19 +81,39 @@ impl CancelToken {
         CancelToken::default()
     }
 
-    /// Raises the flag. Idempotent; safe from any thread.
-    pub fn cancel(&self) {
-        self.0.store(true, Ordering::Release);
+    /// A fresh token that also reads as cancelled once `self` (or any of
+    /// its ancestors) is. Cancelling the child does not cancel `self`.
+    pub fn child(&self) -> CancelToken {
+        CancelToken(Arc::new(Flag {
+            raised: AtomicBool::new(false),
+            parent: Some(self.clone()),
+        }))
     }
 
-    /// `true` once [`CancelToken::cancel`] has been called on any clone.
+    /// Raises this token's flag (and so its children's). Idempotent; safe
+    /// from any thread.
+    pub fn cancel(&self) {
+        self.0.raised.store(true, Ordering::Release);
+    }
+
+    /// `true` once [`CancelToken::cancel`] has been called on any clone of
+    /// this token or of one of its ancestors.
     pub fn is_cancelled(&self) -> bool {
-        self.0.load(Ordering::Acquire)
+        let mut token = self;
+        loop {
+            if token.0.raised.load(Ordering::Acquire) {
+                return true;
+            }
+            match &token.0.parent {
+                Some(parent) => token = parent,
+                None => return false,
+            }
+        }
     }
 }
 
 /// Tokens compare by identity: two tokens are equal iff they share the
-/// same underlying flag.
+/// same underlying flag (a child never equals its parent).
 impl PartialEq for CancelToken {
     fn eq(&self, other: &CancelToken) -> bool {
         Arc::ptr_eq(&self.0, &other.0)
@@ -686,6 +727,44 @@ mod tests {
         let b = a.clone();
         assert_eq!(a, b);
         assert_ne!(a, CancelToken::new());
+        let child = a.child();
+        assert_eq!(child, child.clone());
+        assert_ne!(child, a);
+        assert_ne!(child, a.child());
+    }
+
+    #[test]
+    fn child_trips_when_its_parent_is_cancelled() {
+        let parent = CancelToken::new();
+        let child = parent.child();
+        let grandchild = child.child();
+        assert!(!child.is_cancelled());
+        assert!(!grandchild.is_cancelled());
+        let remote = parent.clone();
+        std::thread::spawn(move || remote.cancel()).join().unwrap();
+        assert!(child.is_cancelled());
+        assert!(grandchild.is_cancelled());
+    }
+
+    #[test]
+    fn cancelling_a_child_leaves_its_parent_alone() {
+        let parent = CancelToken::new();
+        let child = parent.child();
+        let sibling = parent.child();
+        child.cancel();
+        assert!(child.is_cancelled());
+        assert!(!parent.is_cancelled());
+        assert!(!sibling.is_cancelled());
+    }
+
+    #[test]
+    fn meter_holding_a_child_trips_on_the_parents_cancel() {
+        let parent = CancelToken::new();
+        let m = BudgetMeter::new(&Budget::default().with_cancel(parent.child()));
+        assert!(m.tick_path());
+        parent.cancel();
+        assert!(!m.tick_path());
+        assert_eq!(m.tripped(), Some(BudgetKind::Cancelled));
     }
 
     #[test]

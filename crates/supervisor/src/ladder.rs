@@ -35,10 +35,12 @@ pub struct SupervisorConfig {
     pub budget_retries: u32,
     /// Deterministic fault injected into every attempt (testing only).
     pub fault: Option<FaultPlan>,
-    /// External cancellation: when this token is raised (e.g. the batch's
-    /// client disconnected), every in-flight attempt's own watchdog token
-    /// is raised too, so the job winds down cooperatively with a sound,
-    /// degraded result rather than running to completion.
+    /// External cancellation: every attempt runs under a
+    /// [`CancelToken::child`] of this token, so when it is raised (e.g.
+    /// the batch's client disconnected) each in-flight attempt's meter
+    /// trips at its next metered operation and the job winds down
+    /// cooperatively with a sound, degraded result rather than running to
+    /// completion. The watchdog cancels only the attempt's child.
     pub cancel: Option<CancelToken>,
 }
 
@@ -164,29 +166,13 @@ fn strip_output(a: RawAttempt) -> Attempt {
 /// Runs one attempt at one rung behind the shared containment primitive
 /// ([`contain`]), acting as its watchdog when it has a deadline.
 fn run_attempt(spec: &Arc<JobSpec>, rung: Rung, cfg: &SupervisorConfig) -> RawAttempt {
-    let token = CancelToken::new();
+    // A child of the batch-wide token: an external cancel reaches this
+    // attempt's meter directly, while the watchdog cancels only the attempt.
+    let token = cfg.cancel.as_ref().map_or_else(CancelToken::new, CancelToken::child);
     let mut budget = cfg.base_budget(rung).with_cancel(token.clone());
     if let Some(f) = cfg.fault {
         budget = budget.with_fault(f);
     }
-
-    // Bridge an external batch-level cancel into this attempt's own
-    // watchdog token. The budget has a single cancel slot (owned by the
-    // watchdog), so a relay thread polls the external token instead.
-    let relay_done = Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let relay = cfg.cancel.clone().map(|external| {
-        let attempt_token = token.clone();
-        let done = Arc::clone(&relay_done);
-        std::thread::spawn(move || {
-            while !done.load(std::sync::atomic::Ordering::Acquire) {
-                if external.is_cancelled() {
-                    attempt_token.cancel();
-                    return;
-                }
-                std::thread::sleep(Duration::from_millis(5));
-            }
-        })
-    });
 
     let started = Instant::now();
     let job = Arc::clone(spec);
@@ -198,10 +184,6 @@ fn run_attempt(spec: &Arc<JobSpec>, rung: Rung, cfg: &SupervisorConfig) -> RawAt
         move || analyse(&job, rung, budget),
     );
     let wall = started.elapsed();
-    relay_done.store(true, std::sync::atomic::Ordering::Release);
-    if let Some(handle) = relay {
-        let _ = handle.join();
-    }
 
     let (status, degraded, degradations, output) = match contained {
         Contained::HardTimeout => (AttemptStatus::HardTimeout, false, Vec::new(), None),

@@ -12,14 +12,15 @@
 //! Plus the sandwich invariant under failure: whatever the fault, a
 //! completed structural bound is ≥ the exact bound and ≤ the RTC baseline.
 
+use srtw_core::textfmt::parse_system;
 use srtw_core::{fifo_rtc, fifo_structural, AnalysisConfig};
 use srtw_detrand::prop::forall;
 use srtw_detrand::Rng;
 use srtw_gen::{adversarial_coprime, adversarial_deep_chain, adversarial_dense, rescale_utilization};
-use srtw_minplus::{Curve, FaultKind, FaultPlan, Q};
+use srtw_minplus::{BudgetKind, CancelToken, Curve, FaultKind, FaultPlan, Q};
 use srtw_supervisor::{
-    run_batch, run_supervised, AnalysisOutput, AttemptStatus, BatchConfig, BatchCounts,
-    BatchStatus, JobOutcome, JobSpec, JobStatus, Rung, SupervisorConfig,
+    run_batch, run_batch_observed, run_supervised, AnalysisOutput, AttemptStatus, BatchConfig,
+    BatchCounts, BatchStatus, JobOutcome, JobSpec, JobStatus, Rung, SupervisorConfig,
 };
 use std::time::Duration;
 
@@ -151,6 +152,41 @@ fn watchdog_cancellation_winds_a_heavy_job_down_promptly() {
 }
 
 #[test]
+fn external_cancel_reaches_the_running_attempt_through_its_child_token() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../systems/adversarial.srtw");
+    let sys = parse_system(&std::fs::read_to_string(path).unwrap()).unwrap();
+    let beta = sys.server.as_ref().unwrap().beta_lower().unwrap();
+    let job = JobSpec::new("adversarial", sys.tasks, beta);
+    // No watchdog and a 60 s budget: only the external token can end the
+    // exact attempt, which does not finish on its own.
+    let token = CancelToken::new();
+    let cfg = SupervisorConfig {
+        budget_ms: 60_000,
+        cancel: Some(token.clone()),
+        ..Default::default()
+    };
+    let raise = std::thread::spawn(move || {
+        std::thread::sleep(Duration::from_millis(100));
+        token.cancel();
+    });
+    let out = run_supervised(&job, &cfg);
+    raise.join().unwrap();
+    assert!(out.wall < Duration::from_secs(10), "took {:?}", out.wall);
+    assert_eq!(out.status, JobStatus::Degraded);
+    assert_eq!(out.rung, Some(Rung::Exact));
+    let first = &out.attempts[0];
+    assert_eq!(first.status, AttemptStatus::Completed);
+    assert!(
+        first
+            .degradations
+            .iter()
+            .any(|d| d.tripped == BudgetKind::Cancelled),
+        "{:?}",
+        first.degradations
+    );
+}
+
+#[test]
 fn sandwich_invariant_holds_under_injected_trips() {
     fn small_stable(rng: &mut Rng, size: u32) -> (JobSpec, u64) {
         let seed = rng.next_u64();
@@ -247,6 +283,30 @@ fn batch_with_poisoned_jobs_reports_failure_without_panicking() {
     assert_eq!(c.status(), BatchStatus::SomeFailed);
     assert_eq!(c.failed, 2);
     assert_eq!(c.status().as_str(), "some_failed");
+}
+
+/// A panic that escapes a job (here, from the observer) ends only the
+/// worker it hit: the job it held is reported skipped, on the calling
+/// thread (one worker) as on a pool thread (two).
+#[test]
+fn a_panicking_worker_leaves_its_job_skipped() {
+    for (jobs, expected) in [
+        (1, [JobStatus::Exact, JobStatus::Skipped, JobStatus::Skipped]),
+        (2, [JobStatus::Exact, JobStatus::Skipped, JobStatus::Exact]),
+    ] {
+        let specs: Vec<JobSpec> = (0..3).map(|i| small_job(&format!("p{i}"), i)).collect();
+        let cfg = BatchConfig {
+            jobs,
+            ..Default::default()
+        };
+        let report = run_batch_observed(specs, &cfg, &|i, _| {
+            if i == 1 {
+                panic!("observer fault");
+            }
+        });
+        let statuses: Vec<JobStatus> = report.iter().map(|o| o.status).collect();
+        assert_eq!(statuses, expected, "jobs = {jobs}");
+    }
 }
 
 #[test]

@@ -50,7 +50,11 @@
 #  10. durable batch: a journaled 100-job batch SIGKILL'd mid-run must
 #      resume from its journal (>=1 job replayed, not recomputed) with a
 #      final report byte-identical to an uninterrupted run, and a
-#      deterministic torn-write fault must recover the same way;
+#      deterministic torn-write fault must recover the same way; then
+#      a manifest of the shipped systems and the same 100 jobs POSTed
+#      to `srtw serve --journal` must stream one job line per entry with
+#      `"replayed":0`, a re-POST must replay all of them verbatim
+#      (`"replayed":102`), and the server must drain with exit 0;
 #  11. cache + delta smoke test: the same system POSTed twice, then once
 #      more with `X-Deadline-Ms`, must replay the first body verbatim
 #      both times (/stats-confirmed: two hits, one miss),
@@ -500,8 +504,58 @@ if ! diff -q "$jr_dir/clean.json" "$jr_dir/torn-resumed.json" >/dev/null; then
     echo "error: torn-journal resume diverged from the uninterrupted run" >&2
     exit 1
 fi
-rm -rf "$jr_dir" "$resume_err"
-echo "ok: journaled batch survived SIGKILL and a torn write — resume replayed, bytes identical"
+# 10c: the shipped systems and the same 100 jobs over the served route.
+# `srtw serve --journal` runs a POST /batch of the manifest fresh (one job
+# line per entry, nothing replayed), a re-POST replays every line
+# byte-identically from the journal, and the server drains with exit 0.
+ls "$PWD"/systems/*.srtw "$jr_dir"/job-*.srtw >"$jr_dir/manifest.txt"
+jobs=$(wc -l <"$jr_dir/manifest.txt")
+b_out=$(mktemp); b_err=$(mktemp)
+target/release/srtw serve --addr 127.0.0.1:0 --journal "$jr_dir/wal" \
+    >"$b_out" 2>"$b_err" &
+b_pid=$!
+for _ in $(seq 1 100); do
+    grep -q "listening on" "$b_out" && break
+    sleep 0.1
+done
+b_port=$(sed -n 's/.*:\([0-9]*\)$/\1/p' "$b_out")
+if [ -z "$b_port" ]; then
+    echo "error: srtw serve --journal did not report a listening address" >&2
+    kill "$b_pid" 2>/dev/null; exit 1
+fi
+batch_post() { # tag expected-replayed
+    http_req "$b_port" POST /batch "$jr_dir/manifest.txt" >"$jr_dir/$1.http"
+    grep '^{"name"' "$jr_dir/$1.http" >"$jr_dir/$1.lines" || true
+    if [ "$(wc -l <"$jr_dir/$1.lines")" -ne "$jobs" ]; then
+        echo "error: /batch ($1) did not stream one job line per manifest entry" >&2
+        head -c 600 "$jr_dir/$1.http" >&2
+        exit 1
+    fi
+    grep -q "\"replayed\":$2}}" "$jr_dir/$1.http" || {
+        echo "error: /batch ($1) summary does not say \"replayed\":$2" >&2
+        grep '^{"summary"' "$jr_dir/$1.http" >&2
+        exit 1
+    }
+}
+batch_post fresh 0
+batch_post replay "$jobs"
+if ! diff -q "$jr_dir/fresh.lines" "$jr_dir/replay.lines" >/dev/null; then
+    echo "error: the re-POSTed /batch did not replay its job lines verbatim" >&2
+    exit 1
+fi
+http_req "$b_port" POST /shutdown >/dev/null
+set +e
+wait "$b_pid"
+b_rc=$?
+set -e
+if [ "$b_rc" -ne 0 ]; then
+    echo "error: srtw serve --journal exited $b_rc after drain" >&2
+    cat "$b_err" >&2
+    exit 1
+fi
+rm -rf "$jr_dir" "$resume_err" "$b_out" "$b_err"
+echo "ok: journaled batch survived SIGKILL and a torn write — resume replayed, bytes identical;"
+echo "    POST /batch streamed $jobs fresh lines, and its re-POST replayed all $jobs verbatim"
 
 echo "== 11/12 cache + delta smoke test =="
 cache_out=$(mktemp); cache_err=$(mktemp)
