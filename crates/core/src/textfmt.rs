@@ -737,4 +737,24 @@ server rate-latency rate=3/4 latency=2
         assert_eq!(e.kind, ParseErrorKind::CapExceeded);
         assert!(e.message.contains("edges"));
     }
+
+    /// The shipped systems' canonical hashes, pinned: they key the result
+    /// cache and every spilled record, so a change that moves them
+    /// orphans the spill stores written before it.
+    #[test]
+    fn shipped_systems_keep_their_canonical_hashes() {
+        for (text, pinned) in [
+            (
+                include_str!("../../../systems/decoder.srtw"),
+                0x54ce_984e_5021_2d2a_68dc_7c1c_fd3c_c6a8_u128,
+            ),
+            (
+                include_str!("../../../systems/adversarial.srtw"),
+                0xfd88_03a3_4ed5_f075_15ac_ef66_454f_d274,
+            ),
+        ] {
+            let sys = parse_system(text).expect("shipped systems parse");
+            assert_eq!(sys.canonical_form().hash(), pinned);
+        }
+    }
 }

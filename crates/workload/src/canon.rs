@@ -18,11 +18,18 @@
 //! The canonical labelling uses Weisfeiler–Leman colour refinement over
 //! `(WCET, deadline, sorted in/out edge (separation, colour) multisets)`
 //! followed by individualization of ambiguous colour classes with a
-//! bounded branch search (take the lexicographically smallest code over
-//! all branches). On automorphism-rich graphs the branch bound can trip;
-//! the completion then falls back to presentation order, which weakens
-//! *completeness* (an isomorphic copy may canonicalize differently — a
-//! cache miss) but never *soundness*.
+//! branch search (take the lexicographically smallest code over all
+//! branches). A colouring that refinement already makes discrete — most
+//! tasks — is its own single leaf. Symmetric graphs (rings, complete
+//! digraphs, stars) are where the search branches, and two mechanisms
+//! keep them to a few leaves without changing the minimum (see
+//! `Canonicalizer::search`): automorphism pruning, which skips branches
+//! that an automorphism found from two equal leaves maps onto explored
+//! ones, and a single descent below a uniform colouring, whose leaves
+//! are all automorphic. A leaf cap bounds what is left; when it trips
+//! the form is the least code seen so far, which weakens *completeness*
+//! (an isomorphic copy may canonicalize differently — a cache miss) but
+//! never *soundness*.
 
 use crate::digraph::{DrtTask, VertexId};
 use srtw_minplus::Q;
@@ -156,12 +163,26 @@ impl CanonicalForm {
     }
 }
 
-/// Maximum number of completed canonical labellings the individualization
-/// search will explore before falling back to presentation order. The
-/// search only branches inside colour classes WL refinement could not
-/// split — on weighted task graphs those are almost always automorphism
-/// orbits, where every branch yields the same code anyway.
+/// Maximum number of leaves (completed labellings) the
+/// individualization search visits before it settles for the least code
+/// seen so far. Automorphism pruning and the uniform descent (see
+/// [`Canonicalizer::search`]) resolve a ring in at most `1 + log2 n`
+/// leaves (two when its vertices are listed in ring order) and a
+/// complete digraph or a star in one, so the cap only bounds graphs whose
+/// colour classes refinement cannot split and whose branches are not
+/// automorphic.
 const LEAF_CAP: usize = 64;
+
+/// The cells one vertex joins completely, as `(cell, separation)`.
+type Joins = Vec<(usize, Q)>;
+
+/// The first leaf the search reached: the vertices individualized on the
+/// way, its canonical order and its code.
+struct FirstLeaf {
+    path: Vec<usize>,
+    order: Vec<usize>,
+    code: Vec<u64>,
+}
 
 struct Canonicalizer<'a> {
     task: &'a DrtTask,
@@ -170,7 +191,15 @@ struct Canonicalizer<'a> {
     /// In-edges as `(separation, source)` per vertex.
     inn: Vec<Vec<(Q, usize)>>,
     leaves: usize,
+    /// The least code seen, when it is less than the first leaf's.
     best: Option<Vec<u64>>,
+    /// The vertices individualized from the root to the current node.
+    path: Vec<usize>,
+    first: Option<FirstLeaf>,
+    /// Automorphisms found so far, as vertex maps (`g[v]` is `v`'s image).
+    automorphisms: Vec<Vec<usize>>,
+    /// Pending back-jump: unwind to the node at this depth.
+    jump: Option<usize>,
 }
 
 impl<'a> Canonicalizer<'a> {
@@ -190,6 +219,10 @@ impl<'a> Canonicalizer<'a> {
             inn,
             leaves: 0,
             best: None,
+            path: Vec::new(),
+            first: None,
+            automorphisms: Vec::new(),
+            jump: None,
         }
     }
 
@@ -307,65 +340,219 @@ impl<'a> Canonicalizer<'a> {
         Some(order)
     }
 
+    /// The members of the cell the search branches on: the ambiguous
+    /// class with the smallest colour value — a choice depending only on
+    /// colour values, not vertex order — in vertex order.
+    fn target_cell(colors: &[u64]) -> Vec<usize> {
+        let mut sorted = colors.to_vec();
+        sorted.sort_unstable();
+        let target = sorted
+            .windows(2)
+            .find(|w| w[0] == w[1])
+            .expect("non-discrete colouring has a tied class")[0];
+        (0..colors.len()).filter(|&v| colors[v] == target).collect()
+    }
+
+    /// Is the refined colouring uniform: every cell of one (WCET,
+    /// deadline), and every ordered pair of cells, self-loops included,
+    /// either joined completely with one separation or not at all? Then
+    /// every permutation inside the cells is an automorphism, and so is
+    /// every permutation fixing an individualized vertex too: all leaves
+    /// below are automorphic and one descent finds their code.
+    fn is_uniform(&self, colors: &[u64]) -> bool {
+        let mut keys = colors.to_vec();
+        keys.sort_unstable();
+        keys.dedup();
+        let cell: Vec<usize> = colors
+            .iter()
+            .map(|c| keys.binary_search(c).expect("every colour is a key"))
+            .collect();
+        let mut size = vec![0usize; keys.len()];
+        for &c in &cell {
+            size[c] += 1;
+        }
+        // Per cell: its first vertex and that vertex's joins, as
+        // `(target cell, separation)`. A join is complete when it reaches
+        // every other member of the target cell, all at one separation
+        // (tasks have no parallel edges); a self-loop joins cell
+        // `usize::MAX`.
+        let mut first: Vec<Option<(usize, Joins)>> = vec![None; keys.len()];
+        for v in 0..colors.len() {
+            let mut edges: Vec<(usize, Q)> = self.out[v]
+                .iter()
+                .map(|&(sep, to)| (if to == v { usize::MAX } else { cell[to] }, sep))
+                .collect();
+            edges.sort_unstable();
+            let mut joins = Vec::with_capacity(edges.len());
+            for run in edges.chunk_by(|a, b| a.0 == b.0) {
+                let (b, sep) = run[0];
+                let full = match b {
+                    usize::MAX => 1,
+                    _ => size[b] - usize::from(b == cell[v]),
+                };
+                if run.len() != full || run.iter().any(|&(_, s)| s != sep) {
+                    return false;
+                }
+                joins.push((b, sep));
+            }
+            match &first[cell[v]] {
+                None => first[cell[v]] = Some((v, joins)),
+                Some((r, r_joins)) => {
+                    let (r, vid) = (VertexId(*r), VertexId(v));
+                    if *r_joins != joins
+                        || self.task.wcet(r) != self.task.wcet(vid)
+                        || self.task.deadline(r) != self.task.deadline(vid)
+                    {
+                        return false;
+                    }
+                }
+            }
+        }
+        true
+    }
+
     /// Individualization-refinement search for the lexicographically
-    /// smallest code, bounded by [`LEAF_CAP`] leaves.
-    fn search(&mut self, colors: Vec<u64>) {
+    /// smallest code, bounded by [`LEAF_CAP`] leaves. Every node branches
+    /// on the members of [`Self::target_cell`]; the minimum over all
+    /// leaves is the canonical code. Two mechanisms skip subtrees whose
+    /// leaves repeat codes already seen (nauty/Traces, McKay & Piperno
+    /// 2014), so the minimum is the one the full tree would give:
+    ///
+    /// * **Automorphism pruning.** A leaf whose code equals the first
+    ///   leaf's yields the automorphism mapping one order onto the other.
+    ///   A member in the orbit of an explored sibling, under the
+    ///   automorphisms that fix the node's individualized prefix
+    ///   pointwise, roots an image of an explored subtree and is skipped.
+    ///   When that automorphism maps the first path onto the leaf's path,
+    ///   the whole branch where the paths part is such an image, and the
+    ///   search jumps back to the node where they part.
+    /// * **Uniform descent.** Below a uniform node ([`Self::is_uniform`])
+    ///   all leaves are automorphic: only the first member is descended,
+    ///   down to a real leaf. Uniformity is inherited, so it is checked
+    ///   until a node on the path has it.
+    ///
+    /// A discrete colouring is a leaf at once and costs nothing extra.
+    fn search(&mut self, colors: Vec<u64>, uniform: bool) {
         if self.leaves >= LEAF_CAP {
             return;
         }
         if let Some(order) = Self::discrete_order(&colors) {
-            self.leaves += 1;
-            let code = self.code_for(&order);
-            if self.best.as_ref().is_none_or(|b| code < *b) {
-                self.best = Some(code);
-            }
+            self.leaf(order);
             return;
         }
-        // Target the ambiguous class with the smallest colour value —
-        // a choice depending only on colour values, not vertex order.
-        let mut target: Option<u64> = None;
-        for (i, &c) in colors.iter().enumerate() {
-            if colors.iter().enumerate().any(|(j, &d)| j != i && d == c) {
-                target = Some(target.map_or(c, |t: u64| t.min(c)));
-            }
-        }
-        let target = target.expect("non-discrete colouring has a tied class");
-        let members: Vec<usize> = (0..colors.len())
-            .filter(|&v| colors[v] == target)
-            .collect();
-        for v in members {
-            if self.leaves >= LEAF_CAP {
+        let uniform = uniform || self.is_uniform(&colors);
+        let depth = self.path.len();
+        let mut explored: Vec<usize> = Vec::new();
+        // Orbits of the automorphisms fixing `self.path`, over the first
+        // `absorbed` entries of `self.automorphisms`.
+        let mut orbits: Vec<usize> = (0..colors.len()).collect();
+        let mut absorbed = 0;
+        for v in Self::target_cell(&colors) {
+            if self.leaves >= LEAF_CAP || (uniform && !explored.is_empty()) {
                 return;
+            }
+            if !explored.is_empty() {
+                for g in &self.automorphisms[absorbed..] {
+                    if self.path.iter().all(|&p| g[p] == p) {
+                        for (a, &b) in g.iter().enumerate() {
+                            union(&mut orbits, a, b);
+                        }
+                    }
+                }
+                absorbed = self.automorphisms.len();
+                let root = find(&mut orbits, v);
+                if explored.iter().any(|&u| find(&mut orbits, u) == root) {
+                    continue;
+                }
             }
             let mut branch = colors.clone();
             branch[v] = mix64(branch[v] ^ 0x1d1d_1d1d_1d1d_1d1d);
             self.refine(&mut branch);
-            self.search(branch);
+            self.path.push(v);
+            self.search(branch, uniform);
+            self.path.pop();
+            explored.push(v);
+            match self.jump {
+                Some(d) if d < depth => return,
+                Some(_) => self.jump = None,
+                None => {}
+            }
         }
     }
 
-    fn run(mut self) -> CanonicalForm {
+    /// Records a leaf: the first, a new least code, or an automorphism
+    /// when the code equals the first leaf's.
+    fn leaf(&mut self, order: Vec<usize>) {
+        self.leaves += 1;
+        let code = self.code_for(&order);
+        let Some(first) = &self.first else {
+            self.first = Some(FirstLeaf {
+                path: self.path.clone(),
+                order,
+                code,
+            });
+            return;
+        };
+        if code == first.code {
+            let mut gamma = vec![0usize; order.len()];
+            for (&a, &b) in first.order.iter().zip(&order) {
+                gamma[a] = b;
+            }
+            // Depth of the node where this path leaves the first path.
+            let d = first
+                .path
+                .iter()
+                .zip(&self.path)
+                .take_while(|(a, b)| a == b)
+                .count();
+            if self.path[..d].iter().all(|&p| gamma[p] == p) && gamma[first.path[d]] == self.path[d]
+            {
+                self.jump = Some(d);
+            }
+            self.automorphisms.push(gamma);
+        } else if code < *self.best.as_ref().unwrap_or(&first.code) {
+            self.best = Some(code);
+        }
+    }
+
+    fn run(&mut self) -> CanonicalForm {
         let n = self.task.num_vertices();
         if n == 0 {
             return CanonicalForm { code: vec![0] };
         }
         let mut colors = self.initial_colors();
         self.refine(&mut colors);
-        self.search(colors.clone());
-        let code = match self.best.take() {
+        self.search(colors.clone(), false);
+        let least = self.best.take();
+        let code = match least.or_else(|| self.first.take().map(|f| f.code)) {
             Some(code) => code,
             None => {
-                // Branch budget exhausted before any labelling completed
-                // (only possible on pathologically symmetric graphs):
-                // complete by (colour, presentation order). Sound — the
-                // code still fully serializes the graph — merely not
-                // canonical across presentations.
+                // No labelling completed: complete by (colour,
+                // presentation order). Sound — the code still fully
+                // serializes the graph — merely not canonical across
+                // presentations.
                 let mut order: Vec<usize> = (0..n).collect();
                 order.sort_by_key(|&v| (colors[v], v));
                 self.code_for(&order)
             }
         };
         CanonicalForm { code }
+    }
+}
+
+/// Union–find root of `v`, halving the path on the way.
+fn find(parent: &mut [usize], mut v: usize) -> usize {
+    while parent[v] != v {
+        parent[v] = parent[parent[v]];
+        v = parent[v];
+    }
+    v
+}
+
+fn union(parent: &mut [usize], a: usize, b: usize) {
+    let (ra, rb) = (find(parent, a), find(parent, b));
+    if ra != rb {
+        parent[ra.max(rb)] = ra.min(rb);
     }
 }
 
@@ -407,6 +594,7 @@ pub fn combine_forms(mut task_forms: Vec<CanonicalForm>, extra: &[u64]) -> Canon
 mod tests {
     use super::*;
     use crate::digraph::DrtTaskBuilder;
+    use srtw_detrand::Rng;
     use srtw_minplus::q;
 
     fn decoder_like(name: &str, swap: bool) -> DrtTask {
@@ -492,5 +680,382 @@ mod tests {
         let one = combine_forms(vec![t.clone()], &[]);
         let two = combine_forms(vec![t.clone(), t], &[]);
         assert_ne!(one, two);
+    }
+
+    /// The reference: the individualization tree walked in full, without
+    /// the leaf cap or any pruning, each node branching on every member
+    /// of its least tied colour class.
+    fn exhaustive_code(task: &DrtTask) -> Vec<u64> {
+        fn walk(c: &Canonicalizer, colors: Vec<u64>, best: &mut Option<Vec<u64>>) {
+            if let Some(order) = Canonicalizer::discrete_order(&colors) {
+                let code = c.code_for(&order);
+                if best.as_ref().is_none_or(|b| code < *b) {
+                    *best = Some(code);
+                }
+                return;
+            }
+            let mut target: Option<u64> = None;
+            for (i, &c) in colors.iter().enumerate() {
+                if colors.iter().enumerate().any(|(j, &d)| j != i && d == c) {
+                    target = Some(target.map_or(c, |t: u64| t.min(c)));
+                }
+            }
+            let target = target.expect("non-discrete colouring has a tied class");
+            for v in (0..colors.len()).filter(|&v| colors[v] == target) {
+                let mut branch = colors.clone();
+                branch[v] = mix64(branch[v] ^ 0x1d1d_1d1d_1d1d_1d1d);
+                c.refine(&mut branch);
+                walk(c, branch, best);
+            }
+        }
+        let c = Canonicalizer::new(task);
+        let mut colors = c.initial_colors();
+        c.refine(&mut colors);
+        let mut best = None;
+        walk(&c, colors, &mut best);
+        best.expect("the tree has a leaf")
+    }
+
+    /// The form and the number of leaves the search visited.
+    fn form_and_leaves(task: &DrtTask) -> (CanonicalForm, usize) {
+        let mut c = Canonicalizer::new(task);
+        let form = c.run();
+        (form, c.leaves)
+    }
+
+    /// A task as plain data, so the harness can print and shrink it.
+    #[derive(Debug, Clone)]
+    struct Shape {
+        family: &'static str,
+        /// `(wcet, deadline)` per vertex.
+        vertices: Vec<(i128, Option<i128>)>,
+        /// `(from, to, separation)`.
+        edges: Vec<(usize, usize, i128)>,
+    }
+
+    impl Shape {
+        fn new(family: &'static str, n: usize, wcet: i128, deadline: Option<i128>) -> Shape {
+            Shape {
+                family,
+                vertices: vec![(wcet, deadline); n],
+                edges: Vec::new(),
+            }
+        }
+
+        /// Adds `from → to` unless that pair is joined already.
+        fn edge(&mut self, from: usize, to: usize, sep: i128) {
+            if !self.edges.iter().any(|&(f, t, _)| (f, t) == (from, to)) {
+                self.edges.push((from, to, sep));
+            }
+        }
+
+        /// Builds the task with vertex `order[k]` inserted `k`-th, under
+        /// labels `{prefix}{k}`; edges are inserted in the new order too.
+        fn build(&self, order: &[usize], prefix: &str) -> DrtTask {
+            let mut pos = vec![0usize; order.len()];
+            for (k, &old) in order.iter().enumerate() {
+                pos[old] = k;
+            }
+            let mut b = DrtTaskBuilder::new(prefix);
+            let ids: Vec<_> = order
+                .iter()
+                .enumerate()
+                .map(|(k, &old)| match self.vertices[old] {
+                    (w, Some(d)) => {
+                        b.vertex_with_deadline(format!("{prefix}{k}"), Q::int(w), Q::int(d))
+                    }
+                    (w, None) => b.vertex(format!("{prefix}{k}"), Q::int(w)),
+                })
+                .collect();
+            let mut edges: Vec<_> = self
+                .edges
+                .iter()
+                .map(|&(f, t, s)| (pos[f], pos[t], s))
+                .collect();
+            edges.sort_unstable();
+            for (f, t, s) in edges {
+                b.edge(ids[f], ids[t], Q::int(s));
+            }
+            b.build().expect("shapes are valid tasks")
+        }
+
+        fn identity(&self) -> Vec<usize> {
+            (0..self.vertices.len()).collect()
+        }
+    }
+
+    /// A directed ring of `n` identical vertices.
+    fn ring(n: usize, sep: i128) -> Shape {
+        let mut s = Shape::new("ring", n, 2, Some(30));
+        for i in 0..n {
+            s.edge(i, (i + 1) % n, sep);
+        }
+        s
+    }
+
+    /// The complete digraph on `n` identical vertices, no self-loops.
+    fn complete(n: usize, sep: i128) -> Shape {
+        let mut s = Shape::new("complete", n, 3, Some(45));
+        for i in 0..n {
+            for j in (0..n).filter(|&j| j != i) {
+                s.edge(i, j, sep);
+            }
+        }
+        s
+    }
+
+    /// A hub joined both ways to `k` identical leaves.
+    fn star(k: usize) -> Shape {
+        let mut s = Shape::new("star", k + 1, 1, None);
+        s.vertices[0] = (4, Some(40));
+        for leaf in 1..=k {
+            s.edge(0, leaf, 10);
+            s.edge(leaf, 0, 15);
+        }
+        s
+    }
+
+    /// A seeded symmetric shape of at most seven vertices, in one of the
+    /// families WL refinement cannot split: separations come from a
+    /// two-value alphabet so the search really branches.
+    fn symmetric_shape(rng: &mut Rng) -> Shape {
+        let wcet = rng.random_range(1i128..=3);
+        let deadline = rng.random_bool().then_some(wcet * 4);
+        let sep = |rng: &mut Rng| rng.random_range(1i128..=2);
+        match rng.random_range(0u32..7) {
+            0 => {
+                // Ring, one way or both ways.
+                let n = rng.random_range(3usize..=7);
+                let (a, back) = (sep(rng), rng.random_bool().then(|| sep(rng)));
+                let mut s = Shape::new("ring", n, wcet, deadline);
+                for i in 0..n {
+                    s.edge(i, (i + 1) % n, a);
+                    if let Some(b) = back {
+                        s.edge((i + 1) % n, i, b);
+                    }
+                }
+                s
+            }
+            1 => {
+                // Circulant: the ring plus chords of one stride.
+                let n = rng.random_range(4usize..=7);
+                let stride = rng.random_range(2usize..n);
+                let (a, b) = (sep(rng), sep(rng));
+                let mut s = Shape::new("circulant", n, wcet, deadline);
+                for i in 0..n {
+                    s.edge(i, (i + 1) % n, a);
+                    s.edge(i, (i + stride) % n, b);
+                }
+                s
+            }
+            2 => {
+                // Complete digraph: one separation, random ones, or one
+                // that marks the cycles of a permutation (every vertex
+                // then looks alike to refinement, yet the cycles need not
+                // be automorphic); loops on none, all, or some vertices.
+                let n = rng.random_range(2usize..=6);
+                let mode = rng.random_range(0u32..3);
+                let one = sep(rng);
+                let mut successor: Vec<usize> = (0..n).collect();
+                rng.shuffle(&mut successor);
+                let loops = rng.random_range(0u32..3);
+                let mut s = Shape::new("complete", n, wcet, deadline);
+                for (i, &next) in successor.iter().enumerate() {
+                    for j in 0..n {
+                        let join = if i == j {
+                            loops == 1 || (loops == 2 && rng.random_bool())
+                        } else {
+                            true
+                        };
+                        if join {
+                            let sep = match mode {
+                                0 => one,
+                                1 => sep(rng),
+                                _ => 1 + i128::from(next == j),
+                            };
+                            s.edge(i, j, sep);
+                        }
+                    }
+                }
+                s
+            }
+            3 => {
+                // Star with identical leaves.
+                let k = rng.random_range(2usize..=6);
+                let (a, b) = (sep(rng), sep(rng));
+                let mut s = Shape::new("star", k + 1, wcet, deadline);
+                s.vertices[0].0 = wcet + rng.random_range(0i128..=1);
+                for leaf in 1..=k {
+                    s.edge(0, leaf, a);
+                    s.edge(leaf, 0, b);
+                }
+                s
+            }
+            4 => {
+                // Two identical rings joined through one hub.
+                let k = rng.random_range(2usize..=3);
+                let (a, b) = (sep(rng), sep(rng));
+                let mut s = Shape::new("twin_rings", 2 * k + 1, wcet, deadline);
+                for r in 0..2 {
+                    let base = 1 + r * k;
+                    for i in 0..k {
+                        s.edge(base + i, base + (i + 1) % k, a);
+                    }
+                    s.edge(0, base, b);
+                    s.edge(base, 0, b);
+                }
+                s
+            }
+            5 => {
+                // Disjoint directed cycles whose lengths WL cannot tell
+                // apart: every vertex has one in- and one out-edge.
+                let a = sep(rng);
+                let lengths: &[usize] = match rng.random_range(0u32..4) {
+                    0 => &[3, 4],
+                    1 => &[2, 2, 3],
+                    2 => &[3, 3],
+                    _ => &[2, 5],
+                };
+                let mut s = Shape::new("cycles", lengths.iter().sum(), wcet, deadline);
+                let mut base = 0;
+                for &len in lengths {
+                    for i in 0..len {
+                        s.edge(base + i, base + (i + 1) % len, a);
+                    }
+                    base += len;
+                }
+                s
+            }
+            _ => {
+                // Random digraph on identical vertices.
+                let n = rng.random_range(3usize..=7);
+                let mut s = Shape::new("random", n, wcet, deadline);
+                for i in 0..n {
+                    for _ in 0..rng.random_range(1usize..=2) {
+                        let to = rng.random_range(0usize..n);
+                        let sep = sep(rng);
+                        s.edge(i, to, sep);
+                    }
+                }
+                s
+            }
+        }
+    }
+
+    /// On symmetric shapes the pruned search must find exactly the code
+    /// of the full tree, whatever the presentation.
+    #[test]
+    fn pruned_search_matches_exhaustive_reference() {
+        srtw_detrand::prop::forall(
+            "canon_pruned_vs_exhaustive",
+            |rng, _size| {
+                let s = symmetric_shape(rng);
+                let mut perm = s.identity();
+                rng.shuffle(&mut perm);
+                (s, perm)
+            },
+            |(s, perm)| {
+                let base = s.build(&s.identity(), "v");
+                let form = canonical_task_form(&base);
+                let permuted = canonical_task_form(&s.build(perm, "renamed_"));
+                assert_eq!(form, permuted, "the presentation changed the form");
+                assert_eq!(
+                    form.code(),
+                    exhaustive_code(&base),
+                    "the search missed the least code of the full tree"
+                );
+            },
+        );
+    }
+
+    /// The Shrikhande graph beside the complement of a 9-cycle: every
+    /// vertex has six neighbours, so refinement cannot split the root.
+    /// Around an individualized Shrikhande vertex the nine non-neighbours
+    /// form one colour class yet two orbits of its stabilizer, so pruning
+    /// with an automorphism that moves the individualized vertex (one
+    /// found below a co-C9 root) can skip the branches that hold the
+    /// least code. The families of `symmetric_shape` are too small to
+    /// show this: refinement after one individualization finds their
+    /// orbits.
+    fn shrikhande_beside_co_c9() -> Shape {
+        let mut s = Shape::new("shrikhande_co_c9", 25, 1, None);
+        for i in 0..16 {
+            for (a, b) in [(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)] {
+                s.edge(i, (i / 4 + a) % 4 * 4 + (i % 4 + b) % 4, 1);
+            }
+        }
+        for i in 0..9 {
+            for j in (0..9).filter(|&j| !matches!((9 + j - i) % 9, 0 | 1 | 8)) {
+                s.edge(16 + i, 16 + j, 1);
+            }
+        }
+        s
+    }
+
+    #[test]
+    fn pruning_fixes_the_individualized_prefix() {
+        let s = shrikhande_beside_co_c9();
+        let least = exhaustive_code(&s.build(&s.identity(), "v"));
+        let mut rng = Rng::seed_from_u64(9);
+        for _ in 0..16 {
+            let mut order = s.identity();
+            rng.shuffle(&mut order);
+            let form = canonical_task_form(&s.build(&order, "v"));
+            assert_eq!(form.code(), least, "the search missed the least code");
+        }
+    }
+
+    /// Rings and complete digraphs resolve in one or two leaves, never
+    /// through the presentation-order fallback, and rotated or relabelled
+    /// copies give equal forms. A shuffled ring may take more leaves: its
+    /// first two members need not be neighbours, but every further leaf
+    /// at least doubles the automorphism group found, so a ring of `n`
+    /// takes at most `1 + log2 n`.
+    #[test]
+    fn symmetric_families_resolve_in_few_leaves() {
+        let mut rng = Rng::seed_from_u64(28);
+        let mut check = |s: Shape, max_leaves: usize, shuffled_max: usize| {
+            let n = s.vertices.len();
+            let mut rotated = s.identity();
+            rotated.rotate_left(n / 3 + 1);
+            let mut shuffled = s.identity();
+            rng.shuffle(&mut shuffled);
+            let (form, _) = form_and_leaves(&s.build(&s.identity(), "v"));
+            for (order, max) in [
+                (s.identity(), max_leaves),
+                (rotated, max_leaves),
+                (shuffled, shuffled_max),
+            ] {
+                let (other, leaves) = form_and_leaves(&s.build(&order, "relabelled_"));
+                assert!(
+                    (1..=max).contains(&leaves),
+                    "{} of {n} vertices took {leaves} leaves",
+                    s.family
+                );
+                assert_eq!(form, other, "{} of {n} vertices", s.family);
+            }
+        };
+        for n in (8..=64).chain([1024]) {
+            check(ring(n, 7), 2, 1 + n.ilog2() as usize);
+        }
+        for n in 6..=12 {
+            check(complete(n, 5), 1, 1);
+        }
+    }
+
+    /// Pinned hashes of symmetric tasks, as the unpruned search computed
+    /// them: forms key the result cache and the spill store, so a change
+    /// that moves them orphans every spilled record.
+    #[test]
+    fn symmetric_hashes_are_pinned() {
+        for (s, pinned) in [
+            (ring(12, 7), 0x53d9_0833_c2a9_1da0_da50_c47c_8e08_a3f9_u128),
+            (complete(6, 5), 0xcb10_9024_f4ca_b824_a3d8_9d82_42ff_f897),
+            (complete(12, 5), 0x1285_d046_524b_6252_f75a_6b2b_dce9_4516),
+            (star(5), 0x7a90_6126_0320_3688_2b75_ac3f_48ff_8f19),
+        ] {
+            let form = canonical_task_form(&s.build(&s.identity(), "v"));
+            assert_eq!(form.hash(), pinned, "{}", s.family);
+        }
     }
 }

@@ -27,7 +27,10 @@
 #      scaled-integer vs exact-rational instantiation (identical arenas
 #      and rbfs), and a search grown through increasing horizons vs fresh
 #      searches to each of them, plus the pseudo-inverse's reach table
-#      vs the linear-scan reference and a grid search at 1024 cases;
+#      vs the linear-scan reference and a grid search at 1024 cases,
+#      plus the canonical-form search (automorphism pruning, uniform
+#      descent) vs an exhaustive walk of the individualization tree on
+#      symmetric task families at 1024 cases;
 #   6. supervised batch smoke test: the shipped systems under a 2 s
 #      watchdog must come back degraded-not-failed (exit 0), and a
 #      fault-injected batch must exhaust the ladder and exit 4;
@@ -142,6 +145,11 @@ SRTW_PROP_CASES=1024 cargo test -q --release --offline -p srtw-workload --lib \
 # flat pieces, affine and periodic (also zero-increment) tails.
 SRTW_PROP_CASES=1024 cargo test -q --release --offline -p srtw-minplus --lib \
     dev::tests::pseudo_inverse_table_matches_scan_and_brute
+# The pruned canonical-form search must find the least code of the full
+# individualization tree, whatever the presentation, on rings,
+# circulants, complete digraphs, stars, joined and disjoint cycles.
+SRTW_PROP_CASES=1024 cargo test -q --release --offline -p srtw-workload --lib \
+    canon::tests::pruned_search_matches_exhaustive_reference
 # The shipped adversarial system must degrade gracefully under a 1 s wall
 # budget: exit 0, a degradation warning on stderr, "degraded":true in JSON,
 # and no more than 5 s of wall time (post-budget work is bounded too).
