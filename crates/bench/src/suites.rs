@@ -7,10 +7,14 @@
 
 use crate::timing::{Sample, Timer};
 use srtw_core::{
-    busy_window, rtc_delay, structural_delay, structural_delay_with, AnalysisConfig, Budget,
+    busy_window, fifo_analysis, rtc_delay, structural_delay, structural_delay_with, AnalysisConfig,
+    Budget,
 };
-use srtw_gen::{adversarial_dense, generate_drt, rescale_utilization, DrtGenConfig};
+use srtw_gen::{
+    adversarial_dense, generate_drt, generate_task_set, rescale_utilization, DrtGenConfig,
+};
 use srtw_minplus::{q, BudgetMeter, Curve, Q};
+use srtw_resource::{Server, TdmaServer};
 use srtw_sim::{earliest_random_walk, simulate_fifo, ServiceProcess};
 use srtw_workload::{canonical_task_form, explore, DrtTaskBuilder, ExploreConfig, Rbf};
 use std::hint::black_box;
@@ -143,6 +147,18 @@ pub fn structural_suite(t: &Timer) -> Vec<Sample> {
     }));
     out.push(t.bench("structural", "rtc_baseline", || {
         black_box(rtc_delay(&task, &beta).unwrap());
+    }));
+    // Three 40-vertex streams on TDMA: the interference lookups and the
+    // periodic-tail inverse of the per-node loop, which the one-stream
+    // rate-latency rows above never reach.
+    let tasks = generate_task_set(&gen_cfg(40), 3, q(3, 4), 7);
+    let tdma = TdmaServer::new(Q::int(18), Q::int(20), Q::ONE)
+        .unwrap()
+        .beta_lower();
+    let cfg = AnalysisConfig::default();
+    black_box(fifo_analysis(&tasks, &tdma, &cfg).unwrap());
+    out.push(t.bench("structural", "fifo_3x40_tdma", || {
+        black_box(fifo_analysis(&tasks, &tdma, &cfg).unwrap());
     }));
     out
 }
@@ -862,7 +878,7 @@ mod tests {
         let t = Timer::fast();
         assert_eq!(convolution_suite(&t).len(), 10);
         assert_eq!(rbf_suite(&t).len(), 7);
-        assert_eq!(structural_suite(&t).len(), 8);
+        assert_eq!(structural_suite(&t).len(), 9);
         assert_eq!(simulation_suite(&t).len(), 6);
         assert_eq!(budgeted_suite(&t).len(), 6);
         assert_eq!(parallel_suite(&t).len(), 4);

@@ -17,6 +17,17 @@
 //! maximum per final vertex yields **per-job-type** bounds
 //! `delay(v) = max over paths ending at v`.
 //!
+//! # Number domains
+//!
+//! The per-node loop and the RTC breakpoint loop run at one common scale
+//! `L` per request, in checked `i128` (see `scale.rs`): spans, works, the
+//! competing rbf staircases and β's breakpoints are all integers there,
+//! β⁻¹ is an unreduced fraction and candidates compare by
+//! cross-multiplication, without a gcd. Only each vertex's winner becomes
+//! a [`Q`] and a witness path. The same loops instantiated at `Q` run
+//! when an explorer searches in exact rationals, an rbf is truncated, or
+//! `L` or a product overflows — the same values, so the same bytes.
+//!
 //! # Relationship (tested as a theorem)
 //!
 //! `max over v of structural delay(v)  ==  RTC bound`: the rbf envelope's
@@ -42,8 +53,9 @@ use crate::error::AnalysisError;
 use crate::report::{
     BoundQuality, Degradation, DelayAnalysis, Fallback, RtcReport, VertexBound, WitnessPath,
 };
+use crate::scale::Scales;
 use srtw_minplus::{Budget, BudgetMeter, Curve, Ext, Q};
-use srtw_workload::{explore_metered, DrtTask, ExploreConfig, Explorer, Rbf};
+use srtw_workload::{DrtTask, ExploreConfig, Explorer, Rbf};
 use std::time::Instant;
 
 /// Configuration of the structural analysis.
@@ -123,15 +135,18 @@ pub(crate) fn structural_delay_at(
     let result =
         busy_window_metered(std::slice::from_ref(task), beta, &meter).and_then(|mut bw| {
             let mut explorer = bw.explorers.pop().expect("one explorer per task");
+            let scales = Scales::new(&bw, std::slice::from_ref(&explorer), beta);
             let horizon = horizon.unwrap_or(bw.bound);
-            let ceiling = || rtc_report(&bw, beta).map(|rtc| rtc.bound);
+            let ceiling = || rtc_report(&bw, beta, &scales).map(|rtc| rtc.bound);
             analyse_stream(
                 task,
                 &mut explorer,
                 beta,
                 &bw,
                 horizon,
+                0,
                 &[],
+                &scales,
                 &ceiling,
                 cfg,
                 &meter,
@@ -191,9 +206,10 @@ pub fn fifo_analysis(
 ) -> Result<(Vec<DelayAnalysis>, RtcReport), AnalysisError> {
     let meter = BudgetMeter::new(&cfg.budget);
     let result = busy_window_metered(tasks, beta, &meter).and_then(|mut bw| {
-        let rtc = rtc_report(&bw, beta)?;
-        let ceiling = || Ok(rtc.bound);
         let mut explorers = std::mem::take(&mut bw.explorers);
+        let scales = Scales::new(&bw, &explorers, beta);
+        let rtc = rtc_report(&bw, beta, &scales)?;
+        let ceiling = || Ok(rtc.bound);
         let per = (0..tasks.len())
             .map(|i| {
                 let start = Instant::now();
@@ -210,7 +226,9 @@ pub fn fifo_analysis(
                     beta,
                     &bw,
                     bw.bound,
+                    i,
                     &others,
+                    &scales,
                     &ceiling,
                     cfg,
                     &meter,
@@ -237,7 +255,8 @@ pub fn fifo_rtc_with(
     budget: &Budget,
 ) -> Result<RtcReport, AnalysisError> {
     let meter = BudgetMeter::new(budget);
-    let result = busy_window_metered(tasks, beta, &meter).and_then(|bw| rtc_report(&bw, beta));
+    let result = busy_window_metered(tasks, beta, &meter)
+        .and_then(|bw| rtc_report(&bw, beta, &Scales::new(&bw, &bw.explorers, beta)));
     surface_injected_fault(result, &meter)
 }
 
@@ -277,8 +296,9 @@ fn surface_injected_fault<T>(
     }
 }
 
-/// Shared engine: per-vertex structural bounds for `task`, with FIFO
-/// interference from `others` (empty for a dedicated stream).
+/// Shared engine: per-vertex structural bounds for `task`, stream
+/// `stream` of the request, with FIFO interference from `others` (the
+/// request's other rbfs, empty for a dedicated stream).
 ///
 /// Paths are explored up to `horizon` (times the configured fraction),
 /// but the bounds cover the window `W = max(horizon, bw.bound)` (just
@@ -288,7 +308,8 @@ fn surface_injected_fault<T>(
 /// such a result is never labelled exact. Both the paths and the
 /// fallback rbf are read off `explorer`, grown further only where the
 /// fixpoint did not reach; `no_prune` explores its own unpruned arena,
-/// the oracle the pruned one is checked against.
+/// the oracle the pruned one is checked against. The per-node loop runs
+/// in `scales`, which read the same rbfs as `others`.
 #[allow(clippy::too_many_arguments)]
 fn analyse_stream(
     task: &DrtTask,
@@ -296,7 +317,9 @@ fn analyse_stream(
     beta: &Curve,
     bw: &BusyWindow,
     horizon: Q,
+    stream: usize,
     others: &[&Rbf],
+    scales: &Scales<'_>,
     ceiling: &dyn Fn() -> Result<Q, AnalysisError>,
     cfg: &AnalysisConfig,
     meter: &BudgetMeter,
@@ -342,52 +365,61 @@ fn analyse_stream(
         None => horizon,
     };
 
-    let n = task.num_vertices();
-    let mut best: Vec<Option<(Q, usize)>> = vec![None; n];
-
-    let ex = if cfg.no_prune {
-        explore_metered(task, &ExploreConfig::new(span_cap).without_pruning(), meter)
+    let unpruned;
+    let paths = if cfg.no_prune {
+        let mut x = Explorer::new(task, &ExploreConfig::new(span_cap).without_pruning());
+        x.extend_to(span_cap, meter);
+        unpruned = x;
+        unpruned.paths(span_cap)
     } else {
         explorer.extend_to(span_cap, meter);
-        explorer.exploration(span_cap)
+        explorer.paths(span_cap)
     };
-    if let Some(k) = ex.interrupted {
+    if let Some(k) = paths.interrupted {
         degradations.push(Degradation {
             component: format!("exploration('{}')", task.name()),
             tripped: k,
             detail: format!(
                 "abstract paths complete only below span {} (cap {})",
-                ex.complete_span, span_cap
+                paths.complete_span, span_cap
             ),
         });
     }
     // Every enumerated node is a genuine abstract path, so all of them may
     // contribute candidates even on an interrupted run; only the
     // *completeness* claim shrinks to spans strictly below `complete_span`.
-    for (i, node) in ex.nodes().iter().enumerate() {
-        let ahead = node.work + interference(node.span);
-        let d = match beta.pseudo_inverse(ahead) {
-            Ext::Finite(t) => (t - node.span).clamp_nonneg(),
-            Ext::Infinite => return Err(AnalysisError::ServiceSaturated),
-        };
-        let slot = &mut best[node.vertex.index()];
-        if slot.map(|(b, _)| d > b).unwrap_or(true) {
-            *slot = Some((d, i));
-        }
-    }
+    // Only each vertex's winner is unscaled into a witness.
+    let n = task.num_vertices();
+    let best: Vec<Option<(Q, WitnessPath)>> = scales
+        .winners(stream, n, &paths)?
+        .into_iter()
+        .map(|w| {
+            w.map(|(d, idx)| {
+                let node = paths.node(idx);
+                let witness = WitnessPath {
+                    vertices: paths.path_of(idx),
+                    span: node.span,
+                    work: node.work,
+                };
+                (d, witness)
+            })
+        })
+        .collect();
+    let (retained, generated, pruned) = (paths.len(), paths.generated, paths.pruned);
+    let (complete_span, interrupted) = (paths.complete_span, paths.interrupted);
 
     // Demand beyond the exactly-covered span prefix is covered by the
     // arrival-curve abstraction: any path with span δ ≥ exact_cap has work
     // ≤ rbf(δ), so its end job's delay is at most
     // β⁻¹(rbf(δ) + interference(δ)) − δ.
-    let exact_cap = span_cap.min(ex.complete_span);
+    let exact_cap = span_cap.min(complete_span);
     // A budget-degraded fixpoint bound is a coarse over-estimate of the
     // busy window, not a finding the caller's horizon missed.
     let window = match bw.degraded {
         None => horizon.max(bw.bound),
         Some(_) => horizon,
     };
-    let fallback_active = exact_cap < window || ex.interrupted.is_some();
+    let fallback_active = exact_cap < window || interrupted.is_some();
     let mut fallback = Q::ZERO;
     let mut own_truncated = false;
     if fallback_active {
@@ -454,20 +486,9 @@ fn analyse_stream(
 
     let mut per_vertex = Vec::with_capacity(n);
     let mut stream_bound = Q::ZERO;
-    for v in task.vertex_ids() {
-        let (mut bound, witness, mut from_fallback) = match best[v.index()] {
-            Some((d, idx)) => {
-                let node = ex.nodes()[idx];
-                (
-                    d,
-                    Some(WitnessPath {
-                        vertices: ex.path_of(idx),
-                        span: node.span,
-                        work: node.work,
-                    }),
-                    false,
-                )
-            }
+    for (v, found) in task.vertex_ids().zip(best) {
+        let (mut bound, witness, mut from_fallback) = match found {
+            Some((d, witness)) => (d, Some(witness), false),
             None => (Q::ZERO, None, fallback_active),
         };
         if fallback_active && fallback > bound {
@@ -508,9 +529,9 @@ fn analyse_stream(
         stream_bound,
         busy_window: window,
         utilization: bw.utilization,
-        paths_retained: ex.nodes().len(),
-        paths_generated: ex.generated,
-        paths_pruned: ex.pruned,
+        paths_retained: retained,
+        paths_generated: generated,
+        paths_pruned: pruned,
         runtime: start.elapsed(),
         quality,
         degradations,
@@ -543,31 +564,21 @@ fn affine_region_bound(
 
 /// The RTC baseline of the whole multiplex, computed from an
 /// already-materialised busy window: `max over union breakpoint spans s of
-/// β⁻¹(Σ rbf(s)) − s`, extended by the summed coarse affine tails when any
-/// rbf is truncated (the report is then marked degraded). `breakpoints`
-/// counts the union spans inspected.
+/// β⁻¹(Σ rbf(s)) − s` (run in `scales`, which read the same rbfs),
+/// extended by the summed coarse affine tails when any rbf is truncated
+/// (the report is then marked degraded). `breakpoints` counts the union
+/// spans inspected.
 ///
 /// This is both the public RTC bound ([`rtc_delay_with`] /
 /// [`fifo_rtc_with`]) and the fraction-0 *ceiling* the structural analysis
 /// clamps degraded results to — sharing the materialisation pins the
 /// documented sandwich `exact structural ≤ degraded ≤ RTC baseline`.
-fn rtc_report(bw: &BusyWindow, beta: &Curve) -> Result<RtcReport, AnalysisError> {
-    let mut spans: Vec<Q> = bw
-        .rbfs
-        .iter()
-        .flat_map(|r| r.points().iter().map(|p| p.0))
-        .collect();
-    spans.push(Q::ZERO);
-    spans.sort();
-    spans.dedup();
-    let mut bound = Q::ZERO;
-    for &s in &spans {
-        let total = bw.total_rbf(s);
-        match beta.pseudo_inverse(total) {
-            Ext::Finite(t) => bound = bound.max(t - s),
-            Ext::Infinite => return Err(AnalysisError::ServiceSaturated),
-        }
-    }
+fn rtc_report(
+    bw: &BusyWindow,
+    beta: &Curve,
+    scales: &Scales<'_>,
+) -> Result<RtcReport, AnalysisError> {
+    let (mut bound, breakpoints) = scales.rtc()?;
     let degraded = bw
         .degraded
         .or_else(|| bw.rbfs.iter().find_map(|r| r.truncated()));
@@ -595,7 +606,7 @@ fn rtc_report(bw: &BusyWindow, beta: &Curve) -> Result<RtcReport, AnalysisError>
     Ok(RtcReport {
         bound: bound.clamp_nonneg(),
         busy_window: bw.bound,
-        breakpoints: spans.len(),
+        breakpoints,
         quality: match degraded {
             None => BoundQuality::Exact,
             Some(_) => BoundQuality::Degraded {

@@ -127,17 +127,21 @@ pub fn busy_window_metered(
         for x in &mut explorers {
             x.extend_to(level, meter);
         }
-        let rbfs: Vec<Rbf> = explorers.iter().map(|x| x.rbf(level)).collect();
+        // The demand at `level`, read off the searches' staircases; `None`
+        // when a search stopped within `level` (its rbf is truncated).
+        let demand = explorers
+            .iter()
+            .try_fold(Q::ZERO, |a, x| Some(a + x.demand(level)?));
         // Exact iteration on truncated rbfs would chase the continuous
         // affine tail and never attain the fixpoint — switch to the
         // analytic finish as soon as anything trips.
-        if !meter.check_wall() || rbfs.iter().any(|r| r.truncated().is_some()) {
-            return coarse_busy_window(beta, rbfs, explorers, utilization, iterations, meter);
-        }
-        let demand: Q = rbfs
-            .iter()
-            .map(|r| r.eval(level))
-            .fold(Q::ZERO, |a, b| a + b);
+        let demand = match (meter.check_wall(), demand) {
+            (true, Some(d)) => d,
+            _ => {
+                let rbfs = explorers.iter().map(|x| x.rbf(level)).collect();
+                return coarse_busy_window(beta, rbfs, explorers, utilization, iterations, meter);
+            }
+        };
         let next = match beta.pseudo_inverse(demand) {
             Ext::Finite(t) => t,
             Ext::Infinite => return Err(AnalysisError::ServiceSaturated),

@@ -52,6 +52,7 @@ mod error;
 mod fp;
 pub mod json;
 mod report;
+mod scale;
 mod tandem;
 pub mod textfmt;
 

@@ -594,7 +594,7 @@ impl Curve {
     /// tail the last entry is the maximum of the pattern's first
     /// instance. Reaches are non-decreasing (the curve is), so
     /// [`Curve::pseudo_inverse`] binary-searches them.
-    pub(crate) fn reach(&self) -> &[Q] {
+    pub fn reach(&self) -> &[Q] {
         self.reach.get_or_init(|| {
             let pieces = &self.pieces;
             let pattern_end = match self.tail {

@@ -64,7 +64,7 @@ pub use error::WorkloadError;
 pub use models::{
     Frame, MultiframeTask, PeriodicTask, RbNode, RecurringBranchingTask, SporadicTask,
 };
-pub use paths::{explore, explore_metered, ExploreConfig, Exploration, Explorer, PathNode};
+pub use paths::{explore, explore_metered, ExploreConfig, Exploration, Explorer, PathNode, Paths};
 pub use rbf::Rbf;
 pub use trace::{Release, ReleaseTrace};
 pub use utilization::{critical_cycle, long_run_utilization, CriticalCycle};

@@ -103,14 +103,103 @@ impl Exploration {
 
     /// Reconstructs the vertex sequence of the path ending at `node_index`.
     pub fn path_of(&self, node_index: usize) -> Vec<VertexId> {
-        let mut rev = Vec::new();
-        let mut cur = Some(node_index);
-        while let Some(i) = cur {
-            rev.push(self.nodes[i].vertex);
-            cur = self.nodes[i].parent;
+        walk(node_index, |i| (self.nodes[i].vertex, self.nodes[i].parent))
+    }
+}
+
+/// The vertices from the root of an arena to node `last`, where `link`
+/// gives a node's vertex and parent.
+fn walk(last: usize, link: impl Fn(usize) -> (VertexId, Option<usize>)) -> Vec<VertexId> {
+    let mut rev = Vec::new();
+    let mut cur = Some(last);
+    while let Some(i) = cur {
+        let (vertex, parent) = link(i);
+        rev.push(vertex);
+        cur = parent;
+    }
+    rev.reverse();
+    rev
+}
+
+/// An exploration read off an [`Explorer`] without unscaling its arena:
+/// the counters of [`Explorer::exploration`] at once, the nodes one at a
+/// time. A search in scaled integers hands its nodes out as they are
+/// ([`Paths::scaled`]), so a caller that works at a scale of its own
+/// builds a rational [`PathNode`] only for the nodes it keeps.
+#[derive(Debug, Clone, Copy)]
+pub struct Paths<'a> {
+    arena: Arena<'a>,
+    /// Number of candidate nodes generated (before pruning).
+    pub generated: usize,
+    /// Number of candidates discarded by dominance.
+    pub pruned: usize,
+    /// The horizon the paths were read at.
+    pub horizon: Q,
+    /// As [`Exploration::complete_span`].
+    pub complete_span: Q,
+    /// As [`Exploration::interrupted`].
+    pub interrupted: Option<BudgetKind>,
+}
+
+/// The retained nodes of a [`Paths`] read, in the search's weight domain.
+#[derive(Debug, Clone, Copy)]
+enum Arena<'a> {
+    /// Nodes whose weights are scaled by the given `D`.
+    Scaled(i128, &'a [Candidate<i128>]),
+    /// Nodes over exact rationals.
+    Exact(&'a [Candidate<Q>]),
+}
+
+impl<'a> Paths<'a> {
+    /// The number of retained nodes.
+    pub fn len(&self) -> usize {
+        match self.arena {
+            Arena::Scaled(_, n) => n.len(),
+            Arena::Exact(n) => n.len(),
         }
-        rev.reverse();
-        rev
+    }
+
+    /// Whether no node was retained.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The search's scale `D` and every node's `(vertex, D·span, D·work)`
+    /// in arena order, when the search runs in scaled integers; `None`
+    /// in exact rationals.
+    pub fn scaled(&self) -> Option<(i128, impl Iterator<Item = (VertexId, i128, i128)> + 'a)> {
+        match self.arena {
+            Arena::Scaled(d, nodes) => Some((d, nodes.iter().map(|c| (c.vertex, c.span, c.work)))),
+            Arena::Exact(_) => None,
+        }
+    }
+
+    /// Node `i`, unscaled.
+    pub fn node(&self, i: usize) -> PathNode {
+        match self.arena {
+            Arena::Scaled(d, nodes) => nodes[i].unscale(d),
+            Arena::Exact(nodes) => nodes[i].unscale(1),
+        }
+    }
+
+    /// The vertex sequence of the path ending at node `i`.
+    pub fn path_of(&self, i: usize) -> Vec<VertexId> {
+        match self.arena {
+            Arena::Scaled(_, nodes) => walk(i, |k| (nodes[k].vertex, nodes[k].parent)),
+            Arena::Exact(nodes) => walk(i, |k| (nodes[k].vertex, nodes[k].parent)),
+        }
+    }
+
+    /// The read as an owned [`Exploration`], every node unscaled.
+    pub(crate) fn to_exploration(self) -> Exploration {
+        Exploration {
+            nodes: (0..self.len()).map(|i| self.node(i)).collect(),
+            generated: self.generated,
+            pruned: self.pruned,
+            horizon: self.horizon,
+            complete_span: self.complete_span,
+            interrupted: self.interrupted,
+        }
     }
 }
 
@@ -265,8 +354,17 @@ impl Explorer {
 
     /// The exploration to `horizon`, as [`explore_metered`] would return it.
     pub fn exploration(&self, horizon: Q) -> Exploration {
+        self.paths(horizon).to_exploration()
+    }
+
+    /// The exploration to `horizon` as [`Explorer::exploration`] returns
+    /// it, but with the arena left in the search's weight domain.
+    pub fn paths(&self, horizon: Q) -> Paths<'_> {
         self.assert_read(horizon);
-        on_search!(&self.search, s => s.exploration(horizon))
+        match &self.search {
+            Domain::Scaled(s) => s.paths(horizon, |n| Arena::Scaled(s.graph.scale, n)),
+            Domain::Exact(s) => s.paths(horizon, Arena::Exact),
+        }
     }
 
     /// The request-bound function on `[0, horizon]`, as
@@ -275,6 +373,38 @@ impl Explorer {
         self.assert_read(horizon);
         let (points, exact_span, truncated) = on_search!(&self.search, s => s.staircase(horizon));
         Rbf::from_staircase(points, horizon, exact_span, truncated, self.packing)
+    }
+
+    /// `rbf(horizon)`, the largest work of a path within `horizon`, read
+    /// off the staircase without materializing it: equal to
+    /// `self.rbf(horizon).eval(horizon)` when that rbf is exact, and
+    /// `None` when the search stopped within `horizon` (the rbf is
+    /// truncated there).
+    pub fn demand(&self, horizon: Q) -> Option<Q> {
+        self.assert_read(horizon);
+        on_search!(&self.search, s => {
+            let (end, _, truncated) = s.stair_end(horizon);
+            match (truncated, end) {
+                (Some(_), _) => None,
+                (None, 0) => Some(Q::ZERO),
+                (None, end) => Some(s.steps[end - 1].1.unscale(s.graph.scale)),
+            }
+        })
+    }
+
+    /// The rbf staircase on `[0, horizon]` in the search's scaled
+    /// integers: the scale `D` and the breakpoints `(D·span, D·work)`.
+    /// `None` when the search runs in exact rationals, or stopped within
+    /// `horizon` (the rbf is truncated there).
+    pub fn scaled_staircase(&self, horizon: Q) -> Option<(i128, &[(i128, i128)])> {
+        self.assert_read(horizon);
+        match &self.search {
+            Domain::Scaled(s) => match s.stair_end(horizon) {
+                (end, _, None) => Some((s.graph.scale, &s.steps[..end])),
+                (_, _, Some(_)) => None,
+            },
+            Domain::Exact(_) => None,
+        }
     }
 
     fn assert_read(&self, horizon: Q) {
@@ -476,7 +606,12 @@ impl<W: Weight> Search<W> {
         move |w: W| w.unscale(scale) <= horizon
     }
 
-    fn exploration(&self, horizon: Q) -> Exploration {
+    /// The read to `horizon`, its retained nodes wrapped by `arena`.
+    fn paths<'a>(
+        &'a self,
+        horizon: Q,
+        arena: impl FnOnce(&'a [Candidate<W>]) -> Arena<'a>,
+    ) -> Paths<'a> {
         let (within, scale) = (self.within(horizon), self.graph.scale);
         let retained = self.nodes.partition_point(|c| within(c.span));
         let pruned = self.pruned.partition_point(|&s| within(s));
@@ -490,11 +625,8 @@ impl<W: Weight> Search<W> {
             ),
             _ => (horizon, None, 0),
         };
-        Exploration {
-            nodes: self.nodes[..retained]
-                .iter()
-                .map(|c| c.unscale(scale))
-                .collect(),
+        Paths {
+            arena: arena(&self.nodes[..retained]),
             generated: retained + pruned + waiting,
             pruned,
             horizon,
@@ -503,18 +635,25 @@ impl<W: Weight> Search<W> {
         }
     }
 
-    /// The rbf breakpoints to `horizon`, its exact span and truncation:
-    /// past a stop only the spans strictly below it are exact.
-    fn staircase(&self, horizon: Q) -> (Vec<(Q, Q)>, Q, Option<BudgetKind>) {
-        let (within, scale) = (self.within(horizon), self.graph.scale);
-        let (end, exact_span, truncated) = match self.stopped {
+    /// How many staircase breakpoints are exact to `horizon`, the exact
+    /// span and the truncation: past a stop only the spans strictly below
+    /// it are exact.
+    fn stair_end(&self, horizon: Q) -> (usize, Q, Option<BudgetKind>) {
+        let within = self.within(horizon);
+        match self.stopped {
             Some((s, kind)) if within(s) => (
                 self.steps.partition_point(|p| p.0 < s),
-                s.unscale(scale),
+                s.unscale(self.graph.scale),
                 Some(kind),
             ),
             _ => (self.steps.partition_point(|p| within(p.0)), horizon, None),
-        };
+        }
+    }
+
+    /// The rbf breakpoints to `horizon`, its exact span and truncation.
+    fn staircase(&self, horizon: Q) -> (Vec<(Q, Q)>, Q, Option<BudgetKind>) {
+        let (end, exact_span, truncated) = self.stair_end(horizon);
+        let scale = self.graph.scale;
         let points = self.steps[..end]
             .iter()
             .map(|&(s, w)| (s.unscale(scale), w.unscale(scale)))

@@ -136,6 +136,13 @@ SRTW_PROP_CASES=256 cargo test -q --release --offline --test stress
 # the same arena, counters and rbf on every seeded rational task.
 SRTW_PROP_CASES=1024 cargo test -q --release --offline -p srtw-workload --lib \
     paths::tests::scaled_and_exact_explorations_agree
+# The per-node delay loop and the RTC breakpoints run at one request scale
+# in i128 or, as the overflow fallback, in exact rationals: both must give
+# the same per-vertex bounds and witnesses as a plain rational reference,
+# on seeded 1–3-stream systems and rate-latency, TDMA, periodic-resource
+# and rational-slope staircase servers.
+SRTW_PROP_CASES=1024 cargo test -q --release --offline -p srtw-core --lib \
+    scale::tests::scaled_loops_match_rationals_and_the_reference
 # A search grown level by level must read exactly like fresh searches to
 # each level: arenas, parents, counters and rbfs, under every path cap.
 SRTW_PROP_CASES=1024 cargo test -q --release --offline -p srtw-workload --lib \
