@@ -15,6 +15,22 @@
 //! deadlined request that hits gets the exact answer instead of a
 //! possibly degraded recompute.
 //!
+//! **The request index.** A byte-identical re-send parses to the same
+//! system, so it can only ever land on the entry its first hit found.
+//! The first verified canonical hit of a `POST /analyze` therefore
+//! attaches the request body to the entry that answered it (an entry
+//! keeps the first body attached to it), and a small index maps a digest
+//! of those bytes to the entry's canonical key. The server looks a raw
+//! body up there before parsing it: the digest only locates a candidate,
+//! and the body is replayed only when the entry's stored bytes equal it
+//! byte for byte. The bytes are stored once, in the entry, and count in
+//! its size, in [`ResultCache::bytes`] and in the shard's budget; they
+//! leave the index with their entry, whether it is evicted or replaced
+//! (a renamed isomorphic system replaces the entry under the same
+//! canonical key). A miss, an insert and a warm-load attach nothing, so
+//! traffic that never repeats stores no request bytes, and nothing of the
+//! index is spilled.
+//!
 //! Nothing else outlives a request: each analysis explores its streams
 //! afresh, exactly as on the CLI, and `POST /analyze/delta` reads the
 //! cache only through the edited system's own key. An entry warm-loaded
@@ -35,6 +51,11 @@ use std::sync::Mutex;
 /// same shard it was written from.
 pub(crate) const SHARDS: usize = 8;
 
+/// Retained bytes charged for a request-index slot on top of the
+/// attached body: the digest and key in the index map, the digest and
+/// boxed-slice header in the entry.
+const INDEX_SLOT_BYTES: usize = 64;
+
 struct Entry {
     /// Full canonical form, compared on every hit (collision safety).
     form: CanonicalForm,
@@ -44,16 +65,32 @@ struct Entry {
     presentation: u64,
     /// The rendered 200 body, exactly as first sent.
     body: String,
-    /// Approximate retained bytes.
+    /// The request body attached on the entry's first canonical hit, and
+    /// its [`request_digest`] (its key in the request index).
+    request: Option<(u64, Box<[u8]>)>,
+    /// Approximate retained bytes, attached request included.
     bytes: usize,
     /// LRU clock value of the last touch.
     last_used: u64,
 }
 
+/// One shard: its entries and their byte total.
+#[derive(Default)]
+struct Shard {
+    map: HashMap<u128, Entry>,
+    /// Sum of `map`'s entry sizes.
+    used: usize,
+}
+
 /// Sharded, byte-budgeted response cache (see module docs).
 #[derive(Default)]
 pub(crate) struct ResultCache {
-    shards: Vec<Mutex<HashMap<u128, Entry>>>,
+    shards: Vec<Mutex<Shard>>,
+    /// The request index: [`request_digest`] of an attached request body
+    /// → the canonical key of the entry holding those bytes, sharded by
+    /// the digest. A cache shard's lock is always taken before an index
+    /// shard's, and the lookup never holds both.
+    requests: Vec<Mutex<HashMap<u64, u128>>>,
     /// Byte budget per shard (total budget / shard count).
     shard_budget: usize,
     clock: AtomicU64,
@@ -74,12 +111,27 @@ fn entry_bytes(form: &CanonicalForm, body: &str) -> usize {
     body.len() + form.approx_bytes() + 128
 }
 
+/// The request-index key of a body: a word-at-a-time multiplicative hash
+/// (FxHash's mixing step). It only locates a candidate entry; a hit
+/// compares the stored bytes in full.
+fn request_digest(bytes: &[u8]) -> u64 {
+    const K: u64 = 0x517c_c1b7_2722_0a95;
+    let step = |h: u64, w: u64| (h.rotate_left(5) ^ w).wrapping_mul(K);
+    let mut chunks = bytes.chunks_exact(8);
+    let mut h = bytes.len() as u64;
+    for c in &mut chunks {
+        h = step(h, u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
+    }
+    chunks.remainder().iter().fold(h, |h, &b| step(h, b as u64))
+}
+
 impl ResultCache {
     /// A cache spreading `byte_budget` bytes over its shards.
     /// `byte_budget == 0` disables caching entirely.
     pub fn new(byte_budget: usize) -> ResultCache {
         ResultCache {
-            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
+            shards: (0..SHARDS).map(|_| Mutex::default()).collect(),
+            requests: (0..SHARDS).map(|_| Mutex::default()).collect(),
             shard_budget: byte_budget / SHARDS,
             clock: AtomicU64::new(0),
             bytes: AtomicU64::new(0),
@@ -93,8 +145,12 @@ impl ResultCache {
         (canon as usize) & (SHARDS - 1)
     }
 
-    fn shard(&self, canon: u128) -> &Mutex<HashMap<u128, Entry>> {
+    fn shard(&self, canon: u128) -> &Mutex<Shard> {
         &self.shards[ResultCache::shard_index(canon)]
+    }
+
+    fn index(&self, digest: u64) -> &Mutex<HashMap<u64, u128>> {
+        &self.requests[(digest as usize) & (SHARDS - 1)]
     }
 
     fn tick(&self) -> u64 {
@@ -108,18 +164,111 @@ impl ResultCache {
 
     /// Looks up a stored body, verifying both the canonical form and the
     /// presentation digest. A verified hit refreshes LRU recency and
-    /// returns the body byte-identical to the original response.
-    pub fn lookup(&self, canon: u128, form: &CanonicalForm, presentation: u64) -> Option<String> {
+    /// returns the body byte-identical to the original response. With
+    /// `request`, a hit on an entry that has no request attached yet
+    /// attaches those bytes to it (see the module docs), when they fit
+    /// the shard's budget.
+    pub fn lookup(
+        &self,
+        canon: u128,
+        form: &CanonicalForm,
+        presentation: u64,
+        request: Option<&[u8]>,
+    ) -> Option<String> {
         if self.disabled() {
             return None;
         }
         let mut shard = self.shard(canon).lock().unwrap();
-        let entry = shard.get_mut(&canon)?;
+        let entry = shard.map.get_mut(&canon)?;
         if entry.form != *form || entry.presentation != presentation {
             return None;
         }
         entry.last_used = self.tick();
+        let body = entry.body.clone();
+        if let Some(request) = request.filter(|_| entry.request.is_none()) {
+            self.attach(&mut shard, canon, request);
+        }
+        Some(body)
+    }
+
+    /// Attaches `request` to the entry under `canon`, which was just
+    /// touched, evicting other least-recently-used entries of its shard
+    /// to make room: the entry is the shard's most recently used, so it
+    /// would go last, and it fits alone. Attaches nothing when the grown
+    /// entry would not fit the shard at all, or when the request's digest
+    /// already locates another entry (a digest collision: the first
+    /// attachment keeps the slot).
+    fn attach(&self, shard: &mut Shard, canon: u128, request: &[u8]) {
+        let extra = request.len() + INDEX_SLOT_BYTES;
+        if shard.map[&canon].bytes + extra > self.shard_budget {
+            return;
+        }
+        let digest = request_digest(request);
+        {
+            let mut index = self.index(digest).lock().unwrap();
+            if index.contains_key(&digest) {
+                return;
+            }
+            index.insert(digest, canon);
+        }
+        self.make_room(shard, extra);
+        let entry = shard
+            .map
+            .get_mut(&canon)
+            .expect("the entry being attached to");
+        entry.request = Some((digest, request.into()));
+        entry.bytes += extra;
+        shard.used += extra;
+        self.bytes.fetch_add(extra as u64, Ordering::Relaxed);
+    }
+
+    /// Answers a raw `POST /analyze` body from the request index: the
+    /// body of the entry whose attached request equals `request` byte for
+    /// byte, or `None`. A hit refreshes LRU recency like [`Self::lookup`].
+    pub fn lookup_request(&self, request: &[u8]) -> Option<String> {
+        if self.disabled() {
+            return None;
+        }
+        let digest = request_digest(request);
+        let canon = *self.index(digest).lock().unwrap().get(&digest)?;
+        let mut shard = self.shard(canon).lock().unwrap();
+        let entry = shard.map.get_mut(&canon)?;
+        if entry.request.as_ref().map(|(_, bytes)| &**bytes) != Some(request) {
+            return None;
+        }
+        entry.last_used = self.tick();
         Some(entry.body.clone())
+    }
+
+    /// Removes the entry under `canon` from `shard`, its byte total, the
+    /// global gauge and, with its attached request, the request index.
+    fn remove(&self, shard: &mut Shard, canon: u128) {
+        let Some(entry) = shard.map.remove(&canon) else {
+            return;
+        };
+        shard.used -= entry.bytes;
+        self.bytes.fetch_sub(entry.bytes as u64, Ordering::Relaxed);
+        if let Some((digest, _)) = &entry.request {
+            let mut index = self.index(*digest).lock().unwrap();
+            if index.get(digest) == Some(&canon) {
+                index.remove(digest);
+            }
+        }
+    }
+
+    /// Evicts least-recently-used entries of `shard` until `extra` more
+    /// bytes fit its budget.
+    fn make_room(&self, shard: &mut Shard, extra: usize) {
+        while shard.used + extra > self.shard_budget {
+            let victim = shard
+                .map
+                .iter()
+                .min_by_key(|(_, e)| e.last_used)
+                .map(|(k, _)| *k)
+                .expect("over budget implies non-empty shard");
+            self.remove(shard, victim);
+            self.evictions.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     /// Stores a result, evicting least-recently-used entries from the
@@ -142,29 +291,17 @@ impl ResultCache {
             return false;
         }
         let mut shard = self.shard(canon).lock().unwrap();
-        if let Some(old) = shard.remove(&canon) {
-            self.bytes.fetch_sub(old.bytes as u64, Ordering::Relaxed);
-        }
-        let mut used: usize = shard.values().map(|e| e.bytes).sum();
-        while used + bytes > self.shard_budget {
-            let victim = shard
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| *k)
-                .expect("over budget implies non-empty shard");
-            let evicted = shard.remove(&victim).expect("victim exists");
-            used -= evicted.bytes;
-            self.bytes
-                .fetch_sub(evicted.bytes as u64, Ordering::Relaxed);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
+        self.remove(&mut shard, canon);
+        self.make_room(&mut shard, bytes);
+        shard.used += bytes;
         self.bytes.fetch_add(bytes as u64, Ordering::Relaxed);
-        shard.insert(
+        shard.map.insert(
             canon,
             Entry {
                 form,
                 presentation,
                 body,
+                request: None,
                 bytes,
                 last_used: self.tick(),
             },
@@ -202,12 +339,12 @@ mod tests {
         let cache = ResultCache::new(1 << 20);
         let k = form.hash();
         assert!(cache.insert(k, form.clone(), 7, "body\n".into()));
-        assert_eq!(cache.lookup(k, &form, 7).as_deref(), Some("body\n"));
+        assert_eq!(cache.lookup(k, &form, 7, None).as_deref(), Some("body\n"));
         // Same key, different presentation: a miss, not a wrong body.
-        assert!(cache.lookup(k, &form, 8).is_none());
+        assert!(cache.lookup(k, &form, 8, None).is_none());
         // Different form under the same key (a collision): a miss.
         let other = combine_forms(vec![], &[1]);
-        assert!(cache.lookup(k, &other, 7).is_none());
+        assert!(cache.lookup(k, &other, 7, None).is_none());
     }
 
     #[test]
@@ -222,7 +359,7 @@ mod tests {
         assert!(cache.evictions() > 0);
         assert!(cache.bytes() <= (one as u64 + 1) * SHARDS as u64 + SHARDS as u64);
         // The most recent insert in its shard must have survived.
-        assert!(cache.lookup(63, &form, 1).is_some());
+        assert!(cache.lookup(63, &form, 1, None).is_some());
     }
 
     #[test]
@@ -231,7 +368,132 @@ mod tests {
         let cache = ResultCache::new(0);
         let k = form.hash();
         assert!(!cache.insert(k, form.clone(), 1, "b".into()));
-        assert!(cache.lookup(k, &form, 1).is_none());
+        assert!(cache.lookup(k, &form, 1, None).is_none());
         assert_eq!(cache.bytes(), 0);
+    }
+
+    /// Entries in the request index, over all its shards.
+    fn indexed(cache: &ResultCache) -> usize {
+        cache.requests.iter().map(|m| m.lock().unwrap().len()).sum()
+    }
+
+    #[test]
+    fn first_canonical_hit_attaches_the_request() {
+        let form = tiny_form();
+        let cache = ResultCache::new(1 << 20);
+        let k = form.hash();
+        let request = b"task t\nvertex a wcet=2\n".as_slice();
+        assert!(cache.insert(k, form.clone(), 7, "body\n".into()));
+        // An insert attaches nothing.
+        assert!(cache.lookup_request(request).is_none());
+        assert_eq!(
+            cache.lookup(k, &form, 7, Some(request)).as_deref(),
+            Some("body\n")
+        );
+        assert_eq!(cache.lookup_request(request).as_deref(), Some("body\n"));
+        // A later hit with other bytes keeps the first attachment.
+        let other = b"task t\nvertex a  wcet=2\n".as_slice();
+        assert!(cache.lookup(k, &form, 7, Some(other)).is_some());
+        assert!(cache.lookup_request(other).is_none());
+        assert_eq!(indexed(&cache), 1);
+        // A miss attaches nothing either.
+        assert!(cache.lookup(k, &form, 8, Some(other)).is_none());
+        assert!(cache.lookup_request(other).is_none());
+    }
+
+    #[test]
+    fn a_request_with_other_bytes_never_gets_a_stored_body() {
+        const K: u64 = 0x517c_c1b7_2722_0a95;
+        let step = |h: u64, w: u64| (h.rotate_left(5) ^ w).wrapping_mul(K);
+        // Two 16-byte bodies with equal digests: the second word of `b`
+        // cancels the difference the first word made.
+        let (a1, a2, b1) = (0x1111_u64, 0x2222_u64, 0x3333_u64);
+        let (ha, hb) = (step(16, a1), step(16, b1));
+        let b2 = a2 ^ ha.rotate_left(5) ^ hb.rotate_left(5);
+        let a = [a1.to_le_bytes(), a2.to_le_bytes()].concat();
+        let b = [b1.to_le_bytes(), b2.to_le_bytes()].concat();
+        assert_ne!(a, b);
+        assert_eq!(request_digest(&a), request_digest(&b));
+
+        let form = tiny_form();
+        let cache = ResultCache::new(1 << 20);
+        let k = form.hash();
+        assert!(cache.insert(k, form.clone(), 7, "body\n".into()));
+        assert!(cache.lookup(k, &form, 7, Some(&a)).is_some());
+        assert_eq!(cache.lookup_request(&a).as_deref(), Some("body\n"));
+        // Same digest, other bytes: a miss, never the stored body.
+        assert!(cache.lookup_request(&b).is_none());
+        // Prefixes, extensions and one flipped byte miss too.
+        let mut flipped = a.clone();
+        flipped[3] ^= 1;
+        let longer = [a.as_slice(), b"\n".as_slice()].concat();
+        for near in [&a[..15], &longer[..], &flipped[..]] {
+            assert!(cache.lookup_request(near).is_none());
+        }
+    }
+
+    #[test]
+    fn index_entries_leave_with_their_cache_entry() {
+        let form = tiny_form();
+        let k = form.hash();
+        let request = b"request bytes".as_slice();
+
+        // Replaced by a renamed isomorphic system under the same key.
+        let cache = ResultCache::new(1 << 20);
+        cache.insert(k, form.clone(), 7, "first\n".into());
+        cache.lookup(k, &form, 7, Some(request));
+        assert_eq!(indexed(&cache), 1);
+        cache.insert(k, form.clone(), 8, "renamed\n".into());
+        assert_eq!(indexed(&cache), 0);
+        assert!(cache.lookup_request(request).is_none());
+
+        // Evicted under the byte budget: a shard holds one entry.
+        let one = entry_bytes(&form, "b") + request.len() + INDEX_SLOT_BYTES;
+        let cache = ResultCache::new(one * SHARDS);
+        cache.insert(0, form.clone(), 1, "b".into());
+        cache.lookup(0, &form, 1, Some(request));
+        assert_eq!(cache.lookup_request(request).as_deref(), Some("b"));
+        cache.insert(SHARDS as u128, form.clone(), 1, "b".into());
+        assert_eq!(cache.evictions(), 1);
+        assert_eq!(indexed(&cache), 0);
+        assert!(cache.lookup_request(request).is_none());
+    }
+
+    #[test]
+    fn attached_bytes_count_in_the_budget() {
+        let form = tiny_form();
+        let request = vec![b'x'; 1000];
+        let cache = ResultCache::new(1 << 20);
+        cache.insert(0, form.clone(), 1, "b".into());
+        cache.insert(SHARDS as u128, form.clone(), 1, "b".into());
+        let before = cache.bytes();
+        assert_eq!(before, 2 * entry_bytes(&form, "b") as u64);
+        cache.lookup(0, &form, 1, Some(&request));
+        let attached = (request.len() + INDEX_SLOT_BYTES) as u64;
+        assert_eq!(cache.bytes(), before + attached);
+        let shard = cache.shard(0).lock().unwrap();
+        assert_eq!(shard.used as u64, before + attached);
+        assert_eq!(shard.map[&0].bytes as u64, before / 2 + attached);
+        drop(shard);
+
+        // Attaching evicts the shard's least recently used other entry
+        // when the grown entry would not fit beside it.
+        let one = entry_bytes(&form, "b");
+        let cache = ResultCache::new((2 * one + 8) * SHARDS);
+        cache.insert(0, form.clone(), 1, "b".into());
+        cache.insert(SHARDS as u128, form.clone(), 1, "b".into());
+        cache.lookup(0, &form, 1, Some(b"0123456789"));
+        assert_eq!(cache.evictions(), 1);
+        assert!(cache.lookup(SHARDS as u128, &form, 1, None).is_none());
+        assert_eq!(cache.lookup_request(b"0123456789").as_deref(), Some("b"));
+        assert_eq!(cache.bytes(), (one + 10 + INDEX_SLOT_BYTES) as u64);
+
+        // A request that could never fit the shard is not attached.
+        let cache = ResultCache::new((one + 8) * SHARDS);
+        cache.insert(0, form.clone(), 1, "b".into());
+        assert!(cache.lookup(0, &form, 1, Some(&request)).is_some());
+        assert!(cache.lookup_request(&request).is_none());
+        assert_eq!(cache.bytes(), one as u64);
+        assert_eq!(cache.evictions(), 0);
     }
 }

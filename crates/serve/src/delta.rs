@@ -22,7 +22,9 @@
 //! `reused=N;reanalysed=0;full_fallback=false;source=cache` for a hit.
 
 use crate::http::{Request, Response};
-use crate::server::{analyze_system, bad_input, fail, parse_error_response, Shared};
+use crate::server::{
+    analyze_system, bad_input, fail, parse_error_response, request_deadline, Shared,
+};
 use srtw_core::textfmt::{parse_system, ServerSpec, SystemSpec};
 use srtw_core::Json;
 use srtw_minplus::Q;
@@ -357,7 +359,11 @@ pub(crate) fn analyze_delta(shared: &Shared, req: &Request) -> Response {
         }
     };
     let n = system.tasks.len();
-    let (mut resp, cached) = analyze_system(shared, req, system);
+    let deadline_ms = match request_deadline(shared, req) {
+        Ok(ms) => ms,
+        Err(resp) => return resp,
+    };
+    let (mut resp, cached) = analyze_system(shared, system, deadline_ms, None);
     if resp.status == 200 {
         let reuse = if cached {
             format!("reused={n};reanalysed=0;full_fallback=false;source=cache")

@@ -104,6 +104,7 @@ struct Scraped {
     open_conns: u64,
     fds: u64,
     cache_hits: u64,
+    cache_request_hits: u64,
     cache_misses: u64,
     cache_evictions: u64,
     cache_bytes: u64,
@@ -457,6 +458,7 @@ impl Supervisor {
                 total.open_conns += s.open_conns;
                 total.fds += s.fds;
                 total.cache_hits += s.cache_hits;
+                total.cache_request_hits += s.cache_request_hits;
                 total.cache_misses += s.cache_misses;
                 total.cache_evictions += s.cache_evictions;
                 total.cache_bytes += s.cache_bytes;
@@ -478,6 +480,10 @@ impl Supervisor {
                 ("open_conns", Json::Int(s.open_conns as i128)),
                 ("fds", Json::Int(s.fds as i128)),
                 ("cache_hits", Json::Int(s.cache_hits as i128)),
+                (
+                    "cache_request_hits",
+                    Json::Int(s.cache_request_hits as i128),
+                ),
                 ("cache_misses", Json::Int(s.cache_misses as i128)),
                 ("cache_evictions", Json::Int(s.cache_evictions as i128)),
                 ("cache_bytes", Json::Int(s.cache_bytes as i128)),
@@ -511,6 +517,10 @@ impl Supervisor {
                     ("open_conns", Json::Int(total.open_conns as i128)),
                     ("fds", Json::Int(total.fds as i128)),
                     ("cache_hits", Json::Int(total.cache_hits as i128)),
+                    (
+                        "cache_request_hits",
+                        Json::Int(total.cache_request_hits as i128),
+                    ),
                     ("cache_misses", Json::Int(total.cache_misses as i128)),
                     ("cache_evictions", Json::Int(total.cache_evictions as i128)),
                     ("cache_bytes", Json::Int(total.cache_bytes as i128)),
@@ -627,6 +637,7 @@ fn scrape_stats(addr: &SocketAddr) -> Option<Scraped> {
         open_conns: scrape_u64(&body, "open_conns").unwrap_or(0),
         fds: scrape_u64(&body, "fds").unwrap_or(0),
         cache_hits: scrape_u64(&body, "cache_hits").unwrap_or(0),
+        cache_request_hits: scrape_u64(&body, "cache_request_hits").unwrap_or(0),
         cache_misses: scrape_u64(&body, "cache_misses").unwrap_or(0),
         cache_evictions: scrape_u64(&body, "cache_evictions").unwrap_or(0),
         cache_bytes: scrape_u64(&body, "cache_bytes").unwrap_or(0),

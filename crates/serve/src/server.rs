@@ -669,28 +669,56 @@ fn analyze(shared: &Shared, req: &Request) -> Response {
     let Ok(text) = std::str::from_utf8(&req.body) else {
         return bad_input(shared, "request body is not UTF-8", vec![]);
     };
+    let deadline_ms = match request_deadline(shared, req) {
+        Ok(ms) => ms,
+        Err(resp) => return resp,
+    };
+    // The request index (see `cache.rs`): a byte-identical re-send of a
+    // body that already hit is answered before it is parsed. It can only
+    // land where the canonical route below would, so it runs under the
+    // same condition: no fault plan.
+    if shared.cfg.fault.is_none() {
+        if let Some(body) = shared.cache.lookup_request(&req.body) {
+            shared.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
+            shared
+                .stats
+                .cache_request_hits
+                .fetch_add(1, Ordering::Relaxed);
+            shared.stats.completed.fetch_add(1, Ordering::Relaxed);
+            return Response::json(200, body);
+        }
+    }
     match parse_system(text) {
-        Ok(sys) => analyze_system(shared, req, sys).0,
+        Ok(sys) => analyze_system(shared, sys, deadline_ms, Some(&req.body)).0,
         Err(e) => fail(shared, parse_error_response(&e)),
     }
 }
 
+/// The request's `X-Deadline-Ms` in milliseconds (the server default when
+/// absent), or the `400` a malformed value gets.
+pub(crate) fn request_deadline(shared: &Shared, req: &Request) -> Result<Option<u64>, Response> {
+    match req.header("x-deadline-ms") {
+        None => Ok(shared.cfg.default_deadline_ms),
+        Some(v) => v.parse::<u64>().map(Some).map_err(|_| {
+            let message = format!("bad X-Deadline-Ms '{v}': expected milliseconds");
+            bad_input(shared, &message, vec![])
+        }),
+    }
+}
+
 /// The `/analyze` route from a parsed system on, shared with
-/// `POST /analyze/delta` (which hands it the edited system): the
-/// `X-Deadline-Ms` header, the cache lookup, the supervised analysis and
-/// the cache insert. Returns the response and `true` when its body was
+/// `POST /analyze/delta` (which hands it the edited system): the cache
+/// lookup, the supervised analysis under `deadline_ms` and the cache
+/// insert. `request` is the raw `/analyze` body, attached to the entry
+/// on its first verified hit; a delta passes `None`, as its body is an
+/// edit script. Returns the response and `true` when its body was
 /// replayed from the cache.
-pub(crate) fn analyze_system(shared: &Shared, req: &Request, sys: SystemSpec) -> (Response, bool) {
-    let deadline_ms = match req.header("x-deadline-ms") {
-        None => shared.cfg.default_deadline_ms,
-        Some(v) => match v.parse::<u64>() {
-            Ok(ms) => Some(ms),
-            Err(_) => {
-                let message = format!("bad X-Deadline-Ms '{v}': expected milliseconds");
-                return (bad_input(shared, &message, vec![]), false);
-            }
-        },
-    };
+pub(crate) fn analyze_system(
+    shared: &Shared,
+    sys: SystemSpec,
+    deadline_ms: Option<u64>,
+    request: Option<&[u8]>,
+) -> (Response, bool) {
     let beta = match &sys.server {
         None => {
             let message = "the system declares no server (add a 'server …' line)";
@@ -715,7 +743,7 @@ pub(crate) fn analyze_system(shared: &Shared, req: &Request, sys: SystemSpec) ->
     let presentation = sys.presentation_digest();
     let canon = form.hash();
     if cacheable {
-        if let Some(body) = shared.cache.lookup(canon, &form, presentation) {
+        if let Some(body) = shared.cache.lookup(canon, &form, presentation, request) {
             shared.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
             shared.stats.completed.fetch_add(1, Ordering::Relaxed);
             return (Response::json(200, body), true);

@@ -77,6 +77,9 @@ pub struct Stats {
     /// `/analyze` (and `/analyze/delta`) answers replayed from the
     /// content-addressed result cache.
     pub cache_hits: AtomicU64,
+    /// The share of `cache_hits` answered from the request index: a
+    /// byte-identical re-send replayed before it was parsed.
+    pub cache_request_hits: AtomicU64,
     /// Cache-eligible requests that had to run the analysis.
     pub cache_misses: AtomicU64,
     /// Cache entries warm-loaded from the spill store at startup.
@@ -105,6 +108,7 @@ impl Default for Stats {
             batch_jobs: AtomicU64::new(0),
             batch_replayed: AtomicU64::new(0),
             cache_hits: AtomicU64::new(0),
+            cache_request_hits: AtomicU64::new(0),
             cache_misses: AtomicU64::new(0),
             persist_loaded: AtomicU64::new(0),
             persist_stored: AtomicU64::new(0),
@@ -194,6 +198,7 @@ impl Stats {
             ("batch_jobs", count(&self.batch_jobs)),
             ("batch_replayed", count(&self.batch_replayed)),
             ("cache_hits", count(&self.cache_hits)),
+            ("cache_request_hits", count(&self.cache_request_hits)),
             ("cache_misses", count(&self.cache_misses)),
             ("cache_evictions", Json::Int(g.cache_evictions as i128)),
             ("cache_bytes", Json::Int(g.cache_bytes as i128)),
@@ -295,6 +300,7 @@ mod tests {
             "\"batch_jobs\":0",
             "\"batch_replayed\":0",
             "\"cache_hits\":0",
+            "\"cache_request_hits\":0",
             "\"cache_misses\":0",
             "\"cache_evictions\":0",
             "\"cache_bytes\":9",

@@ -590,7 +590,9 @@ fi
 # second and third answers must replay the first's bytes *verbatim* (not
 # merely modulo runtime; the cache key is the canonical hash alone, so a
 # deadline cannot split it) and /stats must record exactly two hits
-# against one miss.
+# against one miss. The second POST attaches its bytes to the entry, so
+# the third is answered from the request index before it is parsed:
+# exactly one request-index hit.
 first=$(http_req "$port" POST /analyze systems/decoder.srtw | tail -1)
 second=$(http_req "$port" POST /analyze systems/decoder.srtw | tail -1)
 if [ "$first" != "$second" ]; then
@@ -610,6 +612,10 @@ esac
 case "$stats" in
     *'"cache_misses":1'*) : ;;
     *) echo "error: /stats miss counter wrong after three identical POSTs: $stats" >&2; exit 1 ;;
+esac
+case "$stats" in
+    *'"cache_request_hits":1'*) : ;;
+    *) echo "error: the third identical POST was not a request-index hit: $stats" >&2; exit 1 ;;
 esac
 # 11b: a delta edit over the warm base must answer byte-identically
 # (modulo runtime_secs) to a cold CLI run of the edited system.

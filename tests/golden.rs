@@ -24,20 +24,31 @@ use std::time::Duration;
 const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/results/golden.tsv");
 
 /// The analysis configurations, in column order: the exact analysis,
-/// half the busy window explored exactly, and a ladder of path budgets
-/// that degrade most bodies.
+/// none, half and three quarters of the busy window explored exactly,
+/// the analysis without dominance pruning, and a ladder of path budgets
+/// that degrade most bodies. Unpruned exploration explodes on a few
+/// 3-stream systems (≈35 s of the debug profile on five of them), so
+/// `no_prune_4k` runs under a 4,000-path budget: 209 of its 218 cells
+/// are exact, the other 9 pin the unpruned route's degraded bodies.
 fn configs() -> Vec<(&'static str, AnalysisConfig)> {
-    let half = AnalysisConfig {
-        horizon_fraction: Some(Q::new(1, 2)),
+    let fraction = |f: Q| AnalysisConfig {
+        horizon_fraction: Some(f),
         ..Default::default()
     };
     let paths = |n: u64| AnalysisConfig {
         budget: Budget::default().with_max_paths(n),
         ..Default::default()
     };
+    let no_prune = AnalysisConfig {
+        no_prune: true,
+        ..paths(4_000)
+    };
     vec![
         ("exact", AnalysisConfig::default()),
-        ("half", half),
+        ("zero", fraction(Q::ZERO)),
+        ("half", fraction(Q::new(1, 2))),
+        ("three_quarters", fraction(Q::new(3, 4))),
+        ("no_prune_4k", no_prune),
         ("paths_1", paths(1)),
         ("paths_8", paths(8)),
         ("paths_64", paths(64)),

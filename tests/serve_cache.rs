@@ -352,3 +352,185 @@ fn zero_cache_budget_disables_caching() {
     assert!(stats.contains("\"cache_bytes\":0"), "{stats}");
     assert!(server.shutdown().clean());
 }
+
+/// `"key":<integer>` out of a `/stats` document.
+fn stat(stats: &str, key: &str) -> u64 {
+    let needle = format!("\"{key}\":");
+    let at = stats
+        .find(&needle)
+        .unwrap_or_else(|| panic!("{key} missing: {stats}"))
+        + needle.len();
+    let digits: String = stats[at..]
+        .chars()
+        .take_while(char::is_ascii_digit)
+        .collect();
+    digits.parse().expect("an integer counter")
+}
+
+/// The first re-send hits through the canonical route and attaches its
+/// bytes to the entry; the next byte-identical re-send is answered from
+/// the request index, with the same bytes.
+#[test]
+fn third_identical_post_is_a_request_index_hit() {
+    let text = decoder();
+    let server = spawn(ServeConfig::default());
+    let (s1, _, first) = post(&server.addr(), "/analyze", &text);
+    let inserted = stat(&get_stats(&server.addr()), "cache_bytes");
+    let (s2, _, second) = post(&server.addr(), "/analyze", &text);
+    let stats = get_stats(&server.addr());
+    assert_eq!(stat(&stats, "cache_request_hits"), 0, "{stats}");
+    // The attached request counts in the cache's bytes.
+    assert!(
+        stat(&stats, "cache_bytes") >= inserted + text.len() as u64,
+        "{stats}"
+    );
+    let (s3, _, third) = post(&server.addr(), "/analyze", &text);
+    assert_eq!((s1, s2, s3), (200, 200, 200), "{first}");
+    assert_eq!(first, second);
+    assert_eq!(
+        first, third,
+        "a request-index hit must replay the original bytes"
+    );
+
+    let stats = get_stats(&server.addr());
+    assert_eq!(stat(&stats, "cache_hits"), 2, "{stats}");
+    assert_eq!(stat(&stats, "cache_request_hits"), 1, "{stats}");
+    assert_eq!(stat(&stats, "cache_misses"), 1, "{stats}");
+    assert_eq!(stat(&stats, "completed"), 3, "{stats}");
+    assert!(server.shutdown().clean());
+}
+
+/// The request index runs after the header is validated: a malformed
+/// `X-Deadline-Ms` on a body the index holds is still a 400.
+#[test]
+fn indexed_body_with_a_malformed_deadline_is_still_a_400() {
+    let text = decoder();
+    let server = spawn(ServeConfig::default());
+    for _ in 0..2 {
+        let (s, _, body) = post(&server.addr(), "/analyze", &text);
+        assert_eq!(s, 200, "{body}");
+    }
+    let (s, _, body) = client_roundtrip(
+        &server.addr(),
+        "POST",
+        "/analyze",
+        &[("X-Deadline-Ms", "soon")],
+        text.as_bytes(),
+    )
+    .expect("round trip");
+    assert_eq!(s, 400, "{body}");
+    assert!(body.contains("X-Deadline-Ms"), "{body}");
+    let stats = get_stats(&server.addr());
+    assert_eq!(stat(&stats, "cache_request_hits"), 0, "{stats}");
+    assert_eq!(stat(&stats, "failed"), 1, "{stats}");
+    // A well-formed one takes the index.
+    let (s, _, _) = client_roundtrip(
+        &server.addr(),
+        "POST",
+        "/analyze",
+        &[("X-Deadline-Ms", "60000")],
+        text.as_bytes(),
+    )
+    .expect("round trip");
+    assert_eq!(s, 200);
+    assert_eq!(stat(&get_stats(&server.addr()), "cache_request_hits"), 1);
+    assert!(server.shutdown().clean());
+}
+
+/// Under a fault plan every request runs the metered analysis: repeats
+/// are neither canonical nor request-index hits.
+#[test]
+fn a_fault_plan_never_takes_the_request_index() {
+    let text = decoder();
+    let server = spawn(ServeConfig {
+        fault: Some(FaultPlan::parse("trip@5").unwrap()),
+        ..ServeConfig::default()
+    });
+    for round in 0..3 {
+        let (s, _, body) = post(&server.addr(), "/analyze", &text);
+        assert_eq!(s, 200, "round {round}: {body}");
+        assert!(body.contains("\"degraded\":true"), "round {round}: {body}");
+    }
+    let stats = get_stats(&server.addr());
+    assert_eq!(stat(&stats, "cache_hits"), 0, "{stats}");
+    assert_eq!(stat(&stats, "cache_request_hits"), 0, "{stats}");
+    assert_eq!(stat(&stats, "degraded"), 3, "{stats}");
+    assert!(server.shutdown().clean());
+}
+
+/// Other bytes of the same presented system — whitespace, comments, the
+/// order of edges leaving different vertices — miss the request index
+/// and hit through the canonical route, with the first body verbatim.
+#[test]
+fn reformatted_resend_hits_through_the_canonical_route() {
+    let text = decoder();
+    let (edge, last) = ("edge I B sep=15\n", "edge P I sep=45\n");
+    for line in [edge, last] {
+        assert!(
+            text.contains(line),
+            "decoder.srtw no longer contains {line:?}"
+        );
+    }
+    let reformatted = format!(
+        "# reformatted\n\n{}",
+        text.replace(edge, "")
+            .replace(last, &format!("{last}  {edge}"))
+            .replace(
+                "vertex P wcet=6 deadline=35",
+                "vertex   P\twcet=6  deadline=35   "
+            )
+            .replace("task telemetry", "# a comment\ntask telemetry")
+    );
+    assert_ne!(reformatted, text);
+    let server = spawn(ServeConfig::default());
+    let (s1, _, first) = post(&server.addr(), "/analyze", &text);
+    let (s2, _, second) = post(&server.addr(), "/analyze", &reformatted);
+    assert_eq!((s1, s2), (200, 200), "{second}");
+    assert_eq!(
+        first, second,
+        "a canonical hit must replay the original bytes"
+    );
+    let stats = get_stats(&server.addr());
+    assert_eq!(stat(&stats, "cache_hits"), 1, "{stats}");
+    assert_eq!(stat(&stats, "cache_request_hits"), 0, "{stats}");
+    assert_eq!(stat(&stats, "cache_misses"), 1, "{stats}");
+    // The reformatted bytes are the ones attached: their re-send takes
+    // the index, the original's takes the canonical route again.
+    let (_, _, third) = post(&server.addr(), "/analyze", &reformatted);
+    let (_, _, fourth) = post(&server.addr(), "/analyze", &text);
+    assert_eq!((&third, &fourth), (&first, &first));
+    let stats = get_stats(&server.addr());
+    assert_eq!(stat(&stats, "cache_hits"), 3, "{stats}");
+    assert_eq!(stat(&stats, "cache_request_hits"), 1, "{stats}");
+    assert!(server.shutdown().clean());
+}
+
+/// A delta hit reads the cache through the edited system's key and
+/// attaches nothing: its body is an edit script, not a system.
+#[test]
+fn delta_hits_never_attach_their_script() {
+    let base = decoder();
+    let edited_text = base.replace("deadline=25", "deadline=24");
+    let delta_body = format!("{base}@delta\ndeadline decoder B 24\n");
+    let server = spawn(ServeConfig::default());
+    let (s0, _, expected) = post(&server.addr(), "/analyze", &edited_text);
+    assert_eq!(s0, 200, "{expected}");
+    let inserted = stat(&get_stats(&server.addr()), "cache_bytes");
+    for _ in 0..2 {
+        let (s, headers, hit) = post(&server.addr(), "/analyze/delta", &delta_body);
+        assert_eq!(s, 200, "{hit}");
+        assert!(
+            header(&headers, "x-delta-reuse").is_some_and(|h| h.ends_with(";source=cache")),
+            "{headers:?}"
+        );
+        assert_eq!(hit, expected);
+    }
+    let stats = get_stats(&server.addr());
+    assert_eq!(stat(&stats, "cache_hits"), 2, "{stats}");
+    assert_eq!(stat(&stats, "cache_bytes"), inserted, "{stats}");
+    // The script's bytes are not a system: `/analyze` rejects them.
+    let (s, _, body) = post(&server.addr(), "/analyze", &delta_body);
+    assert_eq!(s, 400, "{body}");
+    assert_eq!(stat(&get_stats(&server.addr()), "cache_request_hits"), 0);
+    assert!(server.shutdown().clean());
+}
