@@ -16,7 +16,7 @@ use srtw_gen::{
 use srtw_minplus::{q, BudgetMeter, Curve, Q};
 use srtw_resource::{Server, TdmaServer};
 use srtw_sim::{earliest_random_walk, simulate_fifo, ServiceProcess};
-use srtw_workload::{canonical_task_form, explore, DrtTaskBuilder, ExploreConfig, Rbf};
+use srtw_workload::{explore, ExploreConfig, Rbf};
 use std::hint::black_box;
 
 fn gen_cfg(n: usize) -> DrtGenConfig {
@@ -601,7 +601,7 @@ pub fn journal_overhead_suite(t: &Timer) -> Vec<Sample> {
 /// nearly every abstract path — but over a busy window shallow
 /// enough that exact exploration terminates in tens of milliseconds
 /// instead of never. `bump` perturbs one WCET numerator, giving each
-/// cold request a distinct canonical form.
+/// cold request a distinct cache key.
 fn adversarial_class(bump: u64) -> String {
     const DEN: u64 = 10_007;
     let names = ["h0", "h1", "h2", "l3", "l4"];
@@ -644,11 +644,7 @@ const HIT_SPEEDUP: f64 = 10.0;
 /// measurements repeat one body verbatim so every request replays cached
 /// bytes. The suite also asserts that a warm repeat of an
 /// adversarial-class system answers at least `HIT_SPEEDUP`× faster
-/// than the cold path. Its `canon/*` rows time the canonical form every
-/// request computes for its cache key, hit or miss: on a 32-ring and a
-/// 12-vertex complete digraph of identical job types, where the
-/// individualization search branches, and on a random 60-vertex task,
-/// which refinement alone makes discrete.
+/// than the cold path.
 pub fn cache_saturation_suite(t: &Timer) -> Vec<Sample> {
     use srtw_serve::http::client_roundtrip;
     use srtw_serve::{ServeConfig, Server};
@@ -679,7 +675,7 @@ pub fn cache_saturation_suite(t: &Timer) -> Vec<Sample> {
     }
 
     // Monotone counter: every cold request across every measurement (and
-    // its warmup/calibration passes) gets a fresh canonical form.
+    // its warmup/calibration passes) gets a fresh cache key.
     let seq = AtomicU64::new(1);
 
     let mut out = Vec::new();
@@ -741,28 +737,6 @@ pub fn cache_saturation_suite(t: &Timer) -> Vec<Sample> {
         assert!(report.clean(), "bench replica failed to drain: {report:?}");
     }
 
-    let identical = |n: usize, complete: bool| {
-        let mut b = DrtTaskBuilder::new("identical");
-        let ids: Vec<_> = (0..n)
-            .map(|i| b.vertex_with_deadline(format!("v{i}"), q(9, 2), Q::int(45)))
-            .collect();
-        let degree = if complete { n - 1 } else { 1 };
-        for i in 0..n {
-            for k in 1..=degree {
-                b.edge(ids[i], ids[(i + k) % n], Q::int(15));
-            }
-        }
-        b.build().expect("identical-job task is valid")
-    };
-    for (name, task) in [
-        ("canon/ring_32", identical(32, false)),
-        ("canon/clique_12", identical(12, true)),
-        ("canon/random_60", generate_drt(&gen_cfg(60), 11)),
-    ] {
-        out.push(t.bench("cache_saturation", name, || {
-            black_box(canonical_task_form(&task));
-        }));
-    }
     out
 }
 
@@ -886,7 +860,7 @@ mod tests {
         assert_eq!(fused_pipeline_suite(&t).len(), 2);
         assert_eq!(server_connections_suite(&t).len(), 3);
         assert_eq!(journal_overhead_suite(&t).len(), 4);
-        assert_eq!(cache_saturation_suite(&t).len(), 10);
+        assert_eq!(cache_saturation_suite(&t).len(), 7);
         assert_eq!(warm_restart_suite(&t).len(), 4);
     }
 

@@ -38,10 +38,7 @@
 
 use srtw_minplus::{Curve, Q};
 use srtw_resource::{PeriodicResource, RateLatencyServer, Server, TdmaServer};
-use srtw_workload::{
-    canonical_task_form, combine_forms, CanonicalForm, DrtTask, DrtTaskBuilder, StructHasher,
-    VertexId,
-};
+use srtw_workload::{DrtTask, DrtTaskBuilder, VertexId};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -130,104 +127,184 @@ impl ServerSpec {
         })
     }
 
-    /// The server declaration as canonical-hash lanes (variant tag plus
-    /// every parameter, reduced) — the resource-binding component of a
-    /// system's canonical form.
-    pub fn canon_lanes(&self) -> Vec<u64> {
-        fn q_lanes(out: &mut Vec<u64>, q: Q) {
-            out.push(q.numer() as u64);
-            out.push((q.numer() >> 64) as u64);
-            out.push(q.denom() as u64);
-            out.push((q.denom() >> 64) as u64);
-        }
-        let mut out = Vec::with_capacity(13);
+    /// The server declaration as presentation-code lanes: a variant tag,
+    /// then every parameter in declaration order.
+    fn canon_lanes(&self, code: &mut Vec<u64>) {
         match *self {
             ServerSpec::RateLatency { rate, latency } => {
-                out.push(1);
-                q_lanes(&mut out, rate);
-                q_lanes(&mut out, latency);
+                code.push(1);
+                push_q(code, rate);
+                push_q(code, latency);
             }
             ServerSpec::Fluid { rate } => {
-                out.push(2);
-                q_lanes(&mut out, rate);
+                code.push(2);
+                push_q(code, rate);
             }
             ServerSpec::Tdma {
                 slot,
                 cycle,
                 capacity,
             } => {
-                out.push(3);
-                q_lanes(&mut out, slot);
-                q_lanes(&mut out, cycle);
-                q_lanes(&mut out, capacity);
+                code.push(3);
+                push_q(code, slot);
+                push_q(code, cycle);
+                push_q(code, capacity);
             }
             ServerSpec::PeriodicResource { period, budget } => {
-                out.push(4);
-                q_lanes(&mut out, period);
-                q_lanes(&mut out, budget);
+                code.push(4);
+                push_q(code, period);
+                push_q(code, budget);
             }
         }
-        out
+    }
+}
+
+/// Appends an exact rational: its reduced numerator, then its
+/// denominator, each as two `u64` halves.
+fn push_q(code: &mut Vec<u64>, q: Q) {
+    for v in [q.numer(), q.denom()] {
+        code.push(v as u64);
+        code.push((v >> 64) as u64);
+    }
+}
+
+/// Appends a string: its byte length, then its bytes eight to a lane.
+fn push_bytes(code: &mut Vec<u64>, bytes: &[u8]) {
+    code.push(bytes.len() as u64);
+    for chunk in bytes.chunks(8) {
+        let mut lane = [0u8; 8];
+        lane[..chunk.len()].copy_from_slice(chunk);
+        code.push(u64::from_le_bytes(lane));
+    }
+}
+
+/// SplitMix64 finalizer. `std::hash` is not stable across releases, and
+/// cache keys outlive a process in the spill store.
+fn mix64(mut z: u64) -> u64 {
+    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// Two-lane hasher over `u64` lanes with a 128-bit digest, deterministic
+/// across platforms and releases.
+struct StructHasher {
+    lo: u64,
+    hi: u64,
+    count: u64,
+}
+
+impl StructHasher {
+    fn new(tag: u64) -> StructHasher {
+        StructHasher {
+            lo: mix64(tag ^ 0x5274_775f_6c6f_0001),
+            hi: mix64(tag ^ 0x5274_775f_6869_0002),
+            count: 0,
+        }
+    }
+
+    fn absorb(&mut self, v: u64) {
+        self.count = self.count.wrapping_add(1);
+        self.lo = mix64(self.lo ^ v);
+        self.hi = mix64(self.hi.rotate_left(17) ^ v.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+    }
+
+    fn finish(&self) -> u128 {
+        let a = mix64(self.lo ^ self.count);
+        let b = mix64(self.hi ^ self.count.rotate_left(32));
+        ((a as u128) << 64) | b as u128
+    }
+}
+
+/// A parsed system as `u64` lanes in presentation order (see
+/// [`SystemSpec::canonical_form`]). Two codes are equal exactly when the
+/// systems are presented alike: same tasks in the same order, same names
+/// and labels, same numbers. The result cache keys on [`Self::hash`] and
+/// compares the code in full on a hit, so a hash collision is a miss.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PresentationCode {
+    code: Vec<u64>,
+}
+
+impl PresentationCode {
+    /// Rebuilds a code from its lanes, e.g. from a spilled cache entry.
+    /// [`Self::hash`] is recomputed from the lanes, so a caller that
+    /// checks it against a stored key turns a corrupt record into a
+    /// miss.
+    pub fn from_code(code: Vec<u64>) -> PresentationCode {
+        PresentationCode { code }
+    }
+
+    /// The code lanes.
+    pub fn code(&self) -> &[u64] {
+        &self.code
+    }
+
+    /// Approximate heap size of this code in bytes.
+    pub fn approx_bytes(&self) -> usize {
+        self.code.len() * 8 + std::mem::size_of::<PresentationCode>()
+    }
+
+    /// The stable 128-bit hash of the lanes: the cache key.
+    pub fn hash(&self) -> u128 {
+        let mut h = StructHasher::new(0xca40_4f4e);
+        for &lane in &self.code {
+            h.absorb(lane);
+        }
+        h.finish()
     }
 }
 
 impl SystemSpec {
-    /// The canonical form of the whole system: the multiset of per-task
-    /// canonical forms (vertex-order-, label-, name- and
-    /// task-order-insensitive) combined with the server declaration.
+    /// The system's presentation code, built in one pass: the task
+    /// count; per task its name and vertex count; per vertex, in order,
+    /// its label, WCET, deadline (tagged present or absent) and its
+    /// out-edges in order as (target index, separation); then the server
+    /// (tagged present or absent). Strings are length-prefixed and every
+    /// `Q` is its numerator and denominator, so the encoding is
+    /// injective.
     ///
-    /// Form equality implies the two systems are isomorphic — see
-    /// [`srtw_workload::CanonicalForm`] for the soundness argument that
-    /// makes this usable as a content-addressed cache key.
-    pub fn canonical_form(&self) -> CanonicalForm {
-        let forms = self.tasks.iter().map(canonical_task_form).collect();
-        let extra = match &self.server {
-            Some(s) => s.canon_lanes(),
-            None => Vec::new(),
-        };
-        combine_forms(forms, &extra)
-    }
-
-    /// A stable digest of the system's *presentation*: task order and
-    /// names, vertex order and labels, and all semantic content.
-    ///
-    /// Two parses with equal digests produce byte-identical analysis
-    /// documents (modulo `runtime_secs`) — the rendered report carries
-    /// names, labels and indices, so a canonical-form match alone is not
-    /// enough to replay a cached body verbatim.
-    pub fn presentation_digest(&self) -> u64 {
-        let mut h = StructHasher::new(0x9e5e);
-        h.absorb(self.tasks.len() as u64);
+    /// The rendered report names every task and vertex, so a cached body
+    /// can only be replayed to a request presented alike: this code is
+    /// the whole cache identity. The name is kept from the
+    /// isomorphism-invariant form it replaced, for callers outside this
+    /// workspace.
+    pub fn canonical_form(&self) -> PresentationCode {
+        let mut code = vec![self.tasks.len() as u64];
         for task in &self.tasks {
-            h.absorb_bytes(task.name().as_bytes());
-            h.absorb(task.num_vertices() as u64);
+            push_bytes(&mut code, task.name().as_bytes());
+            code.push(task.num_vertices() as u64);
             for v in task.vertex_ids() {
-                h.absorb_bytes(task.vertex(v).label.as_bytes());
-                h.absorb_q(task.wcet(v));
+                push_bytes(&mut code, task.vertex(v).label.as_bytes());
+                push_q(&mut code, task.wcet(v));
                 match task.deadline(v) {
                     Some(d) => {
-                        h.absorb(1);
-                        h.absorb_q(d);
+                        code.push(1);
+                        push_q(&mut code, d);
                     }
-                    None => h.absorb(0),
+                    None => code.push(0),
                 }
-                h.absorb(task.out_edges(v).len() as u64);
+                code.push(task.out_edges(v).len() as u64);
                 for e in task.out_edges(v) {
-                    h.absorb(e.to.index() as u64);
-                    h.absorb_q(e.separation);
+                    code.push(e.to.index() as u64);
+                    push_q(&mut code, e.separation);
                 }
             }
         }
         match &self.server {
             Some(s) => {
-                h.absorb(1);
-                for lane in s.canon_lanes() {
-                    h.absorb(lane);
-                }
+                code.push(1);
+                s.canon_lanes(&mut code);
             }
-            None => h.absorb(0),
+            None => code.push(0),
         }
-        h.finish64()
+        PresentationCode { code }
+    }
+
+    /// The cache key: the hash of [`Self::canonical_form`].
+    pub fn presentation_digest(&self) -> u128 {
+        self.canonical_form().hash()
     }
 }
 
@@ -738,19 +815,136 @@ server rate-latency rate=3/4 latency=2
         assert!(e.message.contains("edges"));
     }
 
-    /// The shipped systems' canonical hashes, pinned: they key the result
+    /// Each single change of a presentation changes both the code and
+    /// its hash; two parses of the same text give equal codes.
+    #[test]
+    fn the_presentation_code_is_injective_on_presentations() {
+        let base_text = include_str!("../../../systems/decoder.srtw");
+        let code = |text: &str| parse_system(text).unwrap().canonical_form();
+        let base = code(base_text);
+        assert_eq!(base, code(base_text));
+        assert_eq!(
+            base.hash(),
+            parse_system(base_text).unwrap().presentation_digest()
+        );
+        let edit = |from: &str, to: &str| {
+            assert!(base_text.contains(from), "decoder.srtw lacks {from:?}");
+            base_text.replacen(from, to, 1)
+        };
+        let at = |line: &str| base_text.find(line).expect("decoder.srtw declares it");
+        let (decoder, telemetry, server) = (
+            &base_text[at("task decoder")..at("task telemetry")],
+            &base_text[at("task telemetry")..at("server")],
+            &base_text[at("server")..],
+        );
+        let cases = [
+            ("task name", edit("task decoder", "task video")),
+            (
+                "vertex label",
+                edit("vertex t ", "vertex u ").replace(" t t ", " u u "),
+            ),
+            (
+                "vertices swapped",
+                edit(
+                    "vertex I wcet=12 deadline=60\nvertex P wcet=6 deadline=35",
+                    "vertex P wcet=6 deadline=35\nvertex I wcet=12 deadline=60",
+                ),
+            ),
+            ("tasks swapped", format!("{telemetry}\n{decoder}{server}")),
+            (
+                "out-edges reordered",
+                edit(
+                    "edge B B sep=15\nedge B P sep=15",
+                    "edge B P sep=15\nedge B B sep=15",
+                ),
+            ),
+            ("wcet", edit("wcet=6", "wcet=7")),
+            (
+                "deadline added",
+                edit("vertex t wcet=1", "vertex t wcet=1 deadline=30"),
+            ),
+            ("deadline removed", edit(" deadline=25", "")),
+            ("deadline changed", edit("deadline=25", "deadline=26")),
+            ("separation", edit("edge P I sep=45", "edge P I sep=46")),
+            ("edge target", edit("edge I B sep=15", "edge I P sep=15")),
+            (
+                "server kind",
+                edit(
+                    "server rate-latency rate=1 latency=2",
+                    "server fluid rate=1",
+                ),
+            ),
+            (
+                "server rate",
+                edit("rate=1 latency=2", "rate=1/2 latency=2"),
+            ),
+            ("server latency", edit("latency=2", "latency=3")),
+            (
+                "server absent",
+                edit("server rate-latency rate=1 latency=2", ""),
+            ),
+        ];
+        let servers = [
+            (
+                "tdma slot",
+                "server tdma slot=2 cycle=5 capacity=1",
+                "server tdma slot=3 cycle=5 capacity=1",
+            ),
+            (
+                "tdma cycle",
+                "server tdma slot=2 cycle=5 capacity=1",
+                "server tdma slot=2 cycle=6 capacity=1",
+            ),
+            (
+                "tdma capacity",
+                "server tdma slot=2 cycle=5 capacity=1",
+                "server tdma slot=2 cycle=5 capacity=2",
+            ),
+            ("fluid rate", "server fluid rate=1", "server fluid rate=2"),
+            (
+                "periodic period",
+                "server periodic-resource period=5 budget=2",
+                "server periodic-resource period=6 budget=2",
+            ),
+            (
+                "periodic budget",
+                "server periodic-resource period=5 budget=2",
+                "server periodic-resource period=5 budget=3",
+            ),
+        ];
+        let with_server = |line: &str| edit("server rate-latency rate=1 latency=2", line);
+        let mut pairs: Vec<(&str, PresentationCode, PresentationCode)> = cases
+            .iter()
+            .map(|(what, text)| (*what, base.clone(), code(text)))
+            .collect();
+        for (what, a, b) in servers {
+            pairs.push((what, code(&with_server(a)), code(&with_server(b))));
+        }
+        // Length prefixes keep a name's bytes from running into a label's.
+        pairs.push((
+            "length-prefix near-collision",
+            code("task ab\nvertex c wcet=1\nedge c c sep=5\n"),
+            code("task a\nvertex bc wcet=1\nedge bc bc sep=5\n"),
+        ));
+        for (what, a, b) in pairs {
+            assert_ne!(a, b, "{what}: equal codes");
+            assert_ne!(a.hash(), b.hash(), "{what}: equal hashes");
+        }
+    }
+
+    /// The shipped systems' cache keys, pinned: they key the result
     /// cache and every spilled record, so a change that moves them
     /// orphans the spill stores written before it.
     #[test]
-    fn shipped_systems_keep_their_canonical_hashes() {
+    fn shipped_systems_keep_their_cache_keys() {
         for (text, pinned) in [
             (
                 include_str!("../../../systems/decoder.srtw"),
-                0x54ce_984e_5021_2d2a_68dc_7c1c_fd3c_c6a8_u128,
+                0xc1e4_c303_62ab_04c4_3bb9_9cc1_803b_8888_u128,
             ),
             (
                 include_str!("../../../systems/adversarial.srtw"),
-                0xfd88_03a3_4ed5_f075_15ac_ef66_454f_d274,
+                0x4a7c_be4e_5a6f_ebf3_edfd_efae_47fd_1975,
             ),
         ] {
             let sys = parse_system(text).expect("shipped systems parse");

@@ -20,24 +20,28 @@
 //! The payload is
 //!
 //! ```text
-//! u64 LE generation | u128 LE canonical hash | u64 LE presentation digest
-//! | u32 LE lane count | lane count × u64 LE canonical code lanes
+//! u64 LE generation | u128 LE cache key
+//! | u32 LE lane count | lane count × u64 LE presentation-code lanes
 //! | u32 LE body length | body bytes (UTF-8, verbatim)
 //! ```
 //!
-//! The canonical hash alone is the cache key: only exact results are
-//! cached, and an exact result depends on neither the request's deadline
-//! nor anything else outside the parsed system. The body is replayed
-//! byte-identically on a warm hit, and the canonical-form lanes let the
-//! loader re-verify the content hash — a corrupt or stale entry can only
-//! *miss*, never lie. Version 1 files (which also carried a deadline
-//! class and a thread count) fail the version check and load cold with
-//! one warning; the writer then recreates them as version 2.
+//! The key is the 128-bit hash of the parsed system's presentation code
+//! (the system as presented: names, labels, order and every number).
+//! Only exact results are cached, and an exact result depends on neither
+//! the request's deadline nor anything else outside the parsed system.
+//! The body is replayed byte-identically on a warm hit, and the code
+//! lanes let the loader re-verify the key — a corrupt or stale entry can
+//! only *miss*, never lie. Files of an earlier version fail the version
+//! check and load cold with one warning each; the writer recreates a
+//! file as the current version when its shard next takes an insert.
+//! Version 1 also carried a deadline class and a thread count; version 2
+//! keyed on an isomorphism-invariant canonical form plus a presentation
+//! digest.
 //!
 //! ## Record policy
 //!
-//! Of several records with one key (canonical hash and presentation
-//! digest), across every file, the latest generation wins. Replicas share
+//! Of several records with one key, across every file, the latest
+//! generation wins. Replicas share
 //! one spill directory: each replica writes only its own shard files
 //! (`r{replica}.s*`), but loads *every* replica's files at startup.
 //! Writes stay shared-nothing (no cross-process file is ever appended by
@@ -65,7 +69,7 @@ use std::sync::Mutex;
 /// Magic bytes opening every spill file.
 pub const SPILL_MAGIC: &[u8; 8] = b"SRTWSPIL";
 /// Current on-disk format version.
-pub const SPILL_VERSION: u32 = 2;
+pub const SPILL_VERSION: u32 = 3;
 /// Header size: magic + version.
 pub const SPILL_HEADER_BYTES: usize = 8 + 4;
 
@@ -139,19 +143,17 @@ impl fmt::Display for PersistError {
     }
 }
 
-/// One spilled cache entry: the cache key, the canonical-form code
-/// lanes (so the loader can re-verify the content hash), and the rendered
+/// One spilled cache entry: the cache key, the presentation-code lanes
+/// (so the loader can re-verify the key), and the rendered
 /// body verbatim (so a warm hit replays byte-identical bytes).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpillRecord {
     /// Monotone per-store insertion counter; the loader replays records
     /// in ascending generation order so LRU recency survives a restart.
     pub generation: u64,
-    /// 128-bit canonical content hash (the cache key).
+    /// The cache key: the 128-bit hash of the presentation code.
     pub canon: u128,
-    /// Presentation digest (names/order) — second verification key.
-    pub presentation: u64,
-    /// The canonical form's code lanes, verbatim.
+    /// The presentation code's lanes, verbatim.
     pub form: Vec<u64>,
     /// The rendered response body, verbatim.
     pub body: String,
@@ -162,7 +164,6 @@ impl SpillRecord {
         let mut out = Vec::with_capacity(64 + self.form.len() * 8 + self.body.len());
         out.extend_from_slice(&self.generation.to_le_bytes());
         out.extend_from_slice(&self.canon.to_le_bytes());
-        out.extend_from_slice(&self.presentation.to_le_bytes());
         out.extend_from_slice(&(self.form.len() as u32).to_le_bytes());
         for lane in &self.form {
             out.extend_from_slice(&lane.to_le_bytes());
@@ -175,7 +176,6 @@ impl SpillRecord {
         let mut cur = Cursor::new(payload);
         let generation = cur.take_u64()?;
         let canon = cur.take_u128()?;
-        let presentation = cur.take_u64()?;
         let lanes = cur.take_u32()? as usize;
         if lanes > framed::MAX_RECORD_BYTES / 8 {
             return None;
@@ -184,7 +184,6 @@ impl SpillRecord {
         let rec = SpillRecord {
             generation,
             canon,
-            presentation,
             form,
             body: cur.take_str()?,
         };
@@ -195,9 +194,9 @@ impl SpillRecord {
 /// What [`load_dir`] salvaged from a spill directory.
 #[derive(Debug, Clone, Default)]
 pub struct SpillLoad {
-    /// Every intact record across all spill files, de-duplicated by
-    /// canonical hash and presentation digest (latest generation wins), sorted ascending by generation
-    /// so replaying them in order reconstructs LRU recency.
+    /// Every intact record across all spill files, de-duplicated by key
+    /// (latest generation wins), sorted ascending by generation so
+    /// replaying them in order reconstructs LRU recency.
     pub records: Vec<SpillRecord>,
     /// Recovery warnings — anything skipped, truncated, or unreadable.
     pub warnings: Vec<LogWarning>,
@@ -225,7 +224,7 @@ pub fn load_dir(dir: &Path) -> SpillLoad {
         .filter(|p| p.extension().is_some_and(|x| x == "spill"))
         .collect();
     paths.sort();
-    let mut best: HashMap<(u128, u64), SpillRecord> = HashMap::new();
+    let mut best: HashMap<u128, SpillRecord> = HashMap::new();
     for path in paths {
         let bytes = match fs::read(&path) {
             Ok(b) => b,
@@ -237,9 +236,11 @@ pub fn load_dir(dir: &Path) -> SpillLoad {
         };
         let items = framed::scan(&path, &bytes, &FORMAT, &mut load.warnings, SpillRecord::decode);
         for (_, rec) in items.into_iter().flatten() {
-            let key = (rec.canon, rec.presentation);
-            if best.get(&key).is_none_or(|have| have.generation < rec.generation) {
-                best.insert(key, rec);
+            if best
+                .get(&rec.canon)
+                .is_none_or(|have| have.generation < rec.generation)
+            {
+                best.insert(rec.canon, rec);
             }
         }
     }
@@ -309,7 +310,6 @@ impl Store {
         &self,
         shard: usize,
         canon: u128,
-        presentation: u64,
         form: &[u64],
         body: &str,
     ) -> Result<(), PersistError> {
@@ -319,7 +319,6 @@ impl Store {
         let rec = SpillRecord {
             generation: self.generation.fetch_add(1, Ordering::Relaxed),
             canon,
-            presentation,
             form: form.to_vec(),
             body: body.to_string(),
         };
@@ -367,7 +366,6 @@ mod tests {
         SpillRecord {
             generation: gen,
             canon,
-            presentation: canon as u64 ^ 0xdead,
             form: vec![1, 2, 3, canon as u64],
             body: body.to_string(),
         }
@@ -376,13 +374,7 @@ mod tests {
     fn append_all(store: &Store, recs: &[SpillRecord]) {
         for r in recs {
             store
-                .append(
-                    (r.canon as usize) & 7,
-                    r.canon,
-                    r.presentation,
-                    &r.form,
-                    &r.body,
-                )
+                .append((r.canon as usize) & 7, r.canon, &r.form, &r.body)
                 .unwrap();
         }
     }
@@ -481,7 +473,6 @@ mod tests {
         let payload = SpillRecord {
             generation: 7,
             canon: (5u128 << 64) | 6,
-            presentation: 8,
             form: vec![9, 10],
             body: "ab".to_string(),
         }
@@ -489,47 +480,49 @@ mod tests {
         let mut expected = Vec::new();
         expected.extend_from_slice(&[7, 0, 0, 0, 0, 0, 0, 0]);
         expected.extend_from_slice(&[6, 0, 0, 0, 0, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0]);
-        expected.extend_from_slice(&[8, 0, 0, 0, 0, 0, 0, 0]);
         expected.extend_from_slice(&[2, 0, 0, 0]);
         expected.extend_from_slice(&[9, 0, 0, 0, 0, 0, 0, 0, 10, 0, 0, 0, 0, 0, 0, 0]);
         expected.extend_from_slice(&[2, 0, 0, 0, b'a', b'b']);
         assert_eq!(payload, expected);
         let rec = SpillRecord::decode(&payload).unwrap();
-        assert_eq!((rec.generation, rec.canon, rec.presentation), (7, (5 << 64) | 6, 8));
+        assert_eq!((rec.generation, rec.canon), (7, (5 << 64) | 6));
         assert_eq!((rec.form, rec.body), (vec![9, 10], "ab".to_string()));
     }
 
     #[test]
-    fn version_one_spill_loads_cold_then_is_rewritten_as_version_two() {
-        let dir = tmpdir("v1");
-        let path = Store::shard_path(&dir, 0, 0);
-        // A version-1 header followed by one intact frame: the frame must
-        // not be read, whatever it holds.
-        let mut old = SPILL_MAGIC.to_vec();
-        old.extend_from_slice(&1u32.to_le_bytes());
-        old.extend_from_slice(&framed::frame(&rec(1, 4, "old\n").encode()));
-        fs::write(&path, &old).unwrap();
-        let load = load_dir(&dir);
-        assert!(load.records.is_empty());
-        assert_eq!(load.warnings.len(), 1, "{:?}", load.warnings);
-        assert_eq!(load.warnings[0].path, path);
-        assert_eq!(load.warnings[0].offset, 0);
-        assert!(load.warnings[0].to_string().starts_with("srtw-persist: "));
-        assert!(load.warnings[0].message.contains("version 1"));
-        // The writer recreates the file under the current header, and a
-        // new append round-trips.
-        let store = Store::open(&dir, 0, 1, 1, None).unwrap();
-        append_all(&store, &[rec(0, 8, "eight\n")]);
-        let bytes = fs::read(&path).unwrap();
-        assert_eq!(&bytes[..8], SPILL_MAGIC);
-        assert_eq!(bytes[8..12], SPILL_VERSION.to_le_bytes());
-        assert_eq!(SPILL_VERSION, 2);
-        let load = load_dir(&dir);
-        fs::remove_dir_all(&dir).unwrap();
-        assert!(load.warnings.is_empty(), "{:?}", load.warnings);
-        assert_eq!(load.records.len(), 1);
-        assert_eq!(load.records[0].canon, 8);
-        assert_eq!(load.records[0].body, "eight\n");
+    fn earlier_version_spills_load_cold_then_are_rewritten_as_current() {
+        assert_eq!(SPILL_VERSION, 3);
+        for version in [1u32, 2] {
+            let dir = tmpdir(&format!("v{version}"));
+            let path = Store::shard_path(&dir, 0, 0);
+            // An earlier header followed by one intact frame: the frame
+            // must not be read, whatever it holds.
+            let mut old = SPILL_MAGIC.to_vec();
+            old.extend_from_slice(&version.to_le_bytes());
+            old.extend_from_slice(&framed::frame(&rec(1, 4, "old\n").encode()));
+            fs::write(&path, &old).unwrap();
+            let load = load_dir(&dir);
+            assert!(load.records.is_empty());
+            assert_eq!(load.warnings.len(), 1, "{:?}", load.warnings);
+            assert_eq!(load.warnings[0].path, path);
+            assert_eq!(load.warnings[0].offset, 0);
+            assert!(load.warnings[0].to_string().starts_with("srtw-persist: "));
+            let message = &load.warnings[0].message;
+            assert!(message.contains(&format!("version {version}")), "{message}");
+            // The writer recreates the file under the current header, and
+            // a new append round-trips.
+            let store = Store::open(&dir, 0, 1, 1, None).unwrap();
+            append_all(&store, &[rec(0, 8, "eight\n")]);
+            let bytes = fs::read(&path).unwrap();
+            assert_eq!(&bytes[..8], SPILL_MAGIC);
+            assert_eq!(bytes[8..12], SPILL_VERSION.to_le_bytes());
+            let load = load_dir(&dir);
+            fs::remove_dir_all(&dir).unwrap();
+            assert!(load.warnings.is_empty(), "{:?}", load.warnings);
+            assert_eq!(load.records.len(), 1);
+            assert_eq!(load.records[0].canon, 8);
+            assert_eq!(load.records[0].body, "eight\n");
+        }
     }
 
     #[test]
@@ -548,12 +541,12 @@ mod tests {
     fn torn_fault_disables_store_and_leaves_recoverable_file() {
         let dir = tmpdir("fault-torn");
         let store = Store::open(&dir, 0, 1, 1, spill_fault(WriteFaultKind::Torn, 2)).unwrap();
-        store.append(0, 1, 11, &[1], "one\n").unwrap();
-        let err = store.append(0, 2, 22, &[2], "two\n").unwrap_err();
+        store.append(0, 1, &[1], "one\n").unwrap();
+        let err = store.append(0, 2, &[2], "two\n").unwrap_err();
         assert_eq!(err.kind, PersistErrorKind::Io);
         assert!(store.disabled());
         // Disabled: further appends are silent no-ops.
-        store.append(0, 3, 33, &[3], "three\n").unwrap();
+        store.append(0, 3, &[3], "three\n").unwrap();
         let load = load_dir(&dir);
         fs::remove_dir_all(&dir).unwrap();
         assert_eq!(load.records.len(), 1);
@@ -565,7 +558,7 @@ mod tests {
     fn enospc_fault_yields_typed_error() {
         let dir = tmpdir("fault-enospc");
         let store = Store::open(&dir, 0, 1, 1, spill_fault(WriteFaultKind::Enospc, 1)).unwrap();
-        let err = store.append(0, 1, 11, &[1], "one\n").unwrap_err();
+        let err = store.append(0, 1, &[1], "one\n").unwrap_err();
         assert_eq!(err.kind, PersistErrorKind::NoSpace);
         assert!(err.to_string().contains("enospc"));
         assert!(store.disabled());
@@ -610,7 +603,7 @@ mod tests {
         let store = Store::open(&dir, 0, 1, next, None).unwrap();
         // Overwrite key 1: must win the dedup because its generation is
         // newer than the loaded one.
-        store.append(0, 1, 1u64 ^ 0xdead, &[9], "newer\n").unwrap();
+        store.append(0, 1, &[9], "newer\n").unwrap();
         let load = load_dir(&dir);
         fs::remove_dir_all(&dir).unwrap();
         let one: Vec<&SpillRecord> = load.records.iter().filter(|r| r.canon == 1).collect();

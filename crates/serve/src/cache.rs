@@ -1,33 +1,33 @@
 //! Content-addressed result caching.
 //!
 //! [`ResultCache`] is a sharded, byte-budgeted, LRU-evicting map from the
-//! 128-bit canonical system hash to the rendered `POST /analyze` response
-//! body. Every hit
-//! **verifies** the stored canonical form and the presentation digest
-//! before replaying — hash collisions and canonicalization incompleteness
-//! degrade to misses, never to wrong bodies (see `srtw_workload::canon`
-//! for the soundness argument). Only exact (non-degraded), fault-free
-//! results are stored: an exact report is a pure function of the parsed
-//! system, so a replayed body is byte-identical to what a cold run would
-//! produce — modulo `runtime_secs`, the document's only nondeterministic
-//! field. A request's deadline is therefore not part of the key: a
-//! deadline that never tripped leaves no trace in an exact body, and a
-//! deadlined request that hits gets the exact answer instead of a
-//! possibly degraded recompute.
+//! 128-bit hash of a parsed system's presentation code
+//! (`SystemSpec::canonical_form`) to the rendered `POST /analyze`
+//! response body. The code is the system as presented — names, labels,
+//! order and every number — because the rendered body names every task
+//! and vertex. Every hit **verifies** the stored code in full before
+//! replaying, so a hash collision degrades to a miss, never to a wrong
+//! body. Only exact (non-degraded), fault-free results are stored: an
+//! exact report is a pure function of the parsed system, so a replayed
+//! body is byte-identical to what a cold run would produce — modulo
+//! `runtime_secs`, the document's only nondeterministic field. A
+//! request's deadline is therefore not part of the key: a deadline that
+//! never tripped leaves no trace in an exact body, and a deadlined
+//! request that hits gets the exact answer instead of a possibly
+//! degraded recompute.
 //!
 //! **The request index.** A byte-identical re-send parses to the same
 //! system, so it can only ever land on the entry its first hit found.
-//! The first verified canonical hit of a `POST /analyze` therefore
-//! attaches the request body to the entry that answered it (an entry
-//! keeps the first body attached to it), and a small index maps a digest
-//! of those bytes to the entry's canonical key. The server looks a raw
-//! body up there before parsing it: the digest only locates a candidate,
-//! and the body is replayed only when the entry's stored bytes equal it
-//! byte for byte. The bytes are stored once, in the entry, and count in
-//! its size, in [`ResultCache::bytes`] and in the shard's budget; they
-//! leave the index with their entry, whether it is evicted or replaced
-//! (a renamed isomorphic system replaces the entry under the same
-//! canonical key). A miss, an insert and a warm-load attach nothing, so
+//! The first verified hit of a `POST /analyze` therefore attaches the
+//! request body to the entry that answered it (an entry keeps the first
+//! body attached to it), and a small index maps a digest of those bytes
+//! to the entry's key. The server looks a raw body up there before
+//! parsing it: the digest only locates a candidate, and the body is
+//! replayed only when the entry's stored bytes equal it byte for byte.
+//! The bytes are stored once, in the entry, and count in its size, in
+//! [`ResultCache::bytes`] and in the shard's budget; they leave the
+//! index with their entry, whether it is evicted or re-inserted under
+//! the same key. A miss, an insert and a warm-load attach nothing, so
 //! traffic that never repeats stores no request bytes, and nothing of the
 //! index is spilled.
 //!
@@ -40,14 +40,14 @@
 //! independent cache (documented in the README); the parent aggregates
 //! the per-replica counters in `/stats`.
 
-use srtw_workload::CanonicalForm;
+use srtw_core::textfmt::PresentationCode;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// Shard count for the response cache (fixed power of two). The persist
 /// layer mirrors this: one spill file per shard, addressed by the same
-/// `canon & (SHARDS - 1)` index, so a shard's spill file replays into the
+/// `key & (SHARDS - 1)` index, so a shard's spill file replays into the
 /// same shard it was written from.
 pub(crate) const SHARDS: usize = 8;
 
@@ -57,15 +57,12 @@ pub(crate) const SHARDS: usize = 8;
 const INDEX_SLOT_BYTES: usize = 64;
 
 struct Entry {
-    /// Full canonical form, compared on every hit (collision safety).
-    form: CanonicalForm,
-    /// Presentation digest: task/vertex names and order. The rendered
-    /// body carries names, so replaying it verbatim additionally
-    /// requires the presentation to match.
-    presentation: u64,
+    /// The full presentation code, compared on every hit (collision
+    /// safety).
+    form: PresentationCode,
     /// The rendered 200 body, exactly as first sent.
     body: String,
-    /// The request body attached on the entry's first canonical hit, and
+    /// The request body attached on the entry's first hit, and
     /// its [`request_digest`] (its key in the request index).
     request: Option<(u64, Box<[u8]>)>,
     /// Approximate retained bytes, attached request included.
@@ -87,7 +84,7 @@ struct Shard {
 pub(crate) struct ResultCache {
     shards: Vec<Mutex<Shard>>,
     /// The request index: [`request_digest`] of an attached request body
-    /// → the canonical key of the entry holding those bytes, sharded by
+    /// → the key of the entry holding those bytes, sharded by
     /// the digest. A cache shard's lock is always taken before an index
     /// shard's, and the lookup never holds both.
     requests: Vec<Mutex<HashMap<u64, u128>>>,
@@ -107,7 +104,7 @@ impl std::fmt::Debug for ResultCache {
 }
 
 /// Estimates the retained size of one entry: the body and the form.
-fn entry_bytes(form: &CanonicalForm, body: &str) -> usize {
+fn entry_bytes(form: &PresentationCode, body: &str) -> usize {
     body.len() + form.approx_bytes() + 128
 }
 
@@ -139,14 +136,14 @@ impl ResultCache {
         }
     }
 
-    /// Which shard a canonical hash lives in — also the spill-file index
-    /// the persist layer uses for it.
-    pub fn shard_index(canon: u128) -> usize {
-        (canon as usize) & (SHARDS - 1)
+    /// Which shard a key lives in — also the spill-file index the
+    /// persist layer uses for it.
+    pub fn shard_index(key: u128) -> usize {
+        (key as usize) & (SHARDS - 1)
     }
 
-    fn shard(&self, canon: u128) -> &Mutex<Shard> {
-        &self.shards[ResultCache::shard_index(canon)]
+    fn shard(&self, key: u128) -> &Mutex<Shard> {
+        &self.shards[ResultCache::shard_index(key)]
     }
 
     fn index(&self, digest: u64) -> &Mutex<HashMap<u64, u128>> {
@@ -162,45 +159,44 @@ impl ResultCache {
         self.shard_budget == 0
     }
 
-    /// Looks up a stored body, verifying both the canonical form and the
-    /// presentation digest. A verified hit refreshes LRU recency and
+    /// Looks up a stored body, verifying the stored presentation code
+    /// against `form`. A verified hit refreshes LRU recency and
     /// returns the body byte-identical to the original response. With
     /// `request`, a hit on an entry that has no request attached yet
     /// attaches those bytes to it (see the module docs), when they fit
     /// the shard's budget.
     pub fn lookup(
         &self,
-        canon: u128,
-        form: &CanonicalForm,
-        presentation: u64,
+        key: u128,
+        form: &PresentationCode,
         request: Option<&[u8]>,
     ) -> Option<String> {
         if self.disabled() {
             return None;
         }
-        let mut shard = self.shard(canon).lock().unwrap();
-        let entry = shard.map.get_mut(&canon)?;
-        if entry.form != *form || entry.presentation != presentation {
+        let mut shard = self.shard(key).lock().unwrap();
+        let entry = shard.map.get_mut(&key)?;
+        if entry.form != *form {
             return None;
         }
         entry.last_used = self.tick();
         let body = entry.body.clone();
         if let Some(request) = request.filter(|_| entry.request.is_none()) {
-            self.attach(&mut shard, canon, request);
+            self.attach(&mut shard, key, request);
         }
         Some(body)
     }
 
-    /// Attaches `request` to the entry under `canon`, which was just
+    /// Attaches `request` to the entry under `key`, which was just
     /// touched, evicting other least-recently-used entries of its shard
     /// to make room: the entry is the shard's most recently used, so it
     /// would go last, and it fits alone. Attaches nothing when the grown
     /// entry would not fit the shard at all, or when the request's digest
     /// already locates another entry (a digest collision: the first
     /// attachment keeps the slot).
-    fn attach(&self, shard: &mut Shard, canon: u128, request: &[u8]) {
+    fn attach(&self, shard: &mut Shard, key: u128, request: &[u8]) {
         let extra = request.len() + INDEX_SLOT_BYTES;
-        if shard.map[&canon].bytes + extra > self.shard_budget {
+        if shard.map[&key].bytes + extra > self.shard_budget {
             return;
         }
         let digest = request_digest(request);
@@ -209,12 +205,12 @@ impl ResultCache {
             if index.contains_key(&digest) {
                 return;
             }
-            index.insert(digest, canon);
+            index.insert(digest, key);
         }
         self.make_room(shard, extra);
         let entry = shard
             .map
-            .get_mut(&canon)
+            .get_mut(&key)
             .expect("the entry being attached to");
         entry.request = Some((digest, request.into()));
         entry.bytes += extra;
@@ -230,9 +226,9 @@ impl ResultCache {
             return None;
         }
         let digest = request_digest(request);
-        let canon = *self.index(digest).lock().unwrap().get(&digest)?;
-        let mut shard = self.shard(canon).lock().unwrap();
-        let entry = shard.map.get_mut(&canon)?;
+        let key = *self.index(digest).lock().unwrap().get(&digest)?;
+        let mut shard = self.shard(key).lock().unwrap();
+        let entry = shard.map.get_mut(&key)?;
         if entry.request.as_ref().map(|(_, bytes)| &**bytes) != Some(request) {
             return None;
         }
@@ -240,17 +236,17 @@ impl ResultCache {
         Some(entry.body.clone())
     }
 
-    /// Removes the entry under `canon` from `shard`, its byte total, the
+    /// Removes the entry under `key` from `shard`, its byte total, the
     /// global gauge and, with its attached request, the request index.
-    fn remove(&self, shard: &mut Shard, canon: u128) {
-        let Some(entry) = shard.map.remove(&canon) else {
+    fn remove(&self, shard: &mut Shard, key: u128) {
+        let Some(entry) = shard.map.remove(&key) else {
             return;
         };
         shard.used -= entry.bytes;
         self.bytes.fetch_sub(entry.bytes as u64, Ordering::Relaxed);
         if let Some((digest, _)) = &entry.request {
             let mut index = self.index(*digest).lock().unwrap();
-            if index.get(digest) == Some(&canon) {
+            if index.get(digest) == Some(&key) {
                 index.remove(digest);
             }
         }
@@ -276,13 +272,7 @@ impl ResultCache {
     /// than the whole shard budget is not stored at all. Returns `true`
     /// when the entry was actually stored — the persist layer only spills
     /// entries the in-memory cache accepted.
-    pub fn insert(
-        &self,
-        canon: u128,
-        form: CanonicalForm,
-        presentation: u64,
-        body: String,
-    ) -> bool {
+    pub fn insert(&self, key: u128, form: PresentationCode, body: String) -> bool {
         if self.disabled() {
             return false;
         }
@@ -290,16 +280,15 @@ impl ResultCache {
         if bytes > self.shard_budget {
             return false;
         }
-        let mut shard = self.shard(canon).lock().unwrap();
-        self.remove(&mut shard, canon);
+        let mut shard = self.shard(key).lock().unwrap();
+        self.remove(&mut shard, key);
         self.make_room(&mut shard, bytes);
         shard.used += bytes;
         self.bytes.fetch_add(bytes as u64, Ordering::Relaxed);
         shard.map.insert(
-            canon,
+            key,
             Entry {
                 form,
-                presentation,
                 body,
                 request: None,
                 bytes,
@@ -323,28 +312,25 @@ impl ResultCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use srtw_minplus::Q;
-    use srtw_workload::{canonical_task_form, combine_forms, DrtTaskBuilder};
+    use srtw_core::textfmt::parse_system;
 
-    fn tiny_form() -> CanonicalForm {
-        let mut b = DrtTaskBuilder::new("t");
-        let v = b.vertex("a", Q::int(2));
-        b.edge(v, v, Q::int(8));
-        combine_forms(vec![canonical_task_form(&b.build().unwrap())], &[])
+    fn tiny_form() -> PresentationCode {
+        parse_system("task t\nvertex a wcet=2\nedge a a sep=8\n")
+            .unwrap()
+            .canonical_form()
     }
 
     #[test]
-    fn hit_requires_form_and_presentation_match() {
+    fn hit_requires_a_code_match() {
         let form = tiny_form();
         let cache = ResultCache::new(1 << 20);
         let k = form.hash();
-        assert!(cache.insert(k, form.clone(), 7, "body\n".into()));
-        assert_eq!(cache.lookup(k, &form, 7, None).as_deref(), Some("body\n"));
-        // Same key, different presentation: a miss, not a wrong body.
-        assert!(cache.lookup(k, &form, 8, None).is_none());
-        // Different form under the same key (a collision): a miss.
-        let other = combine_forms(vec![], &[1]);
-        assert!(cache.lookup(k, &other, 7, None).is_none());
+        assert!(cache.insert(k, form.clone(), "body\n".into()));
+        assert_eq!(cache.lookup(k, &form, None).as_deref(), Some("body\n"));
+        // Another code under the same key (a collision): a miss, not a
+        // wrong body.
+        let other = PresentationCode::from_code(vec![1]);
+        assert!(cache.lookup(k, &other, None).is_none());
     }
 
     #[test]
@@ -354,12 +340,12 @@ mod tests {
         let one = entry_bytes(&form, "b");
         let cache = ResultCache::new(one * SHARDS + SHARDS);
         for k in 0..64u128 {
-            cache.insert(k, form.clone(), 1, "b".into());
+            cache.insert(k, form.clone(), "b".into());
         }
         assert!(cache.evictions() > 0);
         assert!(cache.bytes() <= (one as u64 + 1) * SHARDS as u64 + SHARDS as u64);
         // The most recent insert in its shard must have survived.
-        assert!(cache.lookup(63, &form, 1, None).is_some());
+        assert!(cache.lookup(63, &form, None).is_some());
     }
 
     #[test]
@@ -367,8 +353,8 @@ mod tests {
         let form = tiny_form();
         let cache = ResultCache::new(0);
         let k = form.hash();
-        assert!(!cache.insert(k, form.clone(), 1, "b".into()));
-        assert!(cache.lookup(k, &form, 1, None).is_none());
+        assert!(!cache.insert(k, form.clone(), "b".into()));
+        assert!(cache.lookup(k, &form, None).is_none());
         assert_eq!(cache.bytes(), 0);
     }
 
@@ -378,26 +364,27 @@ mod tests {
     }
 
     #[test]
-    fn first_canonical_hit_attaches_the_request() {
+    fn first_hit_attaches_the_request() {
         let form = tiny_form();
         let cache = ResultCache::new(1 << 20);
         let k = form.hash();
         let request = b"task t\nvertex a wcet=2\n".as_slice();
-        assert!(cache.insert(k, form.clone(), 7, "body\n".into()));
+        assert!(cache.insert(k, form.clone(), "body\n".into()));
         // An insert attaches nothing.
         assert!(cache.lookup_request(request).is_none());
         assert_eq!(
-            cache.lookup(k, &form, 7, Some(request)).as_deref(),
+            cache.lookup(k, &form, Some(request)).as_deref(),
             Some("body\n")
         );
         assert_eq!(cache.lookup_request(request).as_deref(), Some("body\n"));
         // A later hit with other bytes keeps the first attachment.
         let other = b"task t\nvertex a  wcet=2\n".as_slice();
-        assert!(cache.lookup(k, &form, 7, Some(other)).is_some());
+        assert!(cache.lookup(k, &form, Some(other)).is_some());
         assert!(cache.lookup_request(other).is_none());
         assert_eq!(indexed(&cache), 1);
         // A miss attaches nothing either.
-        assert!(cache.lookup(k, &form, 8, Some(other)).is_none());
+        let renamed = PresentationCode::from_code(vec![2]);
+        assert!(cache.lookup(k, &renamed, Some(other)).is_none());
         assert!(cache.lookup_request(other).is_none());
     }
 
@@ -418,8 +405,8 @@ mod tests {
         let form = tiny_form();
         let cache = ResultCache::new(1 << 20);
         let k = form.hash();
-        assert!(cache.insert(k, form.clone(), 7, "body\n".into()));
-        assert!(cache.lookup(k, &form, 7, Some(&a)).is_some());
+        assert!(cache.insert(k, form.clone(), "body\n".into()));
+        assert!(cache.lookup(k, &form, Some(&a)).is_some());
         assert_eq!(cache.lookup_request(&a).as_deref(), Some("body\n"));
         // Same digest, other bytes: a miss, never the stored body.
         assert!(cache.lookup_request(&b).is_none());
@@ -438,22 +425,22 @@ mod tests {
         let k = form.hash();
         let request = b"request bytes".as_slice();
 
-        // Replaced by a renamed isomorphic system under the same key.
+        // Re-inserted under the same key.
         let cache = ResultCache::new(1 << 20);
-        cache.insert(k, form.clone(), 7, "first\n".into());
-        cache.lookup(k, &form, 7, Some(request));
+        cache.insert(k, form.clone(), "first\n".into());
+        cache.lookup(k, &form, Some(request));
         assert_eq!(indexed(&cache), 1);
-        cache.insert(k, form.clone(), 8, "renamed\n".into());
+        cache.insert(k, form.clone(), "again\n".into());
         assert_eq!(indexed(&cache), 0);
         assert!(cache.lookup_request(request).is_none());
 
         // Evicted under the byte budget: a shard holds one entry.
         let one = entry_bytes(&form, "b") + request.len() + INDEX_SLOT_BYTES;
         let cache = ResultCache::new(one * SHARDS);
-        cache.insert(0, form.clone(), 1, "b".into());
-        cache.lookup(0, &form, 1, Some(request));
+        cache.insert(0, form.clone(), "b".into());
+        cache.lookup(0, &form, Some(request));
         assert_eq!(cache.lookup_request(request).as_deref(), Some("b"));
-        cache.insert(SHARDS as u128, form.clone(), 1, "b".into());
+        cache.insert(SHARDS as u128, form.clone(), "b".into());
         assert_eq!(cache.evictions(), 1);
         assert_eq!(indexed(&cache), 0);
         assert!(cache.lookup_request(request).is_none());
@@ -464,11 +451,11 @@ mod tests {
         let form = tiny_form();
         let request = vec![b'x'; 1000];
         let cache = ResultCache::new(1 << 20);
-        cache.insert(0, form.clone(), 1, "b".into());
-        cache.insert(SHARDS as u128, form.clone(), 1, "b".into());
+        cache.insert(0, form.clone(), "b".into());
+        cache.insert(SHARDS as u128, form.clone(), "b".into());
         let before = cache.bytes();
         assert_eq!(before, 2 * entry_bytes(&form, "b") as u64);
-        cache.lookup(0, &form, 1, Some(&request));
+        cache.lookup(0, &form, Some(&request));
         let attached = (request.len() + INDEX_SLOT_BYTES) as u64;
         assert_eq!(cache.bytes(), before + attached);
         let shard = cache.shard(0).lock().unwrap();
@@ -480,18 +467,18 @@ mod tests {
         // when the grown entry would not fit beside it.
         let one = entry_bytes(&form, "b");
         let cache = ResultCache::new((2 * one + 8) * SHARDS);
-        cache.insert(0, form.clone(), 1, "b".into());
-        cache.insert(SHARDS as u128, form.clone(), 1, "b".into());
-        cache.lookup(0, &form, 1, Some(b"0123456789"));
+        cache.insert(0, form.clone(), "b".into());
+        cache.insert(SHARDS as u128, form.clone(), "b".into());
+        cache.lookup(0, &form, Some(b"0123456789"));
         assert_eq!(cache.evictions(), 1);
-        assert!(cache.lookup(SHARDS as u128, &form, 1, None).is_none());
+        assert!(cache.lookup(SHARDS as u128, &form, None).is_none());
         assert_eq!(cache.lookup_request(b"0123456789").as_deref(), Some("b"));
         assert_eq!(cache.bytes(), (one + 10 + INDEX_SLOT_BYTES) as u64);
 
         // A request that could never fit the shard is not attached.
         let cache = ResultCache::new((one + 8) * SHARDS);
-        cache.insert(0, form.clone(), 1, "b".into());
-        assert!(cache.lookup(0, &form, 1, Some(&request)).is_some());
+        cache.insert(0, form.clone(), "b".into());
+        assert!(cache.lookup(0, &form, Some(&request)).is_some());
         assert!(cache.lookup_request(&request).is_none());
         assert_eq!(cache.bytes(), one as u64);
         assert_eq!(cache.evictions(), 0);

@@ -37,18 +37,18 @@
 //!   outcome is fsync'd before it is streamed, so a replica killed
 //!   mid-batch replays completed jobs instead of recomputing them.
 //! - **Content-addressed caching** (`cache` + `delta`): `POST /analyze`
-//!   results are cached under a vertex-order- and name-insensitive
-//!   canonical hash of the parsed system (verified byte-for-byte on
-//!   every hit), and `POST /analyze/delta` applies an edit script to a
-//!   base system and answers as `/analyze` of the edited system would,
-//!   cache included — byte-identical to a cold run of it.
+//!   results are cached under a hash of the parsed system as presented
+//!   (its presentation code, compared in full on every hit), and
+//!   `POST /analyze/delta` applies an edit script to a base system and
+//!   answers as `/analyze` of the edited system would, cache included —
+//!   byte-identical to a cold run of it.
 //! - **Crash-safe persistence** ([`srtw_persist`] wired through
 //!   [`server`] and `batch`): `--persist DIR` spills every cached
 //!   result to an append-only, CRC-framed shard file and warm-loads the
 //!   cache on startup (LRU order preserved, every record re-verified
-//!   against its canonical hash before it can answer); replicas share
-//!   the directory — each writes only its own shard files but
-//!   warm-loads from all, so a respawned replica inherits the fleet's
+//!   against its key before it can answer); replicas share the
+//!   directory — each writes only its own shard files but warm-loads
+//!   from all, so a respawned replica inherits the fleet's
 //!   cache. Any persistence failure (`ENOSPC`, `EACCES`, torn or
 //!   corrupt spill bytes) degrades to a cold in-memory cache with a
 //!   typed `srtw-persist:` warning — never to a changed response.

@@ -23,12 +23,13 @@ use crate::pool::Pool;
 use crate::report::fifo_report;
 use crate::stats::{Gauges, Stats};
 use crate::sys;
-use srtw_core::textfmt::{parse_system, ParseError, ParseErrorKind, SystemSpec, MAX_INPUT_BYTES};
+use srtw_core::textfmt::{
+    parse_system, ParseError, ParseErrorKind, PresentationCode, SystemSpec, MAX_INPUT_BYTES,
+};
 use srtw_core::{AnalysisConfig, Json};
 use srtw_minplus::{Budget, CancelToken, FaultPlan};
 use srtw_persist::{load_dir, Store};
 use srtw_supervisor::{contain, Contained, WriteFault};
-use srtw_workload::CanonicalForm;
 use std::io::{self, Read as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -191,22 +192,13 @@ impl Shared {
     /// (typed, `srtw-persist:`-prefixed), bumps `persist_errors`, and the
     /// service continues with the in-memory entry — persistence never
     /// changes a response.
-    pub(crate) fn cache_insert(
-        &self,
-        canon: u128,
-        form: CanonicalForm,
-        presentation: u64,
-        body: &str,
-    ) {
-        if !self
-            .cache
-            .insert(canon, form.clone(), presentation, body.to_string())
-        {
+    pub(crate) fn cache_insert(&self, key: u128, form: PresentationCode, body: &str) {
+        if !self.cache.insert(key, form.clone(), body.to_string()) {
             return;
         }
         if let Some(store) = &self.persist {
-            let shard = ResultCache::shard_index(canon);
-            match store.append(shard, canon, presentation, form.code(), body) {
+            let shard = ResultCache::shard_index(key);
+            match store.append(shard, key, form.code(), body) {
                 Ok(()) => {
                     if !store.disabled() {
                         self.stats.persist_stored.fetch_add(1, Ordering::Relaxed);
@@ -280,14 +272,14 @@ impl Server {
                 }
                 let max_gen = load.records.iter().map(|r| r.generation).max().unwrap_or(0);
                 for rec in load.records {
-                    // Re-verify the content hash from the stored lanes: a
-                    // record that survived CRC checks but carries the
-                    // wrong form can only miss, never lie.
-                    let form = CanonicalForm::from_code(rec.form);
+                    // Re-verify the key from the stored lanes: a record
+                    // that survived CRC checks but carries the wrong code
+                    // can only miss, never lie.
+                    let form = PresentationCode::from_code(rec.form);
                     if form.hash() != rec.canon {
                         stats.persist_errors.fetch_add(1, Ordering::Relaxed);
                         eprintln!(
-                            "srtw-persist: {}: byte 0: canonical-hash mismatch on a decoded \
+                            "srtw-persist: {}: byte 0: cache-key mismatch on a decoded \
                              record — skipped",
                             dir_path.display()
                         );
@@ -295,7 +287,7 @@ impl Server {
                     }
                     // Ascending generation order reconstructs LRU recency
                     // under `cache_bytes`.
-                    if cache.insert(rec.canon, form, rec.presentation, rec.body) {
+                    if cache.insert(rec.canon, form, rec.body) {
                         stats.persist_loaded.fetch_add(1, Ordering::Relaxed);
                     }
                 }
@@ -675,7 +667,7 @@ fn analyze(shared: &Shared, req: &Request) -> Response {
     };
     // The request index (see `cache.rs`): a byte-identical re-send of a
     // body that already hit is answered before it is parsed. It can only
-    // land where the canonical route below would, so it runs under the
+    // land where the parsed route below would, so it runs under the
     // same condition: no fault plan.
     if shared.cfg.fault.is_none() {
         if let Some(body) = shared.cache.lookup_request(&req.body) {
@@ -730,8 +722,8 @@ pub(crate) fn analyze_system(
         },
     };
 
-    // Content-addressed cache: a fault-free request whose canonical form
-    // and presentation match a stored result replays its body
+    // Content-addressed cache: a fault-free request whose presentation
+    // code matches a stored result's replays its body
     // byte-for-byte (modulo `runtime_secs`, which the stored body simply
     // carries from the original run). Only exact results are stored, and
     // an exact result does not depend on the deadline, so a deadlined
@@ -740,10 +732,9 @@ pub(crate) fn analyze_system(
     let cacheable = shared.cfg.fault.is_none();
     let hard_cancel = shared.hard_cancel.load(Ordering::Relaxed);
     let form = sys.canonical_form();
-    let presentation = sys.presentation_digest();
-    let canon = form.hash();
+    let key = form.hash();
     if cacheable {
-        if let Some(body) = shared.cache.lookup(canon, &form, presentation, request) {
+        if let Some(body) = shared.cache.lookup(key, &form, request) {
             shared.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
             shared.stats.completed.fetch_add(1, Ordering::Relaxed);
             return (Response::json(200, body), true);
@@ -800,7 +791,7 @@ pub(crate) fn analyze_system(
             let mut body = report.to_json().render();
             body.push('\n');
             if cacheable && !report.degraded() {
-                shared.cache_insert(canon, form, presentation, &body);
+                shared.cache_insert(key, form, &body);
             }
             Response::json(200, body)
         }

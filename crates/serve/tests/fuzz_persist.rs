@@ -10,11 +10,10 @@
 //! 2. loading never *invents* a result: every record it salvages must
 //!    be byte-identical (key, form, and body alike) to one that was
 //!    genuinely spilled — so a warm hit can never replay bytes that
-//!    were never stored, and the serve-side double verification
-//!    (canonical-form hash + presentation digest) can never be handed
-//!    a wrong body that passes;
-//! 3. dedup holds — no two salvaged records share a cache key (canonical
-//!    hash plus presentation digest);
+//!    were never stored, and the serve-side verification (the key
+//!    re-hashed from the presentation code) can never be handed a
+//!    wrong body that passes;
+//! 3. dedup holds — no two salvaged records share a cache key;
 //! 4. among genuine duplicates of one key, the survivor carries the
 //!    highest generation present (stale spills never shadow newer
 //!    ones).
@@ -41,25 +40,25 @@ struct Base {
 fn base() -> &'static Base {
     static BASE: OnceLock<Base> = OnceLock::new();
     BASE.get_or_init(|| {
-        // (canon, presentation, body). The last entry reuses the first
+        // (canon, body). The last entry reuses the first
         // key with a different body and a later generation: a genuine
         // re-spill of the same cache slot.
-        let specs: [(u128, u64, &str); 5] = [
-            (0x1111, 0xaaaa, "{\"scheduler\":\"fifo\",\"n\":1}\n"),
-            (0x2222, 0xbbbb, "{\"scheduler\":\"fifo\",\"n\":2}\n"),
-            (0x3333, 0xcccc, "{\"scheduler\":\"fifo\",\"n\":3}\n"),
-            (0x4444, 0xdddd, "{\"scheduler\":\"fifo\",\"n\":4}\n"),
-            (0x1111, 0xaaaa, "{\"scheduler\":\"fifo\",\"n\":5}\n"),
+        let specs: [(u128, &str); 5] = [
+            (0x1111, "{\"scheduler\":\"fifo\",\"n\":1}\n"),
+            (0x2222, "{\"scheduler\":\"fifo\",\"n\":2}\n"),
+            (0x3333, "{\"scheduler\":\"fifo\",\"n\":3}\n"),
+            (0x4444, "{\"scheduler\":\"fifo\",\"n\":4}\n"),
+            (0x1111, "{\"scheduler\":\"fifo\",\"n\":5}\n"),
         ];
         let mut records = Vec::new();
         let mut frames = Vec::new();
         let mut header = Vec::new();
-        for (i, (canon, presentation, body)) in specs.into_iter().enumerate() {
+        for (i, (canon, body)) in specs.into_iter().enumerate() {
             let dir = tmp(&format!("frame-{i}"));
             let _ = std::fs::remove_dir_all(&dir);
             let store = Store::open(&dir, 0, 1, i as u64, None).unwrap();
             let form = vec![canon as u64, 7, i as u64];
-            store.append(0, canon, presentation, &form, body).unwrap();
+            store.append(0, canon, &form, body).unwrap();
             let bytes = std::fs::read(Store::shard_path(&dir, 0, 0)).unwrap();
             std::fs::remove_dir_all(&dir).unwrap();
             if header.is_empty() {
@@ -69,7 +68,6 @@ fn base() -> &'static Base {
             records.push(SpillRecord {
                 generation: i as u64,
                 canon,
-                presentation,
                 form,
                 body: body.to_string(),
             });
@@ -86,10 +84,6 @@ fn tmp(name: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
     p.push(format!("srtw-fuzz-persist-{}-{name}", std::process::id()));
     p
-}
-
-fn full_key(r: &SpillRecord) -> (u128, u64) {
-    (r.canon, r.presentation)
 }
 
 /// One seeded spill image: the genuine frames in a random order (with
@@ -160,15 +154,15 @@ fn mutated_spills_load_without_panics_or_invented_records() {
             assert!(
                 genuine.iter().any(|g| g == r),
                 "loading invented a record for key {:x?} that was never spilled",
-                full_key(r)
+                r.canon
             );
         }
         // Invariant 3: key dedup.
         for (i, r) in load.records.iter().enumerate() {
             assert!(
-                load.records[..i].iter().all(|p| full_key(p) != full_key(r)),
+                load.records[..i].iter().all(|p| p.canon != r.canon),
                 "duplicate cache key {:x?} survived loading",
-                full_key(r)
+                r.canon
             );
         }
     });
@@ -250,7 +244,7 @@ fn stale_generations_never_shadow_newer_spills() {
         let survivor = load
             .records
             .iter()
-            .find(|r| full_key(r) == full_key(newest))
+            .find(|r| r.canon == newest.canon)
             .expect("the duplicated key must survive");
         assert_eq!(
             survivor, newest,

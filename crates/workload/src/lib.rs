@@ -46,7 +46,6 @@
 #![warn(missing_debug_implementations)]
 #![forbid(unsafe_code)]
 
-mod canon;
 mod dbf;
 mod digraph;
 mod error;
@@ -57,7 +56,6 @@ mod trace;
 mod utilization;
 mod weight;
 
-pub use canon::{canonical_task_form, combine_forms, CanonicalForm, StructHasher};
 pub use dbf::{Dbf, MissingDeadline};
 pub use digraph::{DrtTask, DrtTaskBuilder, Edge, Vertex, VertexId};
 pub use error::WorkloadError;

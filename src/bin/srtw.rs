@@ -63,8 +63,8 @@
 //! degradation to the RTC bound), crash isolation, and a graceful drain
 //! on `SIGINT`/`SIGTERM` or `POST /shutdown` (exit 0; a stderr warning if
 //! stragglers had to be cancelled). Repeats answer from a bounded
-//! content-addressed result cache (`--cache-bytes`, canonical-form
-//! keyed, byte-identical replay), and `POST /analyze/delta` (base
+//! content-addressed result cache (`--cache-bytes`, keyed on the parsed
+//! system as presented, byte-identical replay), and `POST /analyze/delta` (base
 //! system + `@delta` edit script) answers as `/analyze` of the edited
 //! system would.
 //!

@@ -74,7 +74,7 @@ fn cache_hit_replays_the_exact_first_response() {
     assert!(server.shutdown().clean());
 }
 
-/// The cache key is the canonical hash alone: a deadline cannot change an
+/// The cache key is the parsed system alone: a deadline cannot change an
 /// exact answer, so a deadlined re-send of a cached system is a verbatim
 /// hit rather than a recompute that might come back degraded.
 #[test]
@@ -116,6 +116,13 @@ fn renamed_system_misses_the_cache_but_still_answers() {
     assert!(second.contains("\"metrics\""), "{second}");
     let stats = get_stats(&server.addr());
     assert!(stats.contains("\"cache_hits\":0"), "{stats}");
+    assert!(stats.contains("\"cache_misses\":2"), "{stats}");
+    // The two presentations hold two entries: neither evicted the other.
+    let (_, _, third) = post(&server.addr(), "/analyze", &text);
+    let (_, _, fourth) = post(&server.addr(), "/analyze", &renamed);
+    assert_eq!((&third, &fourth), (&first, &second));
+    let stats = get_stats(&server.addr());
+    assert!(stats.contains("\"cache_hits\":2"), "{stats}");
     assert!(stats.contains("\"cache_misses\":2"), "{stats}");
     assert!(server.shutdown().clean());
 }
@@ -367,7 +374,7 @@ fn stat(stats: &str, key: &str) -> u64 {
     digits.parse().expect("an integer counter")
 }
 
-/// The first re-send hits through the canonical route and attaches its
+/// The first re-send hits through the parsed route and attaches its
 /// bytes to the entry; the next byte-identical re-send is answered from
 /// the request index, with the same bytes.
 #[test]
@@ -438,7 +445,7 @@ fn indexed_body_with_a_malformed_deadline_is_still_a_400() {
 }
 
 /// Under a fault plan every request runs the metered analysis: repeats
-/// are neither canonical nor request-index hits.
+/// are neither parsed-route nor request-index hits.
 #[test]
 fn a_fault_plan_never_takes_the_request_index() {
     let text = decoder();
@@ -460,7 +467,8 @@ fn a_fault_plan_never_takes_the_request_index() {
 
 /// Other bytes of the same presented system — whitespace, comments, the
 /// order of edges leaving different vertices — miss the request index
-/// and hit through the canonical route, with the first body verbatim.
+/// and hit through the parsed route (the key `canonical_form` builds),
+/// with the first body verbatim.
 #[test]
 fn reformatted_resend_hits_through_the_canonical_route() {
     let text = decoder();
@@ -488,14 +496,14 @@ fn reformatted_resend_hits_through_the_canonical_route() {
     assert_eq!((s1, s2), (200, 200), "{second}");
     assert_eq!(
         first, second,
-        "a canonical hit must replay the original bytes"
+        "a parsed-route hit must replay the original bytes"
     );
     let stats = get_stats(&server.addr());
     assert_eq!(stat(&stats, "cache_hits"), 1, "{stats}");
     assert_eq!(stat(&stats, "cache_request_hits"), 0, "{stats}");
     assert_eq!(stat(&stats, "cache_misses"), 1, "{stats}");
     // The reformatted bytes are the ones attached: their re-send takes
-    // the index, the original's takes the canonical route again.
+    // the index, the original's takes the parsed route again.
     let (_, _, third) = post(&server.addr(), "/analyze", &reformatted);
     let (_, _, fourth) = post(&server.addr(), "/analyze", &text);
     assert_eq!((&third, &fourth), (&first, &first));
