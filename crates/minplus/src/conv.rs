@@ -15,34 +15,46 @@
 //!   optimisation horizon for the hidden supremum,
 //! * [`Curve::deconv`] — deconvolution with an automatically derived
 //!   sufficient horizon for stable operand pairs.
+//!
+//! Concave and convex operand pairs take O(n+m) fast paths. Every other
+//! convolution runs one candidate-envelope kernel, written once over the
+//! [`Rational`] number type: at [`Q64`] first, and again at [`Q`] when a
+//! value leaves `i64` (see [`Ticker`]). An `i128` overflow in the `Q`
+//! run's arithmetic is a [`CurveError::Arithmetic`]. Deconvolution builds
+//! its own candidates in checked `Q` arithmetic and shares the envelope.
 
 use crate::curve::{try_common_check_horizon, Curve, Piece, Shape, Tail};
 use crate::error::CurveError;
 use crate::meter::{BudgetKind, BudgetMeter};
-use crate::ops::{ck_add, TailInfo};
-use crate::ratio::{Q, Q64};
+use crate::ops::{ck_add, TailInfo, OVF};
+use crate::ratio::{Rational, Q, Q64};
 use crate::stream::Unroll;
-use std::cell::Cell;
 
 /// The budget error carrying whichever dimension actually tripped `meter`.
 fn budget_err(meter: &BudgetMeter) -> CurveError {
     CurveError::Budget(meter.tripped().unwrap_or(BudgetKind::Segments))
 }
 
-/// A budget-meter adapter that swallows its first `skip` ticks.
+/// The segment-budget ticks of one kernel run, counted, with the first
+/// `skip` of them swallowed.
 ///
-/// The i64 scalar kernels tick the real meter as they go; when one
-/// overflows after `k` successful ticks, the exact `Q` kernel re-runs the
-/// same computation from scratch. Replaying it against a `Ticker` with
-/// `skip = k` keeps the meter's observed operation sequence identical to a
-/// pure-`Q` run: the replayed prefix (already paid for, and already known
-/// not to trip) is silent, and ticks `k+1, k+2, …` land on the meter at
-/// exactly the indices the `Q` kernel alone would have produced — so
-/// budget caps, cancellation polls, and fault injection by operation index
-/// are oblivious to which kernel did the arithmetic.
-pub(crate) struct Ticker<'a> {
+/// The general convolution runs at [`Q64`] first and ticks the real meter
+/// as it goes; when an intermediate leaves `i64` after `issued` ticks, the
+/// same kernel re-runs from scratch at [`Q`]. Replaying it against a
+/// `Ticker` with `skip = issued` keeps the meter's observed operation
+/// sequence identical to a pure-`Q` run: the replayed prefix (already paid
+/// for, and already known not to trip) is silent, and ticks `issued + 1, …`
+/// land on the meter at exactly the indices the `Q` run alone would have
+/// produced — so budget caps, cancellation polls, and fault injection by
+/// operation index are oblivious to which instantiation did the arithmetic.
+///
+/// A kernel returns `None` both when the meter refuses a tick and when its
+/// arithmetic leaves its number type; [`Ticker::error`] tells the two apart.
+struct Ticker<'a> {
     meter: &'a BudgetMeter,
-    skip: Cell<u64>,
+    skip: u64,
+    issued: u64,
+    refused: bool,
 }
 
 impl<'a> Ticker<'a> {
@@ -53,19 +65,32 @@ impl<'a> Ticker<'a> {
     fn skipping(meter: &'a BudgetMeter, skip: u64) -> Ticker<'a> {
         Ticker {
             meter,
-            skip: Cell::new(skip),
+            skip,
+            issued: 0,
+            refused: false,
         }
     }
 
-    fn tick(&self) -> Result<(), CurveError> {
-        let skip = self.skip.get();
-        if skip > 0 {
-            self.skip.set(skip - 1);
-            Ok(())
+    fn tick(&mut self) -> Option<()> {
+        if self.skip > 0 {
+            self.skip -= 1;
         } else if self.meter.tick_segment() {
-            Ok(())
+            self.issued += 1;
         } else {
-            Err(budget_err(self.meter))
+            self.refused = true;
+            return None;
+        }
+        Some(())
+    }
+
+    /// Why a kernel run against this ticker returned `None`: the budget
+    /// error if the meter refused a tick, an `i128` overflow otherwise
+    /// (the run was at [`Q`]).
+    fn error(&self) -> CurveError {
+        if self.refused {
+            budget_err(self.meter)
+        } else {
+            OVF
         }
     }
 }
@@ -74,78 +99,39 @@ impl<'a> Ticker<'a> {
 /// with value `v` at `start` and slope `r`. Used as a convolution /
 /// deconvolution candidate before envelope computation.
 #[derive(Debug, Clone, Copy)]
-struct Part {
-    start: Q,
-    end: Q,
-    v: Q,
-    r: Q,
+struct Part<N> {
+    start: N,
+    end: N,
+    v: N,
+    r: N,
 }
 
-impl Part {
-    fn eval(&self, t: Q) -> Q {
-        self.v + self.r * (t - self.start)
-    }
-}
-
-/// The i64 mirror of [`Part`]: same fragment, scalar components.
-#[derive(Debug, Clone, Copy)]
-struct Part64 {
-    start: Q64,
-    end: Q64,
-    v: Q64,
-    r: Q64,
-}
-
-impl Part64 {
-    fn eval(&self, t: Q64) -> Option<Q64> {
+impl<N: Rational> Part<N> {
+    fn eval(&self, t: N) -> Option<N> {
         self.v.add(self.r.mul(t.sub(self.start)?)?)
     }
 
-    fn from_part(p: &Part) -> Option<Part64> {
-        Some(Part64 {
-            start: Q64::from_q(p.start)?,
-            end: Q64::from_q(p.end)?,
-            v: Q64::from_q(p.v)?,
-            r: Q64::from_q(p.r)?,
+    fn convert(p: &Part<Q>) -> Option<Part<N>> {
+        Some(Part {
+            start: N::from_q(p.start)?,
+            end: N::from_q(p.end)?,
+            v: N::from_q(p.v)?,
+            r: N::from_q(p.r)?,
         })
     }
 }
 
-/// The per-call buffers of one convolution or deconvolution: operand
-/// fragments, candidates, event grid and envelope lines, in both the exact
-/// `Q` and the scalar `Q64` forms. The scalar pass and the `Q` pass that
-/// replays it after an overflow share one instance.
-#[derive(Debug, Default)]
-struct ConvScratch {
-    pa: Vec<Part>,
-    pb: Vec<Part>,
-    cand: Vec<Part>,
-    events: Vec<Q>,
-    lines: Vec<(Q, Q)>,
-    pa64: Vec<Part64>,
-    pb64: Vec<Part64>,
-    cand64: Vec<Part64>,
-    events64: Vec<Q64>,
-    lines64: Vec<(Q64, Q64)>,
-    out64: Vec<(Q64, Q64, Q64)>,
-}
-
 /// Explicit pieces of `c` truncated to `[0, h]`, as [`Part`]s carrying
-/// their extents, written into `out` (cleared first).
+/// their extents.
 ///
 /// Streams the unrolled pieces through [`Unroll`] instead of materializing
 /// them: the meter sees the tick sequence of [`Curve::try_pieces_upto`]
 /// (the stream is drained to exhaustion even past `h`), but the unrolled
 /// `Vec<Piece>` is never built — each event is converted to a [`Part`] on the fly using
 /// one event of lookahead for the extent's right end.
-fn parts_of_into(
-    c: &Curve,
-    h: Q,
-    meter: &BudgetMeter,
-    out: &mut Vec<Part>,
-) -> Result<(), CurveError> {
-    out.clear();
-    let hp1 = h + Q::ONE;
+fn parts_of(c: &Curve, h: Q, meter: &BudgetMeter) -> Result<Vec<Part<Q>>, CurveError> {
+    let mut out = Vec::new();
+    let hp1 = ck_add(h, Q::ONE)?;
     let mut stream = Unroll::new(c, h, meter);
     let mut pending: Option<Piece> = None;
     while let Some(ev) = stream.next() {
@@ -165,7 +151,7 @@ fn parts_of_into(
             for ev in stream {
                 ev?;
             }
-            return Ok(());
+            return Ok(out);
         }
         pending = Some(p);
     }
@@ -177,7 +163,7 @@ fn parts_of_into(
             r: prev.slope,
         });
     }
-    Ok(())
+    Ok(out)
 }
 
 /// Selects the better of two `(value, slope)` lines for an envelope in the
@@ -197,94 +183,99 @@ fn better<T: Copy + Ord>(a: (T, T), b: (T, T), upper: bool) -> (T, T) {
     }
 }
 
+/// Appends the piece `(start, value, slope)` unless it continues the last
+/// one colinearly.
+fn push_piece<N: Rational>(out: &mut Vec<(N, N, N)>, start: N, v: N, r: N) -> Option<()> {
+    if let Some(&(ls, lv, lr)) = out.last() {
+        if lr == r && lv.add(lr.mul(start.sub(ls)?)?)? == v {
+            return Some(());
+        }
+    }
+    out.push((start, v, r));
+    Some(())
+}
+
 /// Lower or upper envelope of a set of partial affine fragments over
 /// `[0, h]`. Every point of `[0, h]` must be covered by at least one part.
 /// The envelope is computed per elementary interval (between consecutive
-/// part endpoints), where the active parts are full lines. `events` and
-/// `lines` are caller-provided scratch buffers (cleared here).
-fn envelope(
-    parts: &[Part],
-    h: Q,
+/// part endpoints), where the active parts are full lines. Ticks `tk` once
+/// per envelope piece; `None` when the meter refuses or the arithmetic
+/// leaves `N`.
+fn envelope<N: Rational>(
+    parts: &[Part<N>],
+    h: N,
     upper: bool,
-    tk: &Ticker,
-    events: &mut Vec<Q>,
-    lines: &mut Vec<(Q, Q)>,
-) -> Result<Vec<Piece>, CurveError> {
-    events.clear();
+    tk: &mut Ticker,
+) -> Option<Vec<Piece>> {
+    let mut events: Vec<N> = Vec::with_capacity(2 * parts.len() + 2);
     events.extend(
         parts
             .iter()
             .flat_map(|p| [p.start, p.end])
             .filter(|&t| !t.is_negative() && t <= h),
     );
-    events.push(Q::ZERO);
+    events.push(N::ZERO);
     events.push(h);
-    events.sort();
+    // Equal values are interchangeable here (`Q64` representations of one
+    // value give the same result), so the faster unstable sort will do.
+    events.sort_unstable();
     events.dedup();
 
-    let mut out: Vec<Piece> = Vec::new();
-    let push = |p: Piece, out: &mut Vec<Piece>| {
-        if let Some(last) = out.last() {
-            if last.slope == p.slope && last.eval(p.start) == p.value {
-                return;
-            }
-        }
-        out.push(p);
-    };
-
-    // One scratch buffer for the whole walk: the per-interval line set is
+    let mut out: Vec<(N, N, N)> = Vec::new();
+    // One line buffer for the whole walk: the per-interval line set is
     // rebuilt in place instead of allocating a fresh Vec per elementary
     // interval (the inner-loop allocation dominated profiles on large
     // horizons).
+    let mut lines: Vec<(N, N)> = Vec::new();
     for w in events.windows(2) {
         let (x1, x2) = (w[0], w[1]);
         // Active parts cover the whole elementary interval; within it each
         // is a full line, stored as (value at x1, slope).
         lines.clear();
-        lines.extend(
-            parts
-                .iter()
-                .filter(|p| p.start <= x1 && p.end >= x2)
-                .map(|p| (p.eval(x1), p.r)),
-        );
+        for p in parts.iter().filter(|p| p.start <= x1 && p.end >= x2) {
+            lines.push((p.eval(x1)?, p.r));
+        }
         assert!(
             !lines.is_empty(),
-            "envelope: no candidate covers [{x1}, {x2})"
+            "envelope: no candidate covers [{}, {})",
+            x1.to_q(),
+            x2.to_q()
         );
-        let value_at = |line: (Q, Q), x: Q| line.0 + line.1 * (x - x1);
+        let value_at = |line: (N, N), x: N| line.0.add(line.1.mul(x.sub(x1)?)?);
         // Walk the envelope from x1 towards x2, re-selecting the extreme
         // line at every switch point (ties broken by slope so the envelope
         // stays extreme after the tie).
         let mut x = x1;
         loop {
             tk.tick()?;
-            let cur = lines
-                .iter()
-                .copied()
-                .map(|l| (value_at(l, x), l.1))
-                .reduce(|a, b| better(a, b, upper))
-                .expect("non-empty");
-            push(Piece::new(x, cur.0, cur.1), &mut out);
+            let mut cur: Option<(N, N)> = None;
+            for &l in lines.iter() {
+                let lx = (value_at(l, x)?, l.1);
+                cur = Some(cur.map_or(lx, |c| better(c, lx, upper)));
+            }
+            let cur = cur.expect("non-empty");
+            push_piece(&mut out, x, cur.0, cur.1)?;
             // Earliest strict crossing by a line that overtakes `cur`.
-            let mut next_x: Option<Q> = None;
+            let mut next_x: Option<N> = None;
             for &l in lines.iter() {
                 let overtakes = if upper { l.1 > cur.1 } else { l.1 < cur.1 };
                 if !overtakes {
                     continue;
                 }
-                let vx = value_at(l, x);
+                let vx = value_at(l, x)?;
                 // `cur` is extreme at x, so the candidate sits on the wrong
                 // side now and can only cross later.
-                let gap = if upper { cur.0 - vx } else { vx - cur.0 };
+                let gap = if upper {
+                    cur.0.sub(vx)?
+                } else {
+                    vx.sub(cur.0)?
+                };
                 if gap.is_negative() || gap.is_zero() {
                     continue; // ties at x are resolved by the re-selection
                 }
-                let cross = x + gap / (cur.1 - l.1).abs();
+                let cross = x.add(gap.div(cur.1.sub(l.1)?.abs()?)?)?;
                 if cross > x && cross < x2 {
-                    next_x = Some(match next_x {
-                        None => cross,
-                        Some(b) => b.min(cross),
-                    });
+                    next_x = Some(next_x.map_or(cross, |b| b.min(cross)));
                 }
             }
             match next_x {
@@ -296,292 +287,160 @@ fn envelope(
     // The loop above covers [0, h) with right-continuous pieces; the point
     // `h` itself needs its own evaluation (the true function may jump at a
     // part-domain boundary landing exactly on `h`).
-    let at_h = parts
-        .iter()
-        .filter(|p| p.start <= h && p.end > h)
-        .map(|p| (p.eval(h), p.r))
-        .reduce(|a, b| better(a, b, upper));
+    let mut at_h: Option<(N, N)> = None;
+    for p in parts.iter().filter(|p| p.start <= h && p.end > h) {
+        let lx = (p.eval(h)?, p.r);
+        at_h = Some(at_h.map_or(lx, |c| better(c, lx, upper)));
+    }
     if let Some((v, r)) = at_h {
-        push(Piece::new(h, v, r), &mut out);
+        push_piece(&mut out, h, v, r)?;
     }
-    Ok(out)
+    Some(
+        out.into_iter()
+            .map(|(s, v, r)| Piece::new(s.to_q(), v.to_q(), r.to_q()))
+            .collect(),
+    )
 }
 
-/// Outcome of an i64 scalar kernel attempt.
-enum ScalarRun {
-    /// The whole computation fit in `i64` numerators/denominators; the
-    /// result is exactly the pieces the `Q` kernel would produce.
-    Done(Vec<Piece>),
-    /// Some intermediate fell out of `i64` range after the carried number
-    /// of successful meter ticks were issued; the caller re-runs the exact
-    /// `Q` kernel with that many leading ticks swallowed (see [`Ticker`]).
-    Spill(u64),
-}
-
-/// The general-convolution pair loop and lower envelope, entirely in
-/// [`Q64`] scalar arithmetic — the fixed-denominator fast path.
-///
-/// Mirrors the `Q` kernel operation-for-operation: the same candidate
-/// fragments in the same order, the same event grid, the same envelope
-/// walk with identical tie-breaking (all `Q64` comparisons are exact
-/// cross-multiplications, so every branch decides exactly as `Q` would).
-/// Every meter tick is issued at the same index. Any intermediate that
-/// does not fit an `i64` rational aborts with [`ScalarRun::Spill`]
-/// carrying the number of ticks already issued.
-fn conv_general_scalar(
+/// The general-convolution candidate construction and lower envelope in
+/// `N` arithmetic: every operand piece pair contributes up to two affine
+/// candidates, and the result is their exact lower envelope. Ticks `tk`
+/// once per pair and per envelope piece; `None` when the meter refuses or
+/// an intermediate leaves `N`.
+fn conv_kernel<N: Rational>(
+    pa: &[Part<Q>],
+    pb: &[Part<Q>],
     h: Q,
-    meter: &BudgetMeter,
-    scratch: &mut ConvScratch,
-) -> Result<ScalarRun, CurveError> {
-    let ConvScratch {
-        pa,
-        pb,
-        pa64,
-        pb64,
-        cand64,
-        events64,
-        lines64,
-        out64,
-        ..
-    } = scratch;
-    let mut ticks: u64 = 0;
-    macro_rules! sp {
-        ($e:expr) => {
-            match $e {
-                Some(v) => v,
-                None => return Ok(ScalarRun::Spill(ticks)),
-            }
-        };
-    }
-    macro_rules! tick {
-        () => {
-            if meter.tick_segment() {
-                ticks += 1;
-            } else {
-                return Err(budget_err(meter));
-            }
-        };
-    }
-
-    let h64 = sp!(Q64::from_q(h));
-    pa64.clear();
-    for p in pa.iter() {
-        pa64.push(sp!(Part64::from_part(p)));
-    }
-    pb64.clear();
-    for p in pb.iter() {
-        pb64.push(sp!(Part64::from_part(p)));
-    }
-
-    // --- pair loop: mirror of the Q candidate construction -------------
-    cand64.clear();
-    for a in pa64.iter() {
-        for b in pb64.iter() {
-            tick!();
-            let t0 = sp!(a.start.add(b.start));
-            if t0 > h64 {
+    tk: &mut Ticker,
+) -> Option<Vec<Piece>> {
+    let h = N::from_q(h)?;
+    let pa: Vec<Part<N>> = pa.iter().map(Part::convert).collect::<Option<_>>()?;
+    let pb: Vec<Part<N>> = pb.iter().map(Part::convert).collect::<Option<_>>()?;
+    let mut cand = Vec::new();
+    for a in &pa {
+        for b in &pb {
+            tk.tick()?;
+            let t0 = a.start.add(b.start)?;
+            if t0 > h {
                 continue;
             }
-            let t1 = sp!(a.end.add(b.end)); // exclusive
-            let v0 = sp!(a.v.add(b.v));
+            let t1 = a.end.add(b.end)?; // exclusive
+            let v0 = a.v.add(b.v)?;
             let (rmin, rmax, len_min) = if a.r <= b.r {
-                (a.r, b.r, sp!(a.end.sub(a.start)))
+                (a.r, b.r, a.end.sub(a.start)?)
             } else {
-                (b.r, a.r, sp!(b.end.sub(b.start)))
+                (b.r, a.r, b.end.sub(b.start)?)
             };
-            let mid = sp!(t0.add(len_min));
+            let mid = t0.add(len_min)?;
             if mid >= t1 {
-                cand64.push(Part64 {
+                cand.push(Part {
                     start: t0,
                     end: t1,
                     v: v0,
                     r: rmin,
                 });
             } else {
-                cand64.push(Part64 {
+                cand.push(Part {
                     start: t0,
                     end: mid,
                     v: v0,
                     r: rmin,
                 });
-                cand64.push(Part64 {
+                cand.push(Part {
                     start: mid,
                     end: t1,
-                    v: sp!(v0.add(sp!(rmin.mul(len_min)))),
+                    v: v0.add(rmin.mul(len_min)?)?,
                     r: rmax,
                 });
             }
         }
     }
-
-    // --- lower envelope: mirror of `envelope(…, upper = false)` --------
-    events64.clear();
-    events64.extend(
-        cand64
-            .iter()
-            .flat_map(|p| [p.start, p.end])
-            .filter(|&t| !t.is_negative() && t <= h64),
-    );
-    events64.push(Q64::ZERO);
-    events64.push(h64);
-    events64.sort();
-    events64.dedup();
-
-    out64.clear();
-    // The merge criterion is the same colinear-continuation test the Q
-    // push closure applies; its evaluation can itself overflow, which
-    // spills like any other op.
-    macro_rules! push64 {
-        ($start:expr, $v:expr, $r:expr) => {{
-            let (start, v, r) = ($start, $v, $r);
-            let merged = match out64.last() {
-                Some(&(ls, lv, lr)) => {
-                    lr == r && sp!(lv.add(sp!(lr.mul(sp!(start.sub(ls)))))) == v
-                }
-                None => false,
-            };
-            if !merged {
-                out64.push((start, v, r));
-            }
-        }};
-    }
-
-    let mut i = 0;
-    while i + 1 < events64.len() {
-        let (x1, x2) = (events64[i], events64[i + 1]);
-        i += 1;
-        lines64.clear();
-        for p in cand64.iter() {
-            if p.start <= x1 && p.end >= x2 {
-                lines64.push((sp!(p.eval(x1)), p.r));
-            }
-        }
-        assert!(!lines64.is_empty(), "envelope64: no candidate covers an interval");
-        let mut x = x1;
-        loop {
-            tick!();
-            let mut cur: Option<(Q64, Q64)> = None;
-            for &l in lines64.iter() {
-                let lx = (sp!(l.0.add(sp!(l.1.mul(sp!(x.sub(x1)))))), l.1);
-                cur = Some(match cur {
-                    None => lx,
-                    Some(c) => better(c, lx, false),
-                });
-            }
-            let cur = cur.expect("non-empty");
-            push64!(x, cur.0, cur.1);
-            let mut next_x: Option<Q64> = None;
-            for &l in lines64.iter() {
-                if l.1 >= cur.1 {
-                    continue; // not overtaking (lower envelope)
-                }
-                let vx = sp!(l.0.add(sp!(l.1.mul(sp!(x.sub(x1))))));
-                let gap = sp!(vx.sub(cur.0));
-                if gap.is_negative() || gap.is_zero() {
-                    continue;
-                }
-                let cross = sp!(x.add(sp!(gap.div(sp!(sp!(cur.1.sub(l.1)).abs())))));
-                if cross > x && cross < x2 {
-                    next_x = Some(match next_x {
-                        None => cross,
-                        Some(b) => b.min(cross),
-                    });
-                }
-            }
-            match next_x {
-                None => break,
-                Some(nx) => x = nx,
-            }
-        }
-    }
-    let mut at_h: Option<(Q64, Q64)> = None;
-    for p in cand64.iter() {
-        if p.start <= h64 && p.end > h64 {
-            let lx = (sp!(p.eval(h64)), p.r);
-            at_h = Some(match at_h {
-                None => lx,
-                Some(c) => better(c, lx, false),
-            });
-        }
-    }
-    if let Some((v, r)) = at_h {
-        push64!(h64, v, r);
-    }
-
-    let pieces = out64
-        .iter()
-        .map(|&(s, v, r)| Piece::new(s.to_q(), v.to_q(), r.to_q()))
-        .collect();
-    Ok(ScalarRun::Done(pieces))
+    envelope(&cand, h, false, tk)
 }
 
-/// The general candidate-envelope convolution over pre-computed parts:
-/// scalar fast path first, exact `Q` kernel on spill (with the already
-/// issued ticks swallowed so the meter sequence is identical to a pure-`Q`
-/// run). Returns the final (already colinear-merged) piece list.
+/// The general candidate-envelope convolution: the kernel at [`Q64`] first;
+/// if an intermediate leaves `i64`, the kernel again at [`Q`] with the
+/// already issued ticks swallowed, so the meter sequence is identical to a
+/// pure-`Q` run. Returns the final (already colinear-merged) piece list.
 fn conv_general_pieces(
     f: &Curve,
     g: &Curve,
     h: Q,
     meter: &BudgetMeter,
-    scratch: &mut ConvScratch,
 ) -> Result<Vec<Piece>, CurveError> {
-    parts_of_into(f, h, meter, &mut scratch.pa)?;
-    parts_of_into(g, h, meter, &mut scratch.pb)?;
-    let skipped = match conv_general_scalar(h, meter, scratch)? {
-        ScalarRun::Done(pieces) => return Ok(pieces),
-        ScalarRun::Spill(k) => k,
+    let pa = parts_of(f, h, meter)?;
+    let pb = parts_of(g, h, meter)?;
+    let mut tk = Ticker::new(meter);
+    if let Some(pieces) = conv_kernel::<Q64>(&pa, &pb, h, &mut tk) {
+        return Ok(pieces);
+    }
+    if tk.refused {
+        return Err(tk.error());
+    }
+    let mut tk = Ticker::skipping(meter, tk.issued);
+    conv_kernel::<Q>(&pa, &pb, h, &mut tk).ok_or_else(|| tk.error())
+}
+
+/// The deconvolution candidates over operand parts `pa` (on `[0, h +
+/// u_cap]`) and `pb` (on `[0, u_cap]`): up to four affine fragments in `t`
+/// per part pair, as derived in [`Curve::deconv_upto`]. Ticks `tk` once per
+/// pair; `None` when the meter refuses or an intermediate overflows `i128`.
+fn deconv_candidates(
+    pa: &[Part<Q>],
+    pb: &[Part<Q>],
+    h: Q,
+    u_cap: Q,
+    tk: &mut Ticker,
+) -> Option<Vec<Part<Q>>> {
+    let hp1 = h.add(Q::ONE)?;
+    // Up to four candidates per region pair; reserving once keeps the
+    // inner loop allocation-free.
+    let mut cand = Vec::with_capacity(pa.len() * pb.len() * 4);
+    let mut add = |start: Q, end: Q, v_at_start: Q, r: Q| -> Option<()> {
+        let s = start.max(Q::ZERO);
+        let e = end.min(hp1);
+        if s < e {
+            cand.push(Part {
+                start: s,
+                end: e,
+                v: v_at_start.add(r.mul(s.sub(start)?)?)?,
+                r,
+            });
+        }
+        Some(())
     };
-    let tk = Ticker::skipping(meter, skipped);
-    let ConvScratch {
-        pa,
-        pb,
-        cand,
-        events,
-        lines,
-        ..
-    } = scratch;
-    cand.clear();
-    cand.reserve(pa.len() * pb.len() * 2);
-    for a in pa.iter() {
-        for b in pb.iter() {
+    for a in pa {
+        let (xk, xk1) = (a.start, a.end);
+        for b in pb {
             tk.tick()?;
-            let t0 = a.start + b.start;
-            if t0 > h {
+            let ulo = b.start;
+            if ulo > u_cap {
                 continue;
             }
-            let t1 = a.end + b.end; // exclusive
-            let v0 = a.v + b.v;
-            let (rmin, rmax, len_min) = if a.r <= b.r {
-                (a.r, b.r, a.end - a.start)
-            } else {
-                (b.r, a.r, b.end - b.start)
-            };
-            let mid = t0 + len_min;
-            if mid >= t1 {
-                cand.push(Part {
-                    start: t0,
-                    end: t1,
-                    v: v0,
-                    r: rmin,
-                });
-            } else {
-                cand.push(Part {
-                    start: t0,
-                    end: mid,
-                    v: v0,
-                    r: rmin,
-                });
-                cand.push(Part {
-                    start: mid,
-                    end: t1,
-                    v: v0 + rmin * len_min,
-                    r: rmax,
-                });
+            let uhi = b.end.min(u_cap);
+            if uhi < ulo {
+                continue;
             }
+            let a_at_xk = a.eval(xk)?;
+            let a_at_xk1 = a.eval(xk1)?;
+            let b_at_ulo = b.eval(ulo)?;
+            let b_at_uhi = b.eval(uhi)?;
+            // Within the region u ∈ [ulo, uhi], t+u ∈ [xk, xk1] the
+            // objective is affine in u; its supremum for fixed t sits at one
+            // of four canonical points, each contributing an affine
+            // candidate in t:
+            // 1. u pinned at the region's lower end.
+            add(xk.sub(ulo)?, xk1.sub(ulo)?, a_at_xk.sub(b_at_ulo)?, a.r)?;
+            // 2. u approaching the region's upper end (limit value).
+            add(xk.sub(uhi)?, xk1.sub(uhi)?, a_at_xk.sub(b_at_uhi)?, a.r)?;
+            // 3. t+u pinned at the a-piece's left boundary: u = xk − t.
+            add(xk.sub(uhi)?, xk.sub(ulo)?, a_at_xk.sub(b_at_uhi)?, b.r)?;
+            // 4. t+u approaching the a-piece's right boundary:
+            //    u = (xk1 − t)⁻ (limit value).
+            add(xk1.sub(uhi)?, xk1.sub(ulo)?, a_at_xk1.sub(b_at_uhi)?, b.r)?;
         }
     }
-    envelope(cand, h, false, &tk, events, lines)
+    Some(cand)
 }
 
 impl Curve {
@@ -627,7 +486,6 @@ impl Curve {
         meter: &BudgetMeter,
     ) -> Result<Curve, CurveError> {
         assert!(!h.is_negative(), "conv_upto with negative horizon");
-        let mut scratch = ConvScratch::default();
         let pieces = match (self.shape(), other.shape()) {
             (Shape::Concave | Shape::Both, Shape::Concave | Shape::Both) => {
                 return self.conv_concave(other, meter);
@@ -636,9 +494,9 @@ impl Curve {
                 if matches!(self.tail(), Tail::Affine)
                     && matches!(other.tail(), Tail::Affine) =>
             {
-                self.conv_convex_pieces(other, h, meter, &mut scratch)?
+                self.conv_convex_pieces(other, h, meter)?
             }
-            _ => conv_general_pieces(self, other, h, meter, &mut scratch)?,
+            _ => conv_general_pieces(self, other, h, meter)?,
         };
         Ok(Curve::new(pieces, Tail::Affine).expect("conv_upto produced an invalid curve"))
     }
@@ -682,17 +540,12 @@ impl Curve {
         other: &Curve,
         h: Q,
         meter: &BudgetMeter,
-        scratch: &mut ConvScratch,
     ) -> Result<Vec<Piece>, CurveError> {
-        parts_of_into(self, h, meter, &mut scratch.pa)?;
-        parts_of_into(other, h, meter, &mut scratch.pb)?;
-        let (pa, pb) = (&scratch.pa, &scratch.pb);
-        // (slope, length) segments; parts_of_into caps the last extent at
-        // h+1, so the combined lengths cover [0, h] with room to spare.
-        // The segment list reuses the scratch line buffer.
-        let segs = &mut scratch.lines;
-        segs.clear();
-        segs.reserve(pa.len() + pb.len());
+        let pa = parts_of(self, h, meter)?;
+        let pb = parts_of(other, h, meter)?;
+        // (slope, length) segments; parts_of caps the last extent at h+1,
+        // so the combined lengths cover [0, h] with room to spare.
+        let mut segs: Vec<(Q, Q)> = Vec::with_capacity(pa.len() + pb.len());
         segs.extend(pa.iter().map(|p| (p.r, p.end - p.start)));
         segs.extend(pb.iter().map(|p| (p.r, p.end - p.start)));
         segs.sort_by_key(|s| s.0);
@@ -729,7 +582,7 @@ impl Curve {
         h: Q,
         meter: &BudgetMeter,
     ) -> Result<Curve, CurveError> {
-        let pieces = conv_general_pieces(self, other, h, meter, &mut ConvScratch::default())?;
+        let pieces = conv_general_pieces(self, other, h, meter)?;
         Ok(Curve::new(pieces, Tail::Affine).expect("conv_upto produced an invalid curve"))
     }
 
@@ -807,72 +660,15 @@ impl Curve {
         meter: &BudgetMeter,
     ) -> Result<Curve, CurveError> {
         assert!(!h.is_negative() && !u_cap.is_negative());
-        let mut scratch = ConvScratch::default();
-        parts_of_into(self, ck_add(h, u_cap)?, meter, &mut scratch.pa)?;
-        parts_of_into(other, u_cap, meter, &mut scratch.pb)?;
-        let ConvScratch {
-            pa,
-            pb,
-            cand,
-            events,
-            lines,
-            ..
-        } = &mut scratch;
-
-        // Up to four candidates per region pair (see below); reserving once
-        // keeps the inner loop allocation-free.
-        cand.clear();
-        cand.reserve(pa.len() * pb.len() * 4);
-        let mut add = |start: Q, end: Q, v_at_start: Q, r: Q| {
-            let s = start.max(Q::ZERO);
-            let e = end.min(h + Q::ONE);
-            if s < e {
-                cand.push(Part {
-                    start: s,
-                    end: e,
-                    v: v_at_start + r * (s - start),
-                    r,
-                });
-            }
-        };
-
-        for a in pa.iter() {
-            let (xk, xk1) = (a.start, a.end);
-            for b in pb.iter() {
-                if !meter.tick_segment() {
-                    return Err(budget_err(meter));
-                }
-                let ulo = b.start;
-                if ulo > u_cap {
-                    continue;
-                }
-                let uhi = b.end.min(u_cap);
-                if uhi < ulo {
-                    continue;
-                }
-                let a_at_xk = a.eval(xk);
-                let a_at_xk1 = a.eval(xk1);
-                let b_at_ulo = b.eval(ulo);
-                let b_at_uhi = b.eval(uhi);
-                // Within the region u ∈ [ulo, uhi], t+u ∈ [xk, xk1] the
-                // objective is affine in u; its supremum for fixed t sits
-                // at one of four canonical points, each contributing an
-                // affine candidate in t:
-                // 1. u pinned at the region's lower end.
-                add(xk - ulo, xk1 - ulo, a_at_xk - b_at_ulo, a.r);
-                // 2. u approaching the region's upper end (limit value).
-                add(xk - uhi, xk1 - uhi, a_at_xk - b_at_uhi, a.r);
-                // 3. t+u pinned at the a-piece's left boundary: u = xk − t.
-                add(xk - uhi, xk - ulo, a_at_xk - b_at_uhi, b.r);
-                // 4. t+u approaching the a-piece's right boundary:
-                //    u = (xk1 − t)⁻ (limit value).
-                add(xk1 - uhi, xk1 - ulo, a_at_xk1 - b_at_uhi, b.r);
-            }
-        }
+        let pa = parts_of(self, ck_add(h, u_cap)?, meter)?;
+        let pb = parts_of(other, u_cap, meter)?;
+        let mut tk = Ticker::new(meter);
+        let cand = deconv_candidates(&pa, &pb, h, u_cap, &mut tk).ok_or_else(|| tk.error())?;
         if cand.is_empty() {
-            return Ok(Curve::constant(self.eval(Q::ZERO) - other.eval(Q::ZERO)));
+            let c = self.eval(Q::ZERO).checked_sub(other.eval(Q::ZERO));
+            return Ok(Curve::constant(c.ok_or(OVF)?));
         }
-        let pieces = envelope(cand, h, true, &Ticker::new(meter), events, lines)?;
+        let pieces = envelope(&cand, h, true, &mut tk).ok_or_else(|| tk.error())?;
         Ok(Curve::new(pieces, Tail::Affine).expect("deconv_upto produced an invalid curve"))
     }
 
@@ -920,71 +716,6 @@ impl Curve {
             bound.max(ta.s).max(tb.s) + Q::ONE
         };
         self.try_deconv_upto(other, h, u_cap, meter)
-    }
-}
-
-impl Curve {
-    /// Finitary sub-additive closure `f* = min_{n ≥ 1} f^{⊗n}`, exact on
-    /// `[0, h]`.
-    ///
-    /// The closure is the tightest sub-additive curve below `f` (with the
-    /// `n ≥ 1` convention, so `f*(0) = f(0)`); it is the canonical way to
-    /// tighten an upper arrival curve. Computed by repeated squaring
-    /// (`c ← min(c, c ⊗ c)`), which converges on the finite horizon in
-    /// logarithmically many steps.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the iteration fails to converge within 64 doublings
-    /// (cannot happen for monotone curves with `f(0) ≥ 0`).
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use srtw_minplus::{Curve, Q, q};
-    /// // A leaky-bucket pair: min(γ_{b1,r1}, γ_{b2,r2}) is generally not
-    /// // sub-additive; its closure is the tight concave envelope.
-    /// let f = Curve::affine(Q::int(4), q(1, 4)).pointwise_min(&Curve::affine(Q::ONE, Q::ONE));
-    /// let g = f.subadditive_closure_upto(Q::int(40));
-    /// for i in 0..=40 {
-    ///     let t = Q::int(i);
-    ///     assert!(g.eval(t) <= f.eval(t));
-    /// }
-    /// // Sub-additivity on the horizon:
-    /// for a in 0..=20 {
-    ///     for b in 0..=20 {
-    ///         let (a, b) = (Q::int(a), Q::int(b));
-    ///         assert!(g.eval(a + b) <= g.eval(a) + g.eval(b));
-    ///     }
-    /// }
-    /// ```
-    #[must_use]
-    pub fn subadditive_closure_upto(&self, h: Q) -> Curve {
-        // Equality on [0, h] only: beyond the horizon conv_upto's affine
-        // extension carries no meaning and must not gate convergence.
-        let equal_upto = |a: &Curve, b: &Curve| -> bool {
-            let mut ts: Vec<Q> = a
-                .pieces_upto(h)
-                .iter()
-                .chain(b.pieces_upto(h).iter())
-                .map(|p| p.start)
-                .filter(|&t| t <= h)
-                .collect();
-            ts.push(h);
-            ts.sort();
-            ts.dedup();
-            ts.iter()
-                .all(|&t| a.eval(t) == b.eval(t) && a.eval_left(t) == b.eval_left(t))
-        };
-        let mut c = self.clone();
-        for _ in 0..64 {
-            let next = c.pointwise_min(&c.conv_upto(&c, h));
-            if equal_upto(&next, &c) {
-                return c;
-            }
-            c = next;
-        }
-        panic!("subadditive closure did not converge within 64 doublings");
     }
 }
 
@@ -1247,42 +978,16 @@ mod tests {
     }
 
     #[test]
-    fn closure_is_subadditive_and_idempotent() {
-        let f = Curve::affine(Q::int(5), q(1, 5))
-            .pointwise_min(&Curve::affine(Q::ONE, Q::int(2)));
-        let h = Q::int(30);
-        let g = f.subadditive_closure_upto(h);
-        for a in 0..=60 {
-            for b in 0..=60 {
-                let (a, b) = (q(a, 2), q(b, 2));
-                if a + b > h {
-                    continue;
-                }
-                assert!(
-                    g.eval(a + b) <= g.eval(a) + g.eval(b),
-                    "not subadditive at {a} + {b}"
-                );
-                assert!(g.eval(a) <= f.eval(a));
-            }
-        }
-        let gg = g.subadditive_closure_upto(h);
-        for i in 0..=60 {
-            let t = q(i, 2);
-            assert_eq!(g.eval(t), gg.eval(t), "not idempotent at {t}");
-        }
-    }
-
-    #[test]
-    fn closure_of_subadditive_curve_is_identity() {
-        // Staircases are sub-additive: the closure changes nothing.
-        let f = Curve::staircase(Q::int(5), Q::int(2));
-        let g = f.subadditive_closure_upto(Q::int(40));
-        for i in 0..=80 {
-            let t = q(i, 2);
-            if t > Q::int(40) {
-                break;
-            }
-            assert_eq!(g.eval(t), f.eval(t), "at {t}");
-        }
+    fn overflowing_values_are_a_typed_error_not_a_panic() {
+        // Both value offsets are 2¹²⁶: the first candidate's value sum is
+        // 2¹²⁷, past i128, so the kernel leaves Q64 and then Q.
+        let big = Q::int(1 << 126);
+        let a = Curve::staircase(Q::int(4), Q::int(3)).shift_up(big);
+        let b = Curve::staircase(Q::int(5), Q::int(2)).shift_up(big);
+        let got = a.try_conv_upto(&b, Q::int(40), &BudgetMeter::unlimited());
+        assert_eq!(
+            got,
+            Err(CurveError::Arithmetic(crate::ArithmeticError::Overflow))
+        );
     }
 }

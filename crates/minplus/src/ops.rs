@@ -12,8 +12,9 @@ use crate::error::{ArithmeticError, CurveError};
 use crate::meter::BudgetMeter;
 use crate::ratio::Q;
 
-/// The overflow error value, shared by the checked helpers below.
-const OVF: CurveError = CurveError::Arithmetic(ArithmeticError::Overflow);
+/// The overflow error value, shared by the checked helpers below and the
+/// convolution kernels.
+pub(crate) const OVF: CurveError = CurveError::Arithmetic(ArithmeticError::Overflow);
 
 pub(crate) fn ck_add(a: Q, b: Q) -> Result<Q, CurveError> {
     a.checked_add(b).ok_or(OVF)

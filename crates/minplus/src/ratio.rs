@@ -590,8 +590,90 @@ impl FromStr for Q {
     }
 }
 
-/// A small rational on `i64` components, the scalar of the fixed-denominator
-/// convolution fast path.
+/// Exact rational arithmetic that can run out of range: the number type the
+/// general (min,+) convolution and the envelope are written over.
+///
+/// Every operation is exact; `None` only means the result is not
+/// representable in the implementing type. [`Q64`] returns `None` when a
+/// value leaves `i64` (the kernel then re-runs in [`Q`]), and [`Q`] when it
+/// leaves `i128` (the kernel then reports an overflow).
+pub(crate) trait Rational: Copy + Ord {
+    /// The zero value.
+    const ZERO: Self;
+    /// Converts an exact rational, `None` if it does not fit.
+    fn from_q(v: Q) -> Option<Self>;
+    /// Converts back to the canonical [`Q`] representation.
+    fn to_q(self) -> Q;
+    /// Exact addition.
+    fn add(self, rhs: Self) -> Option<Self>;
+    /// Exact subtraction.
+    fn sub(self, rhs: Self) -> Option<Self>;
+    /// Exact multiplication.
+    fn mul(self, rhs: Self) -> Option<Self>;
+    /// Exact division; `None` also on division by zero.
+    fn div(self, rhs: Self) -> Option<Self>;
+    /// Absolute value.
+    fn abs(self) -> Option<Self>;
+    /// `true` when the value is strictly negative.
+    fn is_negative(self) -> bool;
+    /// `true` when the value is exactly zero.
+    fn is_zero(self) -> bool;
+}
+
+impl Rational for Q {
+    const ZERO: Q = Q::ZERO;
+
+    #[inline]
+    fn from_q(v: Q) -> Option<Q> {
+        Some(v)
+    }
+
+    #[inline]
+    fn to_q(self) -> Q {
+        self
+    }
+
+    #[inline]
+    fn add(self, rhs: Q) -> Option<Q> {
+        self.checked_add(rhs)
+    }
+
+    #[inline]
+    fn sub(self, rhs: Q) -> Option<Q> {
+        self.checked_sub(rhs)
+    }
+
+    #[inline]
+    fn mul(self, rhs: Q) -> Option<Q> {
+        self.checked_mul(rhs)
+    }
+
+    #[inline]
+    fn div(self, rhs: Q) -> Option<Q> {
+        self.checked_div(rhs)
+    }
+
+    #[inline]
+    fn abs(self) -> Option<Q> {
+        Some(Q {
+            num: self.num.checked_abs()?,
+            den: self.den,
+        })
+    }
+
+    #[inline]
+    fn is_negative(self) -> bool {
+        Q::is_negative(self)
+    }
+
+    #[inline]
+    fn is_zero(self) -> bool {
+        Q::is_zero(self)
+    }
+}
+
+/// A small rational on `i64` components, the fast instantiation of the
+/// general convolution kernel.
 ///
 /// Unlike [`Q`], a `Q64` is **not** kept reduced: `den > 0` always holds, but
 /// `gcd(num, den)` may exceed 1. Reduction is lazy — [`Q64::pack`] first tries
@@ -623,30 +705,6 @@ impl PartialEq for Q64 {
 impl Eq for Q64 {}
 
 impl Q64 {
-    /// The zero value.
-    pub(crate) const ZERO: Q64 = Q64 { num: 0, den: 1 };
-
-    /// Converts an exact rational, `None` if either component exceeds `i64`.
-    #[inline]
-    pub(crate) fn from_q(v: Q) -> Option<Q64> {
-        let num = i64::try_from(v.numer()).ok()?;
-        let den = i64::try_from(v.denom()).ok()?;
-        Some(Q64 { num, den })
-    }
-
-    /// Converts back to the canonical [`Q`] representation. Exact: `Q::new`
-    /// reduces the (possibly unreduced) pair to the unique normal form.
-    #[inline]
-    pub(crate) fn to_q(self) -> Q {
-        Q::new(self.num as i128, self.den as i128)
-    }
-
-    /// `true` when the value is strictly negative (`den` is always positive).
-    #[inline]
-    pub(crate) fn is_negative(self) -> bool {
-        self.num < 0
-    }
-
     /// Stores an exact `i128` value pair as a `Q64`, reducing by the gcd only
     /// when the raw pair does not fit. `den` must be strictly positive.
     #[inline]
@@ -655,6 +713,13 @@ impl Q64 {
         if let (Ok(n), Ok(d)) = (i64::try_from(num), i64::try_from(den)) {
             return Some(Q64 { num: n, den: d });
         }
+        Q64::pack_reduced(num, den)
+    }
+
+    /// The gcd path of [`Q64::pack`], kept out of line so the common case
+    /// stays small enough to inline into the kernel's arithmetic.
+    #[cold]
+    fn pack_reduced(num: i128, den: i128) -> Option<Q64> {
         let g = gcd(num, den);
         let (num, den) = (num / g, den / g);
         match (i64::try_from(num), i64::try_from(den)) {
@@ -662,38 +727,49 @@ impl Q64 {
             _ => None,
         }
     }
+}
 
-    /// Exact addition; `None` when the reduced result leaves `i64`.
+impl Rational for Q64 {
+    const ZERO: Q64 = Q64 { num: 0, den: 1 };
+
     #[inline]
-    pub(crate) fn add(self, rhs: Q64) -> Option<Q64> {
-        let num =
-            self.num as i128 * rhs.den as i128 + rhs.num as i128 * self.den as i128;
+    fn from_q(v: Q) -> Option<Q64> {
+        let num = i64::try_from(v.numer()).ok()?;
+        let den = i64::try_from(v.denom()).ok()?;
+        Some(Q64 { num, den })
+    }
+
+    /// Exact: `Q::new` reduces the (possibly unreduced) pair to the unique
+    /// normal form.
+    #[inline]
+    fn to_q(self) -> Q {
+        Q::new(self.num as i128, self.den as i128)
+    }
+
+    #[inline]
+    fn add(self, rhs: Q64) -> Option<Q64> {
+        let num = self.num as i128 * rhs.den as i128 + rhs.num as i128 * self.den as i128;
         let den = self.den as i128 * rhs.den as i128;
         Q64::pack(num, den)
     }
 
-    /// Exact subtraction; `None` when the reduced result leaves `i64`.
     #[inline]
-    pub(crate) fn sub(self, rhs: Q64) -> Option<Q64> {
-        let num =
-            self.num as i128 * rhs.den as i128 - rhs.num as i128 * self.den as i128;
+    fn sub(self, rhs: Q64) -> Option<Q64> {
+        let num = self.num as i128 * rhs.den as i128 - rhs.num as i128 * self.den as i128;
         let den = self.den as i128 * rhs.den as i128;
         Q64::pack(num, den)
     }
 
-    /// Exact multiplication; `None` when the reduced result leaves `i64`.
     #[inline]
-    pub(crate) fn mul(self, rhs: Q64) -> Option<Q64> {
+    fn mul(self, rhs: Q64) -> Option<Q64> {
         Q64::pack(
             self.num as i128 * rhs.num as i128,
             self.den as i128 * rhs.den as i128,
         )
     }
 
-    /// Exact division; `None` on division by zero or when the reduced result
-    /// leaves `i64`.
     #[inline]
-    pub(crate) fn div(self, rhs: Q64) -> Option<Q64> {
+    fn div(self, rhs: Q64) -> Option<Q64> {
         if rhs.num == 0 {
             return None;
         }
@@ -706,21 +782,22 @@ impl Q64 {
         Q64::pack(num, den)
     }
 
-    /// Absolute value (no overflow: `den > 0`, and `num == i64::MIN` would
-    /// imply an unreduced pack of a value whose negation still fits `i128`
-    /// at the call sites, which all compare rather than negate first — keep
-    /// the checked form anyway).
     #[inline]
-    pub(crate) fn abs(self) -> Option<Q64> {
+    fn abs(self) -> Option<Q64> {
         Some(Q64 {
             num: self.num.checked_abs()?,
             den: self.den,
         })
     }
 
-    /// Is the value exactly zero?
+    /// `den` is always positive, so the sign is the numerator's.
     #[inline]
-    pub(crate) fn is_zero(self) -> bool {
+    fn is_negative(self) -> bool {
+        self.num < 0
+    }
+
+    #[inline]
+    fn is_zero(self) -> bool {
         self.num == 0
     }
 }

@@ -32,8 +32,9 @@
 //! The body is replayed byte-identically on a warm hit, and the code
 //! lanes let the loader re-verify the key — a corrupt or stale entry can
 //! only *miss*, never lie. Files of an earlier version fail the version
-//! check and load cold with one warning each; the writer recreates a
-//! file as the current version when its shard next takes an insert.
+//! check and load cold with one warning each; [`Store::open`] recreates
+//! its own replica's stale files, empty under the current header, so each
+//! warns on one start only.
 //! Version 1 also carried a deadline class and a thread count; version 2
 //! keyed on an isomorphism-invariant canonical form plus a presentation
 //! digest.
@@ -61,7 +62,7 @@ use srtw_supervisor::framed::{self, put_str, Cursor, LogFormat, LogWarning, Writ
 use std::collections::HashMap;
 use std::fmt;
 use std::fs::{self, File};
-use std::io;
+use std::io::{self, Read};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -274,8 +275,10 @@ impl Store {
     /// files, creating the directory if needed. `next_generation` seeds
     /// the insertion clock (pass max loaded generation + 1 so recency
     /// keeps advancing across restarts). `fault` counts appends across
-    /// all shards. Fails typed when the directory cannot be created — the
-    /// caller warns and runs cold.
+    /// all shards. Each of this replica's shard files whose header is not
+    /// the current one (an earlier version, or malformed) is recreated
+    /// empty. Fails typed when the directory cannot be created or a stale
+    /// file cannot be recreated — the caller warns and runs cold.
     pub fn open(
         dir: &Path,
         replica: usize,
@@ -284,10 +287,18 @@ impl Store {
         fault: Option<WriteFault>,
     ) -> Result<Store, PersistError> {
         fs::create_dir_all(dir).map_err(|e| PersistError::classify(dir, &e))?;
+        let shards = (0..shard_count)
+            .map(|shard| {
+                let path = Store::shard_path(dir, replica, shard);
+                recreate_stale(&path)
+                    .map(Mutex::new)
+                    .map_err(|e| PersistError::classify(&path, &e))
+            })
+            .collect::<Result<_, _>>()?;
         Ok(Store {
             dir: dir.to_path_buf(),
             replica,
-            shards: (0..shard_count).map(|_| Mutex::new(None)).collect(),
+            shards,
             generation: AtomicU64::new(next_generation),
             appends: AtomicU64::new(0),
             fault,
@@ -339,6 +350,23 @@ impl Store {
         }
         result
     }
+}
+
+/// Recreates the spill file at `path` under the current header when it
+/// exists with another header, returning it open for append; `None` when
+/// it is absent or already current (it is then opened on its first
+/// append).
+fn recreate_stale(path: &Path) -> io::Result<Option<File>> {
+    let mut head = Vec::with_capacity(SPILL_HEADER_BYTES);
+    match File::open(path) {
+        Ok(file) => file.take(SPILL_HEADER_BYTES as u64).read_to_end(&mut head)?,
+        Err(err) if err.kind() == io::ErrorKind::NotFound => return Ok(None),
+        Err(err) => return Err(err),
+    };
+    if head == FORMAT.header_prefix() {
+        return Ok(None);
+    }
+    framed::create(path, &FORMAT.header_prefix()).map(Some)
 }
 
 #[cfg(test)]
@@ -523,6 +551,32 @@ mod tests {
             assert_eq!(load.records[0].canon, 8);
             assert_eq!(load.records[0].body, "eight\n");
         }
+    }
+
+    #[test]
+    fn open_recreates_only_its_own_replicas_stale_files() {
+        let dir = tmpdir("stale");
+        let mut v2 = SPILL_MAGIC.to_vec();
+        v2.extend_from_slice(&2u32.to_le_bytes());
+        let (own, other) = (Store::shard_path(&dir, 0, 5), Store::shard_path(&dir, 1, 5));
+        fs::write(&own, &v2).unwrap();
+        fs::write(&other, &v2).unwrap();
+        let store = Store::open(&dir, 0, 8, 1, None).unwrap();
+        append_all(&store, &[rec(0, 0, "zero\n")]);
+        let load = load_dir(&dir);
+        assert_eq!(load.records.len(), 1);
+        assert_eq!(load.warnings.len(), 1, "{:?}", load.warnings);
+        assert_eq!(load.warnings[0].path, other);
+        assert_eq!(fs::read(&own).unwrap(), FORMAT.header_prefix());
+        assert_eq!(fs::read(&other).unwrap(), v2);
+        // A stale file that cannot be recreated fails the open, typed.
+        fs::remove_file(&own).unwrap();
+        fs::create_dir(&own).unwrap();
+        let err = Store::open(&dir, 0, 8, 1, None).unwrap_err();
+        fs::remove_dir_all(&dir).unwrap();
+        assert_eq!(err.path, own);
+        let expected = format!("{}: io: ", own.display());
+        assert!(err.to_string().starts_with(&expected), "{err}");
     }
 
     #[test]

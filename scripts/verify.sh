@@ -27,7 +27,10 @@
 #      scaled-integer vs exact-rational instantiation (identical arenas
 #      and rbfs), and a search grown through increasing horizons vs fresh
 #      searches to each of them, plus the pseudo-inverse's reach table
-#      vs the linear-scan reference and a grid search at 1024 cases;
+#      vs the linear-scan reference and a grid search at 1024 cases, plus
+#      the general convolution's differential suite at 1024 cases (the
+#      kernel at i64 rationals vs its exact-rational re-run: identical
+#      curves and tick sequences);
 #   6. supervised batch smoke test: the shipped systems under a 2 s
 #      watchdog must come back degraded-not-failed (exit 0), and a
 #      fault-injected batch must exhaust the ladder and exit 4;
@@ -149,6 +152,10 @@ SRTW_PROP_CASES=1024 cargo test -q --release --offline -p srtw-workload --lib \
 # flat pieces, affine and periodic (also zero-increment) tails.
 SRTW_PROP_CASES=1024 cargo test -q --release --offline -p srtw-minplus --lib \
     dev::tests::pseudo_inverse_table_matches_scan_and_brute
+# The general convolution runs at i64 rationals and re-runs in exact
+# rationals when a value leaves i64: both must give the same curve, and
+# the meter must see the same tick sequence either way.
+SRTW_PROP_CASES=1024 cargo test -q --release --offline -p srtw-minplus --test differential
 # The shipped adversarial system must degrade gracefully under a 1 s wall
 # budget: exit 0, a degradation warning on stderr, "degraded":true in JSON,
 # and no more than 5 s of wall time (post-budget work is bounded too).
