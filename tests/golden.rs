@@ -17,7 +17,8 @@ use srtw::supervisor::journal::digest64;
 use srtw::textfmt::{parse_system, ServerSpec};
 use srtw::Rng;
 use srtw::{
-    fifo_report, generate_task_set, AnalysisConfig, Budget, Curve, DrtGenConfig, DrtTask, Q,
+    fifo_report, generate_task_set, AnalysisConfig, Budget, Curve, DrtGenConfig, DrtTask,
+    DrtTaskBuilder, Q,
 };
 use std::time::Duration;
 
@@ -79,7 +80,7 @@ fn server(kind: usize, rng: &mut Rng) -> ServerSpec {
 }
 
 /// The corpus: the shipped decoder system, a system with tied
-/// candidates, then 1–3 generated streams of
+/// candidates, a system whose names need JSON escapes, then 1–3 generated streams of
 /// 5, 10 and 20 vertices on each server kind, eight seeds each (216
 /// systems). The generator rescales WCETs to the drawn utilization, so
 /// they carry the rational denominators real requests carry.
@@ -99,6 +100,22 @@ fn corpus() -> Vec<(String, Vec<DrtTask>, Curve)> {
     .expect("tie parses");
     let beta = tie.server.expect("tie declares a server").beta_lower();
     out.push(("tie".to_owned(), tie.tasks, beta.unwrap()));
+    // Names the report must escape: a quote, a backslash, control bytes
+    // and non-ASCII text, in the task name and in vertex labels.
+    let mut b = DrtTaskBuilder::new("q\"uote\\back\u{1}\tβ→");
+    let x = b.vertex_with_deadline("x\"\u{7f}", Q::int(2), Q::int(30));
+    let y = b.vertex("y\\\n\u{1f}é", Q::new(3, 2));
+    let z = b.vertex("😀\r\u{8}\u{c}", Q::ONE);
+    b.edge(x, y, Q::int(7));
+    b.edge(y, z, Q::new(15, 2));
+    b.edge(z, x, Q::int(9));
+    b.edge(y, x, Q::int(11));
+    let escaped = b.build().expect("escaping system builds");
+    out.push((
+        "escaping".to_owned(),
+        vec![escaped],
+        Curve::rate_latency(Q::ONE, Q::int(3)),
+    ));
     for vertices in [5usize, 10, 20] {
         for streams in 1..=3usize {
             for kind in 0..3usize {
