@@ -11,10 +11,13 @@
 //!
 //! The fixpoint grows one [`Explorer`] per stream to each iterate and keeps
 //! it, so later reads (rbfs, paths, fallback rbfs) explore nothing twice.
+//! The stability check reads each stream's utilization off the graph its
+//! explorer already holds ([`Explorer::utilization`]), so every task is
+//! scaled to integers once per analysis.
 
 use crate::error::AnalysisError;
 use srtw_minplus::{BudgetKind, BudgetMeter, Curve, Ext, Q};
-use srtw_workload::{long_run_utilization, DrtTask, ExploreConfig, Explorer, Rbf};
+use srtw_workload::{DrtTask, ExploreConfig, Explorer, Rbf};
 
 /// The busy-window bound of a set of streams sharing a server, together
 /// with the per-stream request-bound functions materialized to that bound.
@@ -97,9 +100,11 @@ pub fn busy_window_metered(
     beta: &Curve,
     meter: &BudgetMeter,
 ) -> Result<BusyWindow, AnalysisError> {
-    let utilization = tasks
+    let cfg = ExploreConfig::new(Q::ZERO);
+    let mut explorers: Vec<Explorer> = tasks.iter().map(|t| Explorer::new(t, &cfg)).collect();
+    let utilization = explorers
         .iter()
-        .map(long_run_utilization)
+        .map(Explorer::utilization)
         .fold(Q::ZERO, |a, b| a + b);
     let rate = beta.rate();
     if utilization >= rate {
@@ -114,8 +119,6 @@ pub fn busy_window_metered(
         });
     }
 
-    let cfg = ExploreConfig::new(Q::ZERO);
-    let mut explorers: Vec<Explorer> = tasks.iter().map(|t| Explorer::new(t, &cfg)).collect();
     let mut level = Q::ZERO;
     let mut iterations = 0usize;
     const CAP: usize = 100_000;

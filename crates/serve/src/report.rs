@@ -3,9 +3,12 @@
 //!
 //! Both entry points must emit **byte-identical** JSON for the same
 //! system (the soak suite asserts it), so the document is built in
-//! exactly one place: the CLI calls [`fifo_report`] + [`FifoReport::to_json`]
-//! and so does the service worker.
+//! exactly one place, [`FifoReport::write_json`]: the service writes it
+//! straight into the response body, and the CLI prints the same bytes
+//! through [`FifoReport::to_json`].
 
+use srtw_core::json::{push_array, push_bool};
+use srtw_core::push_object;
 use srtw_core::{fifo_analysis, AnalysisConfig, AnalysisError, DelayAnalysis, Json, RtcReport};
 use srtw_minplus::Curve;
 use srtw_workload::DrtTask;
@@ -35,40 +38,28 @@ pub fn fifo_report(
 }
 
 impl FifoReport {
-    /// The sorted, deduplicated budget dimensions that tripped, with the
-    /// CLI's historical quirk preserved: a degraded RTC baseline with no
-    /// per-stream records reports as plain `"budget"`.
-    pub fn degradation_kinds(&self) -> Vec<String> {
-        let mut kinds: Vec<String> = self
-            .per
-            .iter()
-            .flat_map(|a| a.degradations.iter().map(|d| d.tripped.to_string()))
-            .collect();
-        if !self.rtc.quality.is_exact() && kinds.is_empty() {
-            kinds.push("budget".into());
-        }
-        kinds.sort();
-        kinds.dedup();
-        kinds
-    }
-
     /// `true` when any stream or the baseline carries a degraded (still
     /// sound) bound.
     pub fn degraded(&self) -> bool {
-        !self.degradation_kinds().is_empty()
+        !self.rtc.quality.is_exact() || self.per.iter().any(|a| !a.degradations.is_empty())
+    }
+
+    /// Appends the `srtw analyze --json` document (scheduler `fifo`) to
+    /// `out`, reserving room for a typical document of its size first.
+    pub fn write_json(&self, out: &mut String) {
+        let vertices: usize = self.per.iter().map(|a| a.per_vertex.len()).sum();
+        out.reserve(384 * self.per.len() + 288 * vertices);
+        push_object!(out,
+            "scheduler" => out.push_str("\"fifo\""),
+            "degraded" => push_bool(out, self.degraded()),
+            "rtc" => self.rtc.write_json(out),
+            "streams" => push_array(out, &self.per, |out, a| a.write_json(out)),
+        );
     }
 
     /// The `srtw analyze --json` document (scheduler `fifo`).
     pub fn to_json(&self) -> Json {
-        Json::object(vec![
-            ("scheduler", Json::str("fifo")),
-            ("degraded", Json::Bool(self.degraded())),
-            ("rtc", self.rtc.to_json()),
-            (
-                "streams",
-                Json::Array(self.per.iter().map(|a| a.to_json()).collect()),
-            ),
-        ])
+        Json::writing(|out| self.write_json(out))
     }
 }
 
@@ -90,14 +81,13 @@ mod tests {
         let (tasks, beta) = small_system();
         let r = fifo_report(&tasks, &beta, &AnalysisConfig::default()).unwrap();
         assert!(!r.degraded());
-        assert!(r.degradation_kinds().is_empty());
         let doc = r.to_json().render();
         assert!(doc.starts_with("{\"scheduler\":\"fifo\",\"degraded\":false,\"rtc\":"));
         assert!(doc.contains("\"streams\":["));
     }
 
     #[test]
-    fn tripped_budget_reports_degradation_kinds() {
+    fn tripped_budget_marks_the_report_degraded() {
         let (tasks, beta) = small_system();
         // One path is exactly what the system's single search needs.
         let cfg = AnalysisConfig {
@@ -106,7 +96,6 @@ mod tests {
         };
         let r = fifo_report(&tasks, &beta, &cfg).unwrap();
         assert!(r.degraded());
-        assert!(!r.degradation_kinds().is_empty());
         let doc = r.to_json().render();
         assert!(doc.contains("\"degraded\":true"));
     }

@@ -193,10 +193,13 @@ impl Shared {
     /// service continues with the in-memory entry — persistence never
     /// changes a response.
     pub(crate) fn cache_insert(&self, key: u128, form: PresentationCode, body: &str) {
-        if !self.cache.insert(key, form.clone(), body.to_string()) {
+        // The spill needs the code after the cache has taken it: clone it
+        // only when there is a store to spill to.
+        let spill = self.persist.as_ref().map(|store| (store, form.clone()));
+        if !self.cache.insert(key, form, body.to_string()) {
             return;
         }
-        if let Some(store) = &self.persist {
+        if let Some((store, form)) = spill {
             let shard = ResultCache::shard_index(key);
             match store.append(shard, key, form.code(), body) {
                 Ok(()) => {
@@ -788,7 +791,8 @@ pub(crate) fn analyze_system(
             } else {
                 shared.stats.completed.fetch_add(1, Ordering::Relaxed);
             }
-            let mut body = report.to_json().render();
+            let mut body = String::new();
+            report.write_json(&mut body);
             body.push('\n');
             if cacheable && !report.degraded() {
                 shared.cache_insert(key, form, &body);

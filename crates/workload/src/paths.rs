@@ -20,6 +20,7 @@
 
 use crate::digraph::{DrtTask, VertexId};
 use crate::rbf::{packing_line, Rbf};
+use crate::utilization::{exact_critical_cycle, scaled_critical_cycle};
 use crate::weight::{Overflow, ScaledGraph, Weight};
 use srtw_minplus::{BudgetKind, BudgetMeter, Q};
 use std::cmp::Ordering;
@@ -345,6 +346,19 @@ impl Explorer {
         if self.interrupted().is_none() {
             self.reach = Some(horizon);
         }
+    }
+
+    /// The task's long-run utilization ([`long_run_utilization`]), its
+    /// maximum cycle ratio, computed on the graph this search already
+    /// holds.
+    ///
+    /// [`long_run_utilization`]: crate::long_run_utilization
+    pub fn utilization(&self) -> Q {
+        let cycle = match &self.search {
+            Domain::Scaled(s) => scaled_critical_cycle(&s.graph),
+            Domain::Exact(s) => exact_critical_cycle(&s.graph),
+        };
+        cycle.map_or(Q::ZERO, |c| c.ratio)
     }
 
     /// The budget dimension that stopped the search, if any.

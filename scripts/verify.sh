@@ -30,7 +30,8 @@
 #      vs the linear-scan reference and a grid search at 1024 cases, plus
 #      the general convolution's differential suite at 1024 cases (the
 #      kernel at i64 rationals vs its exact-rational re-run: identical
-#      curves and tick sequences);
+#      curves and tick sequences), plus Howard's maximum-cycle-ratio
+#      iteration vs the parametric Bellman–Ford oracle at 1024 cases;
 #   6. supervised batch smoke test: the shipped systems under a 2 s
 #      watchdog must come back degraded-not-failed (exit 0), and a
 #      fault-injected batch must exhaust the ladder and exit 4;
@@ -156,6 +157,11 @@ SRTW_PROP_CASES=1024 cargo test -q --release --offline -p srtw-minplus --lib \
 # rationals when a value leaves i64: both must give the same curve, and
 # the meter must see the same tick sequence either way.
 SRTW_PROP_CASES=1024 cargo test -q --release --offline -p srtw-minplus --test differential
+# The maximum cycle ratio is Howard's policy iteration: it must equal the
+# parametric Bellman–Ford loop it replaced, on seeded rational tasks with
+# off-ring vertices, and return a real cycle of that ratio.
+SRTW_PROP_CASES=1024 cargo test -q --release --offline -p srtw-workload --lib \
+    utilization::tests::howard_matches_the_bellman_ford_oracle
 # The shipped adversarial system must degrade gracefully under a 1 s wall
 # budget: exit 0, a degradation warning on stderr, "degraded":true in JSON,
 # and no more than 5 s of wall time (post-budget work is bounded too).
