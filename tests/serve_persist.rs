@@ -5,6 +5,9 @@
 //!   before a clean shutdown replays byte-identically from a brand-new
 //!   process over the same `--persist` directory, as a cache *hit*
 //!   (`persist_loaded` ≥ 1, zero cold misses on the restarted server).
+//! - **SIGKILL on the response** — a server killed the moment its cold
+//!   `/analyze` answer arrives, with no drain, still restarts warm: the
+//!   spill record is written before the response is.
 //! - **Warm-journal `/batch`** — a manifest whose journal is fully
 //!   complete streams its replay from a restarted server without
 //!   running the supervisor at all (`"replayed":N`, `batch_jobs` 0).
@@ -258,6 +261,40 @@ fn full_restart_replays_warm_and_byte_identical() {
         scrape_u64(&stats, None, "cache_misses"),
         0,
         "a warm restart must not recompute: {stats}"
+    );
+    second.stop();
+}
+
+#[test]
+fn sigkill_right_after_the_response_still_restarts_warm() {
+    let fx = Scratch::new("sigkill");
+    let persist = fx.dir.join("spill");
+    let persist = persist.to_str().unwrap();
+
+    let mut first = Served::spawn(&["--addr", "127.0.0.1:0", "--persist", persist], 0);
+    let (status, _, cold) =
+        client_roundtrip(&first.public, "POST", "/analyze", &[], SMALL_SYSTEM.as_bytes())
+            .expect("cold analyze");
+    assert_eq!(status, 200, "{cold}");
+    // SIGKILL on the 200, with no drain: the spill record must already be
+    // written, as a process crash leaves the page cache intact.
+    first.child.kill().expect("SIGKILL serve");
+    first.child.wait().expect("reap serve");
+    drop(first);
+
+    let second = Served::spawn(&["--addr", "127.0.0.1:0", "--persist", persist], 0);
+    let (status, _, revived) =
+        client_roundtrip(&second.public, "POST", "/analyze", &[], SMALL_SYSTEM.as_bytes())
+            .expect("post-crash analyze");
+    assert_eq!(status, 200, "{revived}");
+    assert_eq!(strip_runtime(&revived), strip_runtime(&cold));
+    let stats = get_stats(&second.public);
+    assert!(scrape_u64(&stats, None, "persist_loaded") >= 1, "{stats}");
+    assert_eq!(scrape_u64(&stats, None, "cache_hits"), 1, "{stats}");
+    assert_eq!(
+        scrape_u64(&stats, None, "cache_misses"),
+        0,
+        "a record written before the response must survive SIGKILL: {stats}"
     );
     second.stop();
 }
