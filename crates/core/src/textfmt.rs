@@ -96,6 +96,23 @@ pub enum ServerSpec {
 impl ServerSpec {
     /// The lower service curve of the declared server.
     pub fn beta_lower(&self) -> Result<Curve, ParseError> {
+        self.model(|rate| Curve::affine(Q::ZERO, rate), |s| s.beta_lower())
+    }
+
+    /// Checks the parameters through the server constructors without
+    /// building the curve: [`ServerSpec::beta_lower`] fails exactly when
+    /// this does.
+    pub fn validate(&self) -> Result<(), ParseError> {
+        self.model(|_| (), |_| ())
+    }
+
+    /// Constructs the declared server and hands it to `server`, or a
+    /// fluid server's rate to `fluid`.
+    fn model<T>(
+        &self,
+        fluid: impl FnOnce(Q) -> T,
+        server: impl FnOnce(&dyn Server) -> T,
+    ) -> Result<T, ParseError> {
         let invalid = |what: &'static str| ParseError {
             kind: ParseErrorKind::InvalidServer,
             line: 1,
@@ -103,27 +120,23 @@ impl ServerSpec {
             message: format!("invalid server parameters: {what}"),
         };
         Ok(match *self {
-            ServerSpec::RateLatency { rate, latency } => RateLatencyServer::new(rate, latency)
-                .map_err(|_| invalid("rate-latency"))?
-                .beta_lower(),
+            ServerSpec::RateLatency { rate, latency } => server(
+                &RateLatencyServer::new(rate, latency).map_err(|_| invalid("rate-latency"))?,
+            ),
             ServerSpec::Fluid { rate } => {
                 if !rate.is_positive() {
                     return Err(invalid("fluid rate must be positive"));
                 }
-                Curve::affine(Q::ZERO, rate)
+                fluid(rate)
             }
             ServerSpec::Tdma {
                 slot,
                 cycle,
                 capacity,
-            } => TdmaServer::new(slot, cycle, capacity)
-                .map_err(|_| invalid("tdma"))?
-                .beta_lower(),
-            ServerSpec::PeriodicResource { period, budget } => {
-                PeriodicResource::new(period, budget)
-                    .map_err(|_| invalid("periodic-resource"))?
-                    .beta_lower()
-            }
+            } => server(&TdmaServer::new(slot, cycle, capacity).map_err(|_| invalid("tdma"))?),
+            ServerSpec::PeriodicResource { period, budget } => server(
+                &PeriodicResource::new(period, budget).map_err(|_| invalid("periodic-resource"))?,
+            ),
         })
     }
 
@@ -602,8 +615,8 @@ pub fn parse_system(text: &str) -> Result<SystemSpec, ParseError> {
                     }
                 };
                 // Validate parameters at the declaration site so the error
-                // points here, not at whatever later consumes the curve.
-                spec.beta_lower().map_err(|e| ParseError {
+                // points here, not at whatever later builds the curve.
+                spec.validate().map_err(|e| ParseError {
                     kind: ParseErrorKind::InvalidServer,
                     line: kw_span.line,
                     column: kw_span.column,

@@ -3,11 +3,27 @@
 //! `srtw-persist` spills every cached `/analyze` result to disk so a
 //! restarted process (or a respawned replica) starts warm instead of
 //! cold. The store is an append-only *spill file per cache shard*, each
-//! a [`srtw_supervisor::framed`] log — the one CRC-framed, fsync'd-per-
-//! record format the batch journal is written in too. Reopening a file
-//! truncates any torn tail first; recovery skips CRC-mismatched records
-//! with a warning and never panics. This crate keeps only the spill
-//! format's magic, version, record codec and record policy.
+//! a [`srtw_supervisor::framed`] log — the one CRC-framed format the
+//! batch journal is written in too. Reopening a file truncates any torn
+//! tail first; recovery skips CRC-mismatched records with a warning and
+//! never panics. This crate keeps only the spill format's magic,
+//! version, record codec and record policy, and the store's syncer.
+//!
+//! ## Write order
+//!
+//! [`Store::append`] writes a record as one frame on the caller's thread,
+//! before the caller answers its request, then marks the shard dirty and
+//! wakes the store's syncer thread. Each syncer pass runs one
+//! `sync_data` on every dirty shard, so the records written during a
+//! pass share the next one (group commit, with no interval or queue to
+//! set). A process crash after the response keeps the record: it is in
+//! the page cache. An OS crash or power loss before the next pass ends
+//! can lose that window's records; their systems then answer cold and
+//! correct, one of the two documented states. [`Store::flush`] waits for
+//! the records written so far, and dropping the store syncs the rest.
+//! The batch journal differs on purpose: its outcomes are synced before
+//! they are streamed, because a streamed line is a replay promise, while
+//! a spill record is a cache entry no answer depends on.
 //!
 //! ## On-disk format
 //!
@@ -52,11 +68,12 @@
 //! ## Failure policy
 //!
 //! Persistence must never change an HTTP status or a result byte. Any
-//! open/read/write failure (ENOSPC, EACCES, malformed header, injected
-//! fault) produces a typed [`PersistError`], disables the store, and the
-//! service continues with a cold in-memory cache. All recovery warnings
-//! carry the file path and byte offset and are printed with a uniform
-//! `srtw-persist:` prefix so replica logs are machine-greppable.
+//! open/read/write/sync failure (ENOSPC, EACCES, malformed header,
+//! injected fault) produces a typed [`PersistError`], disables the store,
+//! and the service continues with a cold in-memory cache. A failed sync
+//! is handed to the callback given to [`Store::open`]. All recovery
+//! warnings carry the file path and byte offset and are printed with a
+//! uniform `srtw-persist:` prefix so replica logs are machine-greppable.
 
 use srtw_supervisor::framed::{self, put_str, Cursor, LogFormat, LogWarning, WriteFault};
 use std::collections::HashMap;
@@ -65,7 +82,8 @@ use std::fs::{self, File};
 use std::io::{self, Read};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::thread::{self, JoinHandle};
 
 /// Magic bytes opening every spill file.
 pub const SPILL_MAGIC: &[u8; 8] = b"SRTWSPIL";
@@ -235,8 +253,8 @@ pub fn load_dir(dir: &Path) -> SpillLoad {
                 continue;
             }
         };
-        let items = framed::scan(&path, &bytes, &FORMAT, &mut load.warnings, SpillRecord::decode);
-        for (_, rec) in items.into_iter().flatten() {
+        let scanned = framed::scan(&path, &bytes, &FORMAT, &mut load.warnings, SpillRecord::decode);
+        for (_, rec) in scanned.into_iter().flat_map(|s| s.items) {
             if best
                 .get(&rec.canon)
                 .is_none_or(|have| have.generation < rec.generation)
@@ -251,18 +269,52 @@ pub fn load_dir(dir: &Path) -> SpillLoad {
 }
 
 /// The crash-safe spill store: one append-only file per cache shard,
-/// owned exclusively by this replica. The first append error (real or
-/// injected) disables the store permanently — the in-memory cache keeps
-/// serving, cold for new entries.
+/// owned exclusively by this replica. [`Store::append`] writes a record
+/// on the caller's thread; a syncer thread of the store's own syncs it.
+/// The first write or sync error (real or injected) disables the store
+/// permanently — the in-memory cache keeps serving, cold for new entries.
 #[derive(Debug)]
 pub struct Store {
+    inner: Arc<Inner>,
+    syncer: Option<JoinHandle<()>>,
+}
+
+/// The state the writers and the syncer share.
+#[derive(Debug)]
+struct Inner {
     dir: PathBuf,
     replica: usize,
-    shards: Vec<Mutex<Option<File>>>,
+    shards: Vec<Shard>,
     generation: AtomicU64,
     appends: AtomicU64,
+    syncs: AtomicU64,
     fault: Option<WriteFault>,
     disabled: AtomicBool,
+    clock: Mutex<SyncClock>,
+    /// Wakes the syncer: a record was written, or the store is closing.
+    wake: Condvar,
+    /// Wakes [`Store::flush`]: a sync pass ended.
+    passed: Condvar,
+}
+
+/// One shard's spill file.
+#[derive(Debug, Default)]
+struct Shard {
+    /// Serializes this shard's writers and its lazy open.
+    write: Mutex<()>,
+    /// The shard's one descriptor, opened on its first append, written
+    /// by the appenders and synced by the syncer, each through `&File`.
+    file: OnceLock<File>,
+    /// Written to since the syncer last took it.
+    dirty: AtomicBool,
+}
+
+/// Records written and records synced, counted across every shard.
+#[derive(Debug, Default)]
+struct SyncClock {
+    written: u64,
+    synced: u64,
+    closing: bool,
 }
 
 impl Store {
@@ -272,51 +324,79 @@ impl Store {
     }
 
     /// Opens the store for `replica` over `dir` with `shard_count` shard
-    /// files, creating the directory if needed. `next_generation` seeds
-    /// the insertion clock (pass max loaded generation + 1 so recency
-    /// keeps advancing across restarts). `fault` counts appends across
-    /// all shards. Each of this replica's shard files whose header is not
-    /// the current one (an earlier version, or malformed) is recreated
-    /// empty. Fails typed when the directory cannot be created or a stale
-    /// file cannot be recreated — the caller warns and runs cold.
+    /// files, creating the directory if needed, and starts its syncer.
+    /// `next_generation` seeds the insertion clock (pass max loaded
+    /// generation + 1 so recency keeps advancing across restarts). `fault`
+    /// counts appends across all shards. `on_sync_error` gets the one
+    /// failed sync that disables the store, on the syncer thread. Each of
+    /// this replica's shard files whose header is not the current one (an
+    /// earlier version, or malformed) is recreated empty. Fails typed when
+    /// the directory cannot be created, a stale file cannot be recreated
+    /// or the syncer cannot start — the caller warns and runs cold.
     pub fn open(
         dir: &Path,
         replica: usize,
         shard_count: usize,
         next_generation: u64,
         fault: Option<WriteFault>,
+        on_sync_error: impl FnMut(PersistError) + Send + 'static,
     ) -> Result<Store, PersistError> {
         fs::create_dir_all(dir).map_err(|e| PersistError::classify(dir, &e))?;
         let shards = (0..shard_count)
             .map(|shard| {
                 let path = Store::shard_path(dir, replica, shard);
-                recreate_stale(&path)
-                    .map(Mutex::new)
-                    .map_err(|e| PersistError::classify(&path, &e))
+                let file = recreate_stale(&path).map_err(|e| PersistError::classify(&path, &e))?;
+                Ok(Shard {
+                    file: file.map(OnceLock::from).unwrap_or_default(),
+                    ..Shard::default()
+                })
             })
             .collect::<Result<_, _>>()?;
-        Ok(Store {
+        let inner = Arc::new(Inner {
             dir: dir.to_path_buf(),
             replica,
             shards,
             generation: AtomicU64::new(next_generation),
             appends: AtomicU64::new(0),
+            syncs: AtomicU64::new(0),
             fault,
             disabled: AtomicBool::new(false),
+            clock: Mutex::default(),
+            wake: Condvar::new(),
+            passed: Condvar::new(),
+        });
+        let syncer = {
+            let inner = Arc::clone(&inner);
+            thread::Builder::new()
+                .name("srtw-persist-sync".into())
+                .spawn(move || inner.sync_loop(on_sync_error))
+                .map_err(|e| PersistError::classify(dir, &e))?
+        };
+        Ok(Store {
+            inner,
+            syncer: Some(syncer),
         })
     }
 
-    /// True once an append or open has failed: the store no longer writes
-    /// and the cache continues cold for new entries.
+    /// True once an append or a sync has failed: the store no longer
+    /// writes and the cache continues cold for new entries.
     pub fn disabled(&self) -> bool {
-        self.disabled.load(Ordering::Relaxed)
+        self.inner.disabled.load(Ordering::Relaxed)
     }
 
-    /// Appends one entry to the given shard's spill file durably, stamping
-    /// the next generation. On any failure (real I/O error or injected
-    /// fault) the store disables itself and returns the typed error once;
-    /// later appends are silent no-ops. The caller must never let this
-    /// error change a response.
+    /// How many `sync_data` calls the syncer has made: each covers every
+    /// record written to its shard since the one before.
+    pub fn syncs(&self) -> u64 {
+        self.inner.syncs.load(Ordering::Relaxed)
+    }
+
+    /// Appends one entry to the given shard's spill file, stamping the
+    /// next generation, and hands its sync to the syncer. The record is
+    /// written when this returns, so a process crash keeps it; an OS crash
+    /// before the next sync pass may lose it. On any write failure (real
+    /// I/O error or injected fault) the store disables itself and returns
+    /// the typed error once; later appends are silent no-ops. The caller
+    /// must never let this error change a response.
     pub fn append(
         &self,
         shard: usize,
@@ -324,31 +404,102 @@ impl Store {
         form: &[u64],
         body: &str,
     ) -> Result<(), PersistError> {
+        let inner = &*self.inner;
         if self.disabled() {
             return Ok(());
         }
         let rec = SpillRecord {
-            generation: self.generation.fetch_add(1, Ordering::Relaxed),
+            generation: inner.generation.fetch_add(1, Ordering::Relaxed),
             canon,
             form: form.to_vec(),
             body: body.to_string(),
         };
-        let shard = shard % self.shards.len();
-        let path = Store::shard_path(&self.dir, self.replica, shard);
-        let mut file = self.shards[shard].lock().unwrap();
-        let result = match &mut *file {
-            Some(file) => Ok(file),
-            None => framed::open_append(&path, &FORMAT.header_prefix()).map(|f| file.insert(f)),
+        let index = shard % inner.shards.len();
+        let shard = &inner.shards[index];
+        let path = || Store::shard_path(&inner.dir, inner.replica, index);
+        let written = {
+            let _writer = shard.write.lock().unwrap();
+            match shard.file.get() {
+                Some(file) => Ok(file),
+                None => framed::open_append(&path(), &FORMAT.header_prefix())
+                    .map(|f| shard.file.get_or_init(|| f)),
+            }
+            .and_then(|file| {
+                let n = inner.appends.fetch_add(1, Ordering::Relaxed) + 1;
+                framed::write(file, &rec.encode(), inner.fault, n)
+            })
+        };
+        if let Err(e) = written {
+            inner.disabled.store(true, Ordering::Relaxed);
+            return Err(PersistError::classify(&path(), &e));
         }
-        .and_then(|file| {
-            let n = self.appends.fetch_add(1, Ordering::Relaxed) + 1;
-            framed::append(file, &rec.encode(), self.fault, n)
-        })
-        .map_err(|e| PersistError::classify(&path, &e));
-        if result.is_err() {
-            self.disabled.store(true, Ordering::Relaxed);
+        shard.dirty.store(true, Ordering::Release);
+        inner.clock.lock().unwrap().written += 1;
+        inner.wake.notify_one();
+        Ok(())
+    }
+
+    /// Blocks until every record written before the call is synced (or
+    /// its sync has failed and disabled the store).
+    pub fn flush(&self) {
+        let inner = &*self.inner;
+        let mut clock = inner.clock.lock().unwrap();
+        let target = clock.written;
+        while clock.synced < target {
+            clock = inner.passed.wait(clock).unwrap();
         }
-        result
+    }
+}
+
+impl Drop for Store {
+    /// Syncs what is still unsynced and stops the syncer.
+    fn drop(&mut self) {
+        self.inner.clock.lock().unwrap().closing = true;
+        self.inner.wake.notify_one();
+        if let Some(syncer) = self.syncer.take() {
+            let _ = syncer.join();
+        }
+    }
+}
+
+impl Inner {
+    /// The syncer: each pass runs one `sync_data` on every shard written
+    /// to since the last pass, so the records of one pass share a sync.
+    /// A failed sync disables the store and is reported once.
+    fn sync_loop(&self, mut on_error: impl FnMut(PersistError)) {
+        loop {
+            let target = {
+                let mut clock = self.clock.lock().unwrap();
+                while clock.written == clock.synced && !clock.closing {
+                    clock = self.wake.wait(clock).unwrap();
+                }
+                if clock.written == clock.synced {
+                    return;
+                }
+                clock.written
+            };
+            for (index, shard) in self.shards.iter().enumerate() {
+                if !shard.dirty.swap(false, Ordering::Acquire) {
+                    continue;
+                }
+                let Some(file) = shard.file.get() else {
+                    continue;
+                };
+                match file.sync_data() {
+                    Ok(()) => {
+                        self.syncs.fetch_add(1, Ordering::Relaxed);
+                    }
+                    Err(e) => {
+                        if !self.disabled.swap(true, Ordering::Relaxed) {
+                            let path = Store::shard_path(&self.dir, self.replica, index);
+                            on_error(PersistError::classify(&path, &e));
+                        }
+                    }
+                }
+            }
+            self.clock.lock().unwrap().synced = target;
+            self.passed.notify_all();
+        }
     }
 }
 
@@ -382,6 +533,16 @@ mod tests {
         })
     }
 
+    fn open(
+        dir: &Path,
+        replica: usize,
+        shards: usize,
+        next_generation: u64,
+        fault: Option<WriteFault>,
+    ) -> Result<Store, PersistError> {
+        Store::open(dir, replica, shards, next_generation, fault, |_| {})
+    }
+
     fn tmpdir(name: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
         p.push(format!("srtw-persist-{}-{name}", std::process::id()));
@@ -410,7 +571,7 @@ mod tests {
     #[test]
     fn round_trips_across_shards() {
         let dir = tmpdir("roundtrip");
-        let store = Store::open(&dir, 0, 8, 1, None).unwrap();
+        let store = open(&dir, 0, 8, 1, None).unwrap();
         let recs: Vec<SpillRecord> = (0..20).map(|i| rec(0, i as u128, &format!("body {i}\n"))).collect();
         append_all(&store, &recs);
         let load = load_dir(&dir);
@@ -428,7 +589,7 @@ mod tests {
     #[test]
     fn latest_generation_wins_on_duplicate_keys() {
         let dir = tmpdir("dedup");
-        let store = Store::open(&dir, 0, 8, 1, None).unwrap();
+        let store = open(&dir, 0, 8, 1, None).unwrap();
         append_all(&store, &[rec(0, 5, "old\n"), rec(0, 5, "new\n")]);
         let load = load_dir(&dir);
         fs::remove_dir_all(&dir).unwrap();
@@ -439,7 +600,7 @@ mod tests {
     #[test]
     fn torn_tail_is_dropped_and_truncated_on_reopen() {
         let dir = tmpdir("torn");
-        let store = Store::open(&dir, 0, 1, 1, None).unwrap();
+        let store = open(&dir, 0, 1, 1, None).unwrap();
         append_all(&store, &[rec(0, 1, "one\n"), rec(0, 2, "two\n")]);
         drop(store);
         let path = Store::shard_path(&dir, 0, 0);
@@ -452,7 +613,7 @@ mod tests {
         assert!(load.warnings[0].to_string().starts_with("srtw-persist: "));
         // Reopen-for-append truncates the torn tail, then the new record
         // lands where every future load can see it.
-        let store = Store::open(&dir, 0, 1, 10, None).unwrap();
+        let store = open(&dir, 0, 1, 10, None).unwrap();
         append_all(&store, &[rec(0, 3, "three\n")]);
         let load = load_dir(&dir);
         fs::remove_dir_all(&dir).unwrap();
@@ -464,7 +625,7 @@ mod tests {
     #[test]
     fn crc_mismatch_skips_one_record() {
         let dir = tmpdir("crc");
-        let store = Store::open(&dir, 0, 1, 1, None).unwrap();
+        let store = open(&dir, 0, 1, 1, None).unwrap();
         append_all(&store, &[rec(0, 1, "one\n"), rec(0, 2, "two\n")]);
         drop(store);
         let path = Store::shard_path(&dir, 0, 0);
@@ -488,12 +649,66 @@ mod tests {
         assert!(load.records.is_empty());
         assert!(load.warnings.iter().any(|w| w.message.contains("header")));
         // The writer recreates the file; the cache entry lands cleanly.
-        let store = Store::open(&dir, 0, 1, 1, None).unwrap();
+        let store = open(&dir, 0, 1, 1, None).unwrap();
         append_all(&store, &[rec(0, 9, "nine\n")]);
         let load = load_dir(&dir);
         fs::remove_dir_all(&dir).unwrap();
         assert!(load.warnings.is_empty(), "{:?}", load.warnings);
         assert_eq!(load.records.len(), 1);
+    }
+
+    #[test]
+    fn torn_or_missing_header_loads_cold_with_one_warning_then_is_recreated() {
+        // The header is written unsynced, so a crash before the first
+        // sync may leave it empty or torn.
+        for (name, bytes) in [("empty", &[][..]), ("torn", &SPILL_MAGIC[..5])] {
+            let dir = tmpdir(&format!("header-{name}"));
+            let path = Store::shard_path(&dir, 0, 0);
+            fs::write(&path, bytes).unwrap();
+            let load = load_dir(&dir);
+            assert!(load.records.is_empty());
+            assert_eq!(load.warnings.len(), 1, "{name}: {:?}", load.warnings);
+            assert!(load.warnings[0].message.contains("header"), "{name}");
+            let store = open(&dir, 0, 1, 1, None).unwrap();
+            append_all(&store, &[rec(0, 9, "nine\n")]);
+            drop(store);
+            let load = load_dir(&dir);
+            fs::remove_dir_all(&dir).unwrap();
+            assert!(load.warnings.is_empty(), "{name}: {:?}", load.warnings);
+            assert_eq!(load.records.len(), 1, "{name}");
+        }
+    }
+
+    #[test]
+    fn the_syncer_groups_appends_from_two_threads() {
+        let dir = tmpdir("syncer");
+        let store = open(&dir, 0, 8, 1, None).unwrap();
+        let per_thread = 200u128;
+        thread::scope(|scope| {
+            for t in 0..2u128 {
+                let store = &store;
+                scope.spawn(move || {
+                    for i in 0..per_thread {
+                        let canon = t * per_thread + i;
+                        let body = format!("body {canon}\n");
+                        store.append(canon as usize, canon, &[canon as u64], &body).unwrap();
+                    }
+                });
+            }
+        });
+        store.flush();
+        let syncs = store.syncs();
+        let appends = 2 * per_thread as u64;
+        assert!((1..=appends).contains(&syncs), "{syncs} syncs for {appends} appends");
+        drop(store);
+        let load = load_dir(&dir);
+        fs::remove_dir_all(&dir).unwrap();
+        assert!(load.warnings.is_empty(), "{:?}", load.warnings);
+        assert_eq!(load.records.len() as u64, appends);
+        for r in &load.records {
+            assert_eq!(r.body, format!("body {}\n", r.canon));
+            assert_eq!(r.form, [r.canon as u64]);
+        }
     }
 
     #[test]
@@ -539,7 +754,7 @@ mod tests {
             assert!(message.contains(&format!("version {version}")), "{message}");
             // The writer recreates the file under the current header, and
             // a new append round-trips.
-            let store = Store::open(&dir, 0, 1, 1, None).unwrap();
+            let store = open(&dir, 0, 1, 1, None).unwrap();
             append_all(&store, &[rec(0, 8, "eight\n")]);
             let bytes = fs::read(&path).unwrap();
             assert_eq!(&bytes[..8], SPILL_MAGIC);
@@ -561,7 +776,7 @@ mod tests {
         let (own, other) = (Store::shard_path(&dir, 0, 5), Store::shard_path(&dir, 1, 5));
         fs::write(&own, &v2).unwrap();
         fs::write(&other, &v2).unwrap();
-        let store = Store::open(&dir, 0, 8, 1, None).unwrap();
+        let store = open(&dir, 0, 8, 1, None).unwrap();
         append_all(&store, &[rec(0, 0, "zero\n")]);
         let load = load_dir(&dir);
         assert_eq!(load.records.len(), 1);
@@ -572,7 +787,7 @@ mod tests {
         // A stale file that cannot be recreated fails the open, typed.
         fs::remove_file(&own).unwrap();
         fs::create_dir(&own).unwrap();
-        let err = Store::open(&dir, 0, 8, 1, None).unwrap_err();
+        let err = open(&dir, 0, 8, 1, None).unwrap_err();
         fs::remove_dir_all(&dir).unwrap();
         assert_eq!(err.path, own);
         let expected = format!("{}: io: ", own.display());
@@ -582,8 +797,8 @@ mod tests {
     #[test]
     fn replicas_share_reads_but_not_writes() {
         let dir = tmpdir("replicas");
-        let a = Store::open(&dir, 0, 8, 1, None).unwrap();
-        let b = Store::open(&dir, 1, 8, 1, None).unwrap();
+        let a = open(&dir, 0, 8, 1, None).unwrap();
+        let b = open(&dir, 1, 8, 1, None).unwrap();
         append_all(&a, &[rec(0, 1, "from a\n")]);
         append_all(&b, &[rec(0, 2, "from b\n")]);
         let load = load_dir(&dir);
@@ -594,7 +809,7 @@ mod tests {
     #[test]
     fn torn_fault_disables_store_and_leaves_recoverable_file() {
         let dir = tmpdir("fault-torn");
-        let store = Store::open(&dir, 0, 1, 1, spill_fault(WriteFaultKind::Torn, 2)).unwrap();
+        let store = open(&dir, 0, 1, 1, spill_fault(WriteFaultKind::Torn, 2)).unwrap();
         store.append(0, 1, &[1], "one\n").unwrap();
         let err = store.append(0, 2, &[2], "two\n").unwrap_err();
         assert_eq!(err.kind, PersistErrorKind::Io);
@@ -611,7 +826,7 @@ mod tests {
     #[test]
     fn enospc_fault_yields_typed_error() {
         let dir = tmpdir("fault-enospc");
-        let store = Store::open(&dir, 0, 1, 1, spill_fault(WriteFaultKind::Enospc, 1)).unwrap();
+        let store = open(&dir, 0, 1, 1, spill_fault(WriteFaultKind::Enospc, 1)).unwrap();
         let err = store.append(0, 1, &[1], "one\n").unwrap_err();
         assert_eq!(err.kind, PersistErrorKind::NoSpace);
         assert!(err.to_string().contains("enospc"));
@@ -629,7 +844,7 @@ mod tests {
         let dir = tmpdir("denied");
         let file_as_dir = dir.join("not-a-dir");
         fs::write(&file_as_dir, b"x").unwrap();
-        let err = Store::open(&file_as_dir, 0, 1, 1, None).unwrap_err();
+        let err = open(&file_as_dir, 0, 1, 1, None).unwrap_err();
         fs::remove_dir_all(&dir).unwrap();
         assert!(matches!(
             err.kind,
@@ -649,12 +864,12 @@ mod tests {
     #[test]
     fn generation_clock_resumes_past_loaded_records() {
         let dir = tmpdir("genclock");
-        let store = Store::open(&dir, 0, 1, 1, None).unwrap();
+        let store = open(&dir, 0, 1, 1, None).unwrap();
         append_all(&store, &[rec(0, 1, "one\n"), rec(0, 2, "two\n")]);
         drop(store);
         let load = load_dir(&dir);
         let next = load.records.iter().map(|r| r.generation).max().unwrap() + 1;
-        let store = Store::open(&dir, 0, 1, next, None).unwrap();
+        let store = open(&dir, 0, 1, next, None).unwrap();
         // Overwrite key 1: must win the dedup because its generation is
         // newer than the loaded one.
         store.append(0, 1, &[9], "newer\n").unwrap();

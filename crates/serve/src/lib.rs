@@ -44,7 +44,8 @@
 //!   byte-identical to a cold run of it.
 //! - **Crash-safe persistence** ([`srtw_persist`] wired through
 //!   [`server`] and `batch`): `--persist DIR` spills every cached
-//!   result to an append-only, CRC-framed shard file and warm-loads the
+//!   result to an append-only, CRC-framed shard file (written before the
+//!   response, synced after it by the store's syncer) and warm-loads the
 //!   cache on startup (LRU order preserved, every record re-verified
 //!   against its key before it can answer); replicas share the
 //!   directory — each writes only its own shard files but warm-loads

@@ -110,6 +110,7 @@ struct Scraped {
     cache_bytes: u64,
     persist_loaded: u64,
     persist_stored: u64,
+    persist_syncs: u64,
     persist_errors: u64,
 }
 
@@ -464,6 +465,7 @@ impl Supervisor {
                 total.cache_bytes += s.cache_bytes;
                 total.persist_loaded += s.persist_loaded;
                 total.persist_stored += s.persist_stored;
+                total.persist_syncs += s.persist_syncs;
                 total.persist_errors += s.persist_errors;
             }
             let s = scraped.unwrap_or_default();
@@ -489,6 +491,7 @@ impl Supervisor {
                 ("cache_bytes", Json::Int(s.cache_bytes as i128)),
                 ("persist_loaded", Json::Int(s.persist_loaded as i128)),
                 ("persist_stored", Json::Int(s.persist_stored as i128)),
+                ("persist_syncs", Json::Int(s.persist_syncs as i128)),
                 ("persist_errors", Json::Int(s.persist_errors as i128)),
             ]));
         }
@@ -526,6 +529,7 @@ impl Supervisor {
                     ("cache_bytes", Json::Int(total.cache_bytes as i128)),
                     ("persist_loaded", Json::Int(total.persist_loaded as i128)),
                     ("persist_stored", Json::Int(total.persist_stored as i128)),
+                    ("persist_syncs", Json::Int(total.persist_syncs as i128)),
                     ("persist_errors", Json::Int(total.persist_errors as i128)),
                 ]),
             ),
@@ -643,6 +647,7 @@ fn scrape_stats(addr: &SocketAddr) -> Option<Scraped> {
         cache_bytes: scrape_u64(&body, "cache_bytes").unwrap_or(0),
         persist_loaded: scrape_u64(&body, "persist_loaded").unwrap_or(0),
         persist_stored: scrape_u64(&body, "persist_stored").unwrap_or(0),
+        persist_syncs: scrape_u64(&body, "persist_syncs").unwrap_or(0),
         persist_errors: scrape_u64(&body, "persist_errors").unwrap_or(0),
     })
 }

@@ -97,13 +97,18 @@ pub struct ServeConfig {
     /// caching). Each replica owns an independent cache of this size.
     pub cache_bytes: usize,
     /// Spill directory for the crash-safe persistent result store:
-    /// cached `/analyze` results are appended durably to per-shard spill
-    /// files and warm-loaded at startup, so a restarted process (or a
-    /// respawned replica, which reads every replica's files) answers
-    /// repeat requests byte-identically without recomputing. `None`
-    /// disables persistence. Any persistence failure degrades to a cold
-    /// in-memory cache with a typed `srtw-persist:` warning — it never
-    /// changes an HTTP status or a result byte.
+    /// cached `/analyze` results are appended to per-shard spill files
+    /// and warm-loaded at startup, so a restarted process (or a respawned
+    /// replica, which reads every replica's files) answers repeat
+    /// requests byte-identically without recomputing. A record is written
+    /// before its response and synced after it by the store's syncer,
+    /// which groups the records written meanwhile under one `sync_data`
+    /// per shard. A process crash keeps every answered record; an OS
+    /// crash or power loss before the next sync pass can lose that
+    /// window's records, whose systems then answer cold and correct.
+    /// `None` disables persistence. Any persistence failure degrades to a
+    /// cold in-memory cache with a typed `srtw-persist:` warning — it
+    /// never changes an HTTP status or a result byte.
     pub persist: Option<String>,
     /// Deterministic spill-write fault (`pers-torn@N` | `pers-corrupt@N`
     /// | `pers-enospc@N`) injected into persist appends. Unlike journal
@@ -187,8 +192,9 @@ impl Shared {
     }
 
     /// Stores a freshly computed exact result in the in-memory cache and,
-    /// when the entry was accepted and persistence is on, spills it
-    /// durably to this replica's shard file. A spill failure warns once
+    /// when the entry was accepted and persistence is on, writes it to
+    /// this replica's shard file before the response goes out; the store's
+    /// syncer makes it durable after. A spill failure warns once
     /// (typed, `srtw-persist:`-prefixed), bumps `persist_errors`, and the
     /// service continues with the in-memory entry — persistence never
     /// changes a response.
@@ -294,12 +300,18 @@ impl Server {
                         stats.persist_loaded.fetch_add(1, Ordering::Relaxed);
                     }
                 }
+                let sync_stats = Arc::clone(&stats);
+                let on_sync_error = move |e| {
+                    sync_stats.persist_errors.fetch_add(1, Ordering::Relaxed);
+                    eprintln!("srtw-persist: {e}; continuing with a cold in-memory cache");
+                };
                 match Store::open(
                     dir_path,
                     cfg.replica.unwrap_or(0),
                     crate::cache::SHARDS,
                     max_gen + 1,
                     cfg.persist_fault,
+                    on_sync_error,
                 ) {
                     Ok(store) => Some(store),
                     Err(e) => {
@@ -395,6 +407,7 @@ impl Server {
     /// Gracefully drains and stops: stop accepting, let admitted work
     /// finish for up to `cfg.drain`, then cancel stragglers via their
     /// tokens and give them `cfg.grace` to wind down before abandoning.
+    /// Returns once every spill record written so far is synced.
     pub fn shutdown(self) -> DrainReport {
         self.shared.draining.store(true, Ordering::Relaxed);
         // Stop the acceptor: the listener closes and connections without a
@@ -419,6 +432,9 @@ impl Server {
             self.shared.cfg.grace + Duration::from_millis(200)
         };
         let report = self.pool.stop(patience);
+        if let Some(store) = &self.shared.persist {
+            store.flush();
+        }
         DrainReport {
             drained,
             cancelled,
@@ -579,6 +595,7 @@ fn route(shared: &Shared, req: &Request) -> Response {
                 replica: shared.cfg.replica,
                 cache_bytes: shared.cache.bytes(),
                 cache_evictions: shared.cache.evictions(),
+                persist_syncs: shared.persist.as_ref().map_or(0, Store::syncs),
             };
             let doc = shared.stats.to_json(&gauges);
             Response::json(200, format!("{doc}\n"))

@@ -41,6 +41,9 @@ pub struct Gauges {
     pub cache_bytes: u64,
     /// Result-cache entries evicted under the byte budget.
     pub cache_evictions: u64,
+    /// `sync_data` calls of the spill store's syncer; `persist_stored`
+    /// over this is how many records one sync covered.
+    pub persist_syncs: u64,
 }
 
 /// Shared service counters; all methods are callable from any thread.
@@ -84,9 +87,10 @@ pub struct Stats {
     pub cache_misses: AtomicU64,
     /// Cache entries warm-loaded from the spill store at startup.
     pub persist_loaded: AtomicU64,
-    /// Cache entries spilled durably to disk.
+    /// Cache entries written to the spill store (synced by its syncer
+    /// after the response; see `persist_syncs`).
     pub persist_stored: AtomicU64,
-    /// Persistence failures (open/append/verify) — each degrades to a
+    /// Persistence failures (open/append/sync/verify) — each degrades to a
     /// cold in-memory cache, never to a changed response.
     pub persist_errors: AtomicU64,
     ring: Mutex<Ring>,
@@ -204,6 +208,7 @@ impl Stats {
             ("cache_bytes", Json::Int(g.cache_bytes as i128)),
             ("persist_loaded", count(&self.persist_loaded)),
             ("persist_stored", count(&self.persist_stored)),
+            ("persist_syncs", Json::Int(g.persist_syncs as i128)),
             ("persist_errors", count(&self.persist_errors)),
             ("queue_depth", Json::Int(g.queue_depth as i128)),
             ("inflight", Json::Int(g.inflight as i128)),
@@ -286,6 +291,7 @@ mod tests {
                 replica: Some(1),
                 cache_bytes: 9,
                 cache_evictions: 0,
+                persist_syncs: 5,
             })
             .render();
         for needle in [
@@ -306,6 +312,7 @@ mod tests {
             "\"cache_bytes\":9",
             "\"persist_loaded\":0",
             "\"persist_stored\":0",
+            "\"persist_syncs\":5",
             "\"persist_errors\":0",
             "\"queue_depth\":2",
             "\"inflight\":1",

@@ -56,7 +56,7 @@ fn base() -> &'static Base {
         for (i, (canon, body)) in specs.into_iter().enumerate() {
             let dir = tmp(&format!("frame-{i}"));
             let _ = std::fs::remove_dir_all(&dir);
-            let store = Store::open(&dir, 0, 1, i as u64, None).unwrap();
+            let store = Store::open(&dir, 0, 1, i as u64, None, |_| {}).unwrap();
             let form = vec![canon as u64, 7, i as u64];
             store.append(0, canon, &form, body).unwrap();
             let bytes = std::fs::read(Store::shard_path(&dir, 0, 0)).unwrap();

@@ -10,11 +10,15 @@
 //! ```
 //!
 //! A frame goes out in a single `write` on a file opened in append mode
-//! (so processes sharing a file interleave whole frames) and is
-//! `sync_data`'d before the append reports success. Reopening a file for
-//! append first cuts a torn tail: the scan stops at a torn frame, so a
-//! frame appended after one would be durable yet invisible. A scan never
-//! panics and pins every warning to a byte offset:
+//! (so processes sharing a file interleave whole frames). [`append`]
+//! `sync_data`s it before reporting success; [`write()`] leaves the sync to
+//! its caller, who may group several frames under one. A new file's
+//! header is not synced on its own: the first append's sync flushes it,
+//! and a crash before that leaves an empty or torn header, which every
+//! reader treats as a fresh file. Reopening a file for append first cuts
+//! a torn tail: the scan stops at a torn frame, so a frame appended after
+//! one would be durable yet invisible. A scan never panics and pins every
+//! warning to a byte offset:
 //!
 //! - missing or malformed header, or another version → the file is
 //!   ignored;
@@ -239,9 +243,20 @@ impl fmt::Display for LogWarning {
     }
 }
 
+/// What [`scan`] found past an accepted header.
+#[derive(Debug)]
+pub struct Scanned<T> {
+    /// Each decoded payload with the byte offset of its frame.
+    pub items: Vec<(usize, T)>,
+    /// Byte length of the structurally whole prefix: the header and every
+    /// whole frame, CRC-mismatched ones included. A torn tail starts here,
+    /// and [`reopen`] cuts it.
+    pub end: usize,
+}
+
 /// Scans the image of a `format` file at `path`: checks the header, then
-/// decodes every intact frame. Returns each decoded payload with the byte
-/// offset of its frame, or `None` when the header is rejected (the file
+/// decodes every intact frame. Returns the decoded payloads and the end
+/// of the whole frames, or `None` when the header is rejected (the file
 /// is ignored). Every skip and truncation lands in `warnings`.
 pub fn scan<T>(
     path: &Path,
@@ -249,7 +264,7 @@ pub fn scan<T>(
     format: &LogFormat,
     warnings: &mut Vec<LogWarning>,
     mut decode: impl FnMut(&[u8]) -> Option<T>,
-) -> Option<Vec<(usize, T)>> {
+) -> Option<Scanned<T>> {
     let name = format.name;
     if bytes.len() < format.header_len || &bytes[..8] != format.magic {
         warnings.push(LogWarning::new(
@@ -273,8 +288,13 @@ pub fn scan<T>(
     }
     let mut items = Vec::new();
     let mut index = 0u64;
-    for item in FrameScanner::new(bytes, format.header_len) {
+    let mut scanner = FrameScanner::new(bytes, format.header_len);
+    let mut end = format.header_len;
+    while let Some(item) = scanner.next() {
         index += 1;
+        if !scanner.stopped {
+            end = scanner.pos;
+        }
         let (offset, message) = match item {
             ScannedFrame::Payload { offset, payload } => match decode(payload) {
                 Some(record) => {
@@ -311,16 +331,16 @@ pub fn scan<T>(
         };
         warnings.push(LogWarning::new(path, offset, message));
     }
-    Some(items)
+    Some(Scanned { items, end })
 }
 
-/// Creates (or truncates) a log file and writes its header durably. The
-/// file is in append mode, so every later frame lands at the end.
+/// Creates (or truncates) a log file and writes its header, unsynced:
+/// the first [`append`] or sync of a frame flushes it too. The file is in
+/// append mode, so every later frame lands at the end.
 pub fn create(path: &Path, header: &[u8]) -> io::Result<File> {
     let mut file = OpenOptions::new().append(true).create(true).open(path)?;
     file.set_len(0)?;
     file.write_all(header)?;
-    file.sync_data()?;
     Ok(file)
 }
 
@@ -329,37 +349,43 @@ pub fn create(path: &Path, header: &[u8]) -> io::Result<File> {
 /// is cut off first. Frames with bad CRCs are kept: the scan skips past
 /// them one by one.
 pub fn open_append(path: &Path, header: &[u8]) -> io::Result<File> {
-    let (keep, len) = match fs::read(path) {
+    match fs::read(path) {
         Ok(bytes) if bytes.starts_with(header) => {
-            (FrameScanner::valid_end(&bytes, header.len()), bytes.len())
+            reopen(path, FrameScanner::valid_end(&bytes, header.len()))
         }
-        Ok(_) => return create(path, header),
-        Err(err) if err.kind() == io::ErrorKind::NotFound => return create(path, header),
-        Err(err) => return Err(err),
-    };
+        Ok(_) => create(path, header),
+        Err(err) if err.kind() == io::ErrorKind::NotFound => create(path, header),
+        Err(err) => Err(err),
+    }
+}
+
+/// Opens an existing log file for append after cutting it to `end` bytes,
+/// the [`Scanned::end`] of its image: whatever lies past the last whole
+/// frame is a torn tail.
+pub fn reopen(path: &Path, end: usize) -> io::Result<File> {
     let file = OpenOptions::new().append(true).open(path)?;
-    if keep < len {
-        file.set_len(keep as u64)?;
+    if (end as u64) < file.metadata()?.len() {
+        file.set_len(end as u64)?;
         file.sync_data()?;
     }
     Ok(file)
 }
 
-/// Appends one framed payload with a single `write` and one `sync_data`.
-/// `n` is the 1-based count of this append for the fault, if one is
-/// armed: when `fault.at_record == n` the append is broken as the fault
-/// says and reported failed, exactly as the crash it simulates would
-/// leave the file.
-pub fn append(
-    file: &mut File,
-    payload: &[u8],
-    fault: Option<WriteFault>,
-    n: u64,
-) -> io::Result<()> {
+/// Appends one framed payload with [`write()`], then one `sync_data`.
+pub fn append(file: &File, payload: &[u8], fault: Option<WriteFault>, n: u64) -> io::Result<()> {
+    write(file, payload, fault, n)?;
+    file.sync_data()
+}
+
+/// Writes one framed payload with a single `write` and no sync. `n` is
+/// the 1-based count of this append for the fault, if one is armed: when
+/// `fault.at_record == n` the frame is broken as the fault says, synced,
+/// and reported failed, exactly as the crash it simulates would leave the
+/// file.
+pub fn write(mut file: &File, payload: &[u8], fault: Option<WriteFault>, n: u64) -> io::Result<()> {
     let mut framed = frame(payload);
     let Some(fault) = fault.filter(|f| f.at_record == n) else {
-        file.write_all(&framed)?;
-        return file.sync_data();
+        return file.write_all(&framed);
     };
     let fired = format!("injected write fault {fault} fired on append {n}");
     match fault.kind {

@@ -188,7 +188,7 @@ pub struct JournalWriter {
 
 impl JournalWriter {
     /// Creates (or truncates) a journal for the given manifest digest and
-    /// writes the header durably.
+    /// writes the header; the first append's sync makes it durable.
     pub fn create(path: &Path, digest: u64) -> io::Result<JournalWriter> {
         Ok(JournalWriter::new(framed::create(path, &header(digest))?))
     }
@@ -197,10 +197,23 @@ impl JournalWriter {
     /// cutting a torn tail first. A missing journal, or one written for
     /// another manifest or version, is created afresh.
     pub fn open_append(path: &Path, digest: u64) -> io::Result<JournalWriter> {
-        Ok(JournalWriter::new(framed::open_append(
-            path,
-            &header(digest),
-        )?))
+        JournalWriter::resume(path, digest).map(|(writer, _)| writer)
+    }
+
+    /// [`JournalWriter::open_append`], reading the journal once: returns
+    /// the writer and what [`recover`] salvages from the file as found. Its
+    /// records belong to this manifest only when its `digest` matches.
+    pub fn resume(path: &Path, digest: u64) -> io::Result<(JournalWriter, Recovery)> {
+        let rec = match std::fs::read(path) {
+            Ok(bytes) => recover_image(path, &bytes),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Recovery::default(),
+            Err(e) => return Err(e),
+        };
+        let file = match rec.digest {
+            Some(d) if d == digest => framed::reopen(path, rec.end)?,
+            _ => framed::create(path, &header(digest))?,
+        };
+        Ok((JournalWriter::new(file), rec))
     }
 
     fn new(file: File) -> JournalWriter {
@@ -224,7 +237,7 @@ impl JournalWriter {
     /// a real crash would leave behind).
     pub fn append(&mut self, record: &JournalRecord) -> io::Result<()> {
         self.appended += 1;
-        framed::append(&mut self.file, &record.encode(), self.fault, self.appended)
+        framed::append(&self.file, &record.encode(), self.fault, self.appended)
     }
 }
 
@@ -240,6 +253,8 @@ pub struct Recovery {
     /// Notes about anything skipped or truncated, each pinned to the byte
     /// offset where the damage was found.
     pub warnings: Vec<LogWarning>,
+    /// Where the whole frames end: a resume cuts the file here.
+    end: usize,
 }
 
 /// Reads a journal back, salvaging every intact record. Tolerates torn
@@ -259,7 +274,7 @@ pub fn recover_bytes(bytes: &[u8]) -> Recovery {
 
 fn recover_image(path: &Path, bytes: &[u8]) -> Recovery {
     let mut rec = Recovery::default();
-    let Some(items) = framed::scan(
+    let Some(scanned) = framed::scan(
         path,
         bytes,
         &FORMAT,
@@ -269,7 +284,8 @@ fn recover_image(path: &Path, bytes: &[u8]) -> Recovery {
         return rec;
     };
     rec.digest = Some(u64::from_le_bytes(bytes[12..20].try_into().unwrap()));
-    for (offset, r) in items {
+    rec.end = scanned.end;
+    for (offset, r) in scanned.items {
         if rec
             .records
             .iter()

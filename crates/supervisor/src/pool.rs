@@ -15,7 +15,7 @@
 
 use crate::framed::{LogWarning, WriteFault};
 use crate::job::{JobOutcome, JobSpec, JobStatus};
-use crate::journal::{digest64, recover, JournalRecord, JournalWriter, MISSING_INPUT};
+use crate::journal::{digest64, JournalRecord, JournalWriter, MISSING_INPUT};
 use crate::ladder::{run_supervised, SupervisorConfig};
 use crate::report::JournaledReport;
 use srtw_core::textfmt::parse_system;
@@ -216,30 +216,25 @@ impl BatchJournal {
         let mut warnings = Vec::new();
         let mut replay = HashMap::new();
         let mut writer = if policy.resume {
-            match recover(path) {
-                Ok(rec) => {
-                    warnings = rec.warnings;
-                    match rec.digest {
-                        Some(d) if d == digest => {
-                            replay = rec
-                                .records
-                                .into_iter()
-                                .map(|r| ((r.position, r.input), r))
-                                .collect();
-                        }
-                        Some(_) => warnings.push(LogWarning::new(
-                            path,
-                            0,
-                            "journal was written for a different job list (digest mismatch); \
-                             starting fresh",
-                        )),
-                        None => {}
-                    }
+            let (writer, rec) = JournalWriter::resume(path, digest)?;
+            warnings = rec.warnings;
+            match rec.digest {
+                Some(d) if d == digest => {
+                    replay = rec
+                        .records
+                        .into_iter()
+                        .map(|r| ((r.position, r.input), r))
+                        .collect();
                 }
-                Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-                Err(e) => return Err(e),
+                Some(_) => warnings.push(LogWarning::new(
+                    path,
+                    0,
+                    "journal was written for a different job list (digest mismatch); \
+                     starting fresh",
+                )),
+                None => {}
             }
-            JournalWriter::open_append(path, digest)?
+            writer
         } else {
             JournalWriter::create(path, digest)?
         };
@@ -431,5 +426,54 @@ impl InOrder<'_> {
             (self.on_line)(record);
             *next += 1;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::journal::JOURNAL_MAGIC;
+
+    fn crash(path: &Path, e: &io::Error) -> ! {
+        panic!("journal append failed: {}: {e}", path.display())
+    }
+
+    /// A one-job plan over `system`, resumed from the journal at `path`.
+    fn resumed_plan(path: &Path, system: &Path) -> (BatchPlan, Vec<LogWarning>) {
+        let policy = JournalPolicy {
+            resume: true,
+            pre_failed: false,
+            fault: None,
+            on_failure: crash,
+        };
+        let (journal, warnings) = BatchJournal::open(path, 42, policy).unwrap();
+        let entries = vec![BatchEntry::load(system)];
+        (BatchPlan::new(entries, Some(journal), BatchConfig::default()), warnings)
+    }
+
+    #[test]
+    fn journal_with_a_torn_or_missing_header_resumes_fresh() {
+        // A journal's header is written unsynced, so a crash before the
+        // first append's sync may leave it empty or torn.
+        let dir = std::env::temp_dir().join(format!("srtw-pool-header-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let system = dir.join("small.srtw");
+        let text = "task t\nvertex a wcet=2 deadline=9\nedge a a sep=8\nserver fluid rate=1\n";
+        std::fs::write(&system, text).unwrap();
+        for (name, header) in [("missing", &[][..]), ("torn", &JOURNAL_MAGIC[..5])] {
+            let path = dir.join(format!("{name}.wal"));
+            std::fs::write(&path, header).unwrap();
+            let (plan, warnings) = resumed_plan(&path, &system);
+            assert_eq!(warnings.len(), 1, "{name}: {warnings:?}");
+            assert!(warnings[0].message.contains("header"), "{name}");
+            assert_eq!((plan.replayed(), plan.fresh()), (0, 1), "{name}");
+            plan.run(&|_| {});
+            // The fresh journal took the job's record.
+            let (plan, warnings) = resumed_plan(&path, &system);
+            assert!(warnings.is_empty(), "{name}: {warnings:?}");
+            assert_eq!((plan.replayed(), plan.fresh()), (1, 0), "{name}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }
