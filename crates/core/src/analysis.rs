@@ -368,11 +368,11 @@ fn analyse_stream(
     let unpruned;
     let paths = if cfg.no_prune {
         let mut x = Explorer::new(task, &ExploreConfig::new(span_cap).without_pruning());
-        x.extend_to(span_cap, meter);
+        x.extend_to(span_cap, meter)?;
         unpruned = x;
         unpruned.paths(span_cap)
     } else {
-        explorer.extend_to(span_cap, meter);
+        explorer.extend_to(span_cap, meter)?;
         explorer.paths(span_cap)
     };
     if let Some(k) = paths.interrupted {
@@ -423,7 +423,7 @@ fn analyse_stream(
     let mut fallback = Q::ZERO;
     let mut own_truncated = false;
     if fallback_active {
-        explorer.extend_to(window, meter);
+        explorer.extend_to(window, meter)?;
         let own_rbf = explorer.rbf(window);
         if let Some(k) = own_rbf.truncated() {
             own_truncated = true;

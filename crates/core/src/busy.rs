@@ -16,7 +16,7 @@
 //! scaled to integers once per analysis.
 
 use crate::error::AnalysisError;
-use srtw_minplus::{BudgetKind, BudgetMeter, Curve, Ext, Q};
+use srtw_minplus::{ArithmeticError, BudgetKind, BudgetMeter, Curve, Ext, Q};
 use srtw_workload::{DrtTask, ExploreConfig, Explorer, Rbf};
 
 /// The busy-window bound of a set of streams sharing a server, together
@@ -102,10 +102,12 @@ pub fn busy_window_metered(
 ) -> Result<BusyWindow, AnalysisError> {
     let cfg = ExploreConfig::new(Q::ZERO);
     let mut explorers: Vec<Explorer> = tasks.iter().map(|t| Explorer::new(t, &cfg)).collect();
-    let utilization = explorers
-        .iter()
-        .map(Explorer::utilization)
-        .fold(Q::ZERO, |a, b| a + b);
+    let mut utilization = Q::ZERO;
+    for x in &explorers {
+        utilization = utilization
+            .checked_add(x.utilization()?)
+            .ok_or(ArithmeticError::Overflow)?;
+    }
     let rate = beta.rate();
     if utilization >= rate {
         // Acyclic-only workloads have utilization 0 < any positive rate; a
@@ -128,7 +130,7 @@ pub fn busy_window_metered(
             return Err(AnalysisError::BusyWindowDiverged { reached: level });
         }
         for x in &mut explorers {
-            x.extend_to(level, meter);
+            x.extend_to(level, meter)?;
         }
         // The demand at `level`, read off the searches' staircases; `None`
         // when a search stopped within `level` (its rbf is truncated).
@@ -156,7 +158,7 @@ pub fn busy_window_metered(
             // trips, the bound itself is still the exact fixpoint; only
             // the materialized rbfs are coarse.
             for x in &mut explorers {
-                x.extend_to(bound, meter);
+                x.extend_to(bound, meter)?;
             }
             let rbfs: Vec<Rbf> = explorers.iter().map(|x| x.rbf(bound)).collect();
             let degraded = if rbfs.iter().any(|r| r.truncated().is_some()) {

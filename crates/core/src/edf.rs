@@ -11,7 +11,7 @@
 use crate::busy::busy_window;
 use crate::error::AnalysisError;
 use srtw_minplus::{Curve, Q};
-use srtw_workload::{Dbf, DrtTask};
+use srtw_workload::{Dbf, DrtTask, VertexId};
 
 /// Result of an EDF schedulability test.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -77,16 +77,22 @@ impl EdfReport {
 /// assert!(slow.violation.is_some());
 /// ```
 pub fn edf_schedulable(tasks: &[DrtTask], beta: &Curve) -> Result<EdfReport, AnalysisError> {
+    let missing = |t: &DrtTask, v: VertexId| AnalysisError::MissingDeadline {
+        task: t.name().to_owned(),
+        vertex: v.index(),
+    };
+    // A missing deadline is a property of the input: report it before
+    // any analysis runs.
+    for t in tasks {
+        if let Some(v) = t.vertex_ids().find(|&v| t.deadline(v).is_none()) {
+            return Err(missing(t, v));
+        }
+    }
     let bw = busy_window(tasks, beta)?;
     let horizon = bw.bound;
     let dbfs: Vec<Dbf> = tasks
         .iter()
-        .map(|t| {
-            Dbf::compute(t, horizon).map_err(|e| AnalysisError::MissingDeadline {
-                task: t.name().to_owned(),
-                vertex: e.vertex.index(),
-            })
-        })
+        .map(|t| Dbf::compute(t, horizon).map_err(|e| missing(t, e.vertex)))
         .collect::<Result<_, _>>()?;
 
     // Check at every breakpoint of the summed demand staircase: between

@@ -86,6 +86,12 @@ impl fmt::Display for AnalysisError {
 
 impl std::error::Error for AnalysisError {}
 
+impl From<ArithmeticError> for AnalysisError {
+    fn from(e: ArithmeticError) -> Self {
+        AnalysisError::Arithmetic(e)
+    }
+}
+
 impl From<CurveError> for AnalysisError {
     fn from(e: CurveError) -> Self {
         match e {

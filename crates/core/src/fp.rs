@@ -67,10 +67,10 @@ pub fn fixed_priority_structural_with(
         .explorers
         .iter_mut()
         .map(|x| {
-            x.extend_to(generous, &meter);
-            x.rbf(generous).curve()
+            x.extend_to(generous, &meter)?;
+            Ok(x.rbf(generous).curve())
         })
-        .collect();
+        .collect::<Result<_, AnalysisError>>()?;
 
     let mut out = Vec::with_capacity(tasks.len());
     // The leftover-service chain β → [β − rbf₀]⁺↑ → [… − rbf₁]⁺↑ → …

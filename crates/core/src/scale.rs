@@ -26,122 +26,25 @@
 //!   candidate over `den·L`.
 //!
 //! All of that is integer arithmetic without a gcd. Every operation is
-//! checked; when `L` or a product leaves `i128`, when an explorer runs in
-//! exact rationals, or when an rbf is truncated (a budget tripped), the
-//! same loops run as [`Request<Q>`] at scale 1 on the materialized rbfs —
-//! the same values, so the same answer bytes.
+//! checked ([`Scalar`]); when `L` or a product leaves `i128`, when an
+//! explorer runs in exact rationals, or when an rbf is truncated (a budget
+//! tripped), the same loops run as [`Request<Q>`] at scale 1 on the
+//! materialized rbfs — the same values, so the same answer bytes. A `Q`
+//! value that leaves `i128` is an [`ArithmeticError::Overflow`].
 
 use crate::busy::BusyWindow;
 use crate::error::AnalysisError;
-use srtw_minplus::{ArithmeticError, Curve, Tail, Q};
+use srtw_minplus::{ArithmeticError, Curve, Scalar, Tail, Q};
 use srtw_workload::{Explorer, Paths, Rbf, VertexId};
 use std::cell::OnceCell;
 
-/// A checked operation left `i128`; the caller redoes the loop in `Q`.
-#[derive(Debug)]
-pub(crate) struct Overflow;
-
-/// Why a loop stopped early.
-#[derive(Debug)]
-pub(crate) enum Halt {
-    /// A checked operation overflowed.
-    Overflow,
-    /// β never reaches a demand: the service saturates.
-    Saturated,
-}
-
-impl From<Overflow> for Halt {
-    fn from(_: Overflow) -> Halt {
-        Halt::Overflow
-    }
-}
-
-impl From<Halt> for AnalysisError {
-    fn from(h: Halt) -> AnalysisError {
-        match h {
-            Halt::Overflow => AnalysisError::Arithmetic(ArithmeticError::Overflow),
-            Halt::Saturated => AnalysisError::ServiceSaturated,
-        }
-    }
-}
-
-/// A number the loops run over: an integer at the request's scale, or an
-/// exact rational at scale 1.
-pub(crate) trait Num: Copy + Ord {
-    const ZERO: Self;
-    const ONE: Self;
-    fn add(self, rhs: Self) -> Result<Self, Overflow>;
-    fn sub(self, rhs: Self) -> Result<Self, Overflow>;
-    fn mul(self, rhs: Self) -> Result<Self, Overflow>;
-    /// `⌈self / rhs⌉` for `self ≥ 0` and `rhs > 0`.
-    fn div_ceil(self, rhs: Self) -> Result<Self, Overflow>;
-    /// The integer `n`.
-    fn int(n: i128) -> Self;
-    /// `q` at scale `scale`; `None` when that is not a number of this
-    /// type.
-    fn scaled(q: Q, scale: i128) -> Option<Self>;
-    /// The rational `self / (den·scale)`.
-    fn ratio(self, den: Self, scale: i128) -> Result<Q, Overflow>;
-}
-
-impl Num for i128 {
-    const ZERO: i128 = 0;
-    const ONE: i128 = 1;
-    fn add(self, rhs: i128) -> Result<i128, Overflow> {
-        self.checked_add(rhs).ok_or(Overflow)
-    }
-    fn sub(self, rhs: i128) -> Result<i128, Overflow> {
-        self.checked_sub(rhs).ok_or(Overflow)
-    }
-    fn mul(self, rhs: i128) -> Result<i128, Overflow> {
-        self.checked_mul(rhs).ok_or(Overflow)
-    }
-    fn div_ceil(self, rhs: i128) -> Result<i128, Overflow> {
-        Ok(self / rhs + i128::from(self % rhs != 0))
-    }
-    fn int(n: i128) -> i128 {
-        n
-    }
-    fn scaled(q: Q, scale: i128) -> Option<i128> {
-        match scale % q.denom() {
-            0 => q.numer().checked_mul(scale / q.denom()),
-            _ => None,
-        }
-    }
-    fn ratio(self, den: i128, scale: i128) -> Result<Q, Overflow> {
-        Ok(Q::new(self, den.checked_mul(scale).ok_or(Overflow)?))
-    }
-}
-
-impl Num for Q {
-    const ZERO: Q = Q::ZERO;
-    const ONE: Q = Q::ONE;
-    fn add(self, rhs: Q) -> Result<Q, Overflow> {
-        self.checked_add(rhs).ok_or(Overflow)
-    }
-    fn sub(self, rhs: Q) -> Result<Q, Overflow> {
-        self.checked_sub(rhs).ok_or(Overflow)
-    }
-    fn mul(self, rhs: Q) -> Result<Q, Overflow> {
-        self.checked_mul(rhs).ok_or(Overflow)
-    }
-    fn div_ceil(self, rhs: Q) -> Result<Q, Overflow> {
-        Ok(Q::int(self.checked_div(rhs).ok_or(Overflow)?.ceil()))
-    }
-    fn int(n: i128) -> Q {
-        Q::int(n)
-    }
-    fn scaled(q: Q, _scale: i128) -> Option<Q> {
-        Some(q)
-    }
-    fn ratio(self, den: Q, _scale: i128) -> Result<Q, Overflow> {
-        self.checked_div(den).ok_or(Overflow)
-    }
-}
+/// A checked operation left the loop's number type: the `i128` loops
+/// rerun in `Q`, and the `Q` loops report it.
+const OVF: AnalysisError = AnalysisError::Arithmetic(ArithmeticError::Overflow);
 
 /// Whether the fraction `a` exceeds `b` (denominators positive).
-fn exceeds<N: Num>((an, ad): (N, N), (bn, bd): (N, N)) -> Result<bool, Overflow> {
-    Ok(an.mul(bd)? > bn.mul(ad)?)
+fn exceeds<N: Scalar>((an, ad): (N, N), (bn, bd): (N, N)) -> Result<bool, AnalysisError> {
+    Ok(an.mul(bd).ok_or(OVF)? > bn.mul(ad).ok_or(OVF)?)
 }
 
 /// One piece of β at a request's scale: start and value scaled, the
@@ -154,20 +57,22 @@ struct Piece<N> {
     sd: N,
 }
 
-impl<N: Num> Piece<N> {
+impl<N: Scalar> Piece<N> {
     /// The first time this piece reaches `w`, as a fraction.
-    fn first_reaching(&self, w: N) -> Result<Option<(N, N)>, Overflow> {
+    fn first_reaching(&self, w: N) -> Result<Option<(N, N)>, AnalysisError> {
         if self.value >= w {
             Ok(Some((self.start, N::ONE)))
         } else if self.sn > N::ZERO {
-            let num = self
-                .start
-                .mul(self.sn)?
-                .add(w.sub(self.value)?.mul(self.sd)?)?;
-            Ok(Some((num, self.sn)))
+            Ok(Some((self.rising_to(w).ok_or(OVF)?, self.sn)))
         } else {
             Ok(None)
         }
+    }
+
+    /// `start·sn + (w − value)·sd`: the numerator, over `sn`, of where the
+    /// piece's line reaches `w`.
+    fn rising_to(&self, w: N) -> Option<N> {
+        self.start.mul(self.sn)?.add(w.sub(self.value)?.mul(self.sd)?)
     }
 }
 
@@ -181,7 +86,7 @@ struct Service<N> {
     periodic: Option<(usize, N, N)>,
 }
 
-impl<N: Num> Service<N> {
+impl<N: Scalar> Service<N> {
     fn new(beta: &Curve, scale: i128) -> Option<Service<N>> {
         let s = |q: Q| N::scaled(q, scale);
         let pieces = beta
@@ -191,8 +96,8 @@ impl<N: Num> Service<N> {
                 Some(Piece {
                     start: s(p.start)?,
                     value: s(p.value)?,
-                    sn: N::int(p.slope.numer()),
-                    sd: N::int(p.slope.denom()),
+                    sn: N::int(p.slope.numer())?,
+                    sd: N::int(p.slope.denom())?,
                 })
             })
             .collect::<Option<_>>()?;
@@ -214,19 +119,22 @@ impl<N: Num> Service<N> {
 
     /// `β⁻¹(w)` as an unreduced fraction `(num, den)`, `den > 0`; `None`
     /// when β never reaches `w`. Mirrors [`Curve::pseudo_inverse`].
-    fn inverse(&self, w: N) -> Result<Option<(N, N)>, Overflow> {
+    fn inverse(&self, w: N) -> Result<Option<(N, N)>, AnalysisError> {
         let i = self.reach.partition_point(|&r| r < w);
         match self.periodic {
             Some((pattern_start, period, increment)) if i == self.pieces.len() => {
                 if increment == N::ZERO {
                     return Ok(None);
                 }
-                let k = w.sub(self.reach[i - 1])?.div_ceil(increment)?;
-                let target = w.sub(increment.mul(k)?)?;
+                let k = w.sub(self.reach[i - 1]).and_then(|a| a.div_ceil(increment)).ok_or(OVF)?;
+                let target = increment.mul(k).and_then(|a| w.sub(a)).ok_or(OVF)?;
                 let j =
                     pattern_start + self.reach[pattern_start..].partition_point(|&r| r < target);
                 match self.pieces[j].first_reaching(target)? {
-                    Some((num, den)) => Ok(Some((num.add(k.mul(period)?.mul(den)?)?, den))),
+                    Some((num, den)) => {
+                        let lifted = k.mul(period).and_then(|a| a.mul(den)?.add(num));
+                        Ok(Some((lifted.ok_or(OVF)?, den)))
+                    }
                     None => Ok(None),
                 }
             }
@@ -246,15 +154,15 @@ struct Staircase<N> {
     coarse: Option<(N, N, N)>,
 }
 
-impl<N: Num> Staircase<N> {
+impl<N: Scalar> Staircase<N> {
     /// The rbf at span `s`, as [`Rbf::bound_at`] evaluates it.
-    fn at(&self, s: N) -> Result<N, Overflow> {
+    fn at(&self, s: N) -> Option<N> {
         if let Some((exact, base, rate)) = self.coarse {
             if s >= exact {
                 return base.add(rate.mul(s)?);
             }
         }
-        Ok(match self.steps.partition_point(|p| p.0 <= s) {
+        Some(match self.steps.partition_point(|p| p.0 <= s) {
             0 => N::ZERO,
             k => self.steps[k - 1].1,
         })
@@ -271,13 +179,13 @@ pub(crate) struct Request<N> {
     rbfs: Vec<Staircase<N>>,
 }
 
-impl<N: Num> Request<N> {
+impl<N: Scalar> Request<N> {
     /// The summed rbfs of every stream but `skip` at span `s`.
-    fn demand(&self, skip: Option<usize>, s: N) -> Result<N, Overflow> {
+    fn demand(&self, skip: Option<usize>, s: N) -> Result<N, AnalysisError> {
         let mut total = N::ZERO;
         for (j, r) in self.rbfs.iter().enumerate() {
             if Some(j) != skip {
-                total = total.add(r.at(s)?)?;
+                total = r.at(s).and_then(|d| total.add(d)).ok_or(OVF)?;
             }
         }
         Ok(total)
@@ -294,17 +202,18 @@ impl<N: Num> Request<N> {
         vertices: usize,
         nodes: impl Iterator<Item = (VertexId, N, N)>,
         factor: N,
-    ) -> Result<Vec<Option<(Q, usize)>>, Halt> {
+    ) -> Result<Vec<Option<(Q, usize)>>, AnalysisError> {
         let mut best: Vec<Option<((N, N), usize)>> = vec![None; vertices];
         for (i, (vertex, span, work)) in nodes.enumerate() {
             let (span, work) = if factor == N::ONE {
                 (span, work)
             } else {
-                (span.mul(factor)?, work.mul(factor)?)
+                (span.mul(factor).ok_or(OVF)?, work.mul(factor).ok_or(OVF)?)
             };
-            let ahead = work.add(self.demand(Some(stream), span)?)?;
-            let (num, den) = self.service.inverse(ahead)?.ok_or(Halt::Saturated)?;
-            let candidate = (num.sub(span.mul(den)?)?.max(N::ZERO), den);
+            let ahead = work.add(self.demand(Some(stream), span)?).ok_or(OVF)?;
+            let (num, den) = self.service.inverse(ahead)?.ok_or(AnalysisError::ServiceSaturated)?;
+            let delay = span.mul(den).and_then(|a| num.sub(a)).ok_or(OVF)?;
+            let candidate = (delay.max(N::ZERO), den);
             let slot = &mut best[vertex.index()];
             let better = match *slot {
                 Some((b, _)) => exceeds(candidate, b)?,
@@ -317,7 +226,7 @@ impl<N: Num> Request<N> {
         let scale = self.scale;
         best.into_iter()
             .map(|b| match b {
-                Some(((c, den), i)) => Ok(Some((c.ratio(den, scale)?, i))),
+                Some(((c, den), i)) => Ok(Some((c.ratio(den, scale).ok_or(OVF)?, i))),
                 None => Ok(None),
             })
             .collect()
@@ -326,7 +235,7 @@ impl<N: Num> Request<N> {
     /// The RTC breakpoint loop: `max(0, max over s of β⁻¹(Σ_j I_j(s)) −
     /// s)` over the union `s` of every rbf's breakpoint spans and 0, and
     /// how many spans that union has.
-    fn rtc(&self) -> Result<(Q, usize), Halt> {
+    fn rtc(&self) -> Result<(Q, usize), AnalysisError> {
         let mut spans: Vec<N> = self
             .rbfs
             .iter()
@@ -340,13 +249,13 @@ impl<N: Num> Request<N> {
             let (num, den) = self
                 .service
                 .inverse(self.demand(None, s)?)?
-                .ok_or(Halt::Saturated)?;
-            let candidate = (num.sub(s.mul(den)?)?, den);
+                .ok_or(AnalysisError::ServiceSaturated)?;
+            let candidate = (s.mul(den).and_then(|a| num.sub(a)).ok_or(OVF)?, den);
             if exceeds(candidate, best)? {
                 best = candidate;
             }
         }
-        Ok((best.0.ratio(best.1, self.scale)?, spans.len()))
+        Ok((best.0.ratio(best.1, self.scale).ok_or(OVF)?, spans.len()))
     }
 }
 
@@ -457,11 +366,11 @@ impl<'a> Scales<'a> {
     pub(crate) fn rtc(&self) -> Result<(Q, usize), AnalysisError> {
         if let Some(r) = &self.scaled {
             match r.rtc() {
-                Err(Halt::Overflow) => {}
-                done => return done.map_err(AnalysisError::from),
+                Err(OVF) => {}
+                done => return done,
             }
         }
-        Ok(self.exact().rtc()?)
+        self.exact().rtc()
     }
 
     /// Per vertex of stream `stream` (of `vertices`), the largest delay
@@ -475,8 +384,8 @@ impl<'a> Scales<'a> {
         if let (Some(r), Some((d, nodes))) = (&self.scaled, paths.scaled()) {
             if r.scale % d == 0 {
                 match r.winners(stream, vertices, nodes, r.scale / d) {
-                    Err(Halt::Overflow) => {}
-                    done => return done.map_err(AnalysisError::from),
+                    Err(OVF) => {}
+                    done => return done,
                 }
             }
         }
@@ -484,7 +393,7 @@ impl<'a> Scales<'a> {
             let n = paths.node(i);
             (n.vertex, n.span, n.work)
         });
-        Ok(self.exact().winners(stream, vertices, nodes, Q::ONE)?)
+        self.exact().winners(stream, vertices, nodes, Q::ONE)
     }
 }
 
@@ -640,7 +549,7 @@ mod tests {
     }
 
     /// `β⁻¹(w)` through a request's service, as a rational.
-    fn inverse_of<N: Num>(r: &Request<N>, w: Q) -> Option<Q> {
+    fn inverse_of<N: Scalar>(r: &Request<N>, w: Q) -> Option<Q> {
         let w = N::scaled(w, r.scale).expect("query on the scale's grid");
         let (num, den) = r.service.inverse(w).expect("no overflow")?;
         Some(num.ratio(den, r.scale).expect("no overflow"))
@@ -670,7 +579,7 @@ mod tests {
                     let mut cfg = ExploreConfig::new(cap).without_pruning();
                     cfg.node_limit = 400;
                     let mut raw = Explorer::new(task, &cfg);
-                    raw.extend_to(cap, &BudgetMeter::unlimited());
+                    raw.extend_to(cap, &BudgetMeter::unlimited()).unwrap();
                     for paths in [x.paths(cap), raw.paths(cap)] {
                         let (d, nodes) = paths.scaled().expect("scaled search");
                         let int = scaled
@@ -806,7 +715,7 @@ mod tests {
         let (d, nodes) = paths.scaled().expect("scaled search");
         assert!(matches!(
             r.winners(0, 2, nodes, r.scale / d),
-            Err(Halt::Overflow)
+            Err(OVF)
         ));
         assert_eq!(digest_of(&tasks, &beta), 0x4093_702d_ef50_c5d9);
     }

@@ -22,7 +22,7 @@
 //! };
 //! let task = generate_drt(&cfg, 42);
 //! assert_eq!(task.num_vertices(), 6);
-//! assert_eq!(long_run_utilization(&task), q(3, 5));
+//! assert_eq!(long_run_utilization(&task), Ok(q(3, 5)));
 //! ```
 
 #![warn(missing_docs)]
@@ -124,6 +124,7 @@ pub fn generate_drt(cfg: &DrtGenConfig, seed: u64) -> DrtTask {
         Some(u) => {
             assert!(u.is_positive(), "target utilization must be positive");
             let u0 = critical_cycle(&task)
+                .expect("small integer weights fit i128")
                 .expect("ring graph always has a cycle")
                 .ratio;
             rebuild_scaled(&task, u / u0, cfg.deadline_factor)
@@ -271,15 +272,52 @@ pub fn adversarial_dense(n: usize, seed: u64) -> DrtTask {
     b.build().expect("dense graph is a valid graph")
 }
 
+/// Adversarial: a ring of `n` vertices, each with a self-loop, whose WCETs
+/// and separations are fractions with numerators near 2⁷⁰ and
+/// denominators near 2⁴⁰, all drawn independently.
+///
+/// Stresses the range of exact arithmetic rather than its effort: the
+/// common denominator of three such weights leaves `i128`, so the searches
+/// run in exact rationals, and a sum of a few weights (a cycle's work or
+/// span, a busy window's demand) can leave `i128` too. Each weight is near
+/// 2³⁰, separations one to four times a WCET, so cycle ratios land between
+/// about ¼ and 1 and the generated systems are stable on some of the
+/// servers a stress test draws.
+pub fn adversarial_wide(n: usize, seed: u64) -> DrtTask {
+    let n = n.max(1);
+    let mut rng = Rng::seed_from_u64(seed);
+    let mut b = DrtTaskBuilder::new(format!("wide-{seed}"));
+    // `times` · (2⁷⁰ + r) / (2⁴⁰ + d).
+    let wide = |rng: &mut Rng, times: i128| {
+        let num = times * ((1i128 << 70) + i128::from(rng.next_u64()));
+        let den = (1i128 << 40) + rng.random_range(1i128..=1 << 32);
+        Q::new(num, den)
+    };
+    let ids: Vec<VertexId> = (0..n)
+        .map(|i| b.vertex(format!("w{i}"), wide(&mut rng, 1)))
+        .collect();
+    for i in 0..n {
+        let times = rng.random_range(1i128..=4);
+        b.edge(ids[i], ids[i], wide(&mut rng, times));
+        if n > 1 {
+            let times = rng.random_range(1i128..=4);
+            b.edge(ids[i], ids[(i + 1) % n], wide(&mut rng, times));
+        }
+    }
+    b.build().expect("wide ring is a valid graph")
+}
+
 /// Rebuilds `task` with WCETs scaled exactly so its long-run utilization
 /// (maximum cycle ratio) equals `target`.
 ///
 /// # Panics
 ///
-/// Panics if `target` is not positive or the task has no cycle.
+/// Panics if `target` is not positive, the task has no cycle, or its
+/// maximum cycle ratio overflows `i128`.
 pub fn rescale_utilization(task: &DrtTask, target: Q) -> DrtTask {
     assert!(target.is_positive(), "target utilization must be positive");
     let u0 = critical_cycle(task)
+        .expect("the task's maximum cycle ratio fits i128")
         .expect("rescaled task must contain a cycle")
         .ratio;
     rebuild_scaled(task, target / u0, None)
@@ -308,6 +346,7 @@ pub fn generate_task_set(
 mod tests {
     use super::*;
     use srtw_minplus::q;
+    use srtw_minplus::ArithmeticError;
     use srtw_workload::long_run_utilization;
 
     #[test]
@@ -330,7 +369,7 @@ mod tests {
                 ..DrtGenConfig::default()
             };
             let t = generate_drt(&cfg, seed);
-            assert_eq!(long_run_utilization(&t), q(7, 10), "seed {seed}");
+            assert_eq!(long_run_utilization(&t), Ok(q(7, 10)), "seed {seed}");
         }
     }
 
@@ -374,7 +413,7 @@ mod tests {
         assert_eq!(set.len(), 3);
         let total: Q = set
             .iter()
-            .map(long_run_utilization)
+            .map(|t| long_run_utilization(t).unwrap())
             .fold(Q::ZERO, |a, b| a + b);
         assert_eq!(total, q(3, 4));
     }
@@ -393,7 +432,7 @@ mod tests {
                 assert_eq!(gcd(*a, *b), 1, "{a} and {b} must be coprime");
             }
         }
-        assert!(long_run_utilization(&t) < q(1, 100));
+        assert!(long_run_utilization(&t).unwrap() < q(1, 100));
         assert_eq!(t, adversarial_coprime(5, 11), "deterministic");
     }
 
@@ -411,9 +450,22 @@ mod tests {
             let t = adversarial_deep_chain(depth, 7);
             assert_eq!(t.num_vertices(), depth);
             assert_eq!(t.num_edges(), depth);
-            let u = long_run_utilization(&t);
+            let u = long_run_utilization(&t).unwrap();
             assert!(u <= q(1, 10), "depth {depth}: utilization {u}");
         }
+    }
+
+    #[test]
+    fn wide_ring_weights_are_near_two_to_the_thirty() {
+        let t = adversarial_wide(4, 3);
+        assert_eq!((t.num_vertices(), t.num_edges()), (4, 8));
+        let seps = t.vertex_ids().flat_map(|v| t.out_edges(v).iter().map(|e| e.separation));
+        for w in t.vertex_ids().map(|v| t.wcet(v)).chain(seps) {
+            assert!(Q::int(1 << 29) < w && w < Q::int(1 << 33) && w.denom() > 1 << 30);
+        }
+        // A one-vertex ring's ratio fits; a longer ring's cycle sums do not.
+        assert!(long_run_utilization(&adversarial_wide(1, 3)).is_ok());
+        assert_eq!(long_run_utilization(&t), Err(ArithmeticError::Overflow));
     }
 
     #[test]
@@ -421,7 +473,7 @@ mod tests {
         let t = adversarial_dense(5, 13);
         assert_eq!(t.num_edges(), 20); // 5·4 ordered pairs
         let scaled = rescale_utilization(&t, q(2, 5));
-        assert_eq!(long_run_utilization(&scaled), q(2, 5));
+        assert_eq!(long_run_utilization(&scaled), Ok(q(2, 5)));
         assert_eq!(scaled.num_edges(), 20);
     }
 

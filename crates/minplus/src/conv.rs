@@ -28,6 +28,7 @@ use crate::error::CurveError;
 use crate::meter::{BudgetKind, BudgetMeter};
 use crate::ops::{ck_add, TailInfo, OVF};
 use crate::ratio::{Rational, Q, Q64};
+use crate::scalar::Scalar;
 use crate::stream::Unroll;
 
 /// The budget error carrying whichever dimension actually tripped `meter`.
@@ -212,7 +213,7 @@ fn envelope<N: Rational>(
         parts
             .iter()
             .flat_map(|p| [p.start, p.end])
-            .filter(|&t| !t.is_negative() && t <= h),
+            .filter(|&t| t >= N::ZERO && t <= h),
     );
     events.push(N::ZERO);
     events.push(h);
@@ -270,7 +271,7 @@ fn envelope<N: Rational>(
                 } else {
                     vx.sub(cur.0)?
                 };
-                if gap.is_negative() || gap.is_zero() {
+                if gap <= N::ZERO {
                     continue; // ties at x are resolved by the re-selection
                 }
                 let cross = x.add(gap.div(cur.1.sub(l.1)?.abs()?)?)?;

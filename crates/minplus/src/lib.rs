@@ -1,9 +1,10 @@
 //! # srtw-minplus — exact (min,+) curve algebra for real-time calculus
 //!
 //! This crate provides the mathematical substrate of the `srtw` workspace:
-//! exact rational arithmetic ([`Q`]), monotone piecewise-affine curves with
-//! ultimately-affine or ultimately-periodic tails ([`Curve`]), and the
-//! (min,+) operators of Network / Real-Time Calculus:
+//! exact rational arithmetic ([`Q`]), the checked number type the exact
+//! analysis loops are written over ([`Scalar`]), monotone piecewise-affine
+//! curves with ultimately-affine or ultimately-periodic tails ([`Curve`]),
+//! and the (min,+) operators of Network / Real-Time Calculus:
 //!
 //! * pointwise [`Curve::pointwise_min`] / [`Curve::pointwise_max`] /
 //!   [`Curve::pointwise_add`], exact for **all** tail combinations,
@@ -45,6 +46,7 @@ mod extended;
 mod meter;
 mod ops;
 mod ratio;
+mod scalar;
 mod stream;
 
 pub use curve::{Curve, Piece, Tail};
@@ -54,3 +56,4 @@ pub use meter::{
     Budget, BudgetKind, BudgetMeter, CancelToken, FaultKind, FaultPlan, CLOCK_STRIDE,
 };
 pub use ratio::{q, ParseQError, Q};
+pub use scalar::Scalar;

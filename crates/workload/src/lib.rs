@@ -35,7 +35,7 @@
 //! let task = b.build().unwrap();
 //!
 //! // Cycles: P→P has ratio 2/10; I→P→I has ratio (6+2)/(10+12) = 4/11.
-//! assert_eq!(long_run_utilization(&task), q(4, 11));
+//! assert_eq!(long_run_utilization(&task), Ok(q(4, 11)));
 //!
 //! // Worst demand in any window of length 10: an I followed by a P.
 //! let rbf = Rbf::compute(&task, Q::int(30));

@@ -333,7 +333,7 @@ mod tests {
         for i in 0..=60 {
             assert_eq!(rbf.eval(Q::int(i)), alpha.eval(Q::int(i)), "at {i}");
         }
-        assert_eq!(long_run_utilization(&drt), q(3, 10));
+        assert_eq!(long_run_utilization(&drt), Ok(q(3, 10)));
     }
 
     #[test]
@@ -388,7 +388,7 @@ mod tests {
         let t = MultiframeTask::new([(Q::int(5), Q::int(10)), (Q::ONE, Q::int(10))]);
         let drt = t.to_drt("gmf").unwrap();
         assert_eq!(drt.num_vertices(), 2);
-        assert_eq!(long_run_utilization(&drt), q(6, 20));
+        assert_eq!(long_run_utilization(&drt), Ok(q(6, 20)));
         let rbf = Rbf::compute(&drt, Q::int(40));
         // Worst window starts at the heavy frame: 5, then +1 at 10, +5 at 20...
         assert_eq!(rbf.eval(Q::ZERO), Q::int(5));
@@ -432,7 +432,7 @@ mod tests {
         assert_eq!(drt.num_edges(), 4);
         assert!(drt.has_cycle());
         // Utilization: worst cycle root→expensive→root: (2+4)/(5+10) = 2/5.
-        assert_eq!(long_run_utilization(&drt), q(2, 5));
+        assert_eq!(long_run_utilization(&drt), Ok(q(2, 5)));
         // rbf picks the expensive branch.
         let rbf = Rbf::compute(&drt, Q::int(20));
         assert_eq!(rbf.eval(Q::ZERO), Q::int(4));
@@ -460,7 +460,7 @@ mod tests {
         .to_drt("ok")
         .unwrap();
         assert_eq!(ok.num_edges(), 1);
-        assert_eq!(long_run_utilization(&ok), q(1, 5));
+        assert_eq!(long_run_utilization(&ok), Ok(q(1, 5)));
     }
 
     #[test]
@@ -489,6 +489,6 @@ mod tests {
         // Edges: root→a, root→b, a→a1, a→a2 (4 tree) + 3 leaves→root.
         assert_eq!(drt.num_edges(), 7);
         // Worst cycle: root→a→a2→root = (1+2+3)/(4+3+8) = 6/15 = 2/5.
-        assert_eq!(long_run_utilization(&drt), q(2, 5));
+        assert_eq!(long_run_utilization(&drt), Ok(q(2, 5)));
     }
 }

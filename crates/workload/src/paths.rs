@@ -20,9 +20,9 @@
 
 use crate::digraph::{DrtTask, VertexId};
 use crate::rbf::{packing_line, Rbf};
-use crate::utilization::{exact_critical_cycle, scaled_critical_cycle};
-use crate::weight::{Overflow, ScaledGraph, Weight};
-use srtw_minplus::{BudgetKind, BudgetMeter, Q};
+use crate::utilization::{howard, scaled_critical_cycle};
+use crate::weight::{unscale, ScaledGraph};
+use srtw_minplus::{ArithmeticError, BudgetKind, BudgetMeter, Scalar, Q};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -237,9 +237,16 @@ pub fn explore(task: &DrtTask, cfg: &ExploreConfig) -> Exploration {
 /// enumerated. The result's [`Exploration::complete_span`] records that
 /// exclusive frontier; retained nodes at span `≥ s` are genuine paths too
 /// (sound for maximisation) but possibly not exhaustive.
+///
+/// # Panics
+///
+/// When a span or work leaves `i128` even as an exact rational. The
+/// analyses grow an [`Explorer`] instead, which reports that as an error.
 pub fn explore_metered(task: &DrtTask, cfg: &ExploreConfig, meter: &BudgetMeter) -> Exploration {
     let mut explorer = Explorer::new(task, cfg);
-    explorer.extend_to(cfg.horizon, meter);
+    explorer
+        .extend_to(cfg.horizon, meter)
+        .expect("path weights overflow i128");
     explorer.exploration(cfg.horizon)
 }
 
@@ -256,7 +263,9 @@ pub fn explore_metered(task: &DrtTask, cfg: &ExploreConfig, meter: &BudgetMeter)
 /// an interrupted run. Reads panic at a horizon the search neither reached
 /// nor stopped within. The search runs in scaled `i128` while a static
 /// bound proves every span and work fits, and in exact rationals from the
-/// first horizon that could leave `i128`.
+/// first horizon that could leave `i128`; a sum that leaves `i128` even
+/// there is an [`ArithmeticError::Overflow`], after which the search must
+/// not be read or grown again.
 ///
 /// ```
 /// use srtw_workload::{DrtTaskBuilder, ExploreConfig, Explorer, Rbf};
@@ -267,8 +276,8 @@ pub fn explore_metered(task: &DrtTask, cfg: &ExploreConfig, meter: &BudgetMeter)
 /// b.edge(v, v, Q::int(5));
 /// let task = b.build().unwrap();
 /// let mut x = Explorer::new(&task, &ExploreConfig::new(Q::ZERO));
-/// x.extend_to(Q::int(12), &BudgetMeter::unlimited());
-/// x.extend_to(Q::int(20), &BudgetMeter::unlimited());
+/// x.extend_to(Q::int(12), &BudgetMeter::unlimited()).unwrap();
+/// x.extend_to(Q::int(20), &BudgetMeter::unlimited()).unwrap();
 /// assert_eq!(x.exploration(Q::int(12)).nodes().len(), 3);
 /// assert_eq!(x.rbf(Q::int(20)), Rbf::compute(&task, Q::int(20)));
 /// ```
@@ -322,43 +331,53 @@ impl Explorer {
 
     /// Pops every candidate of span `≤ horizon`, ticking `meter` once per
     /// pop, unless the search already reached `horizon` or has stopped.
-    pub fn extend_to(&mut self, horizon: Q, meter: &BudgetMeter) {
+    ///
+    /// # Errors
+    ///
+    /// [`ArithmeticError::Overflow`] when a span or work leaves `i128` as
+    /// an exact rational.
+    pub fn extend_to(&mut self, horizon: Q, meter: &BudgetMeter) -> Result<(), ArithmeticError> {
         if self.interrupted().is_some() || self.reach.is_some_and(|r| horizon <= r) {
-            return;
+            return Ok(());
         }
         let (prune, limit) = (self.prune, self.node_limit);
         match &mut self.search {
             Domain::Scaled(s) => match scaled_horizon(&s.graph, horizon) {
-                Some(h) => s.run(h, prune, limit, meter),
+                Some(h) => s.run(h, prune, limit, meter)?,
                 None => {
                     // Replay the pops so far over exact rationals, in the
                     // same order and unmetered (they were ticked once).
                     let mut exact = Search::new(s.graph.unscaled());
                     if let Some(r) = self.reach {
-                        exact.run(r, prune, limit, &BudgetMeter::unlimited());
+                        exact.run(r, prune, limit, &BudgetMeter::unlimited())?;
                     }
-                    exact.run(horizon, prune, limit, meter);
+                    exact.run(horizon, prune, limit, meter)?;
                     self.search = Domain::Exact(exact);
                 }
             },
-            Domain::Exact(s) => s.run(horizon, prune, limit, meter),
+            Domain::Exact(s) => s.run(horizon, prune, limit, meter)?,
         }
         if self.interrupted().is_none() {
             self.reach = Some(horizon);
         }
+        Ok(())
     }
 
     /// The task's long-run utilization ([`long_run_utilization`]), its
     /// maximum cycle ratio, computed on the graph this search already
     /// holds.
     ///
+    /// # Errors
+    ///
+    /// As [`long_run_utilization`].
+    ///
     /// [`long_run_utilization`]: crate::long_run_utilization
-    pub fn utilization(&self) -> Q {
+    pub fn utilization(&self) -> Result<Q, ArithmeticError> {
         let cycle = match &self.search {
             Domain::Scaled(s) => scaled_critical_cycle(&s.graph),
-            Domain::Exact(s) => exact_critical_cycle(&s.graph),
-        };
-        cycle.map_or(Q::ZERO, |c| c.ratio)
+            Domain::Exact(s) => howard(&s.graph),
+        }?;
+        Ok(cycle.map_or(Q::ZERO, |c| c.ratio))
     }
 
     /// The budget dimension that stopped the search, if any.
@@ -401,7 +420,7 @@ impl Explorer {
             match (truncated, end) {
                 (Some(_), _) => None,
                 (None, 0) => Some(Q::ZERO),
-                (None, end) => Some(s.steps[end - 1].1.unscale(s.graph.scale)),
+                (None, end) => Some(unscale(s.steps[end - 1].1, s.graph.scale)),
             }
         })
     }
@@ -440,12 +459,12 @@ struct Candidate<W> {
     parent: Option<usize>,
 }
 
-impl<W: Weight> Candidate<W> {
+impl<W: Scalar> Candidate<W> {
     fn unscale(self, scale: i128) -> PathNode {
         PathNode {
             vertex: self.vertex,
-            span: self.span.unscale(scale),
-            work: self.work.unscale(scale),
+            span: unscale(self.span, scale),
+            work: unscale(self.work, scale),
             len: self.len,
             parent: self.parent,
         }
@@ -482,7 +501,7 @@ struct Frontier<W> {
     entries: Vec<(W, W, usize)>,
 }
 
-impl<W: Weight> Frontier<W> {
+impl<W: Scalar> Frontier<W> {
     fn new() -> Frontier<W> {
         Frontier {
             entries: Vec::new(),
@@ -532,7 +551,7 @@ struct Search<W> {
     stopped: Option<(W, BudgetKind)>,
 }
 
-impl<W: Weight> Search<W> {
+impl<W: Scalar> Search<W> {
     fn new(graph: ScaledGraph<W>) -> Search<W> {
         let n = graph.wcets.len();
         let heap = (0..n)
@@ -557,13 +576,16 @@ impl<W: Weight> Search<W> {
 
     /// The exploration loop: pops candidates of span `≤ target` until the
     /// heap holds none or the meter or node limit stops the search (which
-    /// must not have stopped before).
-    fn run(&mut self, target: W, prune: bool, limit: usize, meter: &BudgetMeter) {
-        let sum = |a: W, b: W| {
-            a.plus(b).unwrap_or_else(|Overflow| {
-                unreachable!("scaled spans and works are statically bounded")
-            })
-        };
+    /// must not have stopped before), or a successor's span or work
+    /// leaves `W`.
+    fn run(
+        &mut self,
+        target: W,
+        prune: bool,
+        limit: usize,
+        meter: &BudgetMeter,
+    ) -> Result<(), ArithmeticError> {
+        let sum = |a: W, b: W| a.add(b).ok_or(ArithmeticError::Overflow);
         while let Some(&c) = self.heap.peek() {
             if c.span > target {
                 break;
@@ -604,20 +626,21 @@ impl<W: Weight> Search<W> {
             }
             for &(wcet, sep, to) in self.graph.out(c.vertex) {
                 self.heap.push(Candidate {
-                    span: sum(c.span, sep),
-                    work: sum(c.work, wcet),
+                    span: sum(c.span, sep)?,
+                    work: sum(c.work, wcet)?,
                     vertex: to,
                     len: c.len + 1,
                     parent: Some(idx),
                 });
             }
         }
+        Ok(())
     }
 
     /// Whether a weight of this domain stands for at most `horizon`.
     fn within(&self, horizon: Q) -> impl Fn(W) -> bool {
         let scale = self.graph.scale;
-        move |w: W| w.unscale(scale) <= horizon
+        move |w: W| unscale(w, scale) <= horizon
     }
 
     /// The read to `horizon`, its retained nodes wrapped by `arena`.
@@ -633,7 +656,7 @@ impl<W: Weight> Search<W> {
         // interrupted, the ones still waiting were generated too.
         let (complete_span, interrupted, waiting) = match self.stopped {
             Some((s, kind)) if within(s) => (
-                s.unscale(scale),
+                unscale(s, scale),
                 Some(kind),
                 self.heap.iter().filter(|c| within(c.span)).count(),
             ),
@@ -657,7 +680,7 @@ impl<W: Weight> Search<W> {
         match self.stopped {
             Some((s, kind)) if within(s) => (
                 self.steps.partition_point(|p| p.0 < s),
-                s.unscale(self.graph.scale),
+                unscale(s, self.graph.scale),
                 Some(kind),
             ),
             _ => (self.steps.partition_point(|p| within(p.0)), horizon, None),
@@ -670,7 +693,7 @@ impl<W: Weight> Search<W> {
         let scale = self.graph.scale;
         let points = self.steps[..end]
             .iter()
-            .map(|&(s, w)| (s.unscale(scale), w.unscale(scale)))
+            .map(|&(s, w)| (unscale(s, scale), unscale(w, scale)))
             .collect();
         (points, exact_span, truncated)
     }
@@ -959,10 +982,10 @@ mod tests {
             for cfg in configs(h) {
                 for mp in MAX_PATHS {
                     let mut int = Explorer::new(task, &cfg);
-                    int.extend_to(h, &meter(mp));
+                    int.extend_to(h, &meter(mp)).unwrap();
                     assert!(is_scaled(&int), "expected the i128 domain");
                     let mut rat = exact_explorer(task, &cfg);
-                    rat.extend_to(h, &meter(mp));
+                    rat.extend_to(h, &meter(mp)).unwrap();
                     assert_eq!(
                         int.rbf(h),
                         rat.rbf(h),
@@ -1062,7 +1085,7 @@ mod tests {
         let horizon = Q::int(1 << 50);
         assert_eq!(scaled_horizon(&g, horizon), None);
         let mut auto = Explorer::new(&task, &ExploreConfig::new(horizon));
-        auto.extend_to(horizon, &BudgetMeter::unlimited());
+        auto.extend_to(horizon, &BudgetMeter::unlimited()).unwrap();
         assert!(!is_scaled(&auto), "expected the Q domain");
         let ex = explore(&task, &ExploreConfig::new(horizon));
         assert_eq!(ex.nodes().len(), 3);
@@ -1115,7 +1138,7 @@ mod tests {
                     let m = meter(mp);
                     let mut x = Explorer::new(task, &cfg);
                     for &h in &horizons {
-                        x.extend_to(h, &m);
+                        x.extend_to(h, &m).unwrap();
                         assert_reads_fresh(task, &x, &horizons, &cfg, mp);
                     }
                     let last = horizons[horizons.len() - 1];
@@ -1138,13 +1161,13 @@ mod tests {
         let meter = BudgetMeter::unlimited();
         let (low, high) = (Q::int(7), Q::int(1 << 50));
         let mut x = Explorer::new(&task, &ExploreConfig::new(low));
-        x.extend_to(low, &meter);
+        x.extend_to(low, &meter).unwrap();
         assert!(is_scaled(&x), "expected the i128 domain at {low}");
         assert_same(
             &x.exploration(low),
             &explore(&task, &ExploreConfig::new(low)),
         );
-        x.extend_to(high, &meter);
+        x.extend_to(high, &meter).unwrap();
         assert!(!is_scaled(&x), "expected the Q domain at {high}");
         for h in [low, high] {
             let fresh = explore(&task, &ExploreConfig::new(h));
@@ -1159,7 +1182,7 @@ mod tests {
     fn reading_past_the_reach_panics() {
         let task = diamond();
         let mut x = Explorer::new(&task, &ExploreConfig::new(Q::ZERO));
-        x.extend_to(Q::int(5), &BudgetMeter::unlimited());
+        x.extend_to(Q::int(5), &BudgetMeter::unlimited()).unwrap();
         let _ = x.exploration(Q::int(6));
     }
 

@@ -75,9 +75,15 @@ impl Rbf {
     /// smallest edge separation is used instead (flat `e_max` for an
     /// edgeless task). Either way the truncated rbf **dominates** the true
     /// rbf everywhere, so any delay bound computed from it is sound.
+    ///
+    /// # Panics
+    ///
+    /// As [`crate::explore_metered`], when a span or work leaves `i128`.
     pub fn compute_metered(task: &DrtTask, horizon: Q, meter: &BudgetMeter) -> Rbf {
         let mut explorer = Explorer::new(task, &ExploreConfig::new(horizon));
-        explorer.extend_to(horizon, meter);
+        explorer
+            .extend_to(horizon, meter)
+            .expect("path weights overflow i128");
         explorer.rbf(horizon)
     }
 

@@ -13,14 +13,15 @@
 //! a bias `x` relative to the cycle. The policy improves first where an
 //! edge reaches a larger `χ`, and otherwise where an edge of equal `χ`
 //! raises the bias; when neither is possible, no cycle of the graph beats
-//! the best policy cycle. Everything is exact: over the graph scaled to
-//! integers (`ScaledGraph`, biases scaled by each ratio's reduced
-//! denominator, ratios compared by cross-multiplication), and over
-//! rationals when a product leaves `i128`.
+//! the best policy cycle. Everything is exact and checked: over the graph
+//! scaled to integers (`ScaledGraph`, biases scaled by each ratio's
+//! reduced denominator, ratios compared by cross-multiplication), over
+//! rationals when a product leaves `i128`, and an
+//! [`ArithmeticError::Overflow`] when a rational does too.
 
 use crate::digraph::{DrtTask, VertexId};
-use crate::weight::{Overflow, ScaledGraph, Weight};
-use srtw_minplus::Q;
+use crate::weight::ScaledGraph;
+use srtw_minplus::{ArithmeticError, Scalar, Q};
 
 /// A cycle witnessing the maximum ratio: vertex sequence (first vertex not
 /// repeated at the end) and the exact ratio.
@@ -35,6 +36,11 @@ pub struct CriticalCycle {
 /// The long-run utilization of the task: the maximum cycle ratio, or zero
 /// for an acyclic graph (finite total demand).
 ///
+/// # Errors
+///
+/// [`ArithmeticError::Overflow`] when the iteration needs a rational
+/// beyond `i128`: the exact ratio's terms, or a bias, do not fit.
+///
 /// # Examples
 ///
 /// ```
@@ -45,34 +51,34 @@ pub struct CriticalCycle {
 /// let v = b.vertex("v", Q::int(2));
 /// b.edge(v, v, Q::int(5));
 /// let task = b.build().unwrap();
-/// assert_eq!(long_run_utilization(&task), q(2, 5));
+/// assert_eq!(long_run_utilization(&task), Ok(q(2, 5)));
 /// ```
-pub fn long_run_utilization(task: &DrtTask) -> Q {
-    critical_cycle(task).map_or(Q::ZERO, |c| c.ratio)
+pub fn long_run_utilization(task: &DrtTask) -> Result<Q, ArithmeticError> {
+    Ok(critical_cycle(task)?.map_or(Q::ZERO, |c| c.ratio))
 }
 
 /// Finds a cycle achieving the maximum ratio (`None` for acyclic graphs).
-pub fn critical_cycle(task: &DrtTask) -> Option<CriticalCycle> {
+///
+/// # Errors
+///
+/// As [`long_run_utilization`].
+pub fn critical_cycle(task: &DrtTask) -> Result<Option<CriticalCycle>, ArithmeticError> {
     match ScaledGraph::new(task) {
         Some(g) => scaled_critical_cycle(&g),
-        None => exact_critical_cycle(&ScaledGraph::exact(task)),
+        None => howard(&ScaledGraph::exact(task)),
     }
 }
 
 /// [`critical_cycle`] of a graph scaled to integers, redone over exact
 /// rationals when an intermediate leaves `i128`.
-pub(crate) fn scaled_critical_cycle(g: &ScaledGraph<i128>) -> Option<CriticalCycle> {
-    howard(g).unwrap_or_else(|Overflow| exact_critical_cycle(&g.unscaled()))
+pub(crate) fn scaled_critical_cycle(
+    g: &ScaledGraph<i128>,
+) -> Result<Option<CriticalCycle>, ArithmeticError> {
+    howard(g).or_else(|_| howard(&g.unscaled()))
 }
 
-/// [`critical_cycle`] of an unscaled graph.
-pub(crate) fn exact_critical_cycle(g: &ScaledGraph<Q>) -> Option<CriticalCycle> {
-    howard(g).unwrap_or_else(|Overflow| unreachable!("Q arithmetic never reports overflow"))
-}
-
-/// A vertex's value under a policy: the ratio `(p, q)` of the policy
-/// cycle it leads to (canonical, see [`Weight::ratio`]) and its bias
-/// scaled by `q`.
+/// A vertex's value under a policy: the ratio `p/q` of the policy cycle it
+/// leads to (equal pairs for equal ratios) and its bias scaled by `q`.
 #[derive(Clone, Copy)]
 struct Value<W> {
     p: W,
@@ -80,26 +86,28 @@ struct Value<W> {
     bias: W,
 }
 
-impl<W: Weight> Value<W> {
+impl<W: Scalar> Value<W> {
     /// Does `self` lead to the same ratio as `other`?
     fn same_ratio(&self, other: &Value<W>) -> bool {
         (self.p, self.q) == (other.p, other.q)
     }
 
     /// Does `self` lead to a strictly larger ratio than `other`?
-    fn exceeds(&self, other: &Value<W>) -> Result<bool, Overflow> {
-        Ok(!self.same_ratio(other) && self.p.times(other.q)? > other.p.times(self.q)?)
+    fn exceeds(&self, other: &Value<W>) -> Option<bool> {
+        Some(!self.same_ratio(other) && self.p.mul(other.q)? > other.p.mul(self.q)?)
     }
 
     /// The scaled bias `q·wcet − p·separation + bias(target)` that taking
     /// an edge into `target` gives under this value's ratio.
-    fn through(&self, (w, s, _): (W, W, VertexId), target: &Value<W>) -> Result<W, Overflow> {
-        self.q.times(w)?.minus(self.p.times(s)?)?.plus(target.bias)
+    fn through(&self, (w, s, _): (W, W, VertexId), target: &Value<W>) -> Option<W> {
+        self.q.mul(w)?.sub(self.p.mul(s)?)?.add(target.bias)
     }
 }
 
-/// Howard's policy iteration over `g` (see the module docs).
-fn howard<W: Weight>(g: &ScaledGraph<W>) -> Result<Option<CriticalCycle>, Overflow> {
+/// Howard's policy iteration over `g` (see the module docs): `Ok(None)`
+/// for a graph without cycles, and an overflow when an intermediate
+/// leaves `W`.
+pub(crate) fn howard<W: Scalar>(g: &ScaledGraph<W>) -> Result<Option<CriticalCycle>, ArithmeticError> {
     let n = g.wcets.len();
     let target = |e: usize| g.edges[e].2.index();
     // Peel off the vertices that reach no cycle: they get no policy.
@@ -110,6 +118,16 @@ fn howard<W: Weight>(g: &ScaledGraph<W>) -> Result<Option<CriticalCycle>, Overfl
     if !live.contains(&true) {
         return Ok(None);
     }
+    iterate(g, &live)
+        .map(Some)
+        .ok_or(ArithmeticError::Overflow)
+}
+
+/// The policy iteration over the `live` vertices (each with a live
+/// out-edge); `None` when an intermediate leaves `W`.
+fn iterate<W: Scalar>(g: &ScaledGraph<W>, live: &[bool]) -> Option<CriticalCycle> {
+    let n = g.wcets.len();
+    let target = |e: usize| g.edges[e].2.index();
     let live_out = |u: usize| g.range(u).filter(|&e| live[target(e)]);
     // The initial policy: each live vertex's live out-edge of largest
     // `wcet / separation`.
@@ -119,7 +137,7 @@ fn howard<W: Weight>(g: &ScaledGraph<W>) -> Result<Option<CriticalCycle>, Overfl
             let (w, s, _) = g.edges[e];
             let better = match g.edges.get(policy[u]) {
                 None => true,
-                Some(&(bw, bs, _)) => w.times(bs)? > bw.times(s)?,
+                Some(&(bw, bs, _)) => w.mul(bs)? > bw.mul(s)?,
             };
             if better {
                 policy[u] = e;
@@ -133,7 +151,7 @@ fn howard<W: Weight>(g: &ScaledGraph<W>) -> Result<Option<CriticalCycle>, Overfl
     };
     let mut value = vec![zero; n];
     loop {
-        let roots = evaluate(g, &policy, &live, &mut value)?;
+        let roots = evaluate(g, &policy, live, &mut value)?;
         // First: any edge into a larger ratio.
         let mut changed = false;
         for u in (0..n).filter(|&u| live[u]) {
@@ -171,8 +189,8 @@ fn howard<W: Weight>(g: &ScaledGraph<W>) -> Result<Option<CriticalCycle>, Overfl
             vertices.push(VertexId(v));
             v = target(policy[v]);
         }
-        let ratio = value[best].p.unscale(1) / value[best].q.unscale(1);
-        return Ok(Some(CriticalCycle { vertices, ratio }));
+        let ratio = value[best].p.ratio(value[best].q, 1)?;
+        return Some(CriticalCycle { vertices, ratio });
     }
 }
 
@@ -181,12 +199,12 @@ fn howard<W: Weight>(g: &ScaledGraph<W>) -> Result<Option<CriticalCycle>, Overfl
 /// smallest vertex (so a cycle the policy keeps keeps its biases); every
 /// other vertex takes its successor's ratio and adds its edge's scaled
 /// reduced weight to the successor's bias. Returns the cycles' roots.
-fn evaluate<W: Weight>(
+fn evaluate<W: Scalar>(
     g: &ScaledGraph<W>,
     policy: &[usize],
     live: &[bool],
     value: &mut [Value<W>],
-) -> Result<Vec<usize>, Overflow> {
+) -> Option<Vec<usize>> {
     let (new, on_path, done) = (0u8, 1u8, 2u8);
     let next = |v: usize| g.edges[policy[v]].2.index();
     let mut state = vec![new; live.len()];
@@ -205,15 +223,22 @@ fn evaluate<W: Weight>(
             let at = path.iter().position(|&x| x == v).expect("v is on the path");
             let (mut work, mut span) = (W::ZERO, W::ZERO);
             for &c in &path[at..] {
-                work = work.plus(g.edges[policy[c]].0)?;
-                span = span.plus(g.edges[policy[c]].1)?;
+                work = work.add(g.edges[policy[c]].0)?;
+                span = span.add(g.edges[policy[c]].1)?;
             }
             let root_at = (at..path.len())
                 .min_by_key(|&i| path[i])
                 .expect("non-empty");
             path[at..].rotate_left(root_at + 1 - at);
             let root = path.pop().expect("non-empty");
-            let (p, q) = W::ratio(work, span);
+            // Equal ratios get equal pairs: the ratio over one where it
+            // is a number of `W` unscaled (always, for rationals), and its
+            // reduced terms otherwise.
+            let ratio = work.ratio(span, 1)?;
+            let (p, q) = match W::scaled(ratio, 1) {
+                Some(p) => (p, W::ONE),
+                None => (W::int(ratio.numer())?, W::int(ratio.denom())?),
+            };
             value[root] = Value {
                 p,
                 q,
@@ -231,7 +256,7 @@ fn evaluate<W: Weight>(
             state[u] = done;
         }
     }
-    Ok(roots)
+    Some(roots)
 }
 
 #[cfg(test)]
@@ -314,8 +339,8 @@ mod tests {
         let v = b.vertex("v", Q::int(3));
         b.edge(v, v, Q::int(7));
         let t = b.build().unwrap();
-        assert_eq!(long_run_utilization(&t), q(3, 7));
-        let c = critical_cycle(&t).unwrap();
+        assert_eq!(long_run_utilization(&t), Ok(q(3, 7)));
+        let c = critical_cycle(&t).unwrap().unwrap();
         assert_eq!(c.vertices, vec![v]);
     }
 
@@ -325,7 +350,7 @@ mod tests {
         let a = b.vertex("a", Q::ONE);
         let c = b.vertex("b", Q::ONE);
         b.edge(a, c, Q::ONE);
-        assert_eq!(long_run_utilization(&b.build().unwrap()), Q::ZERO);
+        assert_eq!(long_run_utilization(&b.build().unwrap()), Ok(Q::ZERO));
     }
 
     #[test]
@@ -340,7 +365,7 @@ mod tests {
         let t = b.build().unwrap();
         // Candidate cycles: a (1/10), c (4/9), a-c (5/6? work 1+4=5, span 6).
         // a→c→a: work e(c)+e(a)=5, span 3+3=6 ⇒ 5/6 — the maximum.
-        assert_eq!(long_run_utilization(&t), q(5, 6));
+        assert_eq!(long_run_utilization(&t), Ok(q(5, 6)));
     }
 
     #[test]
@@ -353,7 +378,7 @@ mod tests {
         b.edge(y, z, Q::int(2));
         b.edge(z, x, Q::int(2));
         let t = b.build().unwrap();
-        assert_eq!(long_run_utilization(&t), Q::ONE);
+        assert_eq!(long_run_utilization(&t), Ok(Q::ONE));
     }
 
     #[test]
@@ -365,7 +390,7 @@ mod tests {
         b.edge(h, l, Q::int(10));
         b.edge(l, h, Q::int(5));
         let t = b.build().unwrap();
-        let u = long_run_utilization(&t);
+        let u = long_run_utilization(&t).unwrap();
         assert_eq!(u, q(5, 15)); // cycle h→l→h: work 5, span 15
         let rbf = crate::rbf::Rbf::compute(&t, Q::int(300));
         let big = rbf.eval(Q::int(300));
@@ -386,8 +411,8 @@ mod tests {
         b.edge(y, a, Q::int(3));
         let t = b.build().unwrap();
         // Cycles: a→x→a (work 4, span 8 = 1/2), a→y→a (work 5, span 9 = 5/9).
-        assert_eq!(long_run_utilization(&t), q(5, 9));
-        let c = critical_cycle(&t).unwrap();
+        assert_eq!(long_run_utilization(&t), Ok(q(5, 9)));
+        let c = critical_cycle(&t).unwrap().unwrap();
         assert_eq!(c.vertices.len(), 2);
     }
 
@@ -445,13 +470,13 @@ mod tests {
                     .ok()
                     .flatten()
                     .expect("small weights stay in i128");
-                let exact = exact_critical_cycle(&ScaledGraph::exact(task)).unwrap();
+                let exact = howard(&ScaledGraph::exact(task)).unwrap().unwrap();
                 for c in [&integer, &exact] {
                     assert_eq!(c.ratio, oracle.ratio);
                     // The returned cycle is a cycle of the task with that ratio.
                     assert_eq!(oracle::cycle_ratio(task, &c.vertices), c.ratio);
                 }
-                assert_eq!(critical_cycle(task).unwrap(), integer);
+                assert_eq!(critical_cycle(task).unwrap().unwrap(), integer);
             },
         );
     }
@@ -475,7 +500,7 @@ mod tests {
         let t = b.build().unwrap();
         assert!(ScaledGraph::new(&t).is_none(), "D must overflow");
         // Ratios (3 + 1/p_i) / (10 + i): v0 has the largest.
-        let c = critical_cycle(&t).unwrap();
+        let c = critical_cycle(&t).unwrap().unwrap();
         assert_eq!(c.vertices, vec![VertexId(0)]);
         assert_eq!(c.ratio, Q::new(3 * PRIMES[0] + 1, 10 * PRIMES[0]));
         assert_eq!(c, oracle::critical_cycle(&t).unwrap());
@@ -495,7 +520,7 @@ mod tests {
         let t = b.build().unwrap();
         let g = ScaledGraph::new(&t).expect("D fits i128");
         assert!(howard(&g).is_err(), "the integer iteration must overflow");
-        let c = scaled_critical_cycle(&g).unwrap();
+        let c = scaled_critical_cycle(&g).unwrap().unwrap();
         assert_eq!(c.ratio, oracle::critical_cycle(&t).unwrap().ratio);
         assert_eq!(oracle::cycle_ratio(&t, &c.vertices), c.ratio);
     }
@@ -519,11 +544,11 @@ mod tests {
         b.edge(t, t, Q::int(25));
         let telemetry = b.build().unwrap();
 
-        let c = critical_cycle(&decoder).unwrap();
+        let c = critical_cycle(&decoder).unwrap().unwrap();
         assert_eq!(c.ratio, q(3, 10));
         assert_eq!(c.vertices.len(), 2);
         assert_eq!(
-            long_run_utilization(&decoder) + long_run_utilization(&telemetry),
+            long_run_utilization(&decoder).unwrap() + long_run_utilization(&telemetry).unwrap(),
             q(17, 50)
         );
     }

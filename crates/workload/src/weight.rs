@@ -6,74 +6,17 @@
 //! by a positive constant preserves every comparison. A search that only
 //! adds and compares weights therefore makes exactly the same decisions
 //! over the scaled integers as over the rationals — without a gcd per
-//! operation. The searches are written once, generic over [`Weight`], and
+//! operation. The searches are written once, generic over [`Scalar`], and
 //! instantiated at `i128` where the scaled values provably (or checkably)
 //! fit, and at exact [`Q`] otherwise.
 
 use crate::digraph::{DrtTask, VertexId};
-use srtw_minplus::Q;
+use srtw_minplus::{Scalar, Q};
 
-/// An `i128` sum left its range; the caller redoes the search in `Q`.
-pub(crate) struct Overflow;
-
-/// A weight of a graph search: an exact rational, or the same rational
-/// scaled to an integer.
-pub(crate) trait Weight: Copy + Ord {
-    const ZERO: Self;
-    fn plus(self, rhs: Self) -> Result<Self, Overflow>;
-    fn minus(self, rhs: Self) -> Result<Self, Overflow>;
-    fn times(self, rhs: Self) -> Result<Self, Overflow>;
-    /// The ratio `work / span` (`span > 0`) as a pair `(p, q)` with
-    /// `q > 0` that is equal for equal ratios: reduced integers, or the
-    /// exact quotient over 1.
-    fn ratio(work: Self, span: Self) -> (Self, Self);
-    /// The rational this weight stands for when the graph was scaled by
-    /// `scale` (always 1 for [`Q`]).
-    fn unscale(self, scale: i128) -> Q;
-}
-
-impl Weight for i128 {
-    const ZERO: i128 = 0;
-    fn plus(self, rhs: i128) -> Result<i128, Overflow> {
-        self.checked_add(rhs).ok_or(Overflow)
-    }
-    fn minus(self, rhs: i128) -> Result<i128, Overflow> {
-        self.checked_sub(rhs).ok_or(Overflow)
-    }
-    fn times(self, rhs: i128) -> Result<i128, Overflow> {
-        // Factors that fit `i64` cannot overflow their `i128` product,
-        // which skips the checked multiply's slow path.
-        if let (Ok(a), Ok(b)) = (i64::try_from(self), i64::try_from(rhs)) {
-            return Ok(i128::from(a) * i128::from(b));
-        }
-        self.checked_mul(rhs).ok_or(Overflow)
-    }
-    fn ratio(work: i128, span: i128) -> (i128, i128) {
-        let r = Q::new(work, span);
-        (r.numer(), r.denom())
-    }
-    fn unscale(self, scale: i128) -> Q {
-        Q::new(self, scale)
-    }
-}
-
-impl Weight for Q {
-    const ZERO: Q = Q::ZERO;
-    fn plus(self, rhs: Q) -> Result<Q, Overflow> {
-        Ok(self + rhs)
-    }
-    fn minus(self, rhs: Q) -> Result<Q, Overflow> {
-        Ok(self - rhs)
-    }
-    fn times(self, rhs: Q) -> Result<Q, Overflow> {
-        Ok(self * rhs)
-    }
-    fn ratio(work: Q, span: Q) -> (Q, Q) {
-        (work / span, Q::ONE)
-    }
-    fn unscale(self, _scale: i128) -> Q {
-        self
-    }
+/// The rational a weight stands for when the graph was scaled by `scale`.
+pub(crate) fn unscale<W: Scalar>(w: W, scale: i128) -> Q {
+    w.ratio(W::ONE, scale)
+        .expect("a weight over one at its own scale is representable")
 }
 
 /// The task's weights scaled by `scale`: per vertex `scale·wcet`, and per
@@ -89,7 +32,7 @@ pub(crate) struct ScaledGraph<W> {
     first: Vec<usize>,
 }
 
-impl<W: Weight> ScaledGraph<W> {
+impl<W: Scalar> ScaledGraph<W> {
     /// The scaled `(wcet(target), separation, target)` of `v`'s out-edges.
     pub(crate) fn out(&self, v: VertexId) -> &[(W, W, VertexId)] {
         &self.edges[self.range(v.index())]
@@ -102,7 +45,7 @@ impl<W: Weight> ScaledGraph<W> {
 
     /// The same graph over exact rationals (`scale` 1).
     pub(crate) fn unscaled(&self) -> ScaledGraph<Q> {
-        let q = |w: W| w.unscale(self.scale);
+        let q = |w: W| unscale(w, self.scale);
         ScaledGraph {
             scale: 1,
             wcets: self.wcets.iter().map(|&w| q(w)).collect(),
@@ -115,7 +58,10 @@ impl<W: Weight> ScaledGraph<W> {
         }
     }
 
-    fn build(task: &DrtTask, scale: i128, f: impl Fn(Q) -> Option<W>) -> Option<ScaledGraph<W>> {
+    /// The task's weights at `scale`; `None` when one is not a number of
+    /// `W` there.
+    fn build(task: &DrtTask, scale: i128) -> Option<ScaledGraph<W>> {
+        let f = |q: Q| W::scaled(q, scale);
         let mut first = Vec::with_capacity(task.num_vertices() + 1);
         let mut edges = Vec::with_capacity(task.num_edges());
         for v in task.vertex_ids() {
@@ -141,7 +87,7 @@ impl<W: Weight> ScaledGraph<W> {
 impl ScaledGraph<Q> {
     /// The unscaled graph (`scale` 1).
     pub(crate) fn exact(task: &DrtTask) -> ScaledGraph<Q> {
-        ScaledGraph::build(task, 1, Some).expect("identity scaling cannot fail")
+        ScaledGraph::build(task, 1).expect("rationals need no scale")
     }
 }
 
@@ -157,8 +103,6 @@ impl ScaledGraph<i128> {
         for den in denominators.filter(|&den| den != 1) {
             d = Q::try_lcm(d, Q::int(den)).ok()?;
         }
-        let d = d.numer();
-        let factor = |den: i128| if den == 1 { d } else { d / den };
-        ScaledGraph::build(task, d, |x| x.numer().checked_mul(factor(x.denom())))
+        ScaledGraph::build(task, d.numer())
     }
 }

@@ -102,7 +102,7 @@ fn rbf_growth_matches_utilization() {
         |task| {
             // Long-run rbf slope approaches U: |rbf(T) − U·T| bounded by a
             // constant independent of T (total WCET is a safe constant here).
-            let u = long_run_utilization(task);
+            let u = long_run_utilization(task).unwrap();
             let total_wcet: Q = task
                 .vertex_ids()
                 .map(|v| task.wcet(v))
@@ -170,7 +170,7 @@ fn utilization_below_one_iff_bounded_by_cycle_check() {
         |task| {
             // The exact utilization equals the max over a brute-force cycle
             // enumeration on these small graphs (DFS up to n edges deep).
-            let u = long_run_utilization(task);
+            let u = long_run_utilization(task).unwrap();
             let n = task.num_vertices();
             let mut best = Q::ZERO;
             // Enumerate simple cycles by DFS from each vertex.

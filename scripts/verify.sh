@@ -19,8 +19,9 @@
 #   4. CLI smoke test on the shipped sample system, under the default
 #      FIFO scheduler and under fixed priority (the leftover-service
 #      chain);
-#   5. adversarial stress suite at elevated case counts (no-panic,
-#      budget-respecting, structural ≤ degraded ≤ RTC sandwich), plus
+#   5. adversarial stress suite at elevated case counts (no-panic, also
+#      on weights whose exact sums leave i128; budget-respecting,
+#      structural ≤ degraded ≤ RTC sandwich), plus
 #      the budgeted CLI run on systems/adversarial.srtw (exit 0,
 #      degraded, and done within 5 s under its 1 s budget), plus the path
 #      explorer's two differential properties at 1024 cases each:
@@ -31,7 +32,9 @@
 #      the general convolution's differential suite at 1024 cases (the
 #      kernel at i64 rationals vs its exact-rational re-run: identical
 #      curves and tick sequences), plus Howard's maximum-cycle-ratio
-#      iteration vs the parametric Bellman–Ford oracle at 1024 cases;
+#      iteration vs the parametric Bellman–Ford oracle at 1024 cases, plus
+#      the exact rational comparison vs a continued-fraction oracle at 1024
+#      cases;
 #   6. supervised batch smoke test: the shipped systems under a 2 s
 #      watchdog must come back degraded-not-failed (exit 0), and a
 #      fault-injected batch must exhaust the ladder and exit 4;
@@ -162,6 +165,11 @@ SRTW_PROP_CASES=1024 cargo test -q --release --offline -p srtw-minplus --test di
 # off-ring vertices, and return a real cycle of that ratio.
 SRTW_PROP_CASES=1024 cargo test -q --release --offline -p srtw-workload --lib \
     utilization::tests::howard_matches_the_bellman_ford_oracle
+# Comparing two rationals takes cross products past i128 in 256 bits: it
+# must equal a continued-fraction comparison that forms no product, on
+# operands of every bit length and sign, zeros and equal values included.
+SRTW_PROP_CASES=1024 cargo test -q --release --offline -p srtw-minplus --lib \
+    ratio::tests::cross_comparison_matches_continued_fractions
 # The shipped adversarial system must degrade gracefully under a 1 s wall
 # budget: exit 0, a degradation warning on stderr, "degraded":true in JSON,
 # and no more than 5 s of wall time (post-budget work is bounded too).

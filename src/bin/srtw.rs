@@ -86,8 +86,8 @@
 //! | code | meaning |
 //! |------|---------|
 //! | 0 | success — bounds exact, or degraded with a stderr warning |
-//! | 2 | input error — unreadable file, parse error, bad flags |
-//! | 3 | internal — analysis failure (unstable system, arithmetic overflow, exhausted budget with no sound fallback) or a residual panic |
+//! | 2 | input error — unreadable file, parse error, bad flags, a vertex without a deadline under `--scheduler edf` |
+//! | 3 | internal — analysis failure (unstable system, arithmetic overflow, exhausted budget with no sound fallback); a panic (a bug) also exits 3, with `"kind":"panic"` |
 //! | 4 | batch — some jobs failed every rung of the ladder (or were skipped by `--fail-fast`) |
 //!
 //! With `--json`, exits 2 and 3 still produce a machine-readable document
@@ -104,8 +104,9 @@ use srtw::textfmt::{parse_system, SystemSpec};
 use srtw::serve::{signal, ProcessFault, ReplicaConfig, ServeConfig, Server, Supervisor};
 use srtw::{
     earliest_random_walk, edf_schedulable, fifo_report, fifo_structural,
-    fixed_priority_structural_with, simulate_fifo, AnalysisConfig, Budget, Curve, DelayAnalysis,
-    FaultPlan, Json, Q, Rbf, ServiceProcess, SupervisorConfig,
+    fixed_priority_structural_with, simulate_fifo, AnalysisConfig, AnalysisError, Budget,
+    BudgetMeter, Curve, DelayAnalysis, ExploreConfig, Explorer, FaultPlan, Json, Q,
+    ServiceProcess, SupervisorConfig,
 };
 use std::panic::catch_unwind;
 use std::path::{Path, PathBuf};
@@ -498,8 +499,12 @@ fn analyze(sys: &SystemSpec, opts: &[String]) -> Result<(), CliError> {
             }
         }
         "edf" => {
-            let r = edf_schedulable(&sys.tasks, &beta)
-                .map_err(|e| CliError::Internal(e.to_string()))?;
+            // A vertex without a deadline is an input error, like a parse
+            // error: the file cannot be analysed under EDF as written.
+            let r = edf_schedulable(&sys.tasks, &beta).map_err(|e| match e {
+                AnalysisError::MissingDeadline { .. } => input(e.to_string()),
+                e => CliError::Internal(e.to_string()),
+            })?;
             if json {
                 println!(
                     "{}",
@@ -857,7 +862,10 @@ fn rbf(sys: &SystemSpec, opts: &[String]) -> Result<(), CliError> {
         .parse()
         .map_err(|e| input(format!("bad --horizon: {e}")))?;
     for t in &sys.tasks {
-        let rbf = Rbf::compute(t, horizon);
+        let mut x = Explorer::new(t, &ExploreConfig::new(horizon));
+        x.extend_to(horizon, &BudgetMeter::unlimited())
+            .map_err(|e| CliError::Internal(e.to_string()))?;
+        let rbf = x.rbf(horizon);
         println!("task {}: rbf breakpoints (window, work):", t.name());
         for &(s, w) in rbf.points() {
             println!("  {s:>8}  {w}");

@@ -2,8 +2,10 @@
 //! machine-readable degradation status:
 //!
 //! * `0` — success: exact bounds, or degraded bounds plus a stderr warning;
-//! * `2` — input error (unreadable file, parse error, bad flags);
-//! * `3` — internal (analysis failure or residual panic);
+//! * `2` — input error (unreadable file, parse error, bad flags, a vertex
+//!   without a deadline under `--scheduler edf`);
+//! * `3` — internal (analysis failure, arithmetic overflow included, or a
+//!   caught panic, which is a bug);
 //! * `4` — batch: some jobs failed every rung of the retry/degrade ladder.
 //!
 //! With `--json`, exits 2 and 3 additionally emit a machine-readable
@@ -120,6 +122,84 @@ fn unstable_system_exits_three() {
     let (code, _, err) = run_srtw(&["analyze", &p]);
     assert_eq!(code, 3, "stderr: {err}");
     assert!(err.contains("unstable"), "{err}");
+}
+
+/// ROADMAP item 12's ring: its exact utilization's terms leave `i128`.
+const RING: &str = "task big
+vertex a wcet=1/1099511627791
+vertex b wcet=1/1099511627803
+vertex c wcet=1/1099511627831
+vertex d wcet=1/1099511627839
+edge a b sep=1/1099511627877
+edge b c sep=1/1099511627879
+edge c d sep=1/1099511627913
+edge d a sep=1/1099511627919
+server rate-latency rate=1 latency=2
+";
+
+/// Two streams whose utilizations fit `i128` but whose sum does not.
+const SUMMED: &str = "task s1
+vertex x wcet=1/18446744073709551617
+edge x x sep=1
+task s2
+vertex y wcet=1/18446744073709551619
+edge y y sep=1
+server rate-latency rate=1 latency=2
+";
+
+/// Two WCETs near 2^70/2^70, whose comparison's cross products leave
+/// `i128`.
+const NEAR_ONE: &str = "task big
+vertex x wcet=1180591620717411303425/1180591620717411303427
+vertex y wcet=1180591620717411303431/1180591620717411303433
+edge x y sep=10
+edge y x sep=10
+server rate-latency rate=1 latency=2
+";
+
+#[test]
+fn exact_arithmetic_overflow_exits_three_as_internal_not_panic() {
+    for (name, text) in [("ring", RING), ("summed", SUMMED), ("near-one", NEAR_ONE)] {
+        // EDF needs a deadline on every vertex; the other schedulers
+        // read the system as written.
+        let with_deadlines: String = text
+            .lines()
+            .map(|l| match l.starts_with("vertex") {
+                true => format!("{l} deadline=100\n"),
+                false => format!("{l}\n"),
+            })
+            .collect();
+        for (scheduler, text) in [("fifo", text), ("fp", text), ("edf", &*with_deadlines)] {
+            let p = temp_file(&format!("overflow-{name}-{scheduler}.srtw"), text);
+            let (code, out, err) = run_srtw(&["analyze", &p, "--json", "--scheduler", scheduler]);
+            assert_eq!(code, 3, "{name} under {scheduler}: {out} {err}");
+            assert!(out.contains("\"kind\":\"internal\""), "{name} under {scheduler}: {out}");
+            assert!(out.contains("overflow"), "{name} under {scheduler}: {out}");
+            assert!(!out.contains("panic") && !err.contains("panic"), "{name}: {out} {err}");
+        }
+    }
+    // `srtw rbf` grows the same search as the analyses.
+    let p = temp_file("overflow-ring-rbf.srtw", RING);
+    let (code, out, err) = run_srtw(&["rbf", &p, "--json"]);
+    assert_eq!(code, 3, "{out} {err}");
+    assert!(out.contains("\"kind\":\"internal\""), "{out}");
+}
+
+#[test]
+fn edf_without_deadlines_is_an_input_error_found_before_analysis() {
+    // Exact analysis of this system does not finish; the missing deadline
+    // must be reported without starting it.
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/systems/adversarial.srtw");
+    let t0 = std::time::Instant::now();
+    let (code, out, err) = run_srtw(&["analyze", path, "--json", "--scheduler", "edf"]);
+    let elapsed = t0.elapsed();
+    assert_eq!(code, 2, "stderr: {err}");
+    assert!(out.contains("\"kind\":\"input\""), "{out}");
+    assert!(err.contains("has no deadline"), "{err}");
+    assert!(
+        elapsed < std::time::Duration::from_millis(500),
+        "the deadline check must precede the analysis: {elapsed:?}"
+    );
 }
 
 #[test]

@@ -50,13 +50,13 @@ fn stable_pair(rng: &mut Rng) -> (DrtTask, Curve) {
     for _ in 0..64 {
         let t = task(rng);
         let beta = server(rng);
-        if srtw::long_run_utilization(&t) < beta.rate() {
+        if srtw::long_run_utilization(&t).unwrap() < beta.rate() {
             return (t, beta);
         }
     }
     let t = task(rng);
     let beta = Curve::affine(Q::ZERO, Q::ONE);
-    assert!(srtw::long_run_utilization(&t) < beta.rate());
+    assert!(srtw::long_run_utilization(&t).unwrap() < beta.rate());
     (t, beta)
 }
 
@@ -139,7 +139,7 @@ fn simulated_delays_below_bounds() {
             let beta = Curve::affine(Q::ZERO, rate);
             // Generated target utilizations are ≤ 0.8, so the unit-rate
             // server is always stable (the old assume was vacuous here).
-            assert!(srtw::long_run_utilization(task) < rate);
+            assert!(srtw::long_run_utilization(task).unwrap() < rate);
             let analysis = structural_delay(task, &beta).unwrap();
             let trace = earliest_random_walk(task, Q::int(150), None, *trace_seed);
             assert!(trace.is_legal(task));
@@ -186,7 +186,7 @@ fn utilization_bounds_rbf_growth() {
         |rng, _| task(rng),
         |task| {
             // rbf(t) ≤ U·t + n·max_wcet (coarse linear envelope).
-            let u = srtw::long_run_utilization(task);
+            let u = srtw::long_run_utilization(task).unwrap();
             let rbf = srtw::Rbf::compute(task, Q::int(200));
             let slack = task.max_wcet() * Q::int(task.num_vertices() as i128 + 1);
             for i in 0..=20 {

@@ -236,5 +236,18 @@ fn request_limits_and_parse_errors_are_typed() {
     assert_eq!(status, 400, "{body}");
     assert!(body.contains("X-Deadline-Ms"), "{body}");
 
+    // A valid system whose exact utilization leaves i128: a typed 500,
+    // not a caught panic.
+    let ring = "task big\n\
+        vertex a wcet=1/1099511627791\nvertex b wcet=1/1099511627803\n\
+        vertex c wcet=1/1099511627831\nvertex d wcet=1/1099511627839\n\
+        edge a b sep=1/1099511627877\nedge b c sep=1/1099511627879\n\
+        edge c d sep=1/1099511627913\nedge d a sep=1/1099511627919\n\
+        server rate-latency rate=1 latency=2\n";
+    let (status, body) = post_analyze(&addr, &[], ring);
+    assert_eq!(status, 500, "{body}");
+    assert!(body.contains("\"kind\":\"internal\""), "{body}");
+    assert!(body.contains("overflow"), "{body}");
+
     assert!(server.shutdown().clean());
 }

@@ -1,7 +1,8 @@
 //! Adversarial stress properties for the budgeted analysis engine.
 //!
 //! Four claims, each over seeded random adversarial workloads (huge
-//! coprime periods, deep chains, dense graphs):
+//! coprime periods, deep chains, dense graphs, weights whose exact sums
+//! leave `i128`):
 //!
 //! 1. the engine never panics — every outcome is `Ok` or a typed `Err`;
 //! 2. it terminates promptly once its effort budget trips;
@@ -17,7 +18,8 @@
 //! `SRTW_PROP_REPLAY=<seed>:<size>` handle for exact reproduction.
 
 use srtw::gen::{
-    adversarial_coprime, adversarial_deep_chain, adversarial_dense, rescale_utilization,
+    adversarial_coprime, adversarial_deep_chain, adversarial_dense, adversarial_wide,
+    rescale_utilization,
 };
 use srtw::prop::forall;
 use srtw::{
@@ -32,10 +34,11 @@ use std::time::{Duration, Instant};
 /// well be unstable or far too big to analyse exactly — that is the point.
 fn any_adversarial(rng: &mut Rng, size: u32) -> (DrtTask, Curve) {
     let seed = rng.next_u64();
-    let task = match rng.random_range(0u32..4) {
+    let task = match rng.random_range(0u32..5) {
         0 => adversarial_coprime(1 + size as usize / 4, seed),
         1 => adversarial_deep_chain(2 + size as usize, seed),
         2 => adversarial_dense(2 + size as usize / 8, seed),
+        3 => adversarial_wide(1 + size as usize / 16, seed),
         _ => rescale_utilization(&adversarial_dense(2 + size as usize / 8, seed), q(1, 2)),
     };
     let rate = Q::int(rng.random_range(1i128..=4));
