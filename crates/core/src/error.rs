@@ -37,8 +37,10 @@ pub enum AnalysisError {
         /// Human-readable reason.
         reason: &'static str,
     },
-    /// Exact `i128` rational arithmetic overflowed inside a curve
-    /// operation (the inputs are simply too large for the representation).
+    /// Exact `i128` rational arithmetic overflowed: in a curve operation,
+    /// or in an analysis loop (the path search, the maximum-cycle-ratio
+    /// iteration, the utilization sum). The inputs are simply too large
+    /// for the representation.
     Arithmetic(ArithmeticError),
     /// An analysis budget was exhausted **and** no sound degraded bound
     /// exists: the coarse affine demand abstraction's rate reaches the

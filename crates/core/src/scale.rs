@@ -72,7 +72,9 @@ impl<N: Scalar> Piece<N> {
     /// `start·sn + (w − value)·sd`: the numerator, over `sn`, of where the
     /// piece's line reaches `w`.
     fn rising_to(&self, w: N) -> Option<N> {
-        self.start.mul(self.sn)?.add(w.sub(self.value)?.mul(self.sd)?)
+        self.start
+            .mul(self.sn)?
+            .add(w.sub(self.value)?.mul(self.sd)?)
     }
 }
 
@@ -126,7 +128,10 @@ impl<N: Scalar> Service<N> {
                 if increment == N::ZERO {
                     return Ok(None);
                 }
-                let k = w.sub(self.reach[i - 1]).and_then(|a| a.div_ceil(increment)).ok_or(OVF)?;
+                let k = w
+                    .sub(self.reach[i - 1])
+                    .and_then(|a| a.div_ceil(increment))
+                    .ok_or(OVF)?;
                 let target = increment.mul(k).and_then(|a| w.sub(a)).ok_or(OVF)?;
                 let j =
                     pattern_start + self.reach[pattern_start..].partition_point(|&r| r < target);
@@ -211,7 +216,10 @@ impl<N: Scalar> Request<N> {
                 (span.mul(factor).ok_or(OVF)?, work.mul(factor).ok_or(OVF)?)
             };
             let ahead = work.add(self.demand(Some(stream), span)?).ok_or(OVF)?;
-            let (num, den) = self.service.inverse(ahead)?.ok_or(AnalysisError::ServiceSaturated)?;
+            let (num, den) = self
+                .service
+                .inverse(ahead)?
+                .ok_or(AnalysisError::ServiceSaturated)?;
             let delay = span.mul(den).and_then(|a| num.sub(a)).ok_or(OVF)?;
             let candidate = (delay.max(N::ZERO), den);
             let slot = &mut best[vertex.index()];
@@ -713,10 +721,7 @@ mod tests {
         let r = Request::scaled(&bw.explorers, bw.bound, &beta).expect("L fits i128");
         let paths = bw.explorers[0].paths(bw.bound);
         let (d, nodes) = paths.scaled().expect("scaled search");
-        assert!(matches!(
-            r.winners(0, 2, nodes, r.scale / d),
-            Err(OVF)
-        ));
+        assert!(matches!(r.winners(0, 2, nodes, r.scale / d), Err(OVF)));
         assert_eq!(digest_of(&tasks, &beta), 0x4093_702d_ef50_c5d9);
     }
 }

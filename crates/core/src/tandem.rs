@@ -102,8 +102,8 @@ pub fn tandem_delay(task: &DrtTask, betas: &[Curve]) -> Result<TandemReport, Ana
     // [0, (hops + 1) · horizon] before the first hop.
     let hops = betas.len() as i128;
     let mut valid = horizon * Q::int(hops + 1) + Q::ONE;
-    let rbf = Rbf::compute(task, valid);
     let meter = BudgetMeter::unlimited();
+    let rbf = Rbf::compute_metered(task, valid, &meter)?;
     let mut alpha = rbf.curve();
     let mut hop_delays = Vec::with_capacity(betas.len());
     let mut per_hop_sum = Q::ZERO;
@@ -153,8 +153,8 @@ pub fn tandem_backlog_at(
     let horizon = bw.bound;
     let hops = betas.len() as i128;
     let mut valid = horizon * Q::int(hops + 1) + Q::ONE;
-    let rbf = Rbf::compute(task, valid);
     let meter = BudgetMeter::unlimited();
+    let rbf = Rbf::compute_metered(task, valid, &meter)?;
     let mut alpha = rbf.curve();
     for beta in betas.iter().take(hop) {
         valid -= horizon;

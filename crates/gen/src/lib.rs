@@ -459,7 +459,9 @@ mod tests {
     fn wide_ring_weights_are_near_two_to_the_thirty() {
         let t = adversarial_wide(4, 3);
         assert_eq!((t.num_vertices(), t.num_edges()), (4, 8));
-        let seps = t.vertex_ids().flat_map(|v| t.out_edges(v).iter().map(|e| e.separation));
+        let seps = t
+            .vertex_ids()
+            .flat_map(|v| t.out_edges(v).iter().map(|e| e.separation));
         for w in t.vertex_ids().map(|v| t.wcet(v)).chain(seps) {
             assert!(Q::int(1 << 29) < w && w < Q::int(1 << 33) && w.denom() > 1 << 30);
         }

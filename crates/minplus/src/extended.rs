@@ -67,6 +67,26 @@ impl Ext {
         }
     }
 
+    /// The smaller value.
+    #[inline]
+    pub fn min(self, rhs: Ext) -> Ext {
+        if self <= rhs {
+            self
+        } else {
+            rhs
+        }
+    }
+
+    /// The larger value.
+    #[inline]
+    pub fn max(self, rhs: Ext) -> Ext {
+        if self >= rhs {
+            self
+        } else {
+            rhs
+        }
+    }
+
     /// Lossy conversion to `f64`; infinity maps to `f64::INFINITY`.
     pub fn to_f64(self) -> f64 {
         match self {

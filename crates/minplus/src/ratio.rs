@@ -166,6 +166,12 @@ impl Q {
         self.den
     }
 
+    /// Returns `true` if the value is an integer.
+    #[inline]
+    pub const fn is_integer(self) -> bool {
+        self.den == 1
+    }
+
     /// Returns `true` if the value is exactly zero.
     #[inline]
     pub const fn is_zero(self) -> bool {
@@ -182,6 +188,12 @@ impl Q {
     #[inline]
     pub const fn is_negative(self) -> bool {
         self.num < 0
+    }
+
+    /// The sign of the value: `-1`, `0`, or `1`.
+    #[inline]
+    pub const fn signum(self) -> i128 {
+        self.num.signum()
     }
 
     /// Absolute value.
@@ -217,6 +229,11 @@ impl Q {
     /// ```
     pub fn ceil(self) -> i128 {
         -(-self.num).div_euclid(self.den)
+    }
+
+    /// The fractional part `self - floor(self)`, in `[0, 1)`.
+    pub fn fract(self) -> Q {
+        self - Q::int(self.floor())
     }
 
     /// Checked addition.
@@ -271,6 +288,26 @@ impl Q {
         Q::new(self.num, self.den)
     }
 
+    /// Returns the smaller of `self` and `other`.
+    #[inline]
+    pub fn min(self, other: Q) -> Q {
+        if self <= other {
+            self
+        } else {
+            other
+        }
+    }
+
+    /// Returns the larger of `self` and `other`.
+    #[inline]
+    pub fn max(self, other: Q) -> Q {
+        if self >= other {
+            self
+        } else {
+            other
+        }
+    }
+
     /// Clamps to be at least zero: `max(self, 0)`.
     #[inline]
     pub fn clamp_nonneg(self) -> Q {
@@ -281,6 +318,16 @@ impl Q {
     /// inside an analysis).
     pub fn to_f64(self) -> f64 {
         self.num as f64 / self.den as f64
+    }
+
+    /// The reciprocal `1 / self`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self` is zero.
+    pub fn recip(self) -> Q {
+        assert!(!self.is_zero(), "Q::recip of zero");
+        Q::new(self.den, self.num)
     }
 
     /// Smallest common "grid" of two positive rationals: the least positive
@@ -311,7 +358,7 @@ impl Q {
     pub fn try_lcm(a: Q, b: Q) -> Result<Q, ArithmeticError> {
         assert!(
             a.is_positive() && b.is_positive(),
-            "Q::lcm needs positive arguments"
+            "Q::try_lcm needs positive arguments"
         );
         // lcm(n1/d1, n2/d2) = lcm(n1*d2, n2*d1) / (d1*d2)
         let overflow = ArithmeticError::Overflow;
@@ -390,6 +437,27 @@ macro_rules! impl_binop {
                 self.$checked(rhs).expect($msg)
             }
         }
+        impl $trait<&Q> for Q {
+            type Output = Q;
+            #[inline]
+            fn $method(self, rhs: &Q) -> Q {
+                self.$checked(*rhs).expect($msg)
+            }
+        }
+        impl $trait<Q> for &Q {
+            type Output = Q;
+            #[inline]
+            fn $method(self, rhs: Q) -> Q {
+                (*self).$checked(rhs).expect($msg)
+            }
+        }
+        impl $trait<&Q> for &Q {
+            type Output = Q;
+            #[inline]
+            fn $method(self, rhs: &Q) -> Q {
+                (*self).$checked(*rhs).expect($msg)
+            }
+        }
     };
 }
 
@@ -431,6 +499,37 @@ impl Neg for Q {
             num: -self.num,
             den: self.den,
         }
+    }
+}
+
+impl From<i128> for Q {
+    #[inline]
+    fn from(n: i128) -> Q {
+        Q::int(n)
+    }
+}
+impl From<i64> for Q {
+    #[inline]
+    fn from(n: i64) -> Q {
+        Q::int(n as i128)
+    }
+}
+impl From<i32> for Q {
+    #[inline]
+    fn from(n: i32) -> Q {
+        Q::int(n as i128)
+    }
+}
+impl From<u32> for Q {
+    #[inline]
+    fn from(n: u32) -> Q {
+        Q::int(n as i128)
+    }
+}
+impl From<u64> for Q {
+    #[inline]
+    fn from(n: u64) -> Q {
+        Q::int(n as i128)
     }
 }
 
@@ -772,8 +871,14 @@ mod tests {
         let x = q(1_180_591_620_717_411_303_425, 1_180_591_620_717_411_303_427);
         let y = q(1_180_591_620_717_411_303_431, 1_180_591_620_717_411_303_433);
         assert!(x < y && -x > -y);
-        assert_eq!(fraction_cmp(i128::MIN, i128::MAX, i128::MIN, i128::MAX), Ordering::Equal);
-        assert_eq!(fraction_cmp(i128::MIN, i128::MAX, i128::MAX, i128::MAX), Ordering::Less);
+        assert_eq!(
+            fraction_cmp(i128::MIN, i128::MAX, i128::MIN, i128::MAX),
+            Ordering::Equal
+        );
+        assert_eq!(
+            fraction_cmp(i128::MIN, i128::MAX, i128::MAX, i128::MAX),
+            Ordering::Less
+        );
     }
 
     /// `a/b` against `c/d` (`b, d > 0`) by their continued fractions: the
@@ -845,13 +950,15 @@ mod tests {
     }
 
     #[test]
-    fn floor_ceil() {
+    fn floor_ceil_fract() {
         assert_eq!(q(7, 2).floor(), 3);
         assert_eq!(q(7, 2).ceil(), 4);
         assert_eq!(q(-7, 2).floor(), -4);
         assert_eq!(q(-7, 2).ceil(), -3);
         assert_eq!(Q::int(5).floor(), 5);
         assert_eq!(Q::int(5).ceil(), 5);
+        assert_eq!(q(7, 2).fract(), q(1, 2));
+        assert_eq!(q(-7, 2).fract(), q(1, 2));
     }
 
     #[test]
@@ -1021,8 +1128,21 @@ mod tests {
     }
 
     #[test]
+    fn recip() {
+        assert_eq!(q(3, 4).recip(), q(4, 3));
+        assert_eq!(q(-3, 4).recip(), q(-4, 3));
+    }
+
+    #[test]
     fn to_f64_close() {
         assert!((q(1, 3).to_f64() - 1.0 / 3.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn conversions() {
+        assert_eq!(Q::from(3i32), Q::int(3));
+        assert_eq!(Q::from(3u64), Q::int(3));
+        assert_eq!(Q::from(-3i64), Q::int(-3));
     }
 
     #[test]
@@ -1094,9 +1214,14 @@ mod tests {
     }
 
     #[test]
-    fn predicates() {
+    fn signum_and_predicates() {
+        assert_eq!(q(-3, 4).signum(), -1);
+        assert_eq!(Q::ZERO.signum(), 0);
+        assert_eq!(q(3, 4).signum(), 1);
         assert!(q(-1, 9).is_negative());
         assert!(!Q::ZERO.is_negative() && !Q::ZERO.is_positive());
+        assert!(q(7, 7).is_integer());
+        assert!(!q(7, 2).is_integer());
         assert_eq!(q(-7, 2).abs(), q(7, 2));
         assert_eq!(Q::default(), Q::ZERO);
     }

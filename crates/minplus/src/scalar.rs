@@ -116,6 +116,11 @@ impl Scalar for Q {
     }
     #[inline]
     fn ratio(self, den: Q, _scale: i128) -> Option<Q> {
-        self.checked_div(den)
+        // Unscaling a weight divides by one: skip the normalising divide.
+        if den == Q::ONE {
+            Some(self)
+        } else {
+            self.checked_div(den)
+        }
     }
 }

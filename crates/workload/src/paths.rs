@@ -223,8 +223,13 @@ impl<'a> Paths<'a> {
 /// assert_eq!(ex.nodes().len(), 3);
 /// assert_eq!(ex.nodes()[2].work, Q::int(6));
 /// ```
+///
+/// # Panics
+///
+/// When a span or work leaves `i128` even as an exact rational (see
+/// [`explore_metered`], which reports that as an error).
 pub fn explore(task: &DrtTask, cfg: &ExploreConfig) -> Exploration {
-    explore_metered(task, cfg, &BudgetMeter::unlimited())
+    explore_metered(task, cfg, &BudgetMeter::unlimited()).expect("path weights overflow i128")
 }
 
 /// Budgeted [`explore`]: ticks the explored-paths budget once per heap pop
@@ -238,16 +243,18 @@ pub fn explore(task: &DrtTask, cfg: &ExploreConfig) -> Exploration {
 /// exclusive frontier; retained nodes at span `≥ s` are genuine paths too
 /// (sound for maximisation) but possibly not exhaustive.
 ///
-/// # Panics
+/// # Errors
 ///
-/// When a span or work leaves `i128` even as an exact rational. The
-/// analyses grow an [`Explorer`] instead, which reports that as an error.
-pub fn explore_metered(task: &DrtTask, cfg: &ExploreConfig, meter: &BudgetMeter) -> Exploration {
+/// [`ArithmeticError::Overflow`] when a span or work leaves `i128` even as
+/// an exact rational.
+pub fn explore_metered(
+    task: &DrtTask,
+    cfg: &ExploreConfig,
+    meter: &BudgetMeter,
+) -> Result<Exploration, ArithmeticError> {
     let mut explorer = Explorer::new(task, cfg);
-    explorer
-        .extend_to(cfg.horizon, meter)
-        .expect("path weights overflow i128");
-    explorer.exploration(cfg.horizon)
+    explorer.extend_to(cfg.horizon, meter)?;
+    Ok(explorer.exploration(cfg.horizon))
 }
 
 /// A resumable [`explore_metered`]: one search of a task, grown through
@@ -823,7 +830,7 @@ mod tests {
         let task = b.build().unwrap();
         let cfg = ExploreConfig::new(Q::int(1000));
         let meter = BudgetMeter::new(&Budget::default().with_max_paths(10));
-        let ex = explore_metered(&task, &cfg, &meter);
+        let ex = explore_metered(&task, &cfg, &meter).unwrap();
         assert_eq!(ex.interrupted, Some(BudgetKind::Paths));
         assert!(ex.complete_span < Q::int(1000));
         // Exclusive completeness: compare against an unmetered run capped
@@ -1118,11 +1125,14 @@ mod tests {
                 horizon: h,
                 ..cfg.clone()
             };
-            assert_same(&x.exploration(h), &explore_metered(task, &cfg, &meter(mp)));
+            assert_same(
+                &x.exploration(h),
+                &explore_metered(task, &cfg, &meter(mp)).unwrap(),
+            );
             if cfg.prune && cfg.node_limit == ExploreConfig::new(h).node_limit {
                 assert_eq!(
                     x.rbf(h),
-                    Rbf::compute_metered(task, h, &meter(mp)),
+                    Rbf::compute_metered(task, h, &meter(mp)).unwrap(),
                     "rbf at {h}, cap {mp:?}"
                 );
             }
@@ -1148,7 +1158,7 @@ mod tests {
                     };
                     assert_same(
                         &x.exploration(last),
-                        &explore_metered(task, &cfg, &meter(mp)),
+                        &explore_metered(task, &cfg, &meter(mp)).unwrap(),
                     );
                 }
             }

@@ -12,7 +12,7 @@
 
 use crate::digraph::DrtTask;
 use crate::paths::{ExploreConfig, Explorer};
-use srtw_minplus::{BudgetKind, BudgetMeter, Curve, Piece, Q, Tail};
+use srtw_minplus::{ArithmeticError, BudgetKind, BudgetMeter, Curve, Piece, Q, Tail};
 
 /// The request-bound function of a task, materialized up to a horizon.
 ///
@@ -54,8 +54,14 @@ pub struct Rbf {
 
 impl Rbf {
     /// Computes the request-bound function of `task` on `[0, horizon]`.
+    ///
+    /// # Panics
+    ///
+    /// When a span or work leaves `i128` even as an exact rational (see
+    /// [`Rbf::compute_metered`], which reports that as an error).
     pub fn compute(task: &DrtTask, horizon: Q) -> Rbf {
         Rbf::compute_metered(task, horizon, &BudgetMeter::unlimited())
+            .expect("path weights overflow i128")
     }
 
     /// Budgeted [`Rbf::compute`]: when the exploration budget trips, the
@@ -76,15 +82,18 @@ impl Rbf {
     /// edgeless task). Either way the truncated rbf **dominates** the true
     /// rbf everywhere, so any delay bound computed from it is sound.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// As [`crate::explore_metered`], when a span or work leaves `i128`.
-    pub fn compute_metered(task: &DrtTask, horizon: Q, meter: &BudgetMeter) -> Rbf {
+    /// [`ArithmeticError::Overflow`] when a span or work leaves `i128` even
+    /// as an exact rational.
+    pub fn compute_metered(
+        task: &DrtTask,
+        horizon: Q,
+        meter: &BudgetMeter,
+    ) -> Result<Rbf, ArithmeticError> {
         let mut explorer = Explorer::new(task, &ExploreConfig::new(horizon));
-        explorer
-            .extend_to(horizon, meter)
-            .expect("path weights overflow i128");
-        explorer.rbf(horizon)
+        explorer.extend_to(horizon, meter)?;
+        Ok(explorer.rbf(horizon))
     }
 
     /// The rbf with the given exact staircase `points` (spans below
@@ -419,7 +428,7 @@ mod tests {
         let task = branching();
         let exact = Rbf::compute(&task, Q::int(60));
         let meter = BudgetMeter::new(&Budget::default().with_max_paths(6));
-        let coarse = Rbf::compute_metered(&task, Q::int(60), &meter);
+        let coarse = Rbf::compute_metered(&task, Q::int(60), &meter).unwrap();
         assert!(coarse.truncated().is_some());
         assert!(coarse.exact_span() < Q::int(60));
         let c = coarse.curve();
@@ -449,7 +458,7 @@ mod tests {
         let task = branching();
         // Budget of zero paths: nothing is enumerated at all.
         let meter = BudgetMeter::new(&Budget::default().with_max_paths(0));
-        let coarse = Rbf::compute_metered(&task, Q::int(40), &meter);
+        let coarse = Rbf::compute_metered(&task, Q::int(40), &meter).unwrap();
         assert!(coarse.truncated().is_some());
         assert_eq!(coarse.exact_span(), Q::ZERO);
         assert!(coarse.points().is_empty());
@@ -468,7 +477,7 @@ mod tests {
     fn exact_rbf_curve_is_unchanged_by_metered_entry() {
         let task = branching();
         let a = Rbf::compute(&task, Q::int(30));
-        let b = Rbf::compute_metered(&task, Q::int(30), &BudgetMeter::unlimited());
+        let b = Rbf::compute_metered(&task, Q::int(30), &BudgetMeter::unlimited()).unwrap();
         assert_eq!(a, b);
         assert_eq!(a.truncated(), None);
         assert_eq!(a.exact_span(), Q::int(30));

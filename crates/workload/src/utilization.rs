@@ -107,7 +107,9 @@ impl<W: Scalar> Value<W> {
 /// Howard's policy iteration over `g` (see the module docs): `Ok(None)`
 /// for a graph without cycles, and an overflow when an intermediate
 /// leaves `W`.
-pub(crate) fn howard<W: Scalar>(g: &ScaledGraph<W>) -> Result<Option<CriticalCycle>, ArithmeticError> {
+pub(crate) fn howard<W: Scalar>(
+    g: &ScaledGraph<W>,
+) -> Result<Option<CriticalCycle>, ArithmeticError> {
     let n = g.wcets.len();
     let target = |e: usize| g.edges[e].2.index();
     // Peel off the vertices that reach no cycle: they get no policy.
@@ -118,9 +120,7 @@ pub(crate) fn howard<W: Scalar>(g: &ScaledGraph<W>) -> Result<Option<CriticalCyc
     if !live.contains(&true) {
         return Ok(None);
     }
-    iterate(g, &live)
-        .map(Some)
-        .ok_or(ArithmeticError::Overflow)
+    iterate(g, &live).map(Some).ok_or(ArithmeticError::Overflow)
 }
 
 /// The policy iteration over the `live` vertices (each with a live

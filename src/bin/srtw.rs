@@ -105,8 +105,7 @@ use srtw::serve::{signal, ProcessFault, ReplicaConfig, ServeConfig, Server, Supe
 use srtw::{
     earliest_random_walk, edf_schedulable, fifo_report, fifo_structural,
     fixed_priority_structural_with, simulate_fifo, AnalysisConfig, AnalysisError, Budget,
-    BudgetMeter, Curve, DelayAnalysis, ExploreConfig, Explorer, FaultPlan, Json, Q,
-    ServiceProcess, SupervisorConfig,
+    BudgetMeter, Curve, DelayAnalysis, FaultPlan, Json, Q, Rbf, ServiceProcess, SupervisorConfig,
 };
 use std::panic::catch_unwind;
 use std::path::{Path, PathBuf};
@@ -862,10 +861,8 @@ fn rbf(sys: &SystemSpec, opts: &[String]) -> Result<(), CliError> {
         .parse()
         .map_err(|e| input(format!("bad --horizon: {e}")))?;
     for t in &sys.tasks {
-        let mut x = Explorer::new(t, &ExploreConfig::new(horizon));
-        x.extend_to(horizon, &BudgetMeter::unlimited())
+        let rbf = Rbf::compute_metered(t, horizon, &BudgetMeter::unlimited())
             .map_err(|e| CliError::Internal(e.to_string()))?;
-        let rbf = x.rbf(horizon);
         println!("task {}: rbf breakpoints (window, work):", t.name());
         for &(s, w) in rbf.points() {
             println!("  {s:>8}  {w}");

@@ -173,9 +173,15 @@ fn exact_arithmetic_overflow_exits_three_as_internal_not_panic() {
             let p = temp_file(&format!("overflow-{name}-{scheduler}.srtw"), text);
             let (code, out, err) = run_srtw(&["analyze", &p, "--json", "--scheduler", scheduler]);
             assert_eq!(code, 3, "{name} under {scheduler}: {out} {err}");
-            assert!(out.contains("\"kind\":\"internal\""), "{name} under {scheduler}: {out}");
+            assert!(
+                out.contains("\"kind\":\"internal\""),
+                "{name} under {scheduler}: {out}"
+            );
             assert!(out.contains("overflow"), "{name} under {scheduler}: {out}");
-            assert!(!out.contains("panic") && !err.contains("panic"), "{name}: {out} {err}");
+            assert!(
+                !out.contains("panic") && !err.contains("panic"),
+                "{name}: {out} {err}"
+            );
         }
     }
     // `srtw rbf` grows the same search as the analyses.
